@@ -67,16 +67,21 @@ class Bank:
         ``data_time_ns`` is the bus occupancy of a WR/RD payload, used to
         know when data finishes so PRE cannot cut a transfer short.
         """
-        handler = {
-            Op.ACT: self._apply_act,
-            Op.WR: self._apply_column,
-            Op.RD: self._apply_column,
-            Op.PRE: self._apply_pre,
-            Op.REF: self._apply_ref,
-        }[cmd.op]
-        handler(cmd, data_time_ns)
+        # An identity chain, not a dict: ``Enum.__hash__`` runs in Python
+        # and this is called once per DRAM command.
+        op = cmd.op
+        if op is Op.ACT:
+            self._apply_act(cmd)
+        elif op is Op.WR or op is Op.RD:
+            self._apply_column(cmd, data_time_ns)
+        elif op is Op.PRE:
+            self._apply_pre(cmd)
+        elif op is Op.REF:
+            self._apply_ref(cmd)
+        else:
+            raise KeyError(op)
 
-    def _apply_act(self, cmd: Command, _data_time: float) -> None:
+    def _apply_act(self, cmd: Command) -> None:
         if self._state is BankState.OPEN:
             raise TimingViolation(
                 cmd.describe(), cmd.time, self.earliest_activate(), "ACT-on-open-bank"
@@ -104,7 +109,7 @@ class Bank:
             raise TimingViolation(cmd.describe(), cmd.time, legal, "tRCD")
         self._data_end = max(self._data_end, cmd.time + data_time)
 
-    def _apply_pre(self, cmd: Command, _data_time: float) -> None:
+    def _apply_pre(self, cmd: Command) -> None:
         if self._state is not BankState.OPEN:
             raise TimingViolation(cmd.describe(), cmd.time, float("inf"), "PRE-on-closed")
         legal = max(self._last_act + self._timing.t_ras, self._data_end)
@@ -115,7 +120,7 @@ class Bank:
         self._open_row = None
         self._precharged_at = cmd.time + self._timing.t_rp
 
-    def _apply_ref(self, cmd: Command, _data_time: float) -> None:
+    def _apply_ref(self, cmd: Command) -> None:
         if self._state is not BankState.CLOSED:
             raise TimingViolation(cmd.describe(), cmd.time, float("inf"), "REF-on-open")
         if cmd.time < self._precharged_at - TIMING_EPSILON_NS:

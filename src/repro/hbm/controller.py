@@ -16,6 +16,7 @@ gap and measured in E4.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
@@ -36,6 +37,8 @@ class ScheduleResult:
     start_ns: float
     end_ns: float
     commands_executed: int
+    #: The controller's :meth:`HBMController.peak_open_banks` after this
+    #: schedule: cumulative over its lifetime, not this schedule alone.
     peak_open_banks_per_channel: int
 
     @property
@@ -74,6 +77,15 @@ class HBMController:
         # channel -> {bank: act_time}; closed intervals accumulate below.
         self._open_since: List[Dict[int, float]] = [dict() for _ in self._channels]
         self._intervals: List[List[Tuple[float, float]]] = [[] for _ in self._channels]
+        # Incremental form of the same audit (see ``_track_act``): per
+        # channel the latest ACT time and a min-heap of close times later
+        # than it, plus the running peak.  ``_incremental`` drops to
+        # False for good once a caller breaks its ordering preconditions;
+        # the audit then falls back to ``_sweep_peak``.
+        self._last_act: List[float] = [-float("inf")] * len(self._channels)
+        self._pending_closes: List[List[float]] = [[] for _ in self._channels]
+        self._peak = 0
+        self._incremental = True
         self._executed = 0
 
     # -- geometry -------------------------------------------------------------
@@ -135,11 +147,44 @@ class HBMController:
         self._executed += 1
         if cmd.op is Op.ACT:
             self._open_since[cmd.channel][cmd.bank] = cmd.time
+            if self._incremental:
+                self._track_act(cmd.channel, cmd.time)
         elif cmd.op is Op.PRE:
             opened = self._open_since[cmd.channel].pop(cmd.bank, None)
             if opened is not None:
                 closes = cmd.time + self.timing.t_rp
                 self._intervals[cmd.channel].append((opened, closes))
+                if self._incremental:
+                    self._track_close(cmd.channel, closes)
+
+    def _track_act(self, channel: int, time: float) -> None:
+        """Raise the running peak by the banks open on ``channel`` at ``time``.
+
+        With ACT times non-decreasing and every close later than the
+        latest ACT (``_track_close``), the banks open at ``time`` are the
+        ones still without a PRE plus the closed ones whose close is
+        later than ``time``; no later command can change that count, so
+        the maximum over ACTs equals the sweep's.
+        """
+        if time < self._last_act[channel]:
+            self._incremental = False
+            return
+        self._last_act[channel] = time
+        pending = self._pending_closes[channel]
+        # A close at exactly ``time`` comes first, as in the sweep's sort.
+        while pending and pending[0] <= time:
+            heapq.heappop(pending)
+        count = len(self._open_since[channel]) + len(pending)
+        if count > self._peak:
+            self._peak = count
+
+    def _track_close(self, channel: int, closes: float) -> None:
+        """Record a bank close time for the incremental peak."""
+        if closes <= self._last_act[channel]:
+            # The interval ended at or before an ACT already counted it.
+            self._incremental = False
+            return
+        heapq.heappush(self._pending_closes[channel], closes)
 
     def execute(self, commands: Iterable[Command]) -> ScheduleResult:
         """Execute a whole schedule in time order and audit it.
@@ -154,7 +199,7 @@ class HBMController:
             key=lambda c: (c.time, _OP_ORDER[c.op], c.channel, c.bank),
         )
         if not ordered:
-            return ScheduleResult(0, 0.0, 0.0, 0, 0)
+            return ScheduleResult(0, 0.0, 0.0, 0, self.peak_open_banks())
         payload = 0
         data_start = float("inf")
         data_end = -float("inf")
@@ -184,10 +229,20 @@ class HBMController:
         """Maximum simultaneously open banks seen on any channel.
 
         The paper bounds this by four (the four-activation window /
-        instantaneous-current argument that fixes gamma).  Computed by a
-        sweep over the recorded open intervals, including banks still
-        open.
+        instantaneous-current argument that fixes gamma).  Cumulative
+        over the controller's lifetime, including banks still open.
+        Kept incrementally, O(1) amortised per ACT, while every channel
+        sees non-decreasing ACT times and closes later than its latest
+        ACT -- true of PFI's frame trains even though a frame's leading
+        ACT precedes the previous frame's trailing PRE.  Other ``apply``
+        orders fall back to the exact sweep for good.
         """
+        if self._incremental:
+            return self._peak
+        return self._sweep_peak()
+
+    def _sweep_peak(self) -> int:
+        """Reference audit: a sweep over every recorded open interval."""
         peak = 0
         for channel_index, intervals in enumerate(self._intervals):
             points: List[Tuple[float, int]] = []

@@ -64,4 +64,4 @@ def make_traffic(config: HBMSwitchConfig, load: float, duration_ns: float,
         seed=seed,
         **kwargs,
     )
-    return gen.generate(duration_ns)
+    return gen.materialize(duration_ns)

@@ -66,7 +66,7 @@ class TestTrafficPatterns:
             FixedSize(1500),
             seed=3,
         )
-        packets = packets_gen.generate(DURATION)
+        packets = packets_gen.materialize(DURATION)
         switch = HBMSwitch(small_switch, PFIOptions(padding=True, bypass=True))
         report = switch.run(packets, DURATION)
         assert report.delivery_fraction == pytest.approx(1.0)

@@ -1,8 +1,11 @@
 """Controller: schedule execution, auditing, bandwidth accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import HBMStackConfig
+from repro.core import HBMSwitch, PFIOptions
 from repro.errors import ConfigError, TimingViolation
 from repro.hbm import (
     BankGroup,
@@ -13,6 +16,9 @@ from repro.hbm import (
     first_legal_start,
     generate_frame_schedule,
 )
+from repro.faults import HBMChannelLoss
+from repro.faults.schedule import SwitchFaultView
+from tests.conftest import make_traffic
 
 T = HBMTiming()
 
@@ -132,3 +138,167 @@ class TestAudit:
         ctrl.apply(Command(Op.ACT, 0, 0, 0, 0.0))
         ctrl.apply(Command(Op.ACT, 0, 1, 0, 1.0))
         assert ctrl.peak_open_banks() == 2
+
+    def test_empty_execute_reports_cumulative_peak(self):
+        ctrl = make_controller()
+        sched = frame_commands(ctrl, 0, 0, first_legal_start(T))
+        peak = ctrl.execute(sched.commands).peak_open_banks_per_channel
+        assert peak >= 1
+        assert ctrl.execute([]).peak_open_banks_per_channel == peak
+
+    def test_out_of_order_act_falls_back_exactly(self):
+        ctrl = make_controller()
+        ctrl.apply(Command(Op.ACT, 0, 0, 0, 10.0))
+        ctrl.apply(Command(Op.ACT, 0, 1, 0, 0.0))  # earlier than the last ACT
+        assert ctrl.peak_open_banks() == ctrl._sweep_peak() == 2
+
+    def test_close_before_counted_act_falls_back_exactly(self):
+        ctrl = make_controller()
+        ctrl.apply(Command(Op.ACT, 0, 0, 0, 0.0))
+        ctrl.apply(Command(Op.ACT, 0, 1, 0, 100.0))
+        # Bank 0 closed at 45 + tRP = 60, before the ACT at 100 that
+        # already counted it as open.
+        ctrl.apply(Command(Op.PRE, 0, 0, 0, 45.0))
+        assert ctrl.peak_open_banks() == ctrl._sweep_peak() == 1
+
+
+# -- incremental open-bank audit vs the reference sweep -------------------------
+
+#: tFAW at zero, so that ACTs on different banks may tie and arrive out
+#: of order.  The channel still rejects an ACT earlier than the fourth
+#: latest ACT it applied; ``test_shuffled_order_matches_sweep`` keeps to
+#: that.  Every bank-level rule applies unchanged.
+NO_FAW = HBMTiming(t_faw=0.0)
+AUDIT_CHANNELS = 3
+AUDIT_BANKS = 5
+
+
+@st.composite
+def bank_streams(draw):
+    """Per-bank ACT/PRE sequences, each legal on its own bank.
+
+    Times sit on a 5 ns grid so commands on different banks tie, and a
+    zero slack makes a close land exactly on the bank's next ACT.
+    """
+    streams = []
+    for channel in range(AUDIT_CHANNELS):
+        for bank in range(AUDIT_BANKS):
+            time = 5.0 * draw(st.integers(0, 12))
+            commands = []
+            for _ in range(draw(st.integers(0, 3))):
+                commands.append(Command(Op.ACT, channel, bank, 0, time))
+                if draw(st.booleans()) or len(commands) < 2:
+                    time += NO_FAW.t_ras + 5.0 * draw(st.integers(0, 4))
+                    commands.append(Command(Op.PRE, channel, bank, 0, time))
+                    time += NO_FAW.t_rp + 5.0 * draw(st.integers(0, 4))
+                else:
+                    break  # leave this bank open
+            streams.append(commands)
+    return streams
+
+
+def audited_apply(commands):
+    """Apply ``commands`` one by one, checking the audit after each.
+
+    The incremental peak must equal the sweep, and the controller must
+    leave the incremental path exactly when a channel first sees an ACT
+    earlier than its latest ACT or a close no later than it.
+    """
+    ctrl = HBMController(small_stack(), 1, NO_FAW)
+    last_act = [-float("inf")] * AUDIT_CHANNELS
+    in_order = True
+    for cmd in commands:
+        ctrl.apply(cmd)
+        if cmd.op is Op.ACT:
+            in_order = in_order and cmd.time >= last_act[cmd.channel]
+            last_act[cmd.channel] = max(last_act[cmd.channel], cmd.time)
+        else:
+            in_order = in_order and cmd.time + NO_FAW.t_rp > last_act[cmd.channel]
+        assert ctrl._incremental == in_order
+        assert ctrl.peak_open_banks() == ctrl._sweep_peak()
+    return ctrl
+
+
+def faw_ok(cmd, channel_acts):
+    """Whether ``cmd`` passes tFAW after ``channel_acts`` (apply order)."""
+    if cmd.op is not Op.ACT or len(channel_acts) < 4:
+        return True
+    return cmd.time >= channel_acts[-4] + NO_FAW.t_faw
+
+
+class TestIncrementalAudit:
+    @settings(max_examples=150, deadline=None)
+    @given(bank_streams())
+    def test_time_order_matches_sweep_without_fallback(self, streams):
+        ordered = sorted(
+            (cmd for stream in streams for cmd in stream),
+            key=lambda c: (c.time, c.op is not Op.PRE, c.channel, c.bank),
+        )
+        ctrl = audited_apply(ordered)
+        assert ctrl._incremental
+
+    @settings(max_examples=150, deadline=None)
+    @given(bank_streams(), st.data())
+    def test_shuffled_order_matches_sweep(self, streams, data):
+        # Interleave the banks at random, keeping each bank's own order
+        # (the bank rules reject anything else) and never issuing an ACT
+        # before its channel's fourth latest one (tFAW).  A bank whose
+        # next ACT can no longer go out is dropped with its remainder.
+        # Picking among the three earliest heads keeps most streams
+        # close to time order, where the two audits are easiest to part.
+        queues = [list(stream) for stream in streams if stream]
+        acts = {channel: [] for channel in range(AUDIT_CHANNELS)}
+        shuffled = []
+        while queues:
+            queues = sorted(
+                (q for q in queues if faw_ok(q[0], acts[q[0].channel])),
+                key=lambda q: q[0].time,
+            )
+            if not queues:
+                break
+            queue = queues[data.draw(st.integers(0, min(2, len(queues) - 1)))]
+            cmd = queue.pop(0)
+            if cmd.op is Op.ACT:
+                acts[cmd.channel].append(cmd.time)
+            shuffled.append(cmd)
+            queues = [q for q in queues if q]
+        audited_apply(shuffled)
+
+
+def validated_run(small_switch, monkeypatch, faults=None, **options):
+    def no_sweep(self):
+        raise AssertionError("validated PFI run left the incremental audit")
+
+    monkeypatch.setattr(HBMController, "_sweep_peak", no_sweep)
+    switch = HBMSwitch(
+        small_switch,
+        PFIOptions(validate_hbm_timing=True, **options),
+        faults=faults,
+    )
+    report = switch.run(make_traffic(small_switch, 0.8, 20_000.0), 20_000.0)
+    controller = switch.pfi.controller
+    assert controller._executed > 0
+    assert 1 <= controller.peak_open_banks() <= 4
+    return report
+
+
+class TestValidatedRunsStayIncremental:
+    @pytest.mark.parametrize("bypass", [True, False])
+    @pytest.mark.parametrize("padding", [True, False])
+    def test_pfi_options(self, small_switch, monkeypatch, bypass, padding):
+        validated_run(small_switch, monkeypatch, bypass=bypass, padding=padding)
+
+    def test_channel_loss_window(self, small_switch, monkeypatch):
+        faults = SwitchFaultView(
+            switch=0,
+            total_channels=small_switch.total_channels,
+            channel_losses=[
+                HBMChannelLoss(
+                    switch=0, n_channels=2, start_ns=5_000.0, end_ns=12_000.0
+                )
+            ],
+        )
+        report = validated_run(
+            small_switch, monkeypatch, faults=faults, padding=True, bypass=False
+        )
+        assert report.delivered_bytes > 0
