@@ -42,7 +42,7 @@ def run_with_failures(config, n_failed, seed=0):
     )
     return router.run(
         packets, DURATION, fibers=fibers,
-        failed_switches=list(range(n_failed)),
+        fault_schedule=FaultSchedule.from_failed_switches(range(n_failed)),
     )
 
 

@@ -116,7 +116,7 @@ def test_e10_per_switch_traffic_matrices_even_out(benchmark):
             seed=77,
             flows_per_pair=1024,
         )
-        packets = gen.generate(40_000.0)
+        packets = gen.materialize(40_000.0)
         sps = SplitParallelSwitch(config)
         fibers = assign_fibers(packets, config.fibers_per_ribbon)
         parts = sps.partition_packets(packets, fibers)

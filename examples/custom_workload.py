@@ -38,7 +38,7 @@ def main() -> None:
         size_dist=ImixSize(),
         seed=31,
     )
-    csv_text = trace_to_string(generator.generate(duration_ns))
+    csv_text = trace_to_string(generator.materialize(duration_ns))
     print(f"Serialised trace: {len(csv_text.splitlines()) - 1} packets, "
           f"{len(csv_text) / 1024:.0f} KB of CSV\n")
 

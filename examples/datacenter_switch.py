@@ -65,7 +65,7 @@ def main() -> None:
             process=ArrivalProcess.ONOFF,
             seed=3,
         )
-        packets = generator.generate(duration_ns)
+        packets = generator.materialize(duration_ns)
         switch = HBMSwitch(config, PFIOptions(padding=True, bypass=True))
         report = switch.run(packets, duration_ns)
         table.add(

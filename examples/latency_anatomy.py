@@ -29,7 +29,7 @@ def run_at(config, load):
         size_dist=FixedSize(1500),
         seed=17,
     )
-    packets = generator.generate(DURATION_NS)
+    packets = generator.materialize(DURATION_NS)
     switch = HBMSwitch(config, PFIOptions(padding=True, bypass=True))
     return switch.run(packets, DURATION_NS)
 

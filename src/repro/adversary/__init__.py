@@ -35,7 +35,6 @@ from .campaign import (
     compare_splitters,
     execute_attack_trial,
     make_splitter,
-    run_attack_campaign,
     trial_seeds,
 )
 from .hardening import (
@@ -66,7 +65,6 @@ __all__ = [
     "make_splitter",
     "make_strategy",
     "probe_loss",
-    "run_attack_campaign",
     "seed_sensitivity_sweep",
     "trial_seeds",
     "weighted_fibers",

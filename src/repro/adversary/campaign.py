@@ -6,12 +6,12 @@ against one splitter family for ``n_trials`` independent trials.  Trial
 ``np.random.SeedSequence((seed, i))`` -- stable across platforms and
 processes -- so the same params always produce the same trials no
 matter how they are scheduled.  Dispatch, caching and sharding live in
-the scenario runtime (:mod:`repro.runtime`); this module keeps the
-domain pieces -- seed derivation, the per-trial executor, the aggregate
--- plus a deprecated ``run_attack_campaign`` shim over
-:class:`repro.runtime.AttackCampaign`.  The unit of parallelism is the
-*trial* (each worker simulates its whole attacked router sequentially),
-exactly as the fault campaign parallelises over scenarios.
+the scenario runtime (:mod:`repro.runtime`, entry point
+:class:`repro.runtime.AttackCampaign`); this module keeps the domain
+pieces -- seed derivation, the per-trial executor, the aggregate.  The
+unit of parallelism is the *trial* (each worker simulates its whole
+attacked router sequentially), exactly as the fault campaign
+parallelises over scenarios.
 
 Per trial we report two views of the same attack:
 
@@ -32,7 +32,6 @@ campaign dumps are byte-identical.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -209,36 +208,14 @@ def execute_attack_trial(trial: AttackTrial) -> dict:
         throttled_bytes = int(round(loop.throttled_bytes))
         control_summary = loop.summary()
     router = SplitParallelSwitch(config, splitter=splitter)
-    if control is None:
-        # Open-loop trials ingest the attack as a block stream -- byte-
-        # identical to the eager sequential run (the repo invariant) but
-        # holding one block at a time.  The strategy's precomputed fiber
-        # choices ride along, sliced by the blocks' pid offsets.
-        from ..traffic.stream import blocks_from_packets
-
-        fibers = list(fibers)
-
-        def fibers_fn(block_packets, block):
-            return fibers[block.pid_offset:block.pid_offset + len(block_packets)]
-
-        report = router.run_stream(
-            blocks_from_packets(packets, trial.duration_ns),
-            trial.duration_ns,
-            fibers_fn=fibers_fn,
-            drain=False,
-            fault_schedule=trial.fault_schedule,
-            telemetry=registry,
-        )
-    else:
-        report = router.run(
-            packets,
-            trial.duration_ns,
-            fibers=fibers,
-            drain=False,
-            mode="sequential",
-            fault_schedule=trial.fault_schedule,
-            telemetry=registry,
-        )
+    report = router.run(
+        packets,
+        trial.duration_ns,
+        fibers=fibers,
+        drain=False,
+        fault_schedule=trial.fault_schedule,
+        telemetry=registry,
+    )
     offered = report.per_switch_offered_bytes
     sim_total = float(sum(offered))
     sim_target = target if victim is not None else (
@@ -344,40 +321,6 @@ class AttackCampaignResult:
                 for t in self.trials
             ],
         }
-
-
-def run_attack_campaign(
-    config: RouterConfig,
-    params: AttackCampaignParams,
-    fault_schedule=None,
-    failed_switches: Optional[List[int]] = None,
-    n_workers: Optional[int] = None,
-) -> AttackCampaignResult:
-    """Deprecated shim over the scenario runtime.
-
-    Use :class:`repro.runtime.AttackCampaign` with
-    :meth:`repro.runtime.Runtime.run_campaign` instead -- same per-trial
-    seed-sequence recipe, same :class:`AttackCampaignResult` (including
-    the trial-index-ordered telemetry merge), byte-identical output for
-    the same seeds, plus caching/resume/sharding the legacy entrypoint
-    never had.
-    """
-    warnings.warn(
-        "repro.adversary.campaign.run_attack_campaign is deprecated; use "
-        "repro.runtime.Runtime.run_campaign(repro.runtime.AttackCampaign(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..runtime import AttackCampaign, Runtime
-
-    return Runtime(n_workers=n_workers).run_campaign(
-        AttackCampaign(
-            config=config,
-            params=params,
-            fault_schedule=fault_schedule,
-            failed_switches=failed_switches,
-        )
-    )
 
 
 def compare_splitters(

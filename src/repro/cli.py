@@ -642,8 +642,7 @@ def _router_config(n_switches: int):
 
 def _failed_schedule(failed: List[int]):
     """A ``--failed-switches`` list as its degenerate fault schedule (or
-    ``None``).  The CLI converts eagerly so nothing downstream touches
-    the deprecated ``failed_switches=`` kwarg."""
+    ``None``)."""
     if not failed:
         return None
     from .faults import FaultSchedule

@@ -369,25 +369,22 @@ class HBMSwitch:
         arrivals) until the switch empties or ``max_drain_ns`` passes,
         so latency statistics cover every delivered packet.
 
-        Arrivals are scheduled in the arrival priority class (see
-        :meth:`~repro.sim.engine.Engine.schedule_arrival`) in both this
-        eager path and the streaming one, so same-instant ties resolve
-        identically whichever path ran.
+        The eager path is a one-block stream: begin, offer every
+        arrival, finish -- the streaming calls, so both paths fire the
+        same events in the same order.
         """
+        self.stream_begin()
         self.stream_offer(packets, duration_ns)
-        self.pfi.start()
-        self.engine.run(until=duration_ns)
-        return self._finish(duration_ns, drain, max_drain_ns)
+        return self.stream_finish(duration_ns, drain, max_drain_ns)
 
     # -- streaming ingest ---------------------------------------------------------
 
     def stream_begin(self) -> None:
-        """Start the PFI engine ahead of block-by-block ingest.
+        """Start the PFI engine ahead of the first ``stream_offer``.
 
-        The eager path schedules every arrival before ``pfi.start()``;
-        starting first is safe here because arrivals outrank the PFI's
-        internal events at equal timestamps (priority classes), so the
-        event order is identical either way.
+        Arrivals outrank the PFI's internal events at equal timestamps
+        (priority classes), so offering after the start fires the same
+        events in the same order as offering before it would.
         """
         self.pfi.start()
 
@@ -425,14 +422,6 @@ class HBMSwitch:
     ) -> SwitchReport:
         """Final boundary: fire events at ``duration_ns``, drain, report."""
         self.engine.run(until=duration_ns)
-        return self._finish(duration_ns, drain, max_drain_ns)
-
-    def _finish(
-        self,
-        duration_ns: float,
-        drain: bool,
-        max_drain_ns: Optional[float],
-    ) -> SwitchReport:
         if drain:
             self._run_drain(duration_ns, max_drain_ns)
         self.pfi.stop()

@@ -15,17 +15,17 @@ hashing on the 5-tuple.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+import os
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import RouterConfig
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from ..hbm.timing import HBMTiming
 from ..photonics.oeo import OEOConverter
-from ..sim.parallel import SwitchWorkUnit, execute_work_unit, run_work_units
+from ..sim.parallel import SwitchWorkUnit, finish_switch, open_switch, run_work_units
 from ..traffic.ecmp import hash_to_choice
 from ..traffic.packet import Packet
 from ..units import bytes_per_ns_to_rate
@@ -35,31 +35,6 @@ from .pfi import PFIOptions
 
 #: Execution modes of :meth:`SplitParallelSwitch.run`.
 RUN_MODES = ("sequential", "parallel", "auto")
-
-_failed_switches_warned = False
-
-
-def _warn_failed_switches_deprecated() -> None:
-    """One-shot deprecation notice for the legacy ``failed_switches=``
-    kwarg -- it fires on the first faulted run of the process, not on
-    every cell of a sweep."""
-    global _failed_switches_warned
-    if _failed_switches_warned:
-        return
-    _failed_switches_warned = True
-    warnings.warn(
-        "SplitParallelSwitch.run(failed_switches=...) is deprecated; pass "
-        "fault_schedule=FaultSchedule.from_failed_switches(...) instead "
-        "(byte-identical results)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_failed_switches_warning() -> None:
-    """Re-arm the one-shot warning (test hook)."""
-    global _failed_switches_warned
-    _failed_switches_warned = False
 
 
 def assign_fibers(packets: Sequence[Packet], n_fibers: int, salt: int = 0xECA) -> List[int]:
@@ -274,49 +249,41 @@ class SplitParallelSwitch:
         duration_ns: float,
         fibers: Optional[Sequence[int]] = None,
         drain: bool = True,
-        failed_switches: Optional[Sequence[int]] = None,
         mode: str = "sequential",
         n_workers: Optional[int] = None,
         fault_schedule=None,
         telemetry=None,
     ) -> RouterReport:
-        """Simulate the whole router.
+        """Simulate the whole router on an eager packet list.
 
-        ``fibers[i]`` is packet i's arrival fiber within its ribbon; by
-        default fibers are chosen by upstream ECMP hash.  The H switches
-        are simulated independently (they share nothing), each fed its
-        split of the traffic.
-
-        ``failed_switches`` injects dead switches: their traffic is lost
-        at the (passive) split, the survivors run exactly as before --
-        the modularity/fault-isolation property of SS 2.2.  The kwarg is
-        *deprecated* (one ``DeprecationWarning`` per process): pass
-        ``fault_schedule=FaultSchedule.from_failed_switches(...)``
-        instead -- it takes literally the same path below and produces
-        byte-identical reports.
+        The eager path is a one-block stream: ``packets`` form a single
+        batch ending at ``duration_ns`` and take the same split,
+        simulation and report assembly as :meth:`run_stream`, so the
+        two entry points cannot drift apart.  ``fibers[i]`` is packet
+        i's arrival fiber within its ribbon; by default fibers are
+        chosen by upstream ECMP hash.
 
         ``fault_schedule`` (a :class:`~repro.faults.FaultSchedule`)
-        generalises that to timed faults: whole-run switch deaths take
-        the same split-level path as ``failed_switches`` (byte-identical
-        to the legacy API), windowed deaths / HBM channel losses / OEO
-        degradations are handed to the affected switches as per-switch
-        views, and fiber cuts filter their traffic at the split into
-        ``fault_lost_bytes``.  ``failed_switches`` and a schedule
-        compose: the listed switches are merged in as whole-run deaths.
-        An empty (or ``None``) schedule leaves every simulation path
-        bit-identical to an unfaulted run.
+        injects timed faults: whole-run switch deaths lose their traffic
+        at the (passive) split and the survivors run exactly as before
+        -- the modularity/fault-isolation property of SS 2.2; windowed
+        deaths / HBM channel losses / OEO degradations are handed to the
+        affected switches as per-switch views, and fiber cuts filter
+        their traffic at the split into ``fault_lost_bytes``.  An empty
+        (or ``None``) schedule leaves every simulation path bit-identical
+        to an unfaulted run.
 
-        ``mode`` selects how the H independent simulations execute:
+        ``mode`` selects where the H independent simulations execute:
 
         - ``"sequential"`` (default): one after another in this process.
-        - ``"parallel"``: fanned out over a process pool of
-          ``n_workers`` (default: CPU count) via
-          :mod:`repro.sim.parallel`.  Reports are merged in switch-index
-          order, so the result is byte-identical to sequential mode; the
-          caller's packet objects are, however, simulated as copies
-          (``departure_ns`` is not written back).
-        - ``"auto"``: parallel when it can help (several switches and
-          several CPUs), sequential otherwise.
+        - ``"parallel"``: each live switch's slice ships as a
+          :class:`~repro.sim.parallel.SwitchWorkUnit` to a process pool
+          of ``n_workers`` (default: CPU count).  Reports are merged in
+          switch-index order, so the result is byte-identical to
+          sequential mode; the caller's packet objects are, however,
+          simulated as copies (``departure_ns`` is not written back).
+        - ``"auto"``: parallel when it can help (several live switches
+          and several CPUs), sequential otherwise.
 
         ``telemetry`` (a :class:`~repro.telemetry.MetricsRegistry`)
         instruments the whole pipeline: split-level series are recorded
@@ -330,138 +297,16 @@ class SplitParallelSwitch:
         """
         if mode not in RUN_MODES:
             raise ConfigError(f"mode must be one of {RUN_MODES}, got {mode!r}")
-        failed = frozenset(failed_switches or ())
-        if failed:
-            _warn_failed_switches_deprecated()
-        for h in failed:
-            if not 0 <= h < self.config.n_switches:
-                raise ConfigError(f"failed switch {h} out of range")
-        schedule = fault_schedule
-        if schedule is None and failed:
-            # Re-express the legacy API as its degenerate schedule, so
-            # both forms take literally the same path from here on.
-            from ..faults.schedule import FaultSchedule
-
-            schedule = FaultSchedule.from_failed_switches(failed)
-        elif schedule is not None and failed:
-            schedule = schedule.with_failed_switches(failed)
-        if schedule is not None:
-            schedule.validate(self.config)
-            if schedule.is_empty:
-                schedule = None
         if fibers is None:
             fibers = assign_fibers(packets, self.config.fibers_per_ribbon)
-        if telemetry is not None:
-            self.oeo.attach_telemetry(telemetry)
-            if schedule is not None:
-                from ..telemetry import tag_fault_windows
-
-                tag_fault_windows(telemetry, schedule)
-        fault_lost = 0
-        if schedule is not None and schedule.has_fiber_cuts:
-            # A cut fiber's traffic never reaches the package: filter it
-            # at the (passive) split, before partitioning.
-            kept_packets: List[Packet] = []
-            kept_fibers: List[int] = []
-            cut_lost: Dict[tuple, int] = {}
-            for packet, fiber in zip(packets, fibers):
-                if schedule.fiber_cut_active(
-                    packet.input_port, fiber, packet.arrival_ns
-                ):
-                    fault_lost += packet.size_bytes
-                    if telemetry is not None:
-                        key = (packet.input_port, fiber)
-                        cut_lost[key] = cut_lost.get(key, 0) + packet.size_bytes
-                else:
-                    kept_packets.append(packet)
-                    kept_fibers.append(fiber)
-            packets, fibers = kept_packets, kept_fibers
-            if telemetry is not None and cut_lost:
-                from ..telemetry import record_fault_loss
-
-                for (ribbon, fiber), n_bytes in sorted(cut_lost.items()):
-                    record_fault_loss(
-                        telemetry, "fiber", f"{ribbon}/{fiber}", n_bytes
-                    )
-        per_switch = self.partition_packets(packets, fibers)
-        # Whole-run deaths take the legacy split-level path; windowed
-        # faults ride along as per-switch views.
-        if schedule is not None:
-            dead = frozenset(schedule.whole_run_dead_switches())
-        else:
-            dead = failed
-        offered: List[int] = []
-        failed_bytes = 0
-        units: List[SwitchWorkUnit] = []
-        for h in range(self.config.n_switches):
-            arrived = sum(p.size_bytes for p in per_switch[h])
-            offered.append(arrived)
-            if telemetry is not None:
-                # The split is passive (0 ns); the observable is the
-                # per-switch packet count -- the load balance of E10.
-                telemetry.histogram(
-                    "repro_stage_latency_ns",
-                    "passive fiber-split assignment (count = per-switch load)",
-                    stage="split", switch=str(h),
-                ).observe_n(0.0, len(per_switch[h]))
-                # Time-resolved view of the same split: offered bytes per
-                # window per switch, recorded at the (passive) split
-                # point so dead switches' offered load shows up too.
-                split_series = telemetry.timeseries(
-                    "repro_split_window_bytes",
-                    "offered bytes per window at the fiber split",
-                    switch=str(h),
-                )
-                for packet in per_switch[h]:
-                    split_series.observe(packet.arrival_ns, packet.size_bytes)
-            if h in dead:
-                failed_bytes += arrived
-                if telemetry is not None and arrived:
-                    from ..telemetry import record_fault_loss
-
-                    record_fault_loss(telemetry, "switch", str(h), arrived)
-                continue
-            view = (
-                schedule.switch_view(h, self.config.switch.total_channels)
-                if schedule is not None
-                else None
-            )
-            units.append(
-                SwitchWorkUnit(
-                    index=h,
-                    config=self.config.switch,
-                    options=self.options,
-                    timing=self.timing,
-                    packets=tuple(per_switch[h]),
-                    duration_ns=duration_ns,
-                    drain=drain,
-                    faults=view,
-                    telemetry=telemetry is not None,
-                )
-            )
-        reports = self._execute_units(units, mode, n_workers)
-        for report in reports:
-            # One O/E + one E/O per bit through a switch (the SPS property).
-            self.oeo.convert(8.0 * (report.offered_bytes + report.delivered_bytes))
-        telemetry_dump = None
-        if telemetry is not None:
-            # Per-switch registries merge in unit (= switch-index) order
-            # in both execution modes, so the aggregate dump is
-            # byte-identical whether the switches ran in-process or on
-            # the pool.
-            for report in reports:
-                if report.telemetry is not None:
-                    telemetry.merge_dict(report.telemetry)
-            telemetry_dump = telemetry.to_dict()
-        return RouterReport(
-            switch_reports=reports,
-            per_switch_offered_bytes=offered,
-            duration_ns=duration_ns,
-            failed_switches=sorted(dead),
-            failed_offered_bytes=failed_bytes,
-            fault_lost_bytes=fault_lost,
-            fault_events=schedule.describe() if schedule is not None else [],
-            telemetry=telemetry_dump,
+        return self._simulate(
+            [(packets, fibers, duration_ns)],
+            duration_ns,
+            drain=drain,
+            fault_schedule=fault_schedule,
+            telemetry=telemetry,
+            mode=mode,
+            n_workers=n_workers,
         )
 
     def run_stream(
@@ -480,14 +325,15 @@ class SplitParallelSwitch:
 
         The bounded-memory ingest path: ``blocks`` is any iterable of
         :class:`~repro.traffic.stream.ArrivalBlock` (typically
-        ``source.blocks(duration_ns)``).  Each block is partitioned
-        across the H switches and every engine is advanced to the block
-        boundary before the next block is pulled, so at most one block
-        of packets is ever materialized.  Reports -- and telemetry
-        dumps -- are byte-identical to :meth:`run` fed the concatenated
-        packets (``mode="sequential"``); the streaming path is
-        inherently sequential (the switches advance in lockstep with
-        the source), so there is no ``mode`` knob here.
+        ``source.blocks(duration_ns)``).  Each block is one batch of
+        the core :meth:`run` also uses: it is partitioned across the H
+        switches and every engine is advanced to the block boundary
+        before the next block is pulled, so at most one block of
+        packets is ever materialized.  Reports -- and telemetry dumps
+        -- do not depend on the block count, so they are byte-identical
+        to :meth:`run` fed the concatenated packets
+        (``mode="sequential"``); the switches advance in lockstep with
+        the source, so there is no ``mode`` knob here.
 
         ``fibers_fn(packets, block)`` supplies per-packet arrival
         fibers for one block (default: the upstream ECMP hash of
@@ -501,6 +347,60 @@ class SplitParallelSwitch:
         output port (see :class:`~repro.sim.stats.LatencyRecorder`);
         both default to off, keeping the bit-exact historical path.
         """
+
+        def batches():
+            for block in blocks:
+                packets = block.to_packets()
+                fibers = (
+                    fibers_fn(packets, block)
+                    if fibers_fn is not None
+                    else assign_fibers(packets, self.config.fibers_per_ribbon)
+                )
+                yield packets, fibers, block.end_ns
+
+        return self._simulate(
+            batches(),
+            duration_ns,
+            drain=drain,
+            max_drain_ns=max_drain_ns,
+            fault_schedule=fault_schedule,
+            telemetry=telemetry,
+            departure_sink=departure_sink,
+            latency_sample_cap=latency_sample_cap,
+        )
+
+    def _simulate(
+        self,
+        batches: Iterable[Tuple[Sequence[Packet], Sequence[int], float]],
+        duration_ns: float,
+        drain: bool,
+        fault_schedule,
+        telemetry,
+        max_drain_ns: Optional[float] = None,
+        mode: str = "sequential",
+        n_workers: Optional[int] = None,
+        departure_sink=None,
+        latency_sample_cap: Optional[int] = None,
+    ) -> RouterReport:
+        """The one split-and-simulate core behind :meth:`run` and
+        :meth:`run_stream`.
+
+        ``batches`` yields time-ordered ``(packets, fibers, end_ns)``.
+        Per batch: arrivals at or after ``duration_ns`` are dropped
+        (they never enter the simulated window), cut fibers' traffic
+        dies at the passive split, and the rest is partitioned across
+        the switches.  A batch ending before ``duration_ns`` is offered
+        to each switch, which then advances to ``end_ns``.  The batch
+        that reaches ``duration_ns`` is offered to each switch, which
+        is finished (drained and reported) and released before the next
+        switch is offered -- so a one-batch eager run holds one
+        finished switch's latency samples at a time, not H.
+
+        Pooled runs (``mode`` parallel, or auto with several workers)
+        hand each live switch's whole slice to a worker process as a
+        :class:`SwitchWorkUnit` instead; the split and the report
+        assembly are the same.
+        """
         schedule = fault_schedule
         if schedule is not None:
             schedule.validate(self.config)
@@ -512,97 +412,90 @@ class SplitParallelSwitch:
                 from ..telemetry import tag_fault_windows
 
                 tag_fault_windows(telemetry, schedule)
+        n_switches = self.config.n_switches
+        # Whole-run dead switches get no simulation at all: their
+        # traffic dies at the passive split.  Every other switch is
+        # described by one work unit, whichever process runs it.
         dead = (
             frozenset(schedule.whole_run_dead_switches())
             if schedule is not None
             else frozenset()
         )
-        # Per-switch simulation state, mirroring execute_work_unit: a
-        # fresh registry + SwitchTelemetry per instrumented switch, the
-        # switch's fault view, no switch object at all for whole-run
-        # dead switches (their traffic dies at the passive split).
-        switches: List[Optional["HBMSwitch"]] = []
-        registries: List[Optional[object]] = []
-        from .hbm_switch import HBMSwitch
-
-        for h in range(self.config.n_switches):
-            if h in dead:
-                switches.append(None)
-                registries.append(None)
-                continue
-            switch_telemetry = None
-            registry = None
-            if telemetry is not None:
-                from ..telemetry import MetricsRegistry, SwitchTelemetry
-
-                registry = MetricsRegistry()
-                switch_telemetry = SwitchTelemetry(
-                    registry, self.config.switch, h
-                )
-            view = (
-                schedule.switch_view(h, self.config.switch.total_channels)
-                if schedule is not None
-                else None
+        units: List[Optional[SwitchWorkUnit]] = [
+            None
+            if h in dead
+            else SwitchWorkUnit(
+                index=h,
+                config=self.config.switch,
+                options=self.options,
+                timing=self.timing,
+                packets=(),
+                duration_ns=duration_ns,
+                drain=drain,
+                max_drain_ns=max_drain_ns,
+                faults=(
+                    schedule.switch_view(h, self.config.switch.total_channels)
+                    if schedule is not None
+                    else None
+                ),
+                telemetry=telemetry is not None,
             )
-            switch = HBMSwitch(
-                self.config.switch,
-                self.options,
-                self.timing,
-                faults=view,
-                telemetry=switch_telemetry,
-                latency_sample_cap=latency_sample_cap,
-            )
-            if departure_sink is not None:
-                for output in switch.outputs:
-                    output.departure_sink = departure_sink
-            switches.append(switch)
-            registries.append(registry)
-        for switch in switches:
-            if switch is not None:
-                switch.stream_begin()
-        offered = [0] * self.config.n_switches
+            for h in range(n_switches)
+        ]
+        pooled = _use_pool(mode, n_workers, n_switches - len(dead))
+        # In-process (switch, registry) per live switch, opened on its
+        # first offer and dropped once it has finished.
+        running: List[Optional[tuple]] = [None] * n_switches
+        reports: List[Optional[SwitchReport]] = [None] * n_switches
+        offered = [0] * n_switches
         failed_bytes = 0
         fault_lost = 0
         cut_lost: Dict[tuple, int] = {}
-        for block in blocks:
-            packets = block.to_packets()
-            fibers = (
-                fibers_fn(packets, block)
-                if fibers_fn is not None
-                else assign_fibers(packets, self.config.fibers_per_ribbon)
-            )
-            if schedule is not None and schedule.has_fiber_cuts:
+        cuts = schedule is not None and schedule.has_fiber_cuts
+        finished = False
+        for packets, fibers, end_ns in batches:
+            if len(packets) != len(fibers):
+                raise ConfigError("packets and fibers must align")
+            if cuts or any(p.arrival_ns >= duration_ns for p in packets):
                 kept_packets: List[Packet] = []
                 kept_fibers: List[int] = []
                 for packet, fiber in zip(packets, fibers):
-                    if schedule.fiber_cut_active(
+                    if packet.arrival_ns >= duration_ns:
+                        continue
+                    if cuts and schedule.fiber_cut_active(
                         packet.input_port, fiber, packet.arrival_ns
                     ):
                         fault_lost += packet.size_bytes
-                        if telemetry is not None:
-                            key = (packet.input_port, fiber)
-                            cut_lost[key] = (
-                                cut_lost.get(key, 0) + packet.size_bytes
-                            )
+                        key = (packet.input_port, fiber)
+                        cut_lost[key] = cut_lost.get(key, 0) + packet.size_bytes
                     else:
                         kept_packets.append(packet)
                         kept_fibers.append(fiber)
                 packets, fibers = kept_packets, kept_fibers
+            if finished and packets:
+                raise SimulationError(
+                    f"arrivals before {duration_ns} ns offered after the "
+                    "batch that reached the end of the run"
+                )
             per_switch = self.partition_packets(packets, fibers)
-            boundary = min(block.end_ns, duration_ns)
-            for h in range(self.config.n_switches):
+            finished = finished or end_ns >= duration_ns
+            for h in range(n_switches):
                 arrived = sum(p.size_bytes for p in per_switch[h])
                 offered[h] += arrived
                 if telemetry is not None:
-                    # Same split-level series as run(); per-block
-                    # increments sum to the same final values (the
-                    # registry dump is value-sorted, never
+                    # The split is passive (0 ns); the observable is the
+                    # per-switch packet count -- the load balance of E10.
+                    # Per-batch increments sum to the same final values
+                    # (the registry dump is value-sorted, never
                     # insertion-ordered).
                     telemetry.histogram(
                         "repro_stage_latency_ns",
                         "passive fiber-split assignment (count = per-switch load)",
                         stage="split", switch=str(h),
                     ).observe_n(0.0, len(per_switch[h]))
+                    # Time-resolved view of the same split: offered bytes
+                    # per window per switch, recorded at the split point
+                    # so dead switches' offered load shows up too.
                     split_series = telemetry.timeseries(
                         "repro_split_window_bytes",
                         "offered bytes per window at the fiber split",
@@ -610,39 +503,60 @@ class SplitParallelSwitch:
                     )
                     for packet in per_switch[h]:
                         split_series.observe(packet.arrival_ns, packet.size_bytes)
-                if switches[h] is None:
+                if units[h] is None:
                     failed_bytes += arrived
-                else:
-                    switches[h].stream_offer(per_switch[h], duration_ns)
-            for switch in switches:
-                if switch is not None:
-                    switch.stream_advance(boundary)
+                elif pooled:
+                    units[h] = replace(
+                        units[h], packets=units[h].packets + tuple(per_switch[h])
+                    )
+                elif reports[h] is None:
+                    if running[h] is None:
+                        running[h] = open_switch(
+                            units[h], departure_sink, latency_sample_cap
+                        )
+                    switch, registry = running[h]
+                    switch.stream_offer(per_switch[h], duration_ns)
+                    if finished:
+                        reports[h] = finish_switch(units[h], switch, registry)
+                        # Release the finished switch -- and its latency
+                        # samples -- before the next one is offered.
+                        running[h] = switch = registry = None
+                    else:
+                        switch.stream_advance(end_ns)
+        if not pooled:
+            # A stream that stopped short of duration_ns still finishes.
+            for h, unit in enumerate(units):
+                if unit is not None and reports[h] is None:
+                    opened = running[h] or open_switch(
+                        unit, departure_sink, latency_sample_cap
+                    )
+                    reports[h] = finish_switch(unit, *opened)
+        else:
+            live = [unit for unit in units if unit is not None]
+            for unit, report in zip(live, run_work_units(live, n_workers=n_workers)):
+                reports[unit.index] = report
         if telemetry is not None:
             from ..telemetry import record_fault_loss
 
             for (ribbon, fiber), n_bytes in sorted(cut_lost.items()):
                 record_fault_loss(telemetry, "fiber", f"{ribbon}/{fiber}", n_bytes)
             for h in sorted(dead):
-                if offered[h]:
-                    record_fault_loss(telemetry, "switch", str(h), offered[h])
-        reports: List[SwitchReport] = []
-        for h, switch in enumerate(switches):
-            if switch is None:
-                continue
-            report = switch.stream_finish(duration_ns, drain, max_drain_ns)
-            if registries[h] is not None:
-                report.telemetry = registries[h].to_dict()
-            reports.append(report)
-        for report in reports:
+                record_fault_loss(telemetry, "switch", str(h), offered[h])
+        switch_reports = [report for report in reports if report is not None]
+        for report in switch_reports:
+            # One O/E + one E/O per bit through a switch (the SPS property).
             self.oeo.convert(8.0 * (report.offered_bytes + report.delivered_bytes))
         telemetry_dump = None
         if telemetry is not None:
-            for report in reports:
+            # Per-switch registries merge in switch-index order whichever
+            # process ran the switch, so the aggregate dump is
+            # byte-identical in-process and on the pool.
+            for report in switch_reports:
                 if report.telemetry is not None:
                     telemetry.merge_dict(report.telemetry)
             telemetry_dump = telemetry.to_dict()
         return RouterReport(
-            switch_reports=reports,
+            switch_reports=switch_reports,
             per_switch_offered_bytes=offered,
             duration_ns=duration_ns,
             failed_switches=sorted(dead),
@@ -652,25 +566,10 @@ class SplitParallelSwitch:
             telemetry=telemetry_dump,
         )
 
-    def _execute_units(
-        self,
-        units: List[SwitchWorkUnit],
-        mode: str,
-        n_workers: Optional[int],
-    ) -> List[SwitchReport]:
-        """Run the per-switch work units under the chosen mode.
 
-        The sequential path runs the same :func:`execute_work_unit` the
-        workers do, just inline -- no pickling, so the caller's packet
-        objects are simulated in place (preserving the historical
-        behaviour that ``departure_ns`` is observable after a run), and
-        telemetry takes literally one code path in both modes.
-        """
-        import os
-
-        if mode == "auto":
-            workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
-            mode = "parallel" if len(units) > 1 and workers > 1 else "sequential"
-        if mode == "parallel":
-            return run_work_units(units, n_workers=n_workers)
-        return [execute_work_unit(unit)[1] for unit in units]
+def _use_pool(mode: str, n_workers: Optional[int], n_live: int) -> bool:
+    """Whether ``mode`` ships the live switches to the process pool."""
+    if mode == "auto":
+        workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
+        return n_live > 1 and workers > 1
+    return mode == "parallel"

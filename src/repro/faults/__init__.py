@@ -42,7 +42,6 @@ from .campaign import (
     FaultScenario,
     draw_fault_schedule,
     execute_fault_scenario,
-    run_campaign,
 )
 from .specs import parse_fault_event, parse_fault_specs
 
@@ -74,5 +73,4 @@ __all__ = [
     "parse_fault_event",
     "parse_fault_specs",
     "router_fault_traffic",
-    "run_campaign",
 ]

@@ -13,14 +13,12 @@ scenarios (each worker simulates its whole faulted router
 sequentially), the natural unit here just as the switch is for one run.
 Dispatch, caching and sharding live in the scenario runtime
 (:mod:`repro.runtime`); this module keeps the domain pieces -- the
-MTBF/MTTR drawing recipe, the per-cell executor and the aggregate --
-plus a deprecated ``run_campaign`` shim over
-:class:`repro.runtime.FaultCampaign`.
+MTBF/MTTR drawing recipe, the per-cell executor and the aggregate; run
+a campaign through :class:`repro.runtime.FaultCampaign`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -269,31 +267,3 @@ class CampaignResult:
             ),
             "scenarios": self.scenarios,
         }
-
-
-def run_campaign(
-    config: RouterConfig,
-    params: CampaignParams,
-    base_schedule: Optional[FaultSchedule] = None,
-    n_workers: Optional[int] = None,
-) -> CampaignResult:
-    """Deprecated shim over the scenario runtime.
-
-    Use :class:`repro.runtime.FaultCampaign` with
-    :meth:`repro.runtime.Runtime.run_campaign` instead -- same drawing
-    recipe (schedules from per-scenario seeded RNGs, drawn up front in
-    the parent), same :class:`CampaignResult`, byte-identical output for
-    the same ``(config, params, seed)``, plus caching/resume/sharding
-    the legacy entrypoint never had.
-    """
-    warnings.warn(
-        "repro.faults.campaign.run_campaign is deprecated; use "
-        "repro.runtime.Runtime.run_campaign(repro.runtime.FaultCampaign(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..runtime import FaultCampaign, Runtime
-
-    return Runtime(n_workers=n_workers).run_campaign(
-        FaultCampaign(config=config, params=params, base_schedule=base_schedule)
-    )

@@ -6,8 +6,8 @@ places:
 
 - :meth:`~repro.core.sps.SplitParallelSwitch.run` filters fiber-cut
   traffic at the passive split and skips switches that are dead for the
-  whole run (the degenerate schedule that reproduces the legacy
-  ``failed_switches`` path byte for byte);
+  whole run (the degenerate schedule
+  :meth:`FaultSchedule.from_failed_switches` builds);
 - every surviving switch receives a :class:`SwitchFaultView` -- the
   picklable projection of the schedule onto that switch -- which the
   :class:`~repro.core.hbm_switch.HBMSwitch`, the PFI engine and the
@@ -87,8 +87,8 @@ class SwitchFaultView:
 
     @property
     def dead_whole_run(self) -> bool:
-        """Dead from t = 0 with no recovery: the degenerate schedule the
-        legacy ``failed_switches`` path maps onto."""
+        """Dead from t = 0 with no recovery: the degenerate schedule
+        :meth:`FaultSchedule.from_failed_switches` builds."""
         return any(f.whole_run for f in self.failures)
 
     def dead_at(self, t_ns: float) -> bool:
@@ -140,7 +140,7 @@ class FaultSchedule:
 
     @classmethod
     def from_failed_switches(cls, failed: Iterable[int]) -> "FaultSchedule":
-        """The degenerate schedule of the legacy whole-run API: every
+        """The degenerate schedule for a list of dead switches: every
         listed switch dead from t = 0 forever."""
         return cls(SwitchFailure(switch=h) for h in failed)
 

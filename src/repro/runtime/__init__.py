@@ -9,8 +9,7 @@ The orchestration layer every workload family runs on (docs/runtime.md):
   on-disk caching (:class:`ResultCache`), checkpointed resume and
   ``(k, n)`` sharding with a deterministic merge;
 - :class:`Campaign` protocol plus the concrete :class:`FaultCampaign`
-  and :class:`AttackCampaign` the legacy campaign entrypoints now shim
-  onto;
+  and :class:`AttackCampaign`;
 - :class:`EventStream` -- the live JSONL lifecycle log a sweep appends
   to under ``--events-out`` (validated by :func:`validate_events`);
 - :func:`run` -- the one-call façade (``repro.run(scenario)``).

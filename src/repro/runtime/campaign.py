@@ -5,11 +5,8 @@ its cells (:meth:`Campaign.scenarios`) and folds their payloads into a
 result object (:meth:`Campaign.aggregate`), while the runtime owns all
 dispatch, caching, checkpointing and sharding.  The fault Monte-Carlo
 and adversarial campaigns -- which each used to carry their own seeded
-fan-out and pool plumbing -- are the two concrete instances here; their
-legacy entrypoints (``repro.faults.campaign.run_campaign``,
-``repro.adversary.campaign.run_attack_campaign``) survive as
-deprecation shims over these classes and return identical results for
-identical seeds.
+fan-out and pool plumbing -- are the two concrete instances here, and
+return identical results for identical seeds.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ class FaultCampaign:
 
     Cell ``i`` draws its schedule from ``default_rng((params.seed, i))``
     and simulates with traffic seed ``params.seed + i`` -- exactly the
-    legacy ``run_campaign`` recipe, so the aggregate
+    pre-runtime campaign recipe, so the aggregate
     :class:`~repro.faults.campaign.CampaignResult` serialises
     byte-identically for the same ``(config, params)``.
     """
@@ -104,9 +101,9 @@ class AttackCampaign:
     """Seeded multi-trial attack campaign as a runtime campaign.
 
     Trial ``i`` derives its traffic and splitter seeds from
-    ``SeedSequence((params.seed, i))`` -- the legacy
-    ``run_attack_campaign`` recipe -- and composes with an optional
-    fault schedule / legacy ``failed_switches`` list, so the aggregate
+    ``SeedSequence((params.seed, i))`` -- the pre-runtime recipe -- and
+    composes with an optional fault schedule / ``failed_switches`` list,
+    so the aggregate
     :class:`~repro.adversary.campaign.AttackCampaignResult` (including
     the trial-index-ordered telemetry merge) is byte-identical to the
     pre-runtime implementation.

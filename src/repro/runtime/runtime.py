@@ -62,9 +62,8 @@ def parse_shard(text: Optional[str]) -> Optional[Tuple[int, int]]:
 class Runtime:
     """Executes scenarios and scenario grids; owns the cache policy.
 
-    ``cache_dir=None`` disables caching entirely (pure execution --
-    what the deprecation shims use so legacy entrypoints never touch
-    the filesystem).  ``n_workers`` is the pool size for grid fan-out:
+    ``cache_dir=None`` disables caching entirely (pure execution that
+    never touches the filesystem).  ``n_workers`` is the pool size for grid fan-out:
     ``None`` uses every core, ``1`` forces inline sequential execution.
     """
 

@@ -67,11 +67,13 @@ class SwitchWorkUnit:
     telemetry: bool = False
 
 
-def execute_work_unit(unit: SwitchWorkUnit):
-    """Run one unit to completion; returns ``(index, SwitchReport)``.
+def open_switch(unit: SwitchWorkUnit, departure_sink=None, latency_sample_cap=None):
+    """Build the unit's switch, started and ready for ``stream_offer``.
 
-    Module-level (not a closure or method) so it pickles for worker
-    processes regardless of the multiprocessing start method.
+    Returns ``(switch, registry)``; ``registry`` is the switch's fresh
+    :class:`~repro.telemetry.MetricsRegistry` when the unit is
+    instrumented, else ``None``.  The one place a router's switch is
+    set up, in-process or on a worker.
     """
     from ..core.hbm_switch import HBMSwitch
 
@@ -88,16 +90,33 @@ def execute_work_unit(unit: SwitchWorkUnit):
         unit.timing,
         faults=unit.faults,
         telemetry=telemetry,
+        latency_sample_cap=latency_sample_cap,
     )
-    report = switch.run(
-        list(unit.packets),
-        unit.duration_ns,
-        drain=unit.drain,
-        max_drain_ns=unit.max_drain_ns,
-    )
+    if departure_sink is not None:
+        for output in switch.outputs:
+            output.departure_sink = departure_sink
+    switch.stream_begin()
+    return switch, registry
+
+
+def finish_switch(unit: SwitchWorkUnit, switch, registry):
+    """Finish an opened switch at the unit's horizon; returns its report
+    with the per-switch telemetry dump attached."""
+    report = switch.stream_finish(unit.duration_ns, unit.drain, unit.max_drain_ns)
     if registry is not None:
         report.telemetry = registry.to_dict()
-    return unit.index, report
+    return report
+
+
+def execute_work_unit(unit: SwitchWorkUnit):
+    """Run one unit to completion; returns ``(index, SwitchReport)``.
+
+    Module-level (not a closure or method) so it pickles for worker
+    processes regardless of the multiprocessing start method.
+    """
+    switch, registry = open_switch(unit)
+    switch.stream_offer(unit.packets, unit.duration_ns)
+    return unit.index, finish_switch(unit, switch, registry)
 
 
 def resolve_worker_count(n_workers: Optional[int], n_units: int) -> int:

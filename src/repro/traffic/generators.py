@@ -21,7 +21,6 @@ on the fibers feeding one internal switch.
 from __future__ import annotations
 
 import enum
-import warnings
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,38 +42,12 @@ class ArrivalProcess(enum.Enum):
     ONOFF = "onoff"
 
 
-_warned_generate = False
-
-
-def _warn_generate_deprecated() -> None:
-    """Warn (once per process) that eager ``generate()`` is legacy."""
-    global _warned_generate
-    if _warned_generate:
-        return
-    _warned_generate = True
-    warnings.warn(
-        "TrafficGenerator.generate() is deprecated; consume "
-        "TrafficGenerator.blocks(duration_ns) incrementally, or call "
-        "materialize(duration_ns) where an eager list is really needed "
-        "(byte-identical results)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_generate_warning() -> None:
-    """Re-arm the warn-once flag (tests only)."""
-    global _warned_generate
-    _warned_generate = False
-
-
 class TrafficGenerator(TrafficSource):
     """Generates packet arrivals for an N-port switch.
 
     A :class:`~repro.traffic.stream.TrafficSource`: consume
     :meth:`blocks` incrementally, or :meth:`materialize` for an eager
-    list (the deprecated :meth:`generate` shims onto it,
-    byte-identically).  Note the legacy compatibility trade-off: this
+    list.  Note the compatibility trade-off: this
     generator's draw order (one shared RNG, pairs consumed
     sequentially, flows assigned after a global sort) cannot be
     produced incrementally, so :meth:`blocks` computes the run's
@@ -142,7 +115,7 @@ class TrafficGenerator(TrafficSource):
         the old per-packet heap-merge did.  Flow headers are assigned
         after the global sort (one batched draw), so the draw order --
         and therefore every byte of output -- matches the historical
-        ``generate()``.
+        eager generator.
         """
         if duration_ns <= 0:
             raise ConfigError(f"duration must be positive, got {duration_ns}")
@@ -212,8 +185,7 @@ class TrafficGenerator(TrafficSource):
 
         Packet ids are assigned in global arrival order.  Built
         straight from the arrays (``block_ns`` is irrelevant here --
-        block content never depends on it); byte-identical to what the
-        deprecated :meth:`generate` returned.
+        block content never depends on it).
         """
         times, sizes, inputs, outputs, flows = self._arrays(duration_ns)
         return [
@@ -222,15 +194,6 @@ class TrafficGenerator(TrafficSource):
                 zip(times, sizes, inputs, outputs, flows)
             )
         ]
-
-    def generate(self, duration_ns: float) -> List[Packet]:
-        """Deprecated eager path; use :meth:`blocks` or :meth:`materialize`.
-
-        Warns once per process and returns exactly what it always did
-        (every golden and digest survives the rename).
-        """
-        _warn_generate_deprecated()
-        return self.materialize(duration_ns)
 
     # -- per-pair streams -------------------------------------------------------
 

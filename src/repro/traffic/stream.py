@@ -1,6 +1,6 @@
 """Streaming traffic substrate: bounded-memory arrival blocks.
 
-The eager path (:meth:`TrafficGenerator.generate`) materializes one
+The eager path (:meth:`TrafficSource.materialize`) builds one
 ``List[Packet]`` per run -- fine at 15k packets, fatal at 10^8.  This
 module is the streaming replacement: a :class:`TrafficSource` yields
 :class:`ArrivalBlock` chunks (structured numpy arrays, time-sorted
@@ -100,7 +100,6 @@ class ArrivalBlock:
         "start_ns",
         "end_ns",
         "pid_offset",
-        "_packets",
     )
 
     def __init__(
@@ -113,7 +112,6 @@ class ArrivalBlock:
         start_ns: float,
         end_ns: float,
         pid_offset: int = 0,
-        _packets: Optional[List[Packet]] = None,
     ) -> None:
         times = np.asarray(times, dtype=np.float64)
         sizes = np.asarray(sizes, dtype=np.int64)
@@ -146,7 +144,6 @@ class ArrivalBlock:
         self.start_ns = float(start_ns)
         self.end_ns = float(end_ns)
         self.pid_offset = int(pid_offset)
-        self._packets = _packets
 
     def __len__(self) -> int:
         return self.times.size
@@ -160,13 +157,7 @@ class ArrivalBlock:
         """Materialize the block as :class:`Packet` objects.
 
         Pids continue the global arrival order (``pid_offset + index``).
-        When the block wraps a pre-built packet list (the
-        :func:`blocks_from_packets` compatibility path), the original
-        objects are returned so identity-sensitive callers see the
-        exact packets they supplied.
         """
-        if self._packets is not None:
-            return self._packets
         offset = self.pid_offset
         return [
             Packet(offset + k, int(size), int(i), int(j), flow, float(t))
@@ -188,8 +179,7 @@ class TrafficSource(ABC):
     Implementations yield one :class:`ArrivalBlock` per span of
     :func:`block_edges`, honouring the block-protocol invariants above.
     :meth:`materialize` is the bridge back to the eager world: it
-    concatenates every block's packets, byte-identical to what the
-    legacy ``generate()`` would have produced for sources that shim it.
+    concatenates every block's packets into one list.
     """
 
     @abstractmethod
@@ -206,46 +196,6 @@ class TrafficSource(ABC):
         for block in self.blocks(duration_ns, block_ns):
             packets.extend(block.to_packets())
         return packets
-
-
-def blocks_from_packets(
-    packets: Sequence[Packet],
-    duration_ns: float,
-    block_ns: float = DEFAULT_BLOCK_NS,
-) -> Iterator[ArrivalBlock]:
-    """Partition an eager, time-sorted packet list into arrival blocks.
-
-    The compatibility bridge for callers that already hold a packet
-    list (trace replays, adversarial workloads with precomputed fiber
-    assignments) but want to feed a streaming consumer.  The original
-    :class:`Packet` objects are carried through ``to_packets()``
-    unchanged, and ``pid_offset`` is the list index of each block's
-    first packet -- so a parallel per-packet array (e.g. a fiber
-    assignment) can be sliced as ``[pid_offset : pid_offset + len]``.
-    """
-    packets = list(packets)
-    times = np.asarray([p.arrival_ns for p in packets], dtype=np.float64)
-    if times.size and np.any(times[1:] < times[:-1]):
-        raise ConfigError("packet list is not time-sorted")
-    if times.size and times[-1] >= duration_ns:
-        raise ConfigError(
-            f"packet at t={times[-1]} arrives at/after duration {duration_ns}"
-        )
-    for start, end in block_edges(duration_ns, block_ns):
-        lo = int(np.searchsorted(times, start, side="left"))
-        hi = int(np.searchsorted(times, end, side="left"))
-        chunk = packets[lo:hi]
-        yield ArrivalBlock(
-            times[lo:hi],
-            np.asarray([p.size_bytes for p in chunk], dtype=np.int64),
-            np.asarray([p.input_port for p in chunk], dtype=np.int64),
-            np.asarray([p.output_port for p in chunk], dtype=np.int64),
-            [p.flow for p in chunk],
-            start,
-            end,
-            pid_offset=lo,
-            _packets=chunk,
-        )
 
 
 # --------------------------------------------------------------------------

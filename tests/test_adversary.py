@@ -17,7 +17,6 @@ from repro.adversary import (
     make_splitter,
     make_strategy,
     probe_loss,
-    run_attack_campaign,
     seed_sensitivity_sweep,
     trial_seeds,
     weighted_fibers,
@@ -25,6 +24,14 @@ from repro.adversary import (
 from repro.config import scaled_router
 from repro.core.fiber_split import ContiguousSplitter, PseudoRandomSplitter
 from repro.errors import ConfigError
+from repro.runtime import AttackCampaign, Runtime
+
+
+def run_attack_campaign(config, params, n_workers=None, **kwargs):
+    """One attack campaign through the scenario runtime."""
+    return Runtime(n_workers=n_workers).run_campaign(
+        AttackCampaign(config=config, params=params, **kwargs)
+    )
 
 
 def small_router(n_ribbons=4, n_switches=4):

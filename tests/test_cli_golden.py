@@ -120,21 +120,3 @@ class TestRuntimeBehaviours:
             run_cli(capsys, SWEEP_SWITCH + ["--cache-dir", cache, "--shard", f"{k}/2"])
         merged = run_cli(capsys, SWEEP_SWITCH + ["--cache-dir", cache])
         assert merged == golden_text("sweep_switch.txt")
-
-    def test_shims_importable_and_deprecated(self):
-        import warnings
-
-        from repro.adversary.campaign import run_attack_campaign  # noqa: F401
-        from repro.faults.campaign import run_campaign
-        from repro.config import scaled_router
-        from repro.faults import CampaignParams
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_campaign(
-                scaled_router(),
-                CampaignParams(n_scenarios=1, duration_ns=2_000.0),
-            )
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )

@@ -4,8 +4,8 @@ The three load-bearing contracts, plus the satellite behaviours:
 
 1. An empty fault schedule is *byte-identical* to no schedule at all --
    the fault hooks must not perturb a single float on the healthy path.
-2. Killing switch h at t = 0 forever is identical to the legacy
-   ``failed_switches=[h]`` API (the degenerate schedule).
+2. Killing switch h at t = 0 forever is identical to the degenerate
+   ``FaultSchedule.from_failed_switches([h])`` schedule.
 3. Killing k of H switches measures within 1% of the closed form
    (H - k)/H from :mod:`repro.analysis.modularity`.
 """
@@ -32,15 +32,17 @@ from repro.faults import (
     parse_fault_event,
     parse_fault_specs,
     router_fault_traffic,
-    run_campaign,
 )
 from repro.reporting import report_to_json
+from repro.runtime import FaultCampaign, Runtime
 
 DURATION = 20_000.0
 
 
 def run_router(config, schedule=None, failed=None, load=0.6, seed=0):
     """One sequential router run with deterministic fiber assignment."""
+    if failed:
+        schedule = FaultSchedule.from_failed_switches(failed)
     packets = router_fault_traffic(
         config, load=load, duration_ns=DURATION, seed=seed
     )
@@ -52,9 +54,12 @@ def run_router(config, schedule=None, failed=None, load=0.6, seed=0):
         packets,
         DURATION,
         fibers=fibers,
-        failed_switches=failed,
         fault_schedule=schedule,
     )
+
+
+def run_campaign(config, params):
+    return Runtime().run_campaign(FaultCampaign(config=config, params=params))
 
 
 @pytest.fixture

@@ -54,7 +54,7 @@ class TestNonUniformMatrices:
             ImixSize(),
             seed=2,
         )
-        packets = gen.generate(50_000.0)
+        packets = gen.materialize(50_000.0)
         switch = HBMSwitch(small_switch, PFIOptions(padding=True, bypass=True))
         report = switch.run(packets, 50_000.0)
         assert report.delivery_fraction == pytest.approx(1.0)
@@ -67,7 +67,7 @@ class TestNonUniformMatrices:
         gen = TrafficGenerator(
             small_switch.n_ports, small_switch.port_rate_bps, matrix, ImixSize(), seed=4
         )
-        packets = gen.generate(50_000.0)
+        packets = gen.materialize(50_000.0)
         switch = HBMSwitch(small_switch, PFIOptions(padding=True, bypass=True))
         report = switch.run(packets, 50_000.0)
         assert report.delivery_fraction == pytest.approx(1.0)
@@ -181,7 +181,7 @@ class TestAdversarialSplitEndToEnd:
             seed=seed,
             flows_per_pair=512,
         )
-        packets = gen.generate(duration)
+        packets = gen.materialize(duration)
         # The attacker steers every packet onto the first alpha fibers
         # (the fibers of contiguous switch 0).
         alpha = config.fibers_per_switch

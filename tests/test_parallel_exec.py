@@ -27,7 +27,7 @@ def router_traffic(config, load=0.6, duration=DURATION, seed=0):
         seed=seed,
         flows_per_pair=256,
     )
-    return gen.generate(duration)
+    return gen.materialize(duration)
 
 
 def run_router(config, mode, load=0.6, seed=0, **kwargs):

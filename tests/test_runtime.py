@@ -348,46 +348,6 @@ class TestCampaignProtocol:
 
 
 class TestDeprecationShims:
-    def test_fault_campaign_shim_warns_and_matches(self):
-        from repro.faults.campaign import CampaignParams, run_campaign
-
-        config = scaled_router()
-        params = CampaignParams(n_scenarios=2, duration_ns=4_000.0, seed=5)
-        with pytest.warns(DeprecationWarning, match="run_campaign is deprecated"):
-            legacy = run_campaign(config, params)
-        modern = Runtime().run_campaign(FaultCampaign(config=config, params=params))
-        assert type(legacy) is type(modern)
-        assert json.dumps(legacy.to_dict(), sort_keys=True) == json.dumps(
-            modern.to_dict(), sort_keys=True
-        )
-
-    def test_attack_campaign_shim_warns_and_matches(self):
-        from repro.adversary.campaign import (
-            AttackCampaignParams,
-            run_attack_campaign,
-        )
-        from repro.adversary.strategies import make_strategy
-
-        config = scaled_router(fibers_per_ribbon=8, n_switches=2)
-        params = AttackCampaignParams(
-            strategy=make_strategy("known-assignment"),
-            splitter="contiguous",
-            n_trials=2,
-            seed=4,
-            duration_ns=3_000.0,
-            telemetry=True,
-        )
-        with pytest.warns(DeprecationWarning, match="run_attack_campaign is deprecated"):
-            legacy = run_attack_campaign(config, params)
-        modern = Runtime().run_campaign(
-            AttackCampaign(config=config, params=params)
-        )
-        assert type(legacy) is type(modern)
-        assert json.dumps(legacy.to_dict(), sort_keys=True) == json.dumps(
-            modern.to_dict(), sort_keys=True
-        )
-        assert legacy.telemetry == modern.telemetry
-
     def test_compare_splitters_does_not_warn(self, recwarn):
         import warnings
 
@@ -404,54 +364,6 @@ class TestDeprecationShims:
                 duration_ns=2_000.0,
             )
         assert "exposure_ratio" in result
-
-
-class TestFailedSwitchesDeprecation:
-    def test_warns_once_and_stays_byte_identical(self):
-        from repro.core.sps import (
-            SplitParallelSwitch,
-            _reset_failed_switches_warning,
-        )
-        from repro.faults import FaultSchedule
-        from repro.reporting import report_to_json
-        from repro.traffic import TrafficGenerator, FixedSize, uniform_matrix
-
-        config = scaled_router()
-        gen = TrafficGenerator(
-            n_ports=config.n_ribbons,
-            port_rate_bps=config.fibers_per_ribbon * config.per_fiber_rate_bps,
-            matrix=uniform_matrix(config.n_ribbons, 0.5),
-            size_dist=FixedSize(1500),
-            seed=0,
-        )
-        packets = gen.generate(4_000.0)
-        sps = SplitParallelSwitch(config)
-
-        _reset_failed_switches_warning()
-        with pytest.warns(DeprecationWarning, match="failed_switches"):
-            legacy = sps.run(list(packets), 4_000.0, failed_switches=[0])
-        modern = sps.run(
-            list(packets),
-            4_000.0,
-            fault_schedule=FaultSchedule.from_failed_switches([0]),
-        )
-        assert report_to_json(legacy) == report_to_json(modern)
-
-    def test_second_call_does_not_warn(self):
-        import warnings
-
-        from repro.core.sps import (
-            SplitParallelSwitch,
-            _reset_failed_switches_warning,
-        )
-
-        sps = SplitParallelSwitch(scaled_router())
-        _reset_failed_switches_warning()
-        with pytest.warns(DeprecationWarning):
-            sps.run([], 1_000.0, failed_switches=[0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            sps.run([], 1_000.0, failed_switches=[0])  # warned already
 
 
 class TestFacade:

@@ -269,7 +269,7 @@ def router_packets(config, load=0.6, seed=0):
         seed=seed,
         flows_per_pair=256,
     )
-    return gen.generate(DURATION)
+    return gen.materialize(DURATION)
 
 
 class TestSeqParSeriesIdentity:

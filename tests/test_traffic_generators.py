@@ -31,26 +31,26 @@ def make_gen(load=0.8, process=ArrivalProcess.POISSON, size=FixedSize(1000), see
 
 class TestGeneration:
     def test_packets_sorted_and_ids_sequential(self):
-        packets = make_gen().generate(20_000.0)
+        packets = make_gen().materialize(20_000.0)
         times = [p.arrival_ns for p in packets]
         assert times == sorted(times)
         assert [p.pid for p in packets] == list(range(len(packets)))
 
     def test_ports_in_range(self):
-        packets = make_gen(n=4).generate(10_000.0)
+        packets = make_gen(n=4).materialize(10_000.0)
         assert all(0 <= p.input_port < 4 and 0 <= p.output_port < 4 for p in packets)
 
     def test_offered_rate_matches_load(self):
         load = 0.6
         duration = 200_000.0
-        packets = make_gen(load=load).generate(duration)
+        packets = make_gen(load=load).materialize(duration)
         offered = sum(p.size_bytes for p in packets)
         expected = 4 * load * rate_to_bytes_per_ns(PORT_RATE) * duration
         assert offered == pytest.approx(expected, rel=0.05)
 
     def test_deterministic_with_seed(self):
-        a = make_gen(seed=42).generate(5_000.0)
-        b = make_gen(seed=42).generate(5_000.0)
+        a = make_gen(seed=42).materialize(5_000.0)
+        b = make_gen(seed=42).materialize(5_000.0)
         assert len(a) == len(b)
         assert all(
             (x.arrival_ns, x.size_bytes, x.input_port, x.output_port)
@@ -65,18 +65,18 @@ class TestGeneration:
             matrix=permutation_matrix(4, 0.5),
             size_dist=FixedSize(500),
         )
-        packets = gen.generate(10_000.0)
+        packets = gen.materialize(10_000.0)
         assert all(p.output_port == (p.input_port + 1) % 4 for p in packets)
 
     def test_flow_consistency(self):
         # Same (input, output) pool: flows repeat, enabling ECMP pinning.
-        packets = make_gen().generate(20_000.0)
+        packets = make_gen().materialize(20_000.0)
         flows = {p.flow for p in packets if (p.input_port, p.output_port) == (0, 1)}
         assert 0 < len(flows) <= 64
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            make_gen().generate(0.0)
+            make_gen().materialize(0.0)
         with pytest.raises(ConfigError):
             TrafficGenerator(3, PORT_RATE, uniform_matrix(4, 0.5), FixedSize(100))
         with pytest.raises(ConfigError):
@@ -87,13 +87,13 @@ class TestProcesses:
     @pytest.mark.parametrize("process", list(ArrivalProcess))
     def test_all_processes_hit_target_rate(self, process):
         duration = 300_000.0
-        packets = make_gen(load=0.5, process=process).generate(duration)
+        packets = make_gen(load=0.5, process=process).materialize(duration)
         offered = sum(p.size_bytes for p in packets)
         expected = 4 * 0.5 * rate_to_bytes_per_ns(PORT_RATE) * duration
         assert offered == pytest.approx(expected, rel=0.15)
 
     def test_deterministic_is_evenly_spaced(self):
-        packets = make_gen(load=0.5, process=ArrivalProcess.DETERMINISTIC).generate(50_000.0)
+        packets = make_gen(load=0.5, process=ArrivalProcess.DETERMINISTIC).materialize(50_000.0)
         one_pair = [p.arrival_ns for p in packets
                     if (p.input_port, p.output_port) == (1, 2)]
         gaps = np.diff(one_pair)
@@ -101,7 +101,7 @@ class TestProcesses:
 
     def test_onoff_is_burstier_than_poisson(self):
         def burstiness(process):
-            packets = make_gen(load=0.5, process=process, seed=3).generate(100_000.0)
+            packets = make_gen(load=0.5, process=process, seed=3).materialize(100_000.0)
             times = np.array([p.arrival_ns for p in packets if p.input_port == 0])
             gaps = np.diff(times)
             return gaps.std() / gaps.mean()

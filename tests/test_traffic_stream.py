@@ -41,14 +41,12 @@ from repro.traffic import (
     TrafficGenerator,
     TrafficSource,
     block_edges,
-    blocks_from_packets,
     load_trace,
     stream_trace,
     trace_to_string,
     uniform_matrix,
     workload_source,
 )
-from repro.traffic.generators import _reset_generate_warning
 from repro.traffic.replay import _reset_load_trace_warning
 
 
@@ -140,26 +138,6 @@ class TestBlockProtocol:
                 start_ns=0.0, end_ns=10.0,
             )
 
-    def test_blocks_from_packets_round_trips_identity(self):
-        config = scaled_router().switch
-        gen = TrafficGenerator(
-            n_ports=4,
-            port_rate_bps=config.port_rate_bps,
-            matrix=uniform_matrix(4, 0.6),
-            size_dist=FixedSize(1500),
-            seed=1,
-        )
-        packets = gen.materialize(20_000.0)
-        rebuilt = [
-            p
-            for block in blocks_from_packets(packets, 20_000.0, 6_000.0)
-            for p in block.to_packets()
-        ]
-        # Identity, not just equality: precomputed per-packet state
-        # (fiber assignments) must follow the original objects.
-        assert all(a is b for a, b in zip(rebuilt, packets))
-        assert len(rebuilt) == len(packets)
-
 
 class TestGeneratorStreaming:
     def test_generator_blocks_match_generate_exactly(self):
@@ -174,33 +152,11 @@ class TestGeneratorStreaming:
                 seed=9,
             )
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = make().generate(30_000.0)
+        # Block size never changes the stream: 4 us blocks concatenate
+        # to the default-block eager list.
+        eager = make().materialize(30_000.0)
         streamed = make().materialize(30_000.0, 4_000.0)
-        assert _fields(streamed) == _fields(legacy)
-
-    def test_generate_shim_warns_once_per_process(self):
-        _reset_generate_warning()
-        config = scaled_router().switch
-        gen = TrafficGenerator(
-            n_ports=2,
-            port_rate_bps=config.port_rate_bps,
-            matrix=uniform_matrix(2, 0.4),
-            size_dist=FixedSize(1500),
-            seed=0,
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            gen.generate(2_000.0)
-            gen.generate(2_000.0)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "materialize" in str(deprecations[0].message) or "blocks" in str(
-            deprecations[0].message
-        )
+        assert _fields(streamed) == _fields(eager)
 
     def test_traffic_generator_is_a_traffic_source(self):
         config = scaled_router().switch
