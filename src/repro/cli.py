@@ -15,7 +15,6 @@ Commands:
                      and report end-to-end delivered capacity.
 - ``experiments`` -- list the experiment index (E1..E16 and ablations)
                      with the bench that regenerates each.
-- ``bench``       -- run the perf harness and write ``BENCH_<rev>.json``.
 - ``control``     -- the closed-loop control plane (:mod:`repro.control`):
                      run a demo closed-loop run, or ``--compare-open-loop``
                      to measure the controller's delivered-fraction delta
@@ -97,6 +96,39 @@ def _parse_int_list(text: str) -> List[int]:
         return [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise ConfigError(f"bad integer list {text!r} (expected e.g. 0,3)")
+
+
+def _parse_float_list(text: str) -> List[float]:
+    """``"0.3,0.8"`` -> ``[0.3, 0.8]``; bad or empty input is an error."""
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigError(f"bad number list {text!r} (expected e.g. 0.3,0.8)")
+    return values
+
+
+def _mtbf_campaign_params(args: argparse.Namespace, **fields):
+    """The fault campaign of ``faults``/``control``: one MTBF/MTTR pair
+    (``--switch-mtbf-us``/``--switch-mttr-us``) for switch, HBM-channel
+    and OEO faults alike."""
+    from .faults import CampaignParams
+
+    mtbf_ns = args.switch_mtbf_us * 1e3
+    mttr_ns = args.switch_mttr_us * 1e3
+    return CampaignParams(
+        seed=args.seed,
+        load=args.load,
+        duration_ns=args.duration_us * 1e3,
+        switch_mtbf_ns=mtbf_ns,
+        switch_mttr_ns=mttr_ns,
+        channel_mtbf_ns=mtbf_ns,
+        channel_mttr_ns=mttr_ns,
+        oeo_mtbf_ns=mtbf_ns,
+        oeo_mttr_ns=mttr_ns,
+        **fields,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,34 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     timeline.add_argument("--duration-us", type=float, default=10.0, help="--events: arrival window")
     timeline.add_argument("--seed", type=int, default=0, help="--events: traffic seed")
 
-    bench = sub.add_parser(
-        "bench", help="run the perf harness and write BENCH_<rev>.json"
-    )
-    bench.add_argument("--rev", type=str, default="1", help="revision tag for the output file")
-    bench.add_argument(
-        "--out", type=str, default=None,
-        help="output path (default: BENCH_<rev>.json in the current directory)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="shrink workloads for a CI smoke run",
-    )
-    bench.add_argument(
-        "--switches", type=int, default=8,
-        help="H for the sequential-vs-parallel macro bench",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: all cores)",
-    )
-    bench.add_argument(
-        "--append", type=str, nargs="?", const="BENCH_HISTORY.jsonl",
-        default=None, metavar="HISTORY",
-        help="also append the document as one line to this JSONL bench "
-             "history (default: BENCH_HISTORY.jsonl; feed it to "
-             "python -m repro.perf.compare --history for trend deltas)",
-    )
-
     timeseries = sub.add_parser(
         "timeseries",
         help="render the windowed time series of a telemetry dump",
@@ -760,11 +764,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         switch_scenario,
     )
 
-    try:
-        loads = [float(x) for x in args.loads.split(",") if x.strip()]
-    except ValueError:
-        print(f"bad --loads value: {args.loads!r}", file=sys.stderr)
-        return 2
+    loads = _parse_float_list(args.loads)
     failed = _parse_int_list(args.failed_switches)
     shard = parse_shard(args.shard)
     want_metrics = bool(args.metrics_out)
@@ -924,7 +924,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_faults(args: argparse.Namespace) -> int:
     import json
 
-    from .faults import CampaignParams, DegradationReport, parse_fault_specs
+    from .faults import DegradationReport, parse_fault_specs
     from .reporting import (
         campaign_table,
         degradation_summary_table,
@@ -953,18 +953,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
                 "for the campaign",
                 file=sys.stderr,
             )
-        params = CampaignParams(
-            n_scenarios=args.campaign,
-            seed=args.seed,
-            load=args.load,
-            duration_ns=duration_ns,
-            n_intervals=args.intervals,
-            switch_mtbf_ns=args.switch_mtbf_us * 1e3,
-            switch_mttr_ns=args.switch_mttr_us * 1e3,
-            channel_mtbf_ns=args.switch_mtbf_us * 1e3,
-            channel_mttr_ns=args.switch_mttr_us * 1e3,
-            oeo_mtbf_ns=args.switch_mtbf_us * 1e3,
-            oeo_mttr_ns=args.switch_mttr_us * 1e3,
+        params = _mtbf_campaign_params(
+            args, n_scenarios=args.campaign, n_intervals=args.intervals
         )
         result = runtime.run_campaign(
             FaultCampaign(
@@ -1020,7 +1010,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
             print(f"wrote {args.out}")
         if args.json:
             print(text)
-        if args.json:
             return 0
     report = DegradationReport.from_dict(payload["report"])
     degradation_summary_table(report).show()
@@ -1378,87 +1367,6 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .perf import run_benchmarks, write_bench_json
-
-    document = run_benchmarks(
-        rev=args.rev,
-        quick=args.quick,
-        n_switches=args.switches,
-        n_workers=args.workers,
-    )
-    out = args.out if args.out else f"BENCH_{args.rev}.json"
-    write_bench_json(document, out)
-    if args.append:
-        with open(args.append, "a") as fh:
-            fh.write(
-                json.dumps(document, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-    table = Table("Benchmarks", ["bench", "wall", "key metrics"])
-    for name, result in document["results"].items():
-        metrics = result["metrics"]
-        if name == "router_parallel":
-            key = (
-                f"speedup {metrics['speedup']:.2f}x over {metrics['n_workers']} workers, "
-                f"byte_identical={metrics['byte_identical']}"
-            )
-        elif name == "engine":
-            key = f"{metrics['events_per_sec']:,.0f} events/s"
-        elif name == "traffic":
-            key = f"{metrics['packets_per_sec']:,.0f} packets/s"
-        elif name == "traffic_stream":
-            key = f"{metrics['blocks_per_sec']:,.0f} blocks/s"
-            if "rss_ratio" in metrics:
-                key += (
-                    f", rss flat {metrics['rss_ratio']:.2f}x, "
-                    f"eager {metrics['eager_over_stream']:.1f}x stream"
-                )
-        elif name == "telemetry_overhead":
-            key = (
-                f"enabled/disabled {metrics['enabled_over_disabled']:.3f}x, "
-                f"{metrics['series_exported']} series"
-            )
-        elif name == "adversary_campaign":
-            key = (
-                f"{metrics['trials_per_sec']:.2f} trials/s, "
-                f"exposure gap {metrics['exposure_gap']:.1f}x"
-            )
-        elif name == "sweep_cached":
-            key = (
-                f"warm speedup {metrics['warm_speedup']:.1f}x over "
-                f"{metrics['n_cells']} cells, "
-                f"byte_identical={metrics['byte_identical']}"
-            )
-        elif name == "flow_engine":
-            key = (
-                f"{metrics['packets_equiv_per_sec']:,.0f} pkt-equiv/s, "
-                f"{metrics['speedup_vs_packet']:,.0f}x vs packet"
-            )
-        elif name == "fabric":
-            key = (
-                f"{metrics['cells_per_sec']:.2f} cells/s, "
-                f"{metrics['n_cells']} cells over "
-                f"{metrics['n_routers']} routers"
-            )
-        elif name == "control":
-            key = (
-                f"{metrics['ticks_per_sec']:,.0f} ticks/s, "
-                f"{metrics['n_state_changes']} state changes over "
-                f"{metrics['n_ticks']} ticks"
-            )
-        else:
-            key = f"{metrics['events_per_sec']:,.0f} events/s, {metrics['packets_per_sec']:,.0f} packets/s"
-        table.add(name, f"{result['wall_s'] * 1e3:.1f} ms", key)
-    table.show()
-    print(f"wrote {out}")
-    if args.append:
-        print(f"appended to {args.append}")
-    return 0
-
-
 def cmd_timeseries(args: argparse.Namespace) -> int:
     from .telemetry import read_jsonl, sparkline
     from .telemetry.export import PrometheusParseError
@@ -1540,20 +1448,7 @@ def cmd_control(args: argparse.Namespace) -> int:
 
     if args.compare_open_loop:
         if args.campaign == "fault":
-            from .faults import CampaignParams
-
-            params = CampaignParams(
-                n_scenarios=args.cells,
-                seed=args.seed,
-                load=args.load,
-                duration_ns=duration_ns,
-                switch_mtbf_ns=args.switch_mtbf_us * 1e3,
-                switch_mttr_ns=args.switch_mttr_us * 1e3,
-                channel_mtbf_ns=args.switch_mtbf_us * 1e3,
-                channel_mttr_ns=args.switch_mttr_us * 1e3,
-                oeo_mtbf_ns=args.switch_mtbf_us * 1e3,
-                oeo_mttr_ns=args.switch_mttr_us * 1e3,
-            )
+            params = _mtbf_campaign_params(args, n_scenarios=args.cells)
             result = compare_fault_loops(
                 config, params, control=control,
                 fidelity=args.fidelity, runtime=runtime,
@@ -1687,7 +1582,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fabric": cmd_fabric,
         "experiments": cmd_experiments,
         "timeline": cmd_timeline,
-        "bench": cmd_bench,
         "timeseries": cmd_timeseries,
         "control": cmd_control,
     }[args.command]

@@ -153,6 +153,14 @@ class Scenario:
             raise ConfigError(
                 f"duration_ns must be positive, got {self.duration_ns}"
             )
+        if self.packet_size < 0:
+            raise ConfigError(
+                f"packet_size must be >= 0 (0 = IMIX), got {self.packet_size}"
+            )
+        if self.n_intervals < 1:
+            raise ConfigError(
+                f"n_intervals must be positive, got {self.n_intervals}"
+            )
         if self.kind == "switch":
             if not isinstance(self.config, HBMSwitchConfig):
                 raise ConfigError(

@@ -60,6 +60,10 @@ class TestSimulate:
     def test_speedup_flag(self, capsys):
         assert main(["simulate", "--duration-us", "8", "--speedup", "2.0"]) == 0
 
+    def test_negative_packet_size_exit_2(self, capsys):
+        assert main(["simulate", "--duration-us", "2", "--packet-size", "-5"]) == 2
+        assert "packet_size" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_rows(self, capsys):
@@ -70,6 +74,22 @@ class TestSweep:
 
     def test_bad_loads_return_error(self, capsys):
         assert main(["sweep", "--loads", "abc"]) == 2
+
+    @pytest.mark.parametrize("loads", [",", ""])
+    def test_empty_loads_exit_2(self, loads, capsys):
+        assert main(["sweep", "--loads", loads, "--duration-us", "2"]) == 2
+        assert "bad number list" in capsys.readouterr().err
+
+
+class TestFaults:
+    @pytest.mark.parametrize("fidelity", ["packet", "flow"])
+    def test_zero_intervals_exit_2(self, fidelity, capsys):
+        code = main(
+            ["faults", "--switches", "2", "--duration-us", "2",
+             "--intervals", "0", "--fidelity", fidelity]
+        )
+        assert code == 2
+        assert "n_intervals" in capsys.readouterr().err
 
 
 class TestExperiments:
@@ -152,15 +172,6 @@ class TestTimeseriesCmd:
         bad.write_text("not a dump\n")
         assert main(["timeseries", str(bad)]) == 2
         capsys.readouterr()
-
-
-class TestBenchAppendFlag:
-    def test_append_defaults_to_bench_history(self):
-        args = build_parser().parse_args(["bench", "--append"])
-        assert args.append == "BENCH_HISTORY.jsonl"
-        args = build_parser().parse_args(["bench", "--append", "h.jsonl"])
-        assert args.append == "h.jsonl"
-        assert build_parser().parse_args(["bench"]).append is None
 
 
 class TestTimeline:

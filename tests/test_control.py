@@ -271,6 +271,23 @@ class TestClosedLoopRuns:
         assert kinds[0] == "control_start" and kinds[-1] == "control_finish"
         assert "state_change" in kinds
 
+    def test_fine_tick_loop_reacts_and_keeps_delivering(self):
+        # A mid-run switch failure under a 100 ns control period must
+        # move the controllers while delivery stays in (0.9, 1].
+        duration_ns = 10_000.0
+        schedule = FaultSchedule(
+            [SwitchFailure(switch=0, start_ns=duration_ns / 3.0,
+                           end_ns=2.0 * duration_ns / 3.0)]
+        )
+        report = flow_degradation(
+            scaled_router(fibers_per_ribbon=16, n_switches=4),
+            schedule=schedule, load=0.6, duration_ns=duration_ns,
+            control=ControlConfig(tick_ns=100.0),
+        )
+        assert report.control["ticks"] == 99
+        assert report.control["n_state_changes"] > 0
+        assert 0.9 < report.delivered_fraction <= 1.0
+
     def test_throttling_never_shrinks_the_offer(self):
         # Closed- and open-loop runs of the same scenario must account
         # the same offered bytes: throttled traffic is a drop reason,

@@ -9,11 +9,13 @@ in ``tests/test_fidelity_parity.py``.
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from repro.config import scaled_router
+from repro.core import PFIOptions, SplitParallelSwitch
 from repro.errors import ConfigError
 from repro.faults import FaultSchedule
 from repro.faults.model import FiberCut, HBMChannelLoss, SwitchFailure
@@ -26,6 +28,7 @@ from repro.flow import (
     uniform_rate_matrix,
 )
 from repro.reporting import report_to_dict
+from repro.traffic import FixedSize, TrafficGenerator, uniform_matrix
 from repro.units import rate_to_bytes_per_ns
 
 DURATION = 20_000.0
@@ -212,6 +215,45 @@ class TestFlowRouter:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+class TestSpeedup:
+    def test_flow_engine_is_100x_the_packet_engine(self):
+        # The fidelity trade the flow engine exists for: the same
+        # H = 8 router scenario at >= 100x the packet engine's
+        # packets-equivalent throughput, with a delivered-fraction gap
+        # of at most 0.02.  The flow wall is the best of five (its runs
+        # are sub-millisecond, so one pass would be scheduler noise).
+        config = scaled_router(fibers_per_ribbon=32, n_switches=8)
+        load, duration_ns = 0.7, 40_000.0
+        packets = TrafficGenerator(
+            n_ports=config.n_ribbons,
+            port_rate_bps=config.fibers_per_ribbon * config.per_fiber_rate_bps,
+            matrix=uniform_matrix(config.n_ribbons, load),
+            size_dist=FixedSize(1500),
+            seed=0,
+            flows_per_pair=256,
+        ).materialize(duration_ns)
+        sps = SplitParallelSwitch(config, options=PFIOptions(padding=True, bypass=True))
+        start = time.perf_counter()
+        packet = sps.run(packets, duration_ns, mode="sequential")
+        packet_wall = time.perf_counter() - start
+
+        flow_walls = []
+        for _ in range(5):
+            start = time.perf_counter()
+            flow = flow_router_report(config, load=load, duration_ns=duration_ns)
+            flow_walls.append(time.perf_counter() - start)
+        assert packet_wall / min(flow_walls) >= 100.0
+        assert abs(flow.delivered_fraction - packet.delivered_fraction) <= 0.02
+
+    def test_million_packet_cell_runs_in_seconds(self):
+        # H = 16, 64 ribbons, 1 ms: a cell far beyond the packet engine.
+        config = scaled_router(n_ribbons=64, fibers_per_ribbon=64, n_switches=16)
+        start = time.perf_counter()
+        report = flow_router_report(config, load=0.7, duration_ns=1_000_000.0)
+        assert time.perf_counter() - start < 10.0
+        assert report.offered_bytes / 1500.0 >= 1_000_000
 
 
 class TestDrainResidual:

@@ -11,6 +11,7 @@ entrypoints are warning shims that return identical results.
 from __future__ import annotations
 
 import json
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import dataclasses
@@ -58,6 +59,21 @@ class TestScenario:
     def test_attack_needs_splitter_and_strategy(self):
         with pytest.raises(ConfigError):
             Scenario(kind="attack", config=scaled_router())
+
+    def test_negative_packet_size_rejected(self):
+        # 0 selects IMIX; a negative size used to run IMIX too, under a
+        # different digest and cache entry.
+        with pytest.raises(ConfigError, match="packet_size"):
+            tiny_switch_scenario(packet_size=-5)
+
+    @pytest.mark.parametrize("n_intervals", [0, -1])
+    def test_nonpositive_n_intervals_rejected(self, n_intervals):
+        for fidelity in ("packet", "flow"):
+            with pytest.raises(ConfigError, match="n_intervals"):
+                Scenario(
+                    kind="degradation", config=scaled_router(),
+                    n_intervals=n_intervals, fidelity=fidelity,
+                )
 
     def test_digest_is_stable(self):
         a = tiny_switch_scenario()
@@ -223,6 +239,32 @@ class TestRuntimeCaching:
         assert again.cache.evictions == 1
         assert again.cache.writes == 1
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_warm_grid_recalls_every_cell_5x_faster(self, tmp_path):
+        # A warm runtime resolves the whole grid from the cache, byte for
+        # byte, at >= 5x the cold wall.  The warm wall is the best of
+        # three: recall is sub-millisecond, one pass is scheduler noise.
+        scenarios = [
+            switch_scenario(
+                scaled_router().switch, load=load, duration_ns=20_000.0
+            )
+            for load in (0.3 + 0.5 * i / 3 for i in range(4))
+        ]
+        start = time.perf_counter()
+        cold = Runtime(cache_dir=tmp_path, n_workers=1).map(scenarios)
+        cold_wall = time.perf_counter() - start
+        warm_walls = []
+        for _ in range(3):
+            warm_runtime = Runtime(cache_dir=tmp_path, n_workers=1)
+            start = time.perf_counter()
+            warm = warm_runtime.map(scenarios)
+            warm_walls.append(time.perf_counter() - start)
+            stats = warm_runtime.cache.stats()
+            assert stats["hits"] == len(scenarios) and stats["misses"] == 0
+            assert json.dumps(warm, sort_keys=True) == json.dumps(
+                cold, sort_keys=True
+            )
+        assert cold_wall >= 5.0 * min(warm_walls)
 
     def test_run_facade(self, tmp_path):
         scenario = tiny_switch_scenario()

@@ -48,6 +48,7 @@ from repro.traffic import (
     workload_source,
 )
 from repro.traffic.replay import _reset_load_trace_warning
+from tests.rss_probe import measure_rss
 
 
 def _fields(packets):
@@ -461,6 +462,19 @@ class TestEngineStreaming:
         )
         assert reports[0]["offered_bytes"] > 0
         assert 0.0 < reports[0]["delivered_fraction"] < 1.0
+
+
+class TestBoundedMemory:
+    def test_streamed_rss_is_flat(self):
+        # Smoke scale of the 10^6 -> 10^7-packet CI step: a streamed
+        # workload 5x larger must stay within 2x the peak resident set,
+        # each size measured in its own interpreter.
+        small = measure_rss(10_000)
+        big = measure_rss(50_000)
+        assert small["offered_packets"] >= 10_000
+        assert big["offered_packets"] >= 50_000
+        assert small["peak_rss_bytes"] > 0
+        assert big["peak_rss_bytes"] <= 2.0 * small["peak_rss_bytes"]
 
 
 class TestScenarioWorkloads:
