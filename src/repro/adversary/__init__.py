@@ -31,9 +31,7 @@ from .campaign import (
     SPLITTER_KINDS,
     AttackCampaignParams,
     AttackCampaignResult,
-    AttackTrial,
     compare_splitters,
-    execute_attack_trial,
     make_splitter,
     trial_seeds,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "AttackCampaignParams",
     "AttackCampaignResult",
     "AttackStrategy",
-    "AttackTrial",
     "BurstSynchronizedAttack",
     "KnownAssignmentAttack",
     "ObliviousProbeAttack",
@@ -60,7 +57,6 @@ __all__ = [
     "attacker_gain",
     "compare_splitters",
     "default_strategy_catalogue",
-    "execute_attack_trial",
     "exposure_score",
     "make_splitter",
     "make_strategy",

@@ -7,13 +7,14 @@ against one splitter family for ``n_trials`` independent trials.  Trial
 processes -- so the same params always produce the same trials no
 matter how they are scheduled.  Dispatch, caching and sharding live in
 the scenario runtime (:mod:`repro.runtime`, entry point
-:class:`repro.runtime.AttackCampaign`); this module keeps the domain
-pieces -- seed derivation, the per-trial executor, the aggregate.  The
-unit of parallelism is the *trial* (each worker simulates its whole
-attacked router sequentially), exactly as the fault campaign
-parallelises over scenarios.
+:class:`repro.runtime.AttackCampaign`), and each trial is an ``attack``
+:class:`~repro.runtime.Scenario` the runtime executes; this module
+keeps the domain pieces -- splitter families, seed derivation, the
+aggregate.  The unit of parallelism is the *trial* (each worker
+simulates its whole attacked router sequentially), exactly as the fault
+campaign parallelises over scenarios.
 
-Per trial we report two views of the same attack:
+Per trial the executor reports two views of the same attack:
 
 - **analytic** -- the strategy's fiber weights pushed through
   :func:`~repro.core.fiber_split.per_switch_loads`: ``victim_gain`` (the
@@ -42,18 +43,8 @@ from ..core.fiber_split import (
     ContiguousSplitter,
     FiberSplitter,
     PseudoRandomSplitter,
-    overload_loss_fraction,
-    per_switch_loads,
-    per_switch_port_loads,
-    split_imbalance,
 )
-from ..core.sps import SplitParallelSwitch
 from ..errors import ConfigError
-from ..telemetry import (
-    MetricsRegistry,
-    record_victim_series,
-    tag_attack_window,
-)
 from .strategies import AttackStrategy
 
 SPLITTER_KINDS = ("contiguous", "pseudo-random")
@@ -103,163 +94,11 @@ class AttackCampaignParams:
             )
 
 
-@dataclass(frozen=True)
-class AttackTrial:
-    """One picklable, self-contained campaign member."""
-
-    index: int
-    config: RouterConfig
-    splitter_kind: str
-    splitter_seed: int
-    strategy: AttackStrategy
-    load: float
-    duration_ns: float
-    traffic_seed: int
-    fault_schedule: object = None
-    telemetry: bool = False
-    #: Optional :class:`~repro.control.ControlConfig`; ``None`` = open
-    #: loop (the historical behaviour, byte-identical payloads).
-    control: object = None
-    #: Optional carrier-traffic spec
-    #: (:func:`~repro.traffic.stream.workload_source`); ``None`` keeps
-    #: the historical fixed-size Poisson carrier.
-    workload: Optional[str] = None
-
-
 def trial_seeds(seed: int, index: int) -> tuple:
     """(traffic_seed, splitter_seed) for trial ``index`` -- drawn from a
     :class:`numpy.random.SeedSequence`, stable across platforms."""
     state = np.random.SeedSequence((seed, index)).generate_state(2)
     return int(state[0]), int(state[1])
-
-
-def execute_attack_trial(trial: AttackTrial) -> dict:
-    """Run one trial; returns its JSON-safe summary (module-level so it
-    pickles for worker processes).
-
-    The summary deliberately contains no wall-clock or worker
-    information: campaigns must serialise byte-identically whether they
-    ran sequentially or on the pool.
-    """
-    config = trial.config
-    splitter = make_splitter(
-        trial.splitter_kind,
-        config.fibers_per_ribbon,
-        config.n_switches,
-        seed=trial.splitter_seed,
-    )
-    strategy = trial.strategy
-    victim = strategy.victim_switch(splitter)
-
-    # Analytic view: fiber weights through the split algebra.
-    weights = strategy.fiber_weights(splitter, config.n_ribbons)
-    fiber_loads = [trial.load * w for w in weights]
-    switch_loads = per_switch_loads(splitter, fiber_loads)
-    total = float(switch_loads.sum())
-    uniform_share = total / config.n_switches
-    worst = int(np.argmax(switch_loads))
-    target = victim if victim is not None else worst
-    victim_gain = float(switch_loads[target] / uniform_share)
-    port_loads = per_switch_port_loads(splitter, fiber_loads)
-    # Each switch port serves alpha of the ribbon's F fibers: capacity
-    # alpha/F = 1/H of the ribbon line rate, in the same load units.
-    overload = overload_loss_fraction(port_loads, 1.0 / config.n_switches)
-
-    registry = MetricsRegistry() if trial.telemetry else None
-    if registry is not None:
-        tag_attack_window(
-            registry,
-            strategy=strategy.name,
-            splitter=trial.splitter_kind,
-            victim=victim,
-            start_ns=0.0,
-            end_ns=trial.duration_ns,
-        )
-
-    # Simulated view: the full pipeline on the strategy's packet stream.
-    workload = getattr(trial, "workload", None)
-    packets, fibers = strategy.build_workload(
-        config,
-        splitter,
-        trial.load,
-        trial.duration_ns,
-        trial.traffic_seed,
-        workload=workload,
-    )
-    control = getattr(trial, "control", None)
-    control_summary = None
-    throttled_bytes = 0
-    if control is not None:
-        from ..control.packet import attack_windows_for, packet_control_prepass
-
-        fibers, throttled, loop = packet_control_prepass(
-            config,
-            control,
-            packets,
-            list(fibers),
-            splitter,
-            trial.duration_ns,
-            schedule=trial.fault_schedule,
-            attack_windows=attack_windows_for(strategy, trial.duration_ns),
-            telemetry=registry,
-        )
-        packets = [p for p, t in zip(packets, throttled) if not t]
-        fibers = [f for f, t in zip(fibers, throttled) if not t]
-        throttled_bytes = int(round(loop.throttled_bytes))
-        control_summary = loop.summary()
-    router = SplitParallelSwitch(config, splitter=splitter)
-    report = router.run(
-        packets,
-        trial.duration_ns,
-        fibers=fibers,
-        drain=False,
-        fault_schedule=trial.fault_schedule,
-        telemetry=registry,
-    )
-    offered = report.per_switch_offered_bytes
-    sim_total = float(sum(offered))
-    sim_target = target if victim is not None else (
-        int(np.argmax(offered)) if sim_total > 0 else target
-    )
-    sim_victim_gain = (
-        float(offered[sim_target] * config.n_switches / sim_total)
-        if sim_total > 0
-        else 1.0
-    )
-    if registry is not None:
-        record_victim_series(registry, offered, victim)
-
-    # Offered bytes always count the throttled (backpressured) traffic:
-    # the control plane may convert losses, never shrink the offer.
-    offered_total = int(report.offered_bytes) + throttled_bytes
-    summary = {
-        "trial": trial.index,
-        "splitter": trial.splitter_kind,
-        "splitter_seed": trial.splitter_seed,
-        "traffic_seed": trial.traffic_seed,
-        "strategy": strategy.describe(),
-        "victim_switch": target,
-        "victim_gain": victim_gain,
-        "split_imbalance": float(split_imbalance(switch_loads)),
-        "overload_loss_fraction": overload,
-        "sim_victim_switch": sim_target,
-        "sim_victim_gain": sim_victim_gain,
-        "sim_offered_bytes": offered_total,
-        "sim_delivered_fraction": (
-            report.delivered_bytes / offered_total if offered_total > 0 else 1.0
-        ),
-        "sim_loss_fraction": (
-            (report.lost_bytes + throttled_bytes) / offered_total
-            if offered_total > 0
-            else 0.0
-        ),
-        "sim_residual_bytes": int(report.residual_bytes),
-        "fault_events": list(report.fault_events),
-        "telemetry": registry.to_dict() if registry is not None else None,
-    }
-    if control_summary is not None:
-        summary["control"] = control_summary
-    return summary
 
 
 def _confidence(values: List[float]) -> dict:

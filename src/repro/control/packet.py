@@ -89,14 +89,14 @@ def packet_control_prepass(
     attack_windows: Optional[Sequence[Tuple[float, float]]] = None,
     telemetry=None,
     log: Optional[ActionLog] = None,
-) -> Tuple[List[int], List[bool], ControlLoop]:
+) -> Tuple[List, List[int], ControlLoop]:
     """Run the control loop over a packet workload before the engine.
 
-    Returns ``(new_fibers, throttled, loop)``: the (possibly
-    reassigned) fiber per packet, a per-packet throttle mask, and the
-    finished :class:`ControlLoop` (its action log carries the
-    ``repro-control-v1`` stream, its ``throttled_bytes`` the
-    backpressured total).
+    Returns ``(packets, fibers, loop)``: the admitted packets in input
+    order, their (possibly reassigned) fibers -- the workload the engine
+    runs -- and the finished :class:`ControlLoop` (its action log
+    carries the ``repro-control-v1`` stream, its ``throttled_bytes``
+    the backpressured total).
     """
     from ..flow.engine import buffer_limit_bytes
 
@@ -215,83 +215,6 @@ def packet_control_prepass(
 
     loop.throttled_bytes = float(throttled_bytes)
     loop.finish(duration_ns)
-    return new_fibers, throttled, loop
-
-
-def measure_degradation_controlled(
-    config: RouterConfig,
-    control: ControlConfig,
-    schedule=None,
-    load: float = 0.6,
-    duration_ns: float = 40_000.0,
-    seed: int = 0,
-    n_intervals: int = 8,
-    options=None,
-    telemetry=None,
-    log: Optional[ActionLog] = None,
-):
-    """Closed-loop twin of :func:`repro.faults.report.measure_degradation`.
-
-    Same traffic, same round-robin baseline fiber spread, same
-    sequential engine pass -- with the control pre-pass in between.
-    Offered bytes count *all* generated packets (throttled ones bin as
-    offered-but-undelivered and are added back to the byte totals as
-    losses), so the delivered fraction is measured against the original
-    offer, never against a throttle-shrunk one.
-
-    Returns ``(report, loop)``.
-    """
-    from ..core.fiber_split import PseudoRandomSplitter
-    from ..core.pfi import PFIOptions
-    from ..core.sps import SplitParallelSwitch
-    from ..faults.report import (
-        DegradationReport,
-        bin_packets,
-        deterministic_fibers,
-        router_fault_traffic,
-    )
-
-    if options is None:
-        options = PFIOptions(padding=True, bypass=True)
-    packets = router_fault_traffic(
-        config, load=load, duration_ns=duration_ns, seed=seed
-    )
-    fibers = deterministic_fibers(packets, config.fibers_per_ribbon)
-    splitter = PseudoRandomSplitter(config.fibers_per_ribbon, config.n_switches)
-    new_fibers, throttled, loop = packet_control_prepass(
-        config,
-        control,
-        packets,
-        fibers,
-        splitter,
-        duration_ns,
-        schedule=schedule,
-        telemetry=telemetry,
-        log=log,
-    )
     kept = [p for p, t in zip(packets, throttled) if not t]
     kept_fibers = [f for f, t in zip(new_fibers, throttled) if not t]
-    router = SplitParallelSwitch(config, options=options, splitter=splitter)
-    report = router.run(
-        kept,
-        duration_ns,
-        fibers=kept_fibers,
-        fault_schedule=schedule,
-        mode="sequential",
-        telemetry=telemetry,
-    )
-    throttled_bytes = int(round(loop.throttled_bytes))
-    return (
-        DegradationReport(
-            duration_ns=duration_ns,
-            intervals=bin_packets(packets, duration_ns, n_intervals),
-            offered_bytes=report.offered_bytes + throttled_bytes,
-            delivered_bytes=report.delivered_bytes,
-            lost_bytes=report.lost_bytes + throttled_bytes,
-            residual_bytes=report.residual_bytes,
-            failed_switches=list(report.failed_switches),
-            fault_events=list(report.fault_events),
-            control=loop.summary(),
-        ),
-        loop,
-    )
+    return kept, kept_fibers, loop

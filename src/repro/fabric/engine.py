@@ -12,7 +12,7 @@ pattern, executed as a sequence of *hop rounds*:
    load -- the discrete-event pipeline for ``fidelity="packet"``
    (seeded traffic through :class:`~repro.core.sps.SplitParallelSwitch`)
    or the fluid engine for ``fidelity="flow"``
-   (:func:`~repro.flow.flow_router_report`) -- and the run's delivered
+   (:func:`~repro.flow.flow_router_result`) -- and the run's delivered
    fraction multiplies the rates of every path transiting it.  Runs
    with identical (load, fault) signatures are executed once and shared
    (the per-router engine is used as a rate-transfer function, so
@@ -259,21 +259,21 @@ class _RouterRuns:
         return result
 
     def _run_flow(self, eff_load, schedule):
-        from ..flow import flow_router_report
+        from ..flow import flow_router_result
 
         registry = None
         if self.want_telemetry:
             from ..telemetry import MetricsRegistry
 
             registry = MetricsRegistry()
-        report = flow_router_report(
+        report = flow_router_result(
             self.config,
             load=eff_load,
             duration_ns=self.duration_ns,
             drain=self.drain,
             schedule=schedule,
             telemetry=registry,
-        )
+        ).report
         dump = registry.to_dict() if registry is not None else None
         return (
             report.delivered_fraction,

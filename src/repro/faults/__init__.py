@@ -39,9 +39,7 @@ from .report import (
 from .campaign import (
     CampaignParams,
     CampaignResult,
-    FaultScenario,
     draw_fault_schedule,
-    execute_fault_scenario,
 )
 from .specs import parse_fault_event, parse_fault_specs
 
@@ -53,7 +51,6 @@ __all__ = [
     "FABRIC_FAULT_TYPES",
     "FAULT_TYPES",
     "FOREVER_NS",
-    "FaultScenario",
     "FaultSchedule",
     "FiberCut",
     "HBMChannelLoss",
@@ -68,7 +65,6 @@ __all__ = [
     "draw_fault_schedule",
     "event_from_dict",
     "event_to_dict",
-    "execute_fault_scenario",
     "measure_degradation",
     "parse_fault_event",
     "parse_fault_specs",

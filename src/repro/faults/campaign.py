@@ -12,15 +12,16 @@ Scenarios are independent, so the fan-out parallelises *between*
 scenarios (each worker simulates its whole faulted router
 sequentially), the natural unit here just as the switch is for one run.
 Dispatch, caching and sharding live in the scenario runtime
-(:mod:`repro.runtime`); this module keeps the domain pieces -- the
-MTBF/MTTR drawing recipe, the per-cell executor and the aggregate; run
+(:mod:`repro.runtime`), and each cell is a ``fault_cell``
+:class:`~repro.runtime.Scenario` the runtime executes; this module keeps
+the domain pieces -- the MTBF/MTTR drawing recipe and the aggregate; run
 a campaign through :class:`repro.runtime.FaultCampaign`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .model import (
     OEODegradation,
     SwitchFailure,
 )
-from .report import AVAILABILITY_THRESHOLD, measure_degradation
+from .report import AVAILABILITY_THRESHOLD
 from .schedule import FaultSchedule
 
 
@@ -150,74 +151,6 @@ def draw_fault_schedule(
                     )
                 )
     return FaultSchedule(events)
-
-
-@dataclass(frozen=True)
-class FaultScenario:
-    """One picklable, self-contained campaign member."""
-
-    index: int
-    config: RouterConfig
-    schedule: FaultSchedule
-    load: float
-    duration_ns: float
-    seed: int
-    n_intervals: int
-    #: Optional :class:`~repro.control.ControlConfig`; ``None`` = open
-    #: loop (the historical behaviour, byte-identical payloads).
-    control: object = None
-    #: Optional streaming workload spec
-    #: (:func:`~repro.traffic.stream.workload_source`); ``None`` keeps
-    #: the historical smooth fixed-size traffic.  Open-loop only.
-    workload: Optional[str] = None
-
-
-def execute_fault_scenario(scenario: FaultScenario) -> dict:
-    """Run one scenario; returns its summary dict (module-level so it
-    pickles for worker processes)."""
-    control = getattr(scenario, "control", None)
-    workload = getattr(scenario, "workload", None)
-    if control is not None:
-        if workload is not None:
-            raise ConfigError(
-                "workload streaming composes with open-loop fault cells "
-                "only (the control prepass materializes the packet list)"
-            )
-        from ..control.packet import measure_degradation_controlled
-
-        report, _ = measure_degradation_controlled(
-            scenario.config,
-            control,
-            schedule=scenario.schedule,
-            load=scenario.load,
-            duration_ns=scenario.duration_ns,
-            seed=scenario.seed,
-            n_intervals=scenario.n_intervals,
-        )
-    else:
-        report = measure_degradation(
-            scenario.config,
-            schedule=scenario.schedule,
-            load=scenario.load,
-            duration_ns=scenario.duration_ns,
-            seed=scenario.seed,
-            n_intervals=scenario.n_intervals,
-            workload=workload,
-        )
-    summary = {
-        "scenario": scenario.index,
-        "n_events": len(scenario.schedule),
-        "fault_events": scenario.schedule.describe(),
-        "delivered_fraction": report.delivered_fraction,
-        "loss_fraction": report.loss_fraction,
-        "availability": report.availability(),
-        "offered_bytes": report.offered_bytes,
-        "delivered_bytes": report.delivered_bytes,
-        "lost_bytes": report.lost_bytes,
-    }
-    if report.control is not None:
-        summary["control"] = report.control
-    return summary
 
 
 def _distribution(values: List[float]) -> dict:

@@ -9,9 +9,10 @@ aging, fiber cuts) can be read off as a capacity-over-time curve.
 
 Binning: offered bytes are attributed to the interval of each packet's
 *arrival*; delivered bytes to the interval of its *departure* (the wire
-time of its last byte).  The run is sequential so departures are written
-back onto the caller's packet objects; departures during the drain tail
-(after ``duration_ns``) land in the last interval.
+time of its last byte).  The run is sequential so every departure is
+seen: open-loop runs bin them through the output ports' departure sink,
+closed-loop runs read them back off the packet list.  Departures during
+the drain tail (after ``duration_ns``) land in the last interval.
 """
 
 from __future__ import annotations
@@ -32,16 +33,12 @@ from .schedule import FaultSchedule
 AVAILABILITY_THRESHOLD = 0.9
 
 
-def router_fault_traffic(
-    config: RouterConfig,
-    load: float = 0.6,
-    duration_ns: float = 40_000.0,
-    seed: int = 0,
-    packet_bytes: int = 1500,
-) -> List:
-    """Router-level traffic for degradation runs (fixed-size packets so
-    per-interval byte counts are smooth)."""
-    generator = TrafficGenerator(
+def _fault_traffic_source(
+    config: RouterConfig, load: float, seed: int, packet_bytes: int = 1500
+) -> TrafficGenerator:
+    """The default degradation traffic: fixed-size packets so
+    per-interval byte counts are smooth."""
+    return TrafficGenerator(
         n_ports=config.n_ribbons,
         port_rate_bps=config.fibers_per_ribbon * config.per_fiber_rate_bps,
         matrix=uniform_matrix(config.n_ribbons, load),
@@ -49,7 +46,42 @@ def router_fault_traffic(
         seed=seed,
         flows_per_pair=256,
     )
-    return generator.materialize(duration_ns)
+
+
+def router_fault_traffic(
+    config: RouterConfig,
+    load: float = 0.6,
+    duration_ns: float = 40_000.0,
+    seed: int = 0,
+    packet_bytes: int = 1500,
+) -> List:
+    """Router-level traffic for degradation runs, as one packet list."""
+    return _fault_traffic_source(config, load, seed, packet_bytes).materialize(
+        duration_ns
+    )
+
+
+def _fiber_cursor(n_fibers: int):
+    """A per-ribbon round-robin fiber cursor.
+
+    Returns ``assign(packets, block=None)`` (the shape of
+    ``run_stream``'s ``fibers_fn``): the next fiber of each packet's
+    ribbon, with the count carried across calls, so a stream assigned
+    block by block gets exactly the fibers of the concatenated list.
+    """
+    if n_fibers <= 0:
+        raise ConfigError(f"n_fibers must be positive, got {n_fibers}")
+    counters: dict = {}
+
+    def assign(packets: Sequence, block=None) -> List[int]:
+        fibers = []
+        for packet in packets:
+            count = counters.get(packet.input_port, 0)
+            fibers.append(count % n_fibers)
+            counters[packet.input_port] = count + 1
+        return fibers
+
+    return assign
 
 
 def deterministic_fibers(packets: Sequence, n_fibers: int) -> List[int]:
@@ -61,15 +93,7 @@ def deterministic_fibers(packets: Sequence, n_fibers: int) -> List[int]:
     kept per ribbon (each ribbon has its own fiber-to-switch map), so
     every ribbon's packets cover its fibers exactly evenly.
     """
-    if n_fibers <= 0:
-        raise ConfigError(f"n_fibers must be positive, got {n_fibers}")
-    counters: dict = {}
-    fibers = []
-    for packet in packets:
-        count = counters.get(packet.input_port, 0)
-        fibers.append(count % n_fibers)
-        counters[packet.input_port] = count + 1
-    return fibers
+    return _fiber_cursor(n_fibers)(packets)
 
 
 @dataclass(frozen=True)
@@ -247,26 +271,35 @@ def measure_degradation(
     seed: int = 0,
     n_intervals: int = 8,
     options: Optional[PFIOptions] = None,
-    round_robin_fibers: bool = True,
-    packets: Optional[Sequence] = None,
     telemetry=None,
     workload: Optional[str] = None,
+    control=None,
 ) -> DegradationReport:
     """Run one faulted router simulation and bin it over time.
 
     Sequential execution on purpose: the binning needs per-packet
-    departures, which only the sequential path produces.
-    ``round_robin_fibers`` (the default) spreads packets
-    deterministically over fibers so measured capacity matches the
+    departures, which only the sequential path produces.  Packets are
+    spread round-robin over each ribbon's fibers
+    (:func:`deterministic_fibers`), so measured capacity matches the
     (H - k)/H closed form without multinomial hash noise.
 
-    ``workload`` selects a streaming traffic family
-    (:func:`~repro.traffic.stream.workload_source` spec, e.g.
-    ``"pareto"`` or ``"trace:capture.csv"``) instead of the default
-    smooth fixed-size traffic; the run then consumes arrival blocks
-    incrementally -- offered bytes are binned as blocks are offered and
-    delivered bytes via the per-departure sink, so no packet list is
-    ever materialized.  Mutually exclusive with ``packets``.
+    Open loop, the run consumes arrival blocks incrementally: offered
+    bytes are binned per block as it is offered (arrival interval) and
+    delivered bytes per packet via the output ports' departure sink
+    (departure interval, drain tail into the last bin) -- the attribution
+    rules of :func:`bin_packets`, without keeping packets around.  The
+    blocks come from the default smooth fixed-size traffic, or from
+    ``workload`` (a :func:`~repro.traffic.stream.workload_source` spec,
+    e.g. ``"pareto"`` or ``"trace:capture.csv"``).
+
+    ``control`` (a :class:`~repro.control.ControlConfig`) closes the
+    loop: the same traffic and fibers go through the control pre-pass
+    (:func:`~repro.control.packet.packet_control_prepass`) before the
+    engine pass, so the packet list is materialized.  Offered bytes
+    count *all* generated packets -- throttled ones bin as
+    offered-but-undelivered and are added back to the byte totals as
+    losses -- so the delivered fraction is measured against the original
+    offer, never against a throttle-shrunk one.
 
     ``telemetry`` (a :class:`~repro.telemetry.MetricsRegistry`)
     instruments the run; the fault schedule's windows are tagged onto
@@ -275,125 +308,85 @@ def measure_degradation(
     """
     if options is None:
         options = PFIOptions(padding=True, bypass=True)
-    if workload is not None:
-        if packets is not None:
-            raise ConfigError("pass either workload= or packets=, not both")
-        return _measure_degradation_stream(
-            config,
-            workload,
-            schedule=schedule,
-            load=load,
-            duration_ns=duration_ns,
-            seed=seed,
-            n_intervals=n_intervals,
-            options=options,
-            round_robin_fibers=round_robin_fibers,
-            telemetry=telemetry,
-        )
-    if packets is None:
+    if n_intervals <= 0:
+        raise ConfigError(f"n_intervals must be positive, got {n_intervals}")
+    router = SplitParallelSwitch(config, options=options)
+    fibers_fn = _fiber_cursor(config.fibers_per_ribbon)
+    throttled_bytes = 0
+    control_summary = None
+    if control is not None:
+        if workload is not None:
+            raise ConfigError(
+                "workload streaming composes with open-loop runs only "
+                "(the control prepass materializes the packet list)"
+            )
+        from ..control.packet import packet_control_prepass
+
         packets = router_fault_traffic(
             config, load=load, duration_ns=duration_ns, seed=seed
         )
-    fibers = (
-        deterministic_fibers(packets, config.fibers_per_ribbon)
-        if round_robin_fibers
-        else None
-    )
-    router = SplitParallelSwitch(config, options=options)
-    report: RouterReport = router.run(
-        packets,
-        duration_ns,
-        fibers=fibers,
-        fault_schedule=schedule,
-        mode="sequential",
-        telemetry=telemetry,
-    )
-    return DegradationReport(
-        duration_ns=duration_ns,
-        intervals=bin_packets(packets, duration_ns, n_intervals),
-        offered_bytes=report.offered_bytes,
-        delivered_bytes=report.delivered_bytes,
-        lost_bytes=report.lost_bytes,
-        residual_bytes=report.residual_bytes,
-        failed_switches=list(report.failed_switches),
-        fault_events=list(report.fault_events),
-    )
-
-
-def _measure_degradation_stream(
-    config: RouterConfig,
-    workload: str,
-    schedule: Optional[FaultSchedule],
-    load: float,
-    duration_ns: float,
-    seed: int,
-    n_intervals: int,
-    options: PFIOptions,
-    round_robin_fibers: bool,
-    telemetry,
-) -> DegradationReport:
-    """The bounded-memory degradation path: bin at the block boundary.
-
-    Offered bytes are attributed per block as it is offered (arrival
-    interval); delivered bytes per packet via the output ports'
-    departure sink (departure interval, drain tail into the last bin) --
-    the same attribution rules as :func:`bin_packets`, without keeping
-    packets around.  The round-robin fiber cursor is carried across
-    blocks in a closure, so the assignment is identical to the eager
-    :func:`deterministic_fibers` on the concatenated stream.
-    """
-    from ..traffic.stream import workload_source
-
-    if n_intervals <= 0:
-        raise ConfigError(f"n_intervals must be positive, got {n_intervals}")
-    source = workload_source(
-        workload,
-        n_ports=config.n_ribbons,
-        port_rate_bps=config.fibers_per_ribbon * config.per_fiber_rate_bps,
-        load=load,
-        seed=seed,
-        duration_ns=duration_ns,
-    )
-    width = duration_ns / n_intervals
-    last = n_intervals - 1
-    offered = [0] * n_intervals
-    delivered = [0] * n_intervals
-
-    def binned_blocks():
-        for block in source.blocks(duration_ns):
-            for t, size in zip(block.times, block.sizes):
-                offered[min(last, int(t / width))] += int(size)
-            yield block
-
-    def departure_sink(packet):
-        delivered[min(last, int(packet.departure_ns / width))] += (
-            packet.size_bytes
+        kept, fibers, loop = packet_control_prepass(
+            config,
+            control,
+            packets,
+            fibers_fn(packets),
+            router.splitter,
+            duration_ns,
+            schedule=schedule,
+            telemetry=telemetry,
         )
+        report: RouterReport = router.run(
+            kept,
+            duration_ns,
+            fibers=fibers,
+            fault_schedule=schedule,
+            mode="sequential",
+            telemetry=telemetry,
+        )
+        intervals = bin_packets(packets, duration_ns, n_intervals)
+        throttled_bytes = int(round(loop.throttled_bytes))
+        control_summary = loop.summary()
+    else:
+        if workload is None:
+            source = _fault_traffic_source(config, load, seed)
+        else:
+            from ..traffic.stream import workload_source
 
-    fibers_fn = None
-    if round_robin_fibers:
-        counters: dict = {}
+            source = workload_source(
+                workload,
+                n_ports=config.n_ribbons,
+                port_rate_bps=(
+                    config.fibers_per_ribbon * config.per_fiber_rate_bps
+                ),
+                load=load,
+                seed=seed,
+                duration_ns=duration_ns,
+            )
+        width = duration_ns / n_intervals
+        last = n_intervals - 1
+        offered = [0] * n_intervals
+        delivered = [0] * n_intervals
 
-        def fibers_fn(packets, block):
-            fibers = []
-            for packet in packets:
-                count = counters.get(packet.input_port, 0)
-                fibers.append(count % config.fibers_per_ribbon)
-                counters[packet.input_port] = count + 1
-            return fibers
+        def binned_blocks():
+            for block in source.blocks(duration_ns):
+                for t, size in zip(block.times, block.sizes):
+                    offered[min(last, int(t / width))] += int(size)
+                yield block
 
-    router = SplitParallelSwitch(config, options=options)
-    report: RouterReport = router.run_stream(
-        binned_blocks(),
-        duration_ns,
-        fibers_fn=fibers_fn,
-        fault_schedule=schedule,
-        telemetry=telemetry,
-        departure_sink=departure_sink,
-    )
-    return DegradationReport(
-        duration_ns=duration_ns,
-        intervals=[
+        def departure_sink(packet):
+            delivered[min(last, int(packet.departure_ns / width))] += (
+                packet.size_bytes
+            )
+
+        report = router.run_stream(
+            binned_blocks(),
+            duration_ns,
+            fibers_fn=fibers_fn,
+            fault_schedule=schedule,
+            telemetry=telemetry,
+            departure_sink=departure_sink,
+        )
+        intervals = [
             IntervalSample(
                 start_ns=i * width,
                 end_ns=(i + 1) * width,
@@ -401,11 +394,15 @@ def _measure_degradation_stream(
                 delivered_bytes=delivered[i],
             )
             for i in range(n_intervals)
-        ],
-        offered_bytes=report.offered_bytes,
+        ]
+    return DegradationReport(
+        duration_ns=duration_ns,
+        intervals=intervals,
+        offered_bytes=report.offered_bytes + throttled_bytes,
         delivered_bytes=report.delivered_bytes,
-        lost_bytes=report.lost_bytes,
+        lost_bytes=report.lost_bytes + throttled_bytes,
         residual_bytes=report.residual_bytes,
         failed_switches=list(report.failed_switches),
         fault_events=list(report.fault_events),
+        control=control_summary,
     )

@@ -26,24 +26,18 @@ from .engine import (
     FlowRouterResult,
     RateComponent,
     buffer_limit_bytes,
-    execute_fault_scenario_flow,
     flow_degradation,
-    flow_router_report,
     flow_router_result,
     simulate_flow_router,
     simulate_flow_switch,
     uniform_rate_matrix,
 )
-from .attack import execute_attack_trial_flow
 
 __all__ = [
     "FlowRouterResult",
     "RateComponent",
     "buffer_limit_bytes",
-    "execute_attack_trial_flow",
-    "execute_fault_scenario_flow",
     "flow_degradation",
-    "flow_router_report",
     "flow_router_result",
     "simulate_flow_router",
     "simulate_flow_switch",

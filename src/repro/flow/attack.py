@@ -1,11 +1,10 @@
-"""Attack trials at flow fidelity.
+"""Attack trials at flow fidelity: the strategy as rate components.
 
-:func:`execute_attack_trial_flow` mirrors
-:func:`repro.adversary.campaign.execute_attack_trial` key for key: the
-analytic half (fiber weights pushed through the split algebra) is
-computed identically, and the simulated half replaces the packet
-pipeline with :func:`repro.flow.engine.simulate_flow_router` fed rate
-components derived from the strategy:
+An attack trial (:class:`~repro.runtime.Scenario` kind ``"attack"``)
+computes its analytic half once for both fidelities; at flow fidelity
+the simulated half replaces the packet pipeline with
+:func:`repro.flow.engine.simulate_flow_router` fed the rate components
+:func:`_strategy_components` derives from the strategy:
 
 - the default strategies offer a uniform matrix at ``load`` whose fiber
   spread *is* the strategy's mixed weight vector -- at flow fidelity
@@ -32,23 +31,11 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..adversary.campaign import make_splitter
 from ..adversary.strategies import AttackStrategy, BurstSynchronizedAttack
 from ..config import RouterConfig
-from ..core.fiber_split import (
-    overload_loss_fraction,
-    per_switch_loads,
-    per_switch_port_loads,
-    split_imbalance,
-)
-from ..telemetry import (
-    MetricsRegistry,
-    record_victim_series,
-    tag_attack_window,
-)
 from ..traffic import uniform_matrix
 from ..units import rate_to_bytes_per_ns
-from .engine import RateComponent, simulate_flow_router
+from .engine import RateComponent
 
 
 def _strategy_components(
@@ -101,98 +88,3 @@ def _strategy_components(
             window += 1
         components.append(RateComponent(matrix, tuple(windows)))
     return components
-
-
-def execute_attack_trial_flow(trial) -> dict:
-    """Flow-fidelity twin of ``execute_attack_trial`` (same summary keys)."""
-    config = trial.config
-    splitter = make_splitter(
-        trial.splitter_kind,
-        config.fibers_per_ribbon,
-        config.n_switches,
-        seed=trial.splitter_seed,
-    )
-    strategy = trial.strategy
-    victim = strategy.victim_switch(splitter)
-
-    # Analytic view -- identical to the packet trial.
-    weights = strategy.fiber_weights(splitter, config.n_ribbons)
-    fiber_loads = [trial.load * w for w in weights]
-    switch_loads = per_switch_loads(splitter, fiber_loads)
-    total = float(switch_loads.sum())
-    uniform_share = total / config.n_switches
-    worst = int(np.argmax(switch_loads))
-    target = victim if victim is not None else worst
-    victim_gain = float(switch_loads[target] / uniform_share)
-    port_loads = per_switch_port_loads(splitter, fiber_loads)
-    overload = overload_loss_fraction(port_loads, 1.0 / config.n_switches)
-
-    registry = MetricsRegistry() if getattr(trial, "telemetry", False) else None
-    if registry is not None:
-        tag_attack_window(
-            registry,
-            strategy=strategy.name,
-            splitter=trial.splitter_kind,
-            victim=victim,
-            start_ns=0.0,
-            end_ns=trial.duration_ns,
-        )
-
-    # Simulated view -- the fluid tandem on the strategy's rate stream.
-    components = _strategy_components(
-        strategy, config, trial.load, trial.duration_ns
-    )
-    control = getattr(trial, "control", None)
-    attack_windows = None
-    if control is not None:
-        from ..control.packet import attack_windows_for
-
-        attack_windows = attack_windows_for(strategy, trial.duration_ns)
-    result = simulate_flow_router(
-        config,
-        components,
-        duration_ns=trial.duration_ns,
-        drain=False,
-        weights=np.stack(weights),
-        splitter=splitter,
-        schedule=trial.fault_schedule,
-        telemetry=registry,
-        control=control,
-        attack_windows=attack_windows,
-    )
-    report = result.report
-    offered = report.per_switch_offered_bytes
-    sim_total = float(sum(offered))
-    sim_target = target if victim is not None else (
-        int(np.argmax(offered)) if sim_total > 0 else target
-    )
-    sim_victim_gain = (
-        float(offered[sim_target] * config.n_switches / sim_total)
-        if sim_total > 0
-        else 1.0
-    )
-    if registry is not None:
-        record_victim_series(registry, offered, victim)
-
-    summary = {
-        "trial": trial.index,
-        "splitter": trial.splitter_kind,
-        "splitter_seed": trial.splitter_seed,
-        "traffic_seed": trial.traffic_seed,
-        "strategy": strategy.describe(),
-        "victim_switch": target,
-        "victim_gain": victim_gain,
-        "split_imbalance": float(split_imbalance(switch_loads)),
-        "overload_loss_fraction": overload,
-        "sim_victim_switch": sim_target,
-        "sim_victim_gain": sim_victim_gain,
-        "sim_offered_bytes": int(report.offered_bytes),
-        "sim_delivered_fraction": report.delivered_fraction,
-        "sim_loss_fraction": report.loss_fraction,
-        "sim_residual_bytes": int(report.residual_bytes),
-        "fault_events": list(report.fault_events),
-        "telemetry": registry.to_dict() if registry is not None else None,
-    }
-    if result.control is not None:
-        summary["control"] = result.control
-    return summary

@@ -923,6 +923,22 @@ def simulate_flow_router(
     )
 
 
+def _uniform_components(
+    config: RouterConfig, load: float, duration_ns: float
+) -> List[RateComponent]:
+    """One always-on uniform matrix at ``load`` of every ribbon's rate."""
+    return [
+        RateComponent(
+            uniform_rate_matrix(
+                config.n_ribbons,
+                load,
+                config.fibers_per_ribbon * config.per_fiber_rate_bps,
+            ),
+            ((0.0, duration_ns),),
+        )
+    ]
+
+
 def flow_router_result(
     config: RouterConfig,
     load: float = 0.8,
@@ -934,19 +950,9 @@ def flow_router_result(
     control=None,
 ) -> FlowRouterResult:
     """Uniform-load router run at flow fidelity (Scenario kind="router")."""
-    components = [
-        RateComponent(
-            uniform_rate_matrix(
-                config.n_ribbons,
-                load,
-                config.fibers_per_ribbon * config.per_fiber_rate_bps,
-            ),
-            ((0.0, duration_ns),),
-        )
-    ]
     return simulate_flow_router(
         config,
-        components,
+        _uniform_components(config, load, duration_ns),
         duration_ns=duration_ns,
         drain=drain,
         schedule=schedule,
@@ -954,29 +960,6 @@ def flow_router_result(
         telemetry=telemetry,
         control=control,
     )
-
-
-def flow_router_report(
-    config: RouterConfig,
-    load: float = 0.8,
-    duration_ns: float = 50_000.0,
-    drain: bool = True,
-    schedule=None,
-    mean_packet_bytes: float = 1500.0,
-    telemetry=None,
-    control=None,
-) -> RouterReport:
-    """The :class:`FlowRouterResult` report alone, for report-shaped callers."""
-    return flow_router_result(
-        config,
-        load=load,
-        duration_ns=duration_ns,
-        drain=drain,
-        schedule=schedule,
-        mean_packet_bytes=mean_packet_bytes,
-        telemetry=telemetry,
-        control=control,
-    ).report
 
 
 def flow_degradation(
@@ -990,19 +973,9 @@ def flow_degradation(
     control=None,
 ) -> DegradationReport:
     """Fluid twin of :func:`repro.faults.report.measure_degradation`."""
-    components = [
-        RateComponent(
-            uniform_rate_matrix(
-                config.n_ribbons,
-                load,
-                config.fibers_per_ribbon * config.per_fiber_rate_bps,
-            ),
-            ((0.0, duration_ns),),
-        )
-    ]
     result = simulate_flow_router(
         config,
-        components,
+        _uniform_components(config, load, duration_ns),
         duration_ns=duration_ns,
         drain=True,
         schedule=schedule,
@@ -1023,30 +996,3 @@ def flow_degradation(
         fault_events=list(report.fault_events),
         control=result.control,
     )
-
-
-def execute_fault_scenario_flow(scenario) -> dict:
-    """Flow twin of :func:`repro.faults.campaign.execute_fault_scenario`
-    -- same summary keys, so campaign aggregation works unchanged."""
-    report = flow_degradation(
-        scenario.config,
-        schedule=scenario.schedule,
-        load=scenario.load,
-        duration_ns=scenario.duration_ns,
-        n_intervals=scenario.n_intervals,
-        control=getattr(scenario, "control", None),
-    )
-    summary = {
-        "scenario": scenario.index,
-        "n_events": len(scenario.schedule),
-        "fault_events": scenario.schedule.describe(),
-        "delivered_fraction": report.delivered_fraction,
-        "loss_fraction": report.loss_fraction,
-        "availability": report.availability(),
-        "offered_bytes": report.offered_bytes,
-        "delivered_bytes": report.delivered_bytes,
-        "lost_bytes": report.lost_bytes,
-    }
-    if report.control is not None:
-        summary["control"] = report.control
-    return summary

@@ -25,12 +25,14 @@ excluded:
   repo-wide invariant since PR 1), so they must also be cache hits for
   each other.
 
-Every scenario kind maps onto the exact per-family execution code that
-predates the runtime (``repro.faults.campaign.execute_fault_scenario``,
-``repro.adversary.campaign.execute_attack_trial``,
-:func:`~repro.faults.report.measure_degradation`, the switch/router
-simulation paths the CLI used to inline), so payloads are byte-identical
-to the pre-runtime outputs for the same seeds.
+:func:`execute_scenario` is the one executor for every kind: the
+scenario is its only input, and ``fidelity`` picks only the engine call.
+A ``fault_cell`` is the ``degradation`` report
+(:func:`~repro.faults.report.measure_degradation` or
+:func:`~repro.flow.flow_degradation`) summarised for the campaign
+aggregate; an ``attack`` trial shares its analytic view and summary
+between fidelities and branches only for the simulated run.  Payloads
+are byte-identical to the pre-runtime outputs for the same seeds.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
+
+import numpy as np
 
 from ..config import HBMSwitchConfig, RouterConfig
 from ..core.pfi import PFIOptions
@@ -55,15 +59,41 @@ from ..traffic import (
     uniform_matrix,
 )
 
+#: The optional fields each workload family (``Scenario.kind``) reads.
+#: Every kind reads ``config``, ``load``, ``duration_ns``, ``seed`` and
+#: ``fidelity`` (and takes the ``mode``/``workers`` hints); any other
+#: field a kind does not list here must keep its default, because a
+#: value the executor never reads would still change the digest and
+#: split one result over two cache entries.
+KIND_FIELDS = {
+    "switch": (
+        "packet_size", "process", "padding", "bypass", "drain",
+        "telemetry", "workload",
+    ),
+    "router": (
+        "packet_size", "process", "padding", "bypass", "schedule",
+        "drain", "telemetry", "workload", "control",
+    ),
+    "degradation": (
+        "padding", "bypass", "schedule", "n_intervals", "telemetry",
+        "workload", "control",
+    ),
+    "fault_cell": (
+        "padding", "bypass", "schedule", "n_intervals", "workload",
+        "control", "tag",
+    ),
+    "attack": (
+        "schedule", "splitter_kind", "splitter_seed", "strategy",
+        "traffic_seed", "telemetry", "workload", "control", "tag",
+    ),
+    "fabric": (
+        "schedule", "drain", "telemetry", "topology", "routing",
+        "pattern", "link_delay_ns",
+    ),
+}
+
 #: The workload families the runtime can execute.
-SCENARIO_KINDS = (
-    "switch",
-    "router",
-    "degradation",
-    "fault_cell",
-    "attack",
-    "fabric",
-)
+SCENARIO_KINDS = tuple(KIND_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -85,9 +115,11 @@ class Scenario:
       the :mod:`repro.fabric.topology` dataclasses, ``routing`` a
       :data:`~repro.fabric.routing.ROUTING_POLICIES` member.
 
-    Fields that do not apply to a kind keep their defaults and still
-    participate in the digest (they are part of the declarative
-    content; defaults hash stably).
+    A kind reads only the fields :data:`KIND_FIELDS` lists for it (plus
+    the ones every kind reads); construction rejects a non-default
+    value of any other field with :class:`~repro.errors.ConfigError`,
+    so one result never sits under two digests.  Unread fields still
+    participate in the digest at their defaults, which hash stably.
     """
 
     kind: str
@@ -161,6 +193,12 @@ class Scenario:
             raise ConfigError(
                 f"n_intervals must be positive, got {self.n_intervals}"
             )
+        for name, default in _OPTIONAL_DEFAULTS.items():
+            if name not in KIND_FIELDS[self.kind] and getattr(self, name) != default:
+                raise ConfigError(
+                    f"{name} is not supported for kind {self.kind!r}: it "
+                    f"does not read it (leave it at {default!r})"
+                )
         if self.kind == "switch":
             if not isinstance(self.config, HBMSwitchConfig):
                 raise ConfigError(
@@ -217,11 +255,6 @@ class Scenario:
                     "workload streaming requires packet fidelity (the "
                     "flow engine has no per-packet arrival stream)"
                 )
-            if self.kind not in ("switch", "router", "degradation",
-                                 "fault_cell", "attack"):
-                raise ConfigError(
-                    f"workload is not supported for kind {self.kind!r}"
-                )
             if self.control is not None:
                 raise ConfigError(
                     "workload streaming composes with open-loop cells "
@@ -235,12 +268,6 @@ class Scenario:
                 raise ConfigError(
                     "control must be a repro.control.ControlConfig, got "
                     f"{type(self.control).__name__}"
-                )
-            if self.kind not in ("router", "degradation", "fault_cell", "attack"):
-                raise ConfigError(
-                    f"control is not supported for kind {self.kind!r}: the "
-                    "control plane actuates the H-way fiber split, which "
-                    "router/degradation/fault_cell/attack cells have"
                 )
 
     # -- digesting -----------------------------------------------------------
@@ -298,6 +325,14 @@ class Scenario:
             self.describe(), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: The default of every field :data:`KIND_FIELDS` lists, in field order.
+_OPTIONAL_DEFAULTS = {
+    f.name: f.default
+    for f in dataclasses.fields(Scenario)
+    if any(f.name in names for names in KIND_FIELDS.values())
+}
 
 
 def _config_content(config) -> Dict[str, Any]:
@@ -367,19 +402,24 @@ def _options(scenario: Scenario) -> PFIOptions:
     return PFIOptions(padding=scenario.padding, bypass=scenario.bypass)
 
 
-def _execute_switch(scenario: Scenario, registry=None, trace=None) -> dict:
-    from ..core.hbm_switch import HBMSwitch
-    from ..reporting import report_to_dict
+def _traffic(scenario: Scenario, n_ports: int, port_rate_bps: float):
+    """The scenario's synthetic :class:`~repro.traffic.TrafficGenerator`."""
+    return TrafficGenerator(
+        n_ports=n_ports,
+        port_rate_bps=port_rate_bps,
+        matrix=uniform_matrix(n_ports, scenario.load),
+        size_dist=_size_dist(scenario),
+        process=ArrivalProcess(scenario.process),
+        seed=scenario.seed,
+    )
 
+
+def _switch_report(scenario: Scenario, registry, trace):
     config = scenario.config
     if scenario.fidelity == "flow":
         from ..flow import simulate_flow_switch
 
-        if registry is None and scenario.telemetry:
-            from ..telemetry import MetricsRegistry
-
-            registry = MetricsRegistry()
-        report = simulate_flow_switch(
+        return simulate_flow_switch(
             config,
             load=scenario.load,
             duration_ns=scenario.duration_ns,
@@ -387,14 +427,8 @@ def _execute_switch(scenario: Scenario, registry=None, trace=None) -> dict:
             mean_packet_bytes=_size_dist(scenario).mean_bytes,
             telemetry=registry,
         )
-        return {
-            "report": report_to_dict(report),
-            "telemetry": registry.to_dict() if registry is not None else None,
-        }
-    if registry is None and scenario.telemetry:
-        from ..telemetry import MetricsRegistry
+    from ..core.hbm_switch import HBMSwitch
 
-        registry = MetricsRegistry()
     telemetry = None
     if registry is not None:
         from ..telemetry import SwitchTelemetry
@@ -407,40 +441,23 @@ def _execute_switch(scenario: Scenario, registry=None, trace=None) -> dict:
         source = _workload_source(
             scenario, config.n_ports, config.port_rate_bps
         )
-        report = switch.run_stream(
+        return switch.run_stream(
             source.blocks(scenario.duration_ns),
             scenario.duration_ns,
             drain=scenario.drain,
         )
-    else:
-        generator = TrafficGenerator(
-            n_ports=config.n_ports,
-            port_rate_bps=config.port_rate_bps,
-            matrix=uniform_matrix(config.n_ports, scenario.load),
-            size_dist=_size_dist(scenario),
-            process=ArrivalProcess(scenario.process),
-            seed=scenario.seed,
-        )
-        packets = generator.materialize(scenario.duration_ns)
-        report = switch.run(packets, scenario.duration_ns, drain=scenario.drain)
-    return {
-        "report": report_to_dict(report),
-        "telemetry": registry.to_dict() if registry is not None else None,
-    }
+    packets = _traffic(
+        scenario, config.n_ports, config.port_rate_bps
+    ).materialize(scenario.duration_ns)
+    return switch.run(packets, scenario.duration_ns, drain=scenario.drain)
 
 
-def _execute_router(scenario: Scenario, registry=None) -> dict:
-    from ..core.sps import SplitParallelSwitch
-    from ..reporting import report_to_dict
-
+def _router_report(scenario: Scenario, registry):
+    """``(RouterReport, control summary or None)`` of one router cell."""
     config = scenario.config
     if scenario.fidelity == "flow":
         from ..flow import flow_router_result
 
-        if registry is None and scenario.telemetry:
-            from ..telemetry import MetricsRegistry
-
-            registry = MetricsRegistry()
         result = flow_router_result(
             config,
             load=scenario.load,
@@ -451,29 +468,18 @@ def _execute_router(scenario: Scenario, registry=None) -> dict:
             telemetry=registry,
             control=scenario.control,
         )
-        payload = {
-            "report": report_to_dict(result.report),
-            "telemetry": registry.to_dict() if registry is not None else None,
-        }
-        if result.control is not None:
-            payload["control"] = result.control
-        return payload
-    if registry is None and scenario.telemetry:
-        from ..telemetry import MetricsRegistry
+        return result.report, result.control
+    from ..core.sps import SplitParallelSwitch
 
-        registry = MetricsRegistry()
     router = SplitParallelSwitch(config, options=_options(scenario))
+    port_rate_bps = config.fibers_per_ribbon * config.per_fiber_rate_bps
     if scenario.workload is not None:
         # Streaming ingest (open loop by validation).  Sequential cells
         # pull blocks straight through run_stream; parallel cells
         # materialize once and take the pooled path -- byte-identical
         # results either way (the repo invariant), so both land on the
         # same cache entry.
-        source = _workload_source(
-            scenario,
-            config.n_ribbons,
-            config.fibers_per_ribbon * config.per_fiber_rate_bps,
-        )
+        source = _workload_source(scenario, config.n_ribbons, port_rate_bps)
         if scenario.mode == "sequential":
             report = router.run_stream(
                 source.blocks(scenario.duration_ns),
@@ -492,38 +498,26 @@ def _execute_router(scenario: Scenario, registry=None) -> dict:
                 n_workers=scenario.workers,
                 telemetry=registry,
             )
-        return {
-            "report": report_to_dict(report),
-            "telemetry": registry.to_dict() if registry is not None else None,
-        }
-    generator = TrafficGenerator(
-        n_ports=config.n_ribbons,
-        port_rate_bps=config.fibers_per_ribbon * config.per_fiber_rate_bps,
-        matrix=uniform_matrix(config.n_ribbons, scenario.load),
-        size_dist=_size_dist(scenario),
-        process=ArrivalProcess(scenario.process),
-        seed=scenario.seed,
+        return report, None
+    packets = _traffic(scenario, config.n_ribbons, port_rate_bps).materialize(
+        scenario.duration_ns
     )
-    packets = generator.materialize(scenario.duration_ns)
     control_summary = None
     fibers = None
     if scenario.control is not None:
         from ..control.packet import packet_control_prepass
         from ..core.sps import assign_fibers
 
-        fibers = assign_fibers(packets, config.fibers_per_ribbon)
-        fibers, throttled, loop = packet_control_prepass(
+        packets, fibers, loop = packet_control_prepass(
             config,
             scenario.control,
             packets,
-            fibers,
+            assign_fibers(packets, config.fibers_per_ribbon),
             router.splitter,
             scenario.duration_ns,
             schedule=scenario.schedule,
             telemetry=registry,
         )
-        packets = [p for p, t in zip(packets, throttled) if not t]
-        fibers = [f for f, t in zip(fibers, throttled) if not t]
         control_summary = loop.summary()
     report = router.run(
         packets,
@@ -535,26 +529,16 @@ def _execute_router(scenario: Scenario, registry=None) -> dict:
         n_workers=scenario.workers,
         telemetry=registry,
     )
-    payload = {
-        "report": report_to_dict(report),
-        "telemetry": registry.to_dict() if registry is not None else None,
-    }
-    if control_summary is not None:
-        payload["control"] = control_summary
-    return payload
+    return report, control_summary
 
 
-def _execute_degradation(scenario: Scenario, registry=None) -> dict:
-    from ..faults.report import measure_degradation
-
+def _degradation_report(scenario: Scenario, registry):
+    """The :class:`~repro.faults.report.DegradationReport` of a
+    ``degradation`` or ``fault_cell`` scenario."""
     if scenario.fidelity == "flow":
         from ..flow import flow_degradation
 
-        if registry is None and scenario.telemetry:
-            from ..telemetry import MetricsRegistry
-
-            registry = MetricsRegistry()
-        report = flow_degradation(
+        return flow_degradation(
             scenario.config,
             schedule=scenario.schedule,
             load=scenario.load,
@@ -563,109 +547,26 @@ def _execute_degradation(scenario: Scenario, registry=None) -> dict:
             telemetry=registry,
             control=scenario.control,
         )
-        return {
-            "report": report.to_dict(),
-            "telemetry": registry.to_dict() if registry is not None else None,
-        }
-    if registry is None and scenario.telemetry:
-        from ..telemetry import MetricsRegistry
+    from ..faults.report import measure_degradation
 
-        registry = MetricsRegistry()
-    if scenario.control is not None:
-        from ..control.packet import measure_degradation_controlled
-
-        report, _ = measure_degradation_controlled(
-            scenario.config,
-            scenario.control,
-            schedule=scenario.schedule,
-            load=scenario.load,
-            duration_ns=scenario.duration_ns,
-            seed=scenario.seed,
-            n_intervals=scenario.n_intervals,
-            options=_options(scenario),
-            telemetry=registry,
-        )
-    else:
-        report = measure_degradation(
-            scenario.config,
-            schedule=scenario.schedule,
-            load=scenario.load,
-            duration_ns=scenario.duration_ns,
-            seed=scenario.seed,
-            n_intervals=scenario.n_intervals,
-            options=_options(scenario),
-            telemetry=registry,
-            workload=scenario.workload,
-        )
-    return {
-        "report": report.to_dict(),
-        "telemetry": registry.to_dict() if registry is not None else None,
-    }
-
-
-def _execute_fault_cell(scenario: Scenario) -> dict:
-    from ..faults.campaign import FaultScenario, execute_fault_scenario
-
-    if scenario.schedule is None:
-        raise ConfigError("fault_cell scenarios need a drawn schedule")
-    cell = FaultScenario(
-        index=scenario.tag if scenario.tag is not None else 0,
-        config=scenario.config,
+    return measure_degradation(
+        scenario.config,
         schedule=scenario.schedule,
         load=scenario.load,
         duration_ns=scenario.duration_ns,
         seed=scenario.seed,
         n_intervals=scenario.n_intervals,
-        control=scenario.control,
+        options=_options(scenario),
+        telemetry=registry,
         workload=scenario.workload,
-    )
-    if scenario.fidelity == "flow":
-        from ..flow import execute_fault_scenario_flow
-
-        return execute_fault_scenario_flow(cell)
-    return execute_fault_scenario(cell)
-
-
-def _execute_attack(scenario: Scenario) -> dict:
-    from ..adversary.campaign import AttackTrial, execute_attack_trial
-
-    if scenario.fidelity == "flow":
-        from ..flow import execute_attack_trial_flow
-
-        executor = execute_attack_trial_flow
-    else:
-        executor = execute_attack_trial
-    return executor(
-        AttackTrial(
-            index=scenario.tag if scenario.tag is not None else 0,
-            config=scenario.config,
-            splitter_kind=scenario.splitter_kind,
-            splitter_seed=scenario.splitter_seed,
-            strategy=scenario.strategy,
-            load=scenario.load,
-            duration_ns=scenario.duration_ns,
-            traffic_seed=(
-                scenario.traffic_seed
-                if scenario.traffic_seed is not None
-                else scenario.seed
-            ),
-            fault_schedule=scenario.schedule,
-            telemetry=scenario.telemetry,
-            control=scenario.control,
-            workload=scenario.workload,
-        )
+        control=scenario.control,
     )
 
 
-def _execute_fabric(scenario: Scenario, registry=None) -> dict:
+def _fabric_report(scenario: Scenario, registry):
     from ..fabric.engine import simulate_fabric
-    from ..reporting import report_to_dict
 
-    if registry is None and scenario.telemetry:
-        from ..telemetry import MetricsRegistry
-
-        registry = MetricsRegistry()
-    report = simulate_fabric(
+    return simulate_fabric(
         scenario.config,
         scenario.topology,
         routing=scenario.routing,
@@ -679,10 +580,208 @@ def _execute_fabric(scenario: Scenario, registry=None) -> dict:
         drain=scenario.drain,
         registry=registry,
     )
-    return {
-        "report": report_to_dict(report),
+
+
+def _fault_cell_summary(scenario: Scenario, registry) -> dict:
+    """One fault-campaign member: its degradation report, summarised in
+    the shape :class:`~repro.faults.campaign.CampaignResult` folds."""
+    if scenario.schedule is None:
+        raise ConfigError("fault_cell scenarios need a drawn schedule")
+    report = _degradation_report(scenario, registry)
+    summary = {
+        "scenario": scenario.tag if scenario.tag is not None else 0,
+        "n_events": len(scenario.schedule),
+        "fault_events": scenario.schedule.describe(),
+        "delivered_fraction": report.delivered_fraction,
+        "loss_fraction": report.loss_fraction,
+        "availability": report.availability(),
+        "offered_bytes": report.offered_bytes,
+        "delivered_bytes": report.delivered_bytes,
+        "lost_bytes": report.lost_bytes,
+    }
+    if report.control is not None:
+        summary["control"] = report.control
+    return summary
+
+
+def _attack_run(scenario: Scenario, splitter, weights, registry):
+    """The simulated half of an attack trial, the one step that depends
+    on fidelity: ``(RouterReport, throttled_bytes, control summary)``.
+
+    Both fidelities run ``drain=False``: a victim switch with deep HBM
+    does not drop, it falls behind, so the overload shows up as
+    residual.  Flow throttling is already a drop inside the report, so
+    flow returns zero throttled bytes.
+    """
+    config = scenario.config
+    strategy = scenario.strategy
+    control = scenario.control
+    windows = None
+    if control is not None:
+        from ..control.packet import attack_windows_for
+
+        windows = attack_windows_for(strategy, scenario.duration_ns)
+    if scenario.fidelity == "flow":
+        from ..flow.attack import _strategy_components
+        from ..flow.engine import simulate_flow_router
+
+        result = simulate_flow_router(
+            config,
+            _strategy_components(
+                strategy, config, scenario.load, scenario.duration_ns
+            ),
+            duration_ns=scenario.duration_ns,
+            drain=False,
+            weights=np.stack(weights),
+            splitter=splitter,
+            schedule=scenario.schedule,
+            telemetry=registry,
+            control=control,
+            attack_windows=windows,
+        )
+        return result.report, 0, result.control
+    from ..core.sps import SplitParallelSwitch
+
+    packets, fibers = strategy.build_workload(
+        config,
+        splitter,
+        scenario.load,
+        scenario.duration_ns,
+        _traffic_seed(scenario),
+        workload=scenario.workload,
+    )
+    throttled_bytes = 0
+    control_summary = None
+    if control is not None:
+        from ..control.packet import packet_control_prepass
+
+        packets, fibers, loop = packet_control_prepass(
+            config,
+            control,
+            packets,
+            fibers,
+            splitter,
+            scenario.duration_ns,
+            schedule=scenario.schedule,
+            attack_windows=windows,
+            telemetry=registry,
+        )
+        throttled_bytes = int(round(loop.throttled_bytes))
+        control_summary = loop.summary()
+    report = SplitParallelSwitch(config, splitter=splitter).run(
+        packets,
+        scenario.duration_ns,
+        fibers=fibers,
+        drain=False,
+        fault_schedule=scenario.schedule,
+        telemetry=registry,
+    )
+    return report, throttled_bytes, control_summary
+
+
+def _traffic_seed(scenario: Scenario) -> int:
+    if scenario.traffic_seed is not None:
+        return scenario.traffic_seed
+    return scenario.seed
+
+
+def _attack_summary(scenario: Scenario, registry) -> dict:
+    """One attack trial: the analytic view (the strategy's fiber weights
+    through the split algebra) and the simulated view, in the shape
+    :class:`~repro.adversary.campaign.AttackCampaignResult` folds.
+
+    The summary holds no wall-clock or worker information, so campaigns
+    serialise byte-identically whether they ran sequentially or on the
+    pool.
+    """
+    from ..adversary.campaign import make_splitter
+    from ..core.fiber_split import (
+        overload_loss_fraction,
+        per_switch_loads,
+        per_switch_port_loads,
+        split_imbalance,
+    )
+    from ..telemetry import record_victim_series, tag_attack_window
+
+    config = scenario.config
+    splitter = make_splitter(
+        scenario.splitter_kind,
+        config.fibers_per_ribbon,
+        config.n_switches,
+        seed=scenario.splitter_seed,
+    )
+    strategy = scenario.strategy
+    victim = strategy.victim_switch(splitter)
+
+    weights = strategy.fiber_weights(splitter, config.n_ribbons)
+    fiber_loads = [scenario.load * w for w in weights]
+    switch_loads = per_switch_loads(splitter, fiber_loads)
+    total = float(switch_loads.sum())
+    uniform_share = total / config.n_switches
+    worst = int(np.argmax(switch_loads))
+    target = victim if victim is not None else worst
+    victim_gain = float(switch_loads[target] / uniform_share)
+    port_loads = per_switch_port_loads(splitter, fiber_loads)
+    # Each switch port serves alpha of the ribbon's F fibers: capacity
+    # alpha/F = 1/H of the ribbon line rate, in the same load units.
+    overload = overload_loss_fraction(port_loads, 1.0 / config.n_switches)
+
+    if registry is not None:
+        tag_attack_window(
+            registry,
+            strategy=strategy.name,
+            splitter=scenario.splitter_kind,
+            victim=victim,
+            start_ns=0.0,
+            end_ns=scenario.duration_ns,
+        )
+    report, throttled_bytes, control_summary = _attack_run(
+        scenario, splitter, weights, registry
+    )
+    offered = report.per_switch_offered_bytes
+    sim_total = float(sum(offered))
+    sim_target = target if victim is not None else (
+        int(np.argmax(offered)) if sim_total > 0 else target
+    )
+    sim_victim_gain = (
+        float(offered[sim_target] * config.n_switches / sim_total)
+        if sim_total > 0
+        else 1.0
+    )
+    if registry is not None:
+        record_victim_series(registry, offered, victim)
+
+    # Offered bytes always count the throttled (backpressured) traffic:
+    # the control plane may convert losses, never shrink the offer.
+    offered_total = int(report.offered_bytes) + throttled_bytes
+    summary = {
+        "trial": scenario.tag if scenario.tag is not None else 0,
+        "splitter": scenario.splitter_kind,
+        "splitter_seed": scenario.splitter_seed,
+        "traffic_seed": _traffic_seed(scenario),
+        "strategy": strategy.describe(),
+        "victim_switch": target,
+        "victim_gain": victim_gain,
+        "split_imbalance": float(split_imbalance(switch_loads)),
+        "overload_loss_fraction": overload,
+        "sim_victim_switch": sim_target,
+        "sim_victim_gain": sim_victim_gain,
+        "sim_offered_bytes": offered_total,
+        "sim_delivered_fraction": (
+            report.delivered_bytes / offered_total if offered_total > 0 else 1.0
+        ),
+        "sim_loss_fraction": (
+            (report.lost_bytes + throttled_bytes) / offered_total
+            if offered_total > 0
+            else 0.0
+        ),
+        "sim_residual_bytes": int(report.residual_bytes),
+        "fault_events": list(report.fault_events),
         "telemetry": registry.to_dict() if registry is not None else None,
     }
+    if control_summary is not None:
+        summary["control"] = control_summary
+    return summary
 
 
 def execute_scenario(scenario: Scenario, registry=None, trace=None) -> dict:
@@ -694,25 +793,43 @@ def execute_scenario(scenario: Scenario, registry=None, trace=None) -> dict:
     :class:`~repro.telemetry.MetricsRegistry` or a
     :class:`~repro.sim.trace.TraceRecorder`; the runtime never passes
     them, so cached payloads stay pure functions of the scenario.
+    Without ``registry``, a ``telemetry=True`` scenario gets a fresh one.
 
     Payload shapes:
 
-    - ``switch``/``router``/``degradation`` -- ``{"report": <dict>,
-      "telemetry": <dump|None>}`` where ``report`` serialises exactly as
-      the pre-runtime CLI did;
+    - ``switch``/``router``/``degradation``/``fabric`` -- ``{"report":
+      <dict>, "telemetry": <dump|None>}`` (closed-loop router cells add
+      ``"control"``) where ``report`` serialises exactly as the
+      pre-runtime CLI did;
     - ``fault_cell``/``attack`` -- the flat campaign-member dict the
-      campaign aggregators have always consumed.
+      campaign aggregators have always consumed; both fidelities give
+      the same keys.
     """
-    if scenario.kind == "switch":
-        return _execute_switch(scenario, registry=registry, trace=trace)
-    if scenario.kind == "router":
-        return _execute_router(scenario, registry=registry)
-    if scenario.kind == "degradation":
-        return _execute_degradation(scenario, registry=registry)
-    if scenario.kind == "fault_cell":
-        return _execute_fault_cell(scenario)
-    if scenario.kind == "attack":
-        return _execute_attack(scenario)
-    if scenario.kind == "fabric":
-        return _execute_fabric(scenario, registry=registry)
-    raise ConfigError(f"unknown scenario kind {scenario.kind!r}")
+    if registry is None and scenario.telemetry:
+        from ..telemetry import MetricsRegistry
+
+        registry = MetricsRegistry()
+    kind = scenario.kind
+    if kind == "fault_cell":
+        return _fault_cell_summary(scenario, registry)
+    if kind == "attack":
+        return _attack_summary(scenario, registry)
+    from ..reporting import report_to_dict
+
+    control = None
+    if kind == "switch":
+        report = report_to_dict(_switch_report(scenario, registry, trace))
+    elif kind == "router":
+        result, control = _router_report(scenario, registry)
+        report = report_to_dict(result)
+    elif kind == "degradation":
+        report = _degradation_report(scenario, registry).to_dict()
+    else:
+        report = report_to_dict(_fabric_report(scenario, registry))
+    payload = {
+        "report": report,
+        "telemetry": registry.to_dict() if registry is not None else None,
+    }
+    if control is not None:
+        payload["control"] = control
+    return payload

@@ -213,6 +213,43 @@ class TestAttackParity:
         assert flow["sim_delivered_fraction"] >= packet["sim_delivered_fraction"]
 
 
+class TestShapeParity:
+    """Campaign members carry the same keys at both fidelities, so the
+    aggregates fold packet and flow cells alike."""
+
+    CELLS = {
+        "fault_cell": dict(
+            kind="fault_cell",
+            schedule=FaultSchedule(
+                [SwitchFailure(switch=0, start_ns=2_000.0, end_ns=6_000.0)]
+            ),
+            tag=0,
+        ),
+        "attack": dict(
+            kind="attack",
+            splitter_kind="contiguous",
+            strategy=make_strategy("burst-sync", victim=0),
+            tag=0,
+        ),
+    }
+
+    @pytest.mark.parametrize("closed_loop", [False, True])
+    @pytest.mark.parametrize("kind", sorted(CELLS))
+    def test_packet_and_flow_payloads_share_keys(self, kind, closed_loop):
+        from repro.control import ControlConfig
+
+        scenario = Scenario(
+            config=scaled_router(),
+            load=0.6,
+            duration_ns=8_000.0,
+            control=ControlConfig() if closed_loop else None,
+            **self.CELLS[kind],
+        )
+        packet, flow = both_fidelities(scenario)
+        assert set(packet) == set(flow)
+        assert ("control" in packet) == closed_loop
+
+
 class TestFlowDeterminism:
     def scenario(self, **kwargs):
         base = dict(load=0.7, duration_ns=DURATION, fidelity="flow")

@@ -22,7 +22,7 @@ from repro.faults.model import FiberCut, HBMChannelLoss, SwitchFailure
 from repro.flow import (
     RateComponent,
     flow_degradation,
-    flow_router_report,
+    flow_router_result,
     simulate_flow_router,
     simulate_flow_switch,
     uniform_rate_matrix,
@@ -119,12 +119,16 @@ class TestFlowSwitch:
 
 class TestFlowRouter:
     def test_admissible_uniform_delivers_everything(self):
-        report = flow_router_report(router_config(), load=0.7, duration_ns=DURATION)
+        report = flow_router_result(
+            router_config(), load=0.7, duration_ns=DURATION
+        ).report
         assert report.delivered_fraction == pytest.approx(1.0)
         assert report.loss_fraction == pytest.approx(0.0)
 
     def test_per_switch_conservation(self):
-        report = flow_router_report(router_config(), load=0.9, duration_ns=DURATION)
+        report = flow_router_result(
+            router_config(), load=0.9, duration_ns=DURATION
+        ).report
         for switch in report.switch_reports:
             assert (
                 switch.offered_bytes
@@ -138,9 +142,9 @@ class TestFlowRouter:
         # offered bytes hit the dead split and are failed at ingress.
         config = router_config()
         schedule = FaultSchedule.from_failed_switches([1])
-        report = flow_router_report(
+        report = flow_router_result(
             config, load=0.6, duration_ns=DURATION, schedule=schedule
-        )
+        ).report
         assert report.failed_switches == [1]
         assert report.delivered_fraction == pytest.approx(0.5, abs=1e-6)
         assert report.failed_offered_bytes == pytest.approx(
@@ -157,9 +161,9 @@ class TestFlowRouter:
         schedule = FaultSchedule(
             [SwitchFailure(switch=0, start_ns=5_000.0, end_ns=10_000.0)]
         )
-        report = flow_router_report(
+        report = flow_router_result(
             router_config(), load=0.6, duration_ns=DURATION, schedule=schedule
-        )
+        ).report
         assert report.delivered_fraction == pytest.approx(0.875, abs=1e-3)
         dead_drops = sum(
             s.drops_by_reason.get("switch-dead", 0) for s in report.switch_reports
@@ -172,9 +176,9 @@ class TestFlowRouter:
         schedule = FaultSchedule(
             [FiberCut(ribbon=0, fiber=0, start_ns=0.0, end_ns=DURATION / 2)]
         )
-        report = flow_router_report(
+        report = flow_router_result(
             router_config(), load=0.6, duration_ns=DURATION, schedule=schedule
-        )
+        ).report
         expected_loss = (1 / 8) * (1 / 4) * 0.5
         assert report.fault_lost_bytes > 0
         assert report.loss_fraction == pytest.approx(expected_loss, rel=1e-3)
@@ -206,9 +210,9 @@ class TestFlowRouter:
         runs = [
             json.dumps(
                 report_to_dict(
-                    flow_router_report(
+                    flow_router_result(
                         config, load=0.8, duration_ns=DURATION, schedule=schedule
-                    )
+                    ).report
                 ),
                 sort_keys=True,
             )
@@ -242,7 +246,7 @@ class TestSpeedup:
         flow_walls = []
         for _ in range(5):
             start = time.perf_counter()
-            flow = flow_router_report(config, load=load, duration_ns=duration_ns)
+            flow = flow_router_result(config, load=load, duration_ns=duration_ns).report
             flow_walls.append(time.perf_counter() - start)
         assert packet_wall / min(flow_walls) >= 100.0
         assert abs(flow.delivered_fraction - packet.delivered_fraction) <= 0.02
@@ -251,7 +255,7 @@ class TestSpeedup:
         # H = 16, 64 ribbons, 1 ms: a cell far beyond the packet engine.
         config = scaled_router(n_ribbons=64, fibers_per_ribbon=64, n_switches=16)
         start = time.perf_counter()
-        report = flow_router_report(config, load=0.7, duration_ns=1_000_000.0)
+        report = flow_router_result(config, load=0.7, duration_ns=1_000_000.0).report
         assert time.perf_counter() - start < 10.0
         assert report.offered_bytes / 1500.0 >= 1_000_000
 
@@ -266,9 +270,9 @@ class TestDrainResidual:
         schedule = FaultSchedule(
             [HBMChannelLoss(switch=0, n_channels=total, start_ns=0.0)]
         )
-        report = flow_router_report(
+        report = flow_router_result(
             config, load=0.6, duration_ns=DURATION, schedule=schedule
-        )
+        ).report
         starved = report.switch_reports[0]
         assert starved.delivered_bytes == 0
         assert starved.residual_bytes > 0
@@ -286,9 +290,9 @@ class TestDrainResidual:
                 )
             ]
         )
-        report = flow_router_report(
+        report = flow_router_result(
             config, load=0.4, duration_ns=DURATION, schedule=schedule
-        )
+        ).report
         assert report.delivered_fraction == pytest.approx(1.0, abs=1e-6)
 
 

@@ -101,6 +101,62 @@ class TestScenario:
         b = Scenario(kind="router", config=config, mode="parallel", workers=4)
         assert a.digest() == b.digest()
 
+    #: Per kind, fields its executor never reads, each at a non-default
+    #: value: accepting one would give one result two digests.
+    UNREAD = {
+        "degradation": {"packet_size": 64, "process": "onoff", "drain": False},
+        "fault_cell": {"packet_size": 64, "process": "onoff", "telemetry": True},
+        "attack": {
+            "packet_size": 64, "process": "onoff", "padding": False,
+            "bypass": False,
+        },
+        "fabric": {"packet_size": 64, "process": "onoff", "padding": False},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(UNREAD))
+    def test_fields_a_kind_does_not_read_are_rejected(self, kind):
+        from repro.adversary.strategies import make_strategy
+        from repro.fabric import ClosTopology
+        from repro.faults import FaultSchedule
+
+        base = {
+            "degradation": {},
+            "fault_cell": {"schedule": FaultSchedule.from_failed_switches([1])},
+            "attack": {
+                "splitter_kind": "contiguous",
+                "strategy": make_strategy("known-assignment"),
+            },
+            "fabric": {"topology": ClosTopology(k=2, stages=2)},
+        }[kind]
+        Scenario(kind=kind, config=scaled_router(), **base)
+        for name, value in self.UNREAD[kind].items():
+            with pytest.raises(ConfigError, match=f"{name} is not supported"):
+                Scenario(kind=kind, config=scaled_router(), **base, **{name: value})
+
+    def test_fault_cell_honours_pfi_options(self):
+        # A fault cell is the degradation report of the same fields, so
+        # it must run the PFI options it is given (with bypass off the
+        # outage costs an extra interval of availability here).
+        from repro.faults import FaultSchedule, SwitchFailure
+        from repro.runtime.scenario import execute_scenario
+
+        fields = dict(
+            config=scaled_router(),
+            load=0.6,
+            duration_ns=10_000.0,
+            schedule=FaultSchedule(
+                [SwitchFailure(switch=0, start_ns=2_000.0, end_ns=6_000.0)]
+            ),
+            bypass=False,
+        )
+        cell = execute_scenario(Scenario(kind="fault_cell", **fields))
+        report = execute_scenario(Scenario(kind="degradation", **fields))["report"]
+        for key in (
+            "delivered_bytes", "delivered_fraction", "lost_bytes",
+            "loss_fraction", "availability",
+        ):
+            assert cell[key] == report[key], key
+
 
 class TestResultCache:
     def test_roundtrip(self, tmp_path):
