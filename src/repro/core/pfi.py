@@ -16,8 +16,9 @@ Optional behaviours (the SS 4 latency optimisations and ablation knobs):
   the head SRAM, skipping the memory round-trip.
 - ``work_conserving_reads``: instead of the paper's strict cycle, skip
   to the next output that has a frame (ablation; strict is the default).
-- ``validate_hbm_timing``: execute the real command schedule of every
-  phase on the timing-checked controller -- any violation raises.
+- ``validate_hbm_timing``: check the real command schedule of every
+  phase on the timing-checked controller -- any violation raises, at
+  the latest when the engine stops.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ..config import HBMSwitchConfig
 from ..constants import HBM4_PHASE_TRANSITION_FRACTION
 from ..errors import ConfigError
 from ..hbm.controller import HBMController
-from ..hbm.interleaving import first_legal_start, generate_frame_schedule
+from ..hbm.interleaving import first_legal_start
 from ..hbm.commands import Op
 from ..hbm.timing import HBMTiming
 from ..sim.engine import Engine
@@ -165,8 +166,13 @@ class PFIEngine:
         self.engine.schedule(start, self._write_phase)
 
     def stop(self) -> None:
-        """Stop scheduling further phases (end of simulation)."""
+        """Stop scheduling further phases (end of simulation).
+
+        A validated run checks its last queued phases here.
+        """
         self._stopped = True
+        if self.options.validate_hbm_timing:
+            self.controller.flush()
 
     @property
     def cycle_duration(self) -> float:
@@ -385,20 +391,22 @@ class PFIEngine:
     # -- command-level validation ---------------------------------------------------
 
     def _execute_schedule(self, op: Op, address, now: float) -> None:
-        """Run this phase's real command schedule on the checked controller."""
+        """Queue this phase's real command schedule on the checked controller.
+
+        The controller checks queued phases a block at a time, and at
+        the latest when the engine stops, so a violation surfaces at a
+        flush -- before the switch returns its report.
+        """
         n_channels = self.controller.n_channels
         if self.faults is not None and self.faults.has_channel_faults:
             # Stripe only over the surviving channels (at least one; the
             # fully offline case never reaches a data phase).
             n_channels = max(1, n_channels - self.faults.channels_lost(now))
-        schedule = generate_frame_schedule(
-            op=op,
-            channels=range(n_channels),
-            group=address.group,
-            segment_bytes=self.config.segment_bytes,
-            row=address.row,
+        self.controller.queue_frame(
+            op,
+            n_channels,
+            address.group,
+            address.row,
             data_start=max(now, first_legal_start(self.timing)),
-            timing=self.timing,
-            channel_bytes_per_ns=self.config.stack.channel_bytes_per_ns,
+            segment_bytes=self.config.segment_bytes,
         )
-        self.controller.execute(schedule.commands)

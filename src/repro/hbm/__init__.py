@@ -14,8 +14,10 @@ The contract with the rest of the system:
 - :mod:`~repro.hbm.commands` -- ACT / WR / RD / PRE / REF command records.
 - :mod:`~repro.hbm.bank` / :mod:`~repro.hbm.channel` /
   :mod:`~repro.hbm.stack` -- the state machines.
-- :mod:`~repro.hbm.controller` -- validates whole schedules and measures
-  achieved bandwidth.
+- :mod:`~repro.hbm.verify` -- the same rules checked over blocks of
+  commands held as numpy arrays, with state carried between blocks.
+- :mod:`~repro.hbm.controller` -- validates whole schedules (through
+  :mod:`~repro.hbm.verify`) and measures achieved bandwidth.
 - :mod:`~repro.hbm.interleaving` -- bank interleaving groups, the gamma
   derivation, and the staggered frame schedule generator (the heart of
   PFI's memory access pattern).
@@ -32,16 +34,19 @@ from .interleaving import (
     bank_group_for_frame,
     derive_gamma,
     first_legal_start,
+    frame_schedule_block,
     generate_frame_schedule,
     max_concurrent_activations,
 )
 from .refresh import busy_intervals, free_gaps, plan_refreshes, refresh_slack_report
 from .stack import HBMStack
 from .timing import HBMTiming
+from .verify import CommandBlock
 
 __all__ = [
     "HBMTiming",
     "Command",
+    "CommandBlock",
     "Op",
     "Bank",
     "BankState",
@@ -55,6 +60,7 @@ __all__ = [
     "first_legal_start",
     "derive_gamma",
     "bank_group_for_frame",
+    "frame_schedule_block",
     "generate_frame_schedule",
     "max_concurrent_activations",
     "plan_refreshes",

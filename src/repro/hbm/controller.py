@@ -4,9 +4,22 @@ The controller owns the ``B`` stacks of one HBM switch as a flat channel
 space (channel ``i`` of stack ``s`` is flat index ``s * channels + i``).
 It does **no scheduling of its own** -- PFI's whole claim is that a
 deterministic, pre-computed schedule can hit peak rate, so the controller
-only (a) enforces every timing rule by delegating to the channel/bank
-state machines, (b) audits the concurrent-activation (current-draw)
-limit, and (c) accounts payload bytes against elapsed time.
+only (a) enforces every timing rule, (b) audits the concurrent-activation
+(current-draw) limit, and (c) accounts payload bytes against elapsed
+time.
+
+The rules are checked a block at a time by
+:class:`~repro.hbm.verify.TimingState`, which holds the state of every
+channel and bank as arrays; the :class:`~repro.hbm.channel.Channel` and
+:class:`~repro.hbm.bank.Bank` state machines are the reference it is
+tested against.  :meth:`HBMController.apply` is a one-command block, so
+it and :meth:`HBMController.execute` share that one state.
+
+PFI queues one row per phase (:meth:`HBMController.queue_frame`) instead
+of building its commands.  The queue is checked in blocks of
+:data:`FRAME_BLOCK` frames, and whenever controller state is read, so a
+violation surfaces at the next flush rather than in the phase that
+issued it.
 
 Write/read phase turnarounds (bus direction reversal, DQS preambles) are
 not modelled per-command; they are the "about 2%" transition overhead of
@@ -16,17 +29,24 @@ gap and measured in E4.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple, Union
+
+import numpy as np
 
 from ..config import HBMStackConfig
-from ..errors import ConfigError, TimingViolation
+from ..errors import ConfigError
 from ..units import bytes_per_ns_to_rate
 from .commands import Command, Op
-from .channel import Channel
-from .stack import HBMStack
+from .interleaving import BankGroup, frame_schedule_block
 from .timing import HBMTiming
+from .verify import CODE, Checked, CommandBlock, TimingState, application_order
+
+#: Frames per checked block of a PFI run.  Small blocks keep the
+#: verifier's temporaries, and so peak RSS, flat; on the
+#: ``switch_hbm_checked`` bench op, 32 would save about a fifth of the
+#: verifier's time for 1.6 % more peak RSS.
+FRAME_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -53,6 +73,28 @@ class ScheduleResult:
         return bytes_per_ns_to_rate(self.payload_bytes / self.duration_ns)
 
 
+@dataclass(frozen=True)
+class ChannelView:
+    """Read-only view of one channel of a controller."""
+
+    controller: "HBMController"
+    index: int
+
+    @property
+    def bytes_moved(self) -> int:
+        """Total payload bytes transferred over this channel's bus."""
+        return int(self.controller._timing_state().bytes_moved[self.index])
+
+    @property
+    def data_end_time(self) -> float:
+        """Completion time of the last data transfer on this channel."""
+        return float(self.controller._timing_state().data_end[self.index])
+
+    def available_at(self, t_ns: float) -> bool:
+        """Whether the channel responds to commands at ``t_ns``."""
+        return self.controller._state.available_at(self.index, t_ns)
+
+
 class HBMController:
     """Command-level controller for a group of HBM stacks."""
 
@@ -66,24 +108,25 @@ class HBMController:
             raise ConfigError(f"n_stacks must be positive, got {n_stacks}")
         self.stack_config = stack_config
         self.timing = timing
-        self.stacks: List[HBMStack] = [
-            HBMStack(stack_config, timing, base_channel=s * stack_config.channels)
-            for s in range(n_stacks)
-        ]
-        self._channels: List[Channel] = [
-            channel for stack in self.stacks for channel in stack.channels
-        ]
-        # Open-bank intervals per channel for the current-draw audit:
-        # channel -> {bank: act_time}; closed intervals accumulate below.
-        self._open_since: List[Dict[int, float]] = [dict() for _ in self._channels]
-        self._intervals: List[List[Tuple[float, float]]] = [[] for _ in self._channels]
-        # Incremental form of the same audit (see ``_track_act``): per
-        # channel the latest ACT time and a min-heap of close times later
-        # than it, plus the running peak.  ``_incremental`` drops to
-        # False for good once a caller breaks its ordering preconditions;
-        # the audit then falls back to ``_sweep_peak``.
-        self._last_act: List[float] = [-float("inf")] * len(self._channels)
-        self._pending_closes: List[List[float]] = [[] for _ in self._channels]
+        self.n_stacks = n_stacks
+        self._state = TimingState(
+            timing,
+            n_channels=n_stacks * stack_config.channels,
+            n_banks=stack_config.banks_per_channel,
+            bytes_per_ns=stack_config.channel_bytes_per_ns,
+            width_bits=stack_config.channel_width_bits,
+        )
+        # PFI phases not yet checked, one row each (``queue_frame``).
+        self._queued: List[Tuple[int, int, int, int, float, int, int]] = []
+        # Open-bank intervals ``(channel, open, close)`` closed so far,
+        # one array triple per block: the reference sweep's input.
+        self._intervals: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # Incremental form of the same audit (see ``_track``): the close
+        # times ``(channel, close)`` later than their channel's latest
+        # ACT, plus the running peak.  ``_incremental`` drops to False
+        # for good once a caller breaks its ordering preconditions; the
+        # audit then falls back to ``_sweep_peak``.
+        self._pending = (np.zeros(0, dtype=np.int64), np.zeros(0))
         self._peak = 0
         self._incremental = True
         self._executed = 0
@@ -93,24 +136,24 @@ class HBMController:
     @property
     def n_channels(self) -> int:
         """T: flat channel count across all stacks."""
-        return len(self._channels)
+        return self._state.n_channels
 
     @property
     def peak_bandwidth_bps(self) -> float:
         """Aggregate peak rate of all channels (81.92 Tb/s reference)."""
-        return sum(stack.peak_bandwidth_bps for stack in self.stacks)
+        return self.n_stacks * self.stack_config.stack_bandwidth_bps
 
     @property
     def bytes_moved(self) -> int:
-        return sum(stack.bytes_moved for stack in self.stacks)
+        return int(self._timing_state().bytes_moved.sum())
 
-    def channel(self, flat_index: int) -> Channel:
+    def channel(self, flat_index: int) -> ChannelView:
         """The channel at flat index 0 <= i < T."""
         if not 0 <= flat_index < self.n_channels:
             raise ConfigError(
                 f"channel {flat_index} out of range (T = {self.n_channels})"
             )
-        return self._channels[flat_index]
+        return ChannelView(self, flat_index)
 
     # -- fault injection -------------------------------------------------------
 
@@ -128,102 +171,164 @@ class HBMController:
         (command-level) run and the analytic drain stretch agree on
         which channels are gone.  Commands addressed to a dead channel
         inside the window raise :class:`~repro.errors.TimingViolation`
-        with rule ``channel-dead``.
+        with rule ``channel-dead``.  Frames already queued are checked
+        first, against the windows in force when they were queued.
         """
         if not 0 < n_channels <= self.n_channels:
             raise ConfigError(
                 f"channel loss must take 1..{self.n_channels} channels, "
                 f"got {n_channels}"
             )
-        for channel in self._channels[self.n_channels - n_channels:]:
-            channel.fail(start_ns, end_ns)
+        self.flush()
+        for channel in range(self.n_channels - n_channels, self.n_channels):
+            self._state.fail(channel, start_ns, end_ns)
 
     # -- execution ------------------------------------------------------------
 
     def apply(self, cmd: Command) -> None:
         """Apply one command, enforcing all timing rules."""
-        channel = self.channel(cmd.channel)
-        channel.apply(cmd)
-        self._executed += 1
-        if cmd.op is Op.ACT:
-            self._open_since[cmd.channel][cmd.bank] = cmd.time
-            if self._incremental:
-                self._track_act(cmd.channel, cmd.time)
-        elif cmd.op is Op.PRE:
-            opened = self._open_since[cmd.channel].pop(cmd.bank, None)
-            if opened is not None:
-                closes = cmd.time + self.timing.t_rp
-                self._intervals[cmd.channel].append((opened, closes))
-                if self._incremental:
-                    self._track_close(cmd.channel, closes)
+        self.flush()
+        self._run(CommandBlock.from_commands([cmd]))
 
-    def _track_act(self, channel: int, time: float) -> None:
-        """Raise the running peak by the banks open on ``channel`` at ``time``.
+    def queue_frame(
+        self,
+        op: Op,
+        n_channels: int,
+        group: BankGroup,
+        row: int,
+        data_start: float,
+        segment_bytes: int,
+    ) -> None:
+        """Queue one frame's schedule for the next flush.
 
-        With ACT times non-decreasing and every close later than the
-        latest ACT (``_track_close``), the banks open at ``time`` are the
-        ones still without a PRE plus the closed ones whose close is
-        later than ``time``; no later command can change that count, so
-        the maximum over ACTs equals the sweep's.
+        The frame is :func:`~repro.hbm.interleaving.generate_frame_schedule`'s
+        over channels ``0 .. n_channels - 1`` at this controller's
+        timing and channel rate.  A full block of :data:`FRAME_BLOCK`
+        frames is checked at once.
         """
-        if time < self._last_act[channel]:
-            self._incremental = False
-            return
-        self._last_act[channel] = time
-        pending = self._pending_closes[channel]
-        # A close at exactly ``time`` comes first, as in the sweep's sort.
-        while pending and pending[0] <= time:
-            heapq.heappop(pending)
-        count = len(self._open_since[channel]) + len(pending)
-        if count > self._peak:
-            self._peak = count
+        self._queued.append(
+            (CODE[op], n_channels, group.first_bank, row, data_start,
+             group.gamma, segment_bytes)
+        )
+        if len(self._queued) >= FRAME_BLOCK:
+            self.flush()
 
-    def _track_close(self, channel: int, closes: float) -> None:
-        """Record a bank close time for the incremental peak."""
-        if closes <= self._last_act[channel]:
-            # The interval ended at or before an ACT already counted it.
-            self._incremental = False
-            return
-        heapq.heappush(self._pending_closes[channel], closes)
+    def flush(self) -> None:
+        """Check every queued frame, through :meth:`execute`.
 
-    def execute(self, commands: Iterable[Command]) -> ScheduleResult:
+        Raises :class:`~repro.errors.TimingViolation` on the first
+        illegal command among them.
+        """
+        if not self._queued:
+            return
+        rows, self._queued = self._queued, []
+        block = frame_schedule_block(
+            *zip(*rows), self.timing, self.stack_config.channel_bytes_per_ns
+        )
+        self.execute(block)
+
+    def execute(self, commands: Union[CommandBlock, Iterable[Command]]) -> ScheduleResult:
         """Execute a whole schedule in time order and audit it.
 
-        Commands are sorted by ``(time, op-priority)`` -- at equal
-        timestamps PRE applies before ACT before column commands, which
-        matches how a real controller pipelines same-cycle commands.
-        Raises :class:`TimingViolation` on the first illegal command.
+        ``commands`` is a :class:`~repro.hbm.verify.CommandBlock` or any
+        iterable of :class:`Command`.  They are sorted by ``(time,
+        op-priority, channel, bank)`` -- at equal timestamps PRE applies
+        before ACT before column commands, which matches how a real
+        controller pipelines same-cycle commands.  Raises
+        :class:`TimingViolation` on the first illegal command; the
+        commands before it stay applied.
         """
-        ordered = sorted(
-            commands,
-            key=lambda c: (c.time, _OP_ORDER[c.op], c.channel, c.bank),
+        self.flush()
+        block = (
+            commands if isinstance(commands, CommandBlock)
+            else CommandBlock.from_commands(commands)
         )
-        if not ordered:
+        if not len(block):
             return ScheduleResult(0, 0.0, 0.0, 0, self.peak_open_banks())
-        payload = 0
-        data_start = float("inf")
-        data_end = -float("inf")
-        for cmd in ordered:
-            self.apply(cmd)
-            if cmd.op in (Op.WR, Op.RD):
-                payload += cmd.size_bytes
-                data_start = min(data_start, cmd.time)
-                data_end = max(
-                    data_end,
-                    cmd.time + self.channel(cmd.channel).transfer_time_ns(cmd.size_bytes),
-                )
-        if payload == 0:
-            data_start = ordered[0].time
-            data_end = ordered[-1].time
+        block = block.take(application_order(block))
+        checked = self._run(block)
+        column = checked.is_col
+        payload = int(block.size[column].sum())
+        if payload:
+            data_start = float(block.time[column].min())
+            data_end = float((block.time[column] + checked.xfer[column]).max())
+        else:
+            data_start = float(block.time[0])
+            data_end = float(block.time[-1])
         return ScheduleResult(
             payload_bytes=payload,
             start_ns=data_start,
             end_ns=data_end,
-            commands_executed=len(ordered),
+            commands_executed=len(block),
             peak_open_banks_per_channel=self.peak_open_banks(),
         )
 
+    def _run(self, block: CommandBlock) -> Checked:
+        """Check and apply ``block`` in its given order, then audit it."""
+        open_before = self._state.open_counts()
+        checked, error = self._state.apply(block)
+        self._executed += len(checked.block)
+        self._track(checked, open_before)
+        if error is not None:
+            raise error
+        return checked
+
+    def _timing_state(self) -> TimingState:
+        """The state of record, after every queued frame is applied."""
+        self.flush()
+        return self._state
+
     # -- audits ---------------------------------------------------------------
+
+    def _track(self, checked: Checked, open_before: np.ndarray) -> None:
+        """Fold one applied block into the open-bank audit.
+
+        Every PRE closes an interval ``(its bank's ACT, PRE + tRP)`` of
+        the sweep's history.  While every channel sees non-decreasing
+        ACT times and every close later than its channel's latest ACT,
+        the banks open at an ACT are the ones still without a PRE plus
+        the closed ones whose close is later -- no later command can
+        change that count -- so the running maximum over ACTs equals
+        the sweep's.  With ACTs and closes sorted per channel (a close
+        at an ACT's own time first, as in the sweep), the count at each
+        ACT is the channel's banks open before the block, plus its
+        pending closes, plus the ACTs so far, minus the closes so far.
+        """
+        # The PREs, in the per-bank order the bank state is kept in.
+        by_bank = checked.by_bank
+        pre = checked.is_pre[by_bank]
+        pres = by_bank[pre]
+        p_ch, p_close = checked.ch[pres], checked.block.time[pres] + self.timing.t_rp
+        if len(p_ch):
+            opened = checked.bank_state["last_act"][pre]
+            self._intervals.append((p_ch, opened, p_close))
+        if not self._incremental:
+            return
+        if np.any(checked.a_t < checked.a_prev) or np.any(
+            p_close <= checked.channel_last_act[pres]
+        ):
+            self._incremental = False
+            return
+        pend_ch, pend_close = self._pending
+        if len(checked.acts):
+            channel = np.concatenate((pend_ch, p_ch, checked.a_ch))
+            time = np.concatenate((pend_close, p_close, checked.a_t))
+            is_act = np.arange(len(channel)) >= len(pend_ch) + len(p_ch)
+            order = np.lexsort((is_act, time, channel))
+            channel, is_act = channel[order], is_act[order]
+            net = np.cumsum(np.where(is_act, 1, -1))
+            # Net count within each channel: subtract the running total
+            # at the channel's first event.
+            first = np.searchsorted(channel, channel, side="left")
+            net = net - (net[first] - np.where(is_act[first], 1, -1))
+            base = open_before + np.bincount(pend_ch, minlength=self.n_channels)
+            counts = base[channel] + net
+            self._peak = max(self._peak, int(counts[is_act].max()))
+        latest = self._state.recent_acts[:, 3]
+        channel = np.concatenate((pend_ch, p_ch))
+        close = np.concatenate((pend_close, p_close))
+        keep = close > latest[channel]
+        self._pending = (channel[keep], close[keep])
 
     def peak_open_banks(self) -> int:
         """Maximum simultaneously open banks seen on any channel.
@@ -231,32 +336,39 @@ class HBMController:
         The paper bounds this by four (the four-activation window /
         instantaneous-current argument that fixes gamma).  Cumulative
         over the controller's lifetime, including banks still open.
-        Kept incrementally, O(1) amortised per ACT, while every channel
-        sees non-decreasing ACT times and closes later than its latest
-        ACT -- true of PFI's frame trains even though a frame's leading
-        ACT precedes the previous frame's trailing PRE.  Other ``apply``
-        orders fall back to the exact sweep for good.
+        Kept incrementally, a sort per applied block, while every
+        channel sees non-decreasing ACT times and closes later than its
+        latest ACT -- true of PFI's frame trains even though a frame's
+        leading ACT precedes the previous frame's trailing PRE.  Other
+        ``apply`` orders fall back to the exact sweep for good.
         """
+        self.flush()
         if self._incremental:
             return self._peak
         return self._sweep_peak()
 
     def _sweep_peak(self) -> int:
         """Reference audit: a sweep over every recorded open interval."""
-        peak = 0
-        for channel_index, intervals in enumerate(self._intervals):
-            points: List[Tuple[float, int]] = []
-            for start, end in intervals:
-                points.append((start, 1))
-                points.append((end, -1))
-            for start in self._open_since[channel_index].values():
-                points.append((start, 1))
-            points.sort(key=lambda p: (p[0], p[1]))
-            count = 0
-            for _, delta in points:
-                count += delta
-                peak = max(peak, count)
-        return peak
+        state = self._state
+        open_banks = np.flatnonzero(state.is_open)
+        channels = [channel for channel, _, _ in self._intervals]
+        n_closed = sum(len(c) for c in channels)
+        channel = np.concatenate(channels * 2 + [open_banks // state.n_banks])
+        time = np.concatenate(
+            [start for _, start, _ in self._intervals]
+            + [end for _, _, end in self._intervals]
+            + [state.last_act[open_banks]]
+        )
+        delta = np.repeat([1, -1, 1], [n_closed, n_closed, len(open_banks)])
+        if not len(delta):
+            return 0
+        order = np.lexsort((delta, time, channel))
+        channel, delta = channel[order], delta[order]
+        running = np.cumsum(delta)
+        # Count within each channel: drop the total before its first point.
+        first = np.searchsorted(channel, channel, side="left")
+        running = running - (running[first] - delta[first])
+        return max(0, int(running.max()))
 
     def publish_telemetry(self, registry, switch: str) -> None:
         """Snapshot command-level counters into a telemetry registry.
@@ -266,6 +378,7 @@ class HBMController:
         per-channel counters the PFI engine records
         (``repro_hbm_channel_bytes_total``).
         """
+        state = self._timing_state()
         registry.gauge(
             "repro_hbm_controller_commands",
             "DRAM commands executed by the timing-checked controller",
@@ -281,15 +394,15 @@ class HBMController:
             "max simultaneously open banks on any channel (bound: 4)",
             switch=switch,
         ).set(float(self.peak_open_banks()))
-        elapsed = max(
-            (c.data_end_time for c in self._channels if c.bytes_moved), default=0.0
-        )
-        for channel in self._channels:
+        moved = state.bytes_moved > 0
+        elapsed = float(state.data_end[moved].max()) if moved.any() else 0.0
+        rate = self.stack_config.channel_bytes_per_ns
+        for index, moved_bytes in enumerate(state.bytes_moved.tolist()):
             registry.gauge(
                 "repro_hbm_channel_utilisation",
                 "fraction of channel peak rate used (command-level model)",
-                channel=str(channel.index), switch=switch,
-            ).set(channel.utilisation(elapsed))
+                channel=str(index), switch=switch,
+            ).set(moved_bytes / (rate * elapsed) if elapsed > 0 else 0.0)
 
     def efficiency(self, elapsed_ns: float) -> float:
         """Fraction of group peak bandwidth achieved over ``elapsed_ns``."""
@@ -297,7 +410,3 @@ class HBMController:
             return 0.0
         achieved = bytes_per_ns_to_rate(self.bytes_moved / elapsed_ns)
         return achieved / self.peak_bandwidth_bps
-
-
-#: Same-timestamp application order: close banks, then open, then move data.
-_OP_ORDER = {Op.PRE: 0, Op.REF: 1, Op.ACT: 2, Op.WR: 3, Op.RD: 3}

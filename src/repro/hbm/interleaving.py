@@ -18,12 +18,15 @@ row cycle tRC, subject to the four-activation limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence
+
+import numpy as np
 
 from ..errors import ConfigError
 from .commands import Command, Op
 from .timing import HBMTiming
+from .verify import ACT, CODE, PRE, CommandBlock
 
 #: The current-draw limit the paper cites: "at most four concurrent bank
 #: activations, to prevent the memory from drawing too much instantaneous
@@ -51,6 +54,8 @@ def derive_gamma(
     """
     if segment_time_ns <= 0:
         raise ConfigError(f"segment time must be positive, got {segment_time_ns}")
+    if max_activations < 1:
+        raise ConfigError(f"max_activations must be >= 1, got {max_activations}")
     gamma = 1
     while gamma * segment_time_ns < timing.t_rc:
         gamma += 1
@@ -136,6 +141,58 @@ def first_legal_start(timing: HBMTiming) -> float:
     return timing.t_rcd
 
 
+def frame_schedule_block(
+    ops: Sequence[int],
+    n_channels: Sequence[int],
+    first_banks: Sequence[int],
+    rows: Sequence[int],
+    data_starts: Sequence[float],
+    gammas: Sequence[int],
+    segment_bytes: Sequence[int],
+    timing: HBMTiming,
+    channel_bytes_per_ns: float,
+) -> CommandBlock:
+    """The staggered-interleaved commands of many frames, as one block.
+
+    Frame ``i`` moves data with op code ``ops[i]`` (``verify.WR`` or
+    ``verify.RD``) over channels ``0 .. n_channels[i] - 1`` and banks
+    ``first_banks[i] .. first_banks[i] + gammas[i] - 1``, starting its
+    data phase at ``data_starts[i]``.  Commands come frame by frame, then
+    bank position, then channel, then ACT, WR/RD, PRE -- the order
+    :func:`generate_frame_schedule` emits before it sorts.
+
+    For the bank in position ``p``, the data slot starts at ``data_start
+    + p * segment_time``, its ACT leads the slot by tRCD and its PRE
+    issues at ``max(act + t_ras, slot + segment_time)``: the per-frame
+    expressions, evaluated in the same float64 order, so times match
+    :func:`generate_frame_schedule` bit for bit.
+    """
+    n_channels = np.asarray(n_channels, dtype=np.int64)
+    per_frame = 3 * np.asarray(gammas, dtype=np.int64) * n_channels
+    frame = np.repeat(np.arange(len(per_frame)), per_frame)
+    offset = np.repeat(np.cumsum(per_frame) - per_frame, per_frame)
+    index = np.arange(len(frame)) - offset
+    kind = index % 3  # 0 ACT, 1 WR/RD, 2 PRE
+    lanes = n_channels[frame]
+    position = index // (3 * lanes)
+    segment = np.asarray(segment_bytes, dtype=np.int64)[frame]
+    segment_time = segment / channel_bytes_per_ns
+    slot = np.asarray(data_starts, dtype=np.float64)[frame] + position * segment_time
+    act = slot - timing.t_rcd
+    pre = np.maximum(act + timing.t_ras, slot + segment_time)
+    data = kind == 1
+    return CommandBlock(
+        time=np.where(kind == 0, act, np.where(data, slot, pre)),
+        channel=index // 3 % lanes,
+        bank=np.asarray(first_banks, dtype=np.int64)[frame] + position,
+        row=np.asarray(rows, dtype=np.int64)[frame],
+        op=np.where(
+            kind == 0, ACT, np.where(data, np.asarray(ops, dtype=np.int64)[frame], PRE)
+        ),
+        size=np.where(data, segment, 0),
+    )
+
+
 def generate_frame_schedule(
     op: Op,
     channels: Sequence[int],
@@ -158,7 +215,9 @@ def generate_frame_schedule(
 
     Segments on consecutive banks butt against each other on the data
     bus, so the bus never idles inside a frame -- that is the "peak data
-    rate" property E4 measures.
+    rate" property E4 measures.  The times come from
+    :func:`frame_schedule_block`; commands are sorted by time, PRE
+    before ACT before data at equal times.
     """
     if op not in (Op.WR, Op.RD):
         raise ConfigError(f"frame schedules move data; got {op}")
@@ -167,25 +226,16 @@ def generate_frame_schedule(
     if channel_bytes_per_ns <= 0:
         raise ConfigError(f"channel rate must be positive, got {channel_bytes_per_ns}")
 
+    block = frame_schedule_block(
+        [CODE[op]], [len(channels)], [group.first_bank], [row], [data_start],
+        [group.gamma], [segment_bytes], timing, channel_bytes_per_ns,
+    )
+    block = replace(block, channel=np.asarray(channels, dtype=np.int64)[block.channel])
+    order = np.lexsort((block.op != ACT, block.op != PRE, block.time))
     segment_time = segment_bytes / channel_bytes_per_ns
-    commands: List[Command] = []
-    for position, bank in enumerate(group.banks):
-        slot_start = data_start + position * segment_time
-        act_time = slot_start - timing.t_rcd
-        pre_time = max(act_time + timing.t_ras, slot_start + segment_time)
-        for channel in channels:
-            commands.append(Command(Op.ACT, channel, bank, row, act_time))
-            commands.append(
-                Command(op, channel, bank, row, slot_start, size_bytes=segment_bytes)
-            )
-            commands.append(Command(Op.PRE, channel, bank, row, pre_time))
-
-    data_end = data_start + group.gamma * segment_time
-    payload = group.gamma * segment_bytes * len(channels)
-    commands.sort(key=lambda c: (c.time, c.op is not Op.PRE, c.op is not Op.ACT))
     return FrameSchedule(
-        commands=commands,
+        commands=block.take(order).commands(),
         data_start=data_start,
-        data_end=data_end,
-        payload_bytes=payload,
+        data_end=data_start + group.gamma * segment_time,
+        payload_bytes=group.gamma * segment_bytes * len(channels),
     )

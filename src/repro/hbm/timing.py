@@ -59,7 +59,12 @@ class HBMTiming:
     refresh_duration_ns: float = 60.0
 
     def __post_init__(self) -> None:
-        for name in ("t_rcd", "t_rp", "t_ras", "t_faw", "t_ccd"):
+        # A refresh interval of 0 means "no refresh"; a negative one, or
+        # a negative duration, would plan refreshes of negative length.
+        for name in (
+            "t_rcd", "t_rp", "t_ras", "t_faw", "t_ccd",
+            "refresh_interval_ns", "refresh_duration_ns",
+        ):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} must be non-negative, got {value}")

@@ -1,10 +1,13 @@
 """Bank interleaving groups, the gamma derivation, frame schedules."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.hbm import (
     BankGroup,
+    Command,
     HBMTiming,
     Op,
     bank_group_for_frame,
@@ -13,6 +16,8 @@ from repro.hbm import (
     generate_frame_schedule,
     max_concurrent_activations,
 )
+from repro.hbm.interleaving import frame_schedule_block
+from repro.hbm.verify import CODE
 
 T = HBMTiming()
 SEGMENT_TIME = 12.8  # 1 KB over 80 B/ns
@@ -38,6 +43,13 @@ class TestDeriveGamma:
     def test_rejects_nonpositive_segment_time(self):
         with pytest.raises(ConfigError):
             derive_gamma(T, 0.0)
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_rejects_activation_limit_below_one(self, limit):
+        # One segment alone covers tRC here, which used to return 1
+        # without ever checking the limit.
+        with pytest.raises(ConfigError, match="max_activations"):
+            derive_gamma(T, 51.2, max_activations=limit)
 
 
 class TestConcurrentActivations:
@@ -149,3 +161,68 @@ class TestFrameSchedule:
         )
         assert len(rd.commands) == len(wr.commands)
         assert rd.duration_ns == wr.duration_ns
+
+
+def frame_by_loop(op, channels, group, segment_bytes, row, data_start, timing, rate):
+    """One frame's commands built command by command: the reference the
+    array form must match bit for bit."""
+    segment_time = segment_bytes / rate
+    commands = []
+    for position, bank in enumerate(group.banks):
+        slot_start = data_start + position * segment_time
+        act_time = slot_start - timing.t_rcd
+        pre_time = max(act_time + timing.t_ras, slot_start + segment_time)
+        for channel in channels:
+            commands.append(Command(Op.ACT, channel, bank, row, act_time))
+            commands.append(Command(op, channel, bank, row, slot_start, segment_bytes))
+            commands.append(Command(Op.PRE, channel, bank, row, pre_time))
+    commands.sort(key=lambda c: (c.time, c.op is not Op.PRE, c.op is not Op.ACT))
+    return commands
+
+
+frames = st.tuples(
+    st.sampled_from([Op.WR, Op.RD]),
+    st.integers(1, 6),  # channels
+    st.integers(0, 3),  # group
+    st.integers(0, 7),  # row
+    st.floats(0.0, 1e6, allow_nan=False),  # data start
+)
+
+
+class TestOneScheduleFormula:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(frames, min_size=1, max_size=5),
+        st.integers(1, 4),  # gamma
+        st.integers(1, 64).map(lambda bursts: 32 * bursts),  # segment bytes
+        st.sampled_from([20.0, 80.0, 33.3]),  # channel rate
+        st.floats(15.0, 60.0),  # t_ras
+    )
+    def test_block_matches_per_command_loop(self, frame_list, gamma, segment, rate, t_ras):
+        timing = HBMTiming(t_ras=t_ras)
+        block = frame_schedule_block(
+            [CODE[op] for op, *_ in frame_list],
+            [n for _, n, *_ in frame_list],
+            [group * gamma for _, _, group, *_ in frame_list],
+            [row for *_, row, _ in frame_list],
+            [start for *_, start in frame_list],
+            [gamma] * len(frame_list),
+            [segment] * len(frame_list),
+            timing,
+            rate,
+        )
+        expected = []
+        for op, n, group, row, start in frame_list:
+            frame = frame_by_loop(
+                op, range(n), BankGroup(group, gamma), segment, row, start, timing, rate
+            )
+            wrapped = generate_frame_schedule(
+                op, range(n), BankGroup(group, gamma), segment, row, start, timing, rate
+            )
+            assert wrapped.commands == frame
+            expected += frame
+
+        def key(c):
+            return (c.time, c.op.value, c.channel, c.bank)
+
+        assert sorted(block.commands(), key=key) == sorted(expected, key=key)

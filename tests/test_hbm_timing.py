@@ -35,6 +35,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             HBMTiming(t_rcd=20.0, t_ras=10.0)
 
+    @pytest.mark.parametrize("field", ["refresh_interval_ns", "refresh_duration_ns"])
+    def test_rejects_negative_refresh(self, field):
+        with pytest.raises(ConfigError, match=field):
+            HBMTiming(**{field: -1.0})
+
+    def test_zero_refresh_interval_means_no_refresh(self):
+        timing = HBMTiming(refresh_interval_ns=0.0)
+        assert timing.refresh_overhead_fraction(64) == 0.0
+
 
 class TestBursts:
     def test_burst_bytes_64bit_bl4(self):
