@@ -119,12 +119,13 @@ def test_e10_per_switch_traffic_matrices_even_out(benchmark):
         packets = gen.materialize(40_000.0)
         sps = SplitParallelSwitch(config)
         fibers = assign_fibers(packets, config.fibers_per_ribbon)
-        parts = sps.partition_packets(packets, fibers)
+        switches = sps.switch_index([p.input_port for p in packets], fibers)
         matrices = []
-        for part in parts:
+        for h in range(config.n_switches):
             m = np.zeros((config.n_ribbons, config.n_ribbons))
-            for p in part:
-                m[p.input_port, p.output_port] += p.size_bytes
+            for p, switch in zip(packets, switches):
+                if switch == h:
+                    m[p.input_port, p.output_port] += p.size_bytes
             matrices.append(m / max(m.sum(), 1))
         mean_matrix = np.mean(matrices, axis=0)
         deviation = max(

@@ -14,6 +14,8 @@ Layout mirrors Fig. 1 (package level) and Fig. 3 (switch level):
 - :mod:`address` -- the no-bookkeeping HBM FIFO region addressing.
 - :mod:`pfi` -- the Parallel Frame Interleaving engine: write/read phase
   alternation, staggered bank interleaving, padding and bypass.
+- :mod:`ingest` -- the array-native arrival cursor: arrivals stay numpy
+  arrays and are never heap events.
 - :mod:`hbm_switch` -- the discrete-event simulation wiring it together.
 """
 

@@ -3,6 +3,8 @@
 Stages and their timing:
 
 1. Packets arrive at input ports (O/E already done); batches form.
+   Arrivals are numpy blocks read by the switch's ingest cursor
+   (:mod:`repro.core.ingest`), never one event each.
 2. Each port sends one batch per batch-time over the cyclical crossbar;
    a batch lands in the tail SRAM one batch-time after it leaves.
 3. The tail SRAM aggregates frames; the PFI engine alternates HBM write
@@ -20,18 +22,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
+import numpy as np
+
 from ..config import HBMSwitchConfig
-from ..errors import SimulationError
+from ..errors import ConfigError, SimulationError
 from ..hbm.timing import HBMTiming
 from ..sim.engine import Engine
 from ..sim.stats import LatencyRecorder
 from ..traffic.packet import Packet
+from ..traffic.stream import ArrivalBlock, arrival_order
 from ..units import bytes_per_ns_to_rate, rate_to_bytes_per_ns
 from .address import HBMAddressMap
 from .frames import Frame
 from .head_sram import HeadSRAM
+from .ingest import Ingest
 from .input_port import InputPort
-from .output_port import OutputPort
+from .output_port import FlowIndex, OutputPort
 from .pfi import PFICounters, PFIEngine, PFIOptions
 from .tail_sram import TailSRAM
 
@@ -116,10 +122,13 @@ class HBMSwitch:
         #: the historical bit-exact statistics; internet-scale streaming
         #: runs (10^7+ packets) set it to keep memory flat.
         self._latency_sample_cap = latency_sample_cap
+        #: Flow interning, egress lanes and flow-order state, shared
+        #: by the output ports.
+        self.flows = FlowIndex(config.n_ports, n_egress_fibers, n_egress_wavelengths)
         self.outputs = [
             OutputPort(
                 config, j, n_egress_fibers, n_egress_wavelengths, telemetry,
-                latency_sample_cap=latency_sample_cap,
+                latency_sample_cap=latency_sample_cap, flows=self.flows,
             )
             for j in range(config.n_ports)
         ]
@@ -154,6 +163,10 @@ class HBMSwitch:
         # conversion each packet pays on its way into the switch.
         self._oeo_ns_per_byte = 1.0 / rate_to_bytes_per_ns(config.port_rate_bps)
         self._draining = [False] * config.n_ports
+        #: The arrival cursor the engine reads (no heap event per arrival).
+        self._ingest = Ingest(self)
+        self.engine.attach_arrivals(self._ingest)
+        self._rows_offered = 0
         self._inflight_batch_payload = 0
         self._offered_bytes = 0
         self._offered_packets = 0
@@ -166,70 +179,40 @@ class HBMSwitch:
 
     # -- stage plumbing -------------------------------------------------------
 
-    def _on_packet(self, packet: Packet) -> None:
-        now = self.engine.now
-        if self.faults is not None and self.faults.dead_at(now):
-            # The switch is down: the arrival is lost at the (dead)
-            # input port.  Recorded as a drop, never as residual, so
-            # offered = delivered + dropped + residual still holds.
-            self.inputs[packet.input_port].drops.record(
-                packet.size_bytes, reason="switch-dead"
+    def _record_drop(self, reason: str, port: int, output: int, size: int, now: float) -> None:
+        """Telemetry/trace for one dropped arrival (cold path)."""
+        if self.telemetry is not None:
+            self.telemetry.drop(reason, size)
+            self.telemetry.win_dropped.observe(now, size)
+        if self.trace is not None:
+            self.trace.record(
+                now, "switch", "drop",
+                reason=reason, input=port, output=output, size=size,
             )
-            self._observe_drop("switch-dead", packet, now)
-            return
-        if self.fib is not None:
-            output = self.fib.classify(packet)
-            if output is None or not 0 <= output < self.config.n_ports:
-                self.inputs[packet.input_port].drops.record(
-                    packet.size_bytes, reason="no-route"
-                )
-                self._observe_drop("no-route", packet, now)
-                return
-            packet.output_port = output
-        port = self.inputs[packet.input_port]
-        dropped_before = port.drops.dropped_bytes
-        emitted = port.on_packet(packet, now)
-        if port.drops.dropped_bytes == dropped_before:
-            self._residual_payload += packet.size_bytes
-            if self.telemetry is not None:
-                self.telemetry.packets_in.inc()
-                self.telemetry.bytes_in.inc(packet.size_bytes)
-                # One O/E conversion per packet: serialisation at the
-                # port rate (the SPS single-conversion property).
-                self.telemetry.oeo.observe(
-                    packet.size_bytes * self._oeo_ns_per_byte
-                )
-                self.telemetry.win_bytes_in.observe(now, packet.size_bytes)
-                self.telemetry.win_occupancy.observe(now, self._residual_payload)
-        else:
-            self._observe_drop("input-sram-overflow", packet, now)
-        for batch in emitted:
+
+    def _emit(self, port_index: int, batches, now: float) -> bool:
+        """Queue batches an arrival completed; True when this starts the
+        port's crossbar drain (an internal event at ``now``)."""
+        port = self.inputs[port_index]
+        for batch in batches:
+            port.enqueue(batch)
             if self.telemetry is not None:
                 # Batch aggregation wait: first completing packet's
                 # arrival to batch emission (0 for pure-straddle batches
                 # that complete no packet).
-                wait = now - batch.completing[0].arrival_ns if batch.completing else 0.0
+                first = batch.first_arrival_ns()
+                wait = now - first if first is not None else 0.0
                 self.telemetry.batch.observe(max(0.0, wait))
             if self.trace is not None:
                 self.trace.record(
                     now, "switch", "batch_formed",
-                    input=packet.input_port, output=batch.output,
-                    payload=batch.payload_bytes, packets=len(batch.completing),
+                    input=port_index, output=batch.output,
+                    payload=batch.payload_bytes, packets=batch.completing_count,
                 )
-        if emitted and not self._draining[packet.input_port]:
-            self._schedule_drain(packet.input_port, now)
-
-    def _observe_drop(self, reason: str, packet: Packet, now: float) -> None:
-        """Telemetry/trace for one dropped packet (cold path)."""
-        if self.telemetry is not None:
-            self.telemetry.drop(reason, packet.size_bytes)
-            self.telemetry.win_dropped.observe(now, packet.size_bytes)
-        if self.trace is not None:
-            self.trace.record(
-                now, "switch", "drop",
-                reason=reason, input=packet.input_port,
-                output=packet.output_port, size=packet.size_bytes,
-            )
+        if self._draining[port_index]:
+            return False
+        self._schedule_drain(port_index, now)
+        return True
 
     def _schedule_drain(self, port_index: int, at: float) -> None:
         self._draining[port_index] = True
@@ -239,10 +222,11 @@ class HBMSwitch:
         """Send one batch across the crossbar; self-reschedules."""
         now = self.engine.now
         port = self.inputs[port_index]
-        batch = port.pop_batch(now)
+        batch = port.pop_batch(now, self._ingest.occupancy(port_index))
         if batch is None:
             self._draining[port_index] = False
             return
+        self._ingest.moved(port_index, -batch.size_bytes)
         self._inflight_batch_payload += batch.payload_bytes
         arrival = now + self.config.batch_time_ns
         self.engine.schedule(arrival, lambda: self._batch_arrives(batch))
@@ -312,6 +296,8 @@ class HBMSwitch:
 
     def residual_payload_bytes(self) -> int:
         """Payload still inside the switch (queues + flight), by rescan."""
+        for port in self.inputs:
+            port.position = self._ingest.position
         input_bytes = sum(p.partial_bytes for p in self.inputs)
         input_fifo = sum(
             batch.payload_bytes for p in self.inputs for batch in p.fifo
@@ -369,48 +355,80 @@ class HBMSwitch:
         arrivals) until the switch empties or ``max_drain_ns`` passes,
         so latency statistics cover every delivered packet.
 
-        The eager path is a one-block stream: begin, offer every
-        arrival, finish -- the streaming calls, so both paths fire the
-        same events in the same order.
+        The Packet-list entry point: the list becomes one
+        :class:`~repro.traffic.stream.ArrivalBlock` (arrivals stably
+        sorted by time) and runs as a one-block stream.  Each delivered
+        packet gets its ``departure_ns`` and egress ``fiber`` /
+        ``wavelength`` written back once the run ends.
         """
+        ordered = [packets[k] for k in arrival_order(packets)]
+        departures = np.zeros(len(ordered))
+        lanes = np.full(len(ordered), -1, dtype=np.int64)
+        for output in self.outputs:
+            output.record = (departures, lanes)
         self.stream_begin()
-        self.stream_offer(packets, duration_ns)
-        return self.stream_finish(duration_ns, drain, max_drain_ns)
+        self.stream_offer(ArrivalBlock.from_packets(ordered, duration_ns), duration_ns)
+        report = self.stream_finish(duration_ns, drain, max_drain_ns)
+        for output in self.outputs:
+            output.record = None
+        wavelengths = self.flows.ecmp.n_wavelengths
+        for packet, departure, lane in zip(ordered, departures.tolist(), lanes.tolist()):
+            if lane >= 0:
+                packet.departure_ns = departure
+                packet.fiber, packet.wavelength = divmod(lane, wavelengths)
+        return report
 
     # -- streaming ingest ---------------------------------------------------------
 
     def stream_begin(self) -> None:
         """Start the PFI engine ahead of the first ``stream_offer``.
 
-        Arrivals outrank the PFI's internal events at equal timestamps
-        (priority classes), so offering after the start fires the same
-        events in the same order as offering before it would.
+        Arrivals outrank the PFI's internal events at equal timestamps,
+        so offering after the start fires the same events in the same
+        order as offering before it would.
         """
         self.pfi.start()
 
-    def stream_offer(self, packets: Sequence[Packet], duration_ns: float) -> None:
-        """Schedule one block's arrivals (those inside ``[0, duration_ns)``).
+    def stream_offer(self, block: ArrivalBlock, duration_ns: float) -> None:
+        """Queue one block's arrivals (those inside ``[0, duration_ns)``).
 
         Blocks must be fed in time order; an arrival before the
         engine's current time raises
-        :class:`~repro.errors.SimulationError`.
+        :class:`~repro.errors.SimulationError`, and a port outside the
+        switch's N ports :class:`~repro.errors.ConfigError`.
         """
-        for packet in packets:
-            if packet.arrival_ns >= duration_ns:
-                continue
-            self._offered_bytes += packet.size_bytes
-            self._offered_packets += 1
-            self.engine.schedule_arrival(
-                packet.arrival_ns, lambda p=packet: self._on_packet(p)
+        n = len(block)
+        positions = np.arange(self._rows_offered, self._rows_offered + n)
+        self._rows_offered += n
+        if n and block.times[-1] >= duration_ns:
+            keep = block.times < duration_ns
+            block = block.select(keep)
+            positions = positions[keep]
+        if not len(block):
+            return
+        n_ports = self.config.n_ports
+        if block.inputs.max() >= n_ports or (
+            self.fib is None and block.outputs.max() >= n_ports
+        ):
+            raise ConfigError(
+                f"arrival ports must be below the switch's {n_ports} ports, got "
+                f"input {int(block.inputs.max())} / output {int(block.outputs.max())}"
             )
+        if block.times[0] < self.engine.now:
+            raise SimulationError(
+                f"arrival at t={block.times[0]:.3f} ns offered after the "
+                f"engine reached {self.engine.now:.3f} ns"
+            )
+        self._offered_bytes += block.total_bytes
+        self._offered_packets += len(block)
+        self._ingest.offer(block, positions)
 
     def stream_advance(self, until: float) -> None:
         """Run the pipeline up to -- but excluding -- ``until``.
 
         Events at exactly ``until`` stay queued: the next block may
-        carry arrivals at that instant, and they must enter the heap
-        before the boundary's internal events fire so priority ordering
-        matches the eager run.
+        carry arrivals at that instant, and they must be ingested
+        before the boundary's internal events fire.
         """
         self.engine.run(until=until, inclusive=False)
 
@@ -440,14 +458,14 @@ class HBMSwitch:
 
         ``blocks`` is any iterable of
         :class:`~repro.traffic.stream.ArrivalBlock` (typically
-        ``source.blocks(duration_ns)``).  Each block's packets are
-        scheduled and the engine advanced to the block boundary before
-        the next block is pulled, so at most one block of arrivals is
-        ever materialized -- the bounded-memory ingest path.
+        ``source.blocks(duration_ns)``).  Each block is offered and the
+        engine advanced to the block boundary before the next block is
+        pulled, so at most one block of arrivals is held at a time --
+        the bounded-memory ingest path.
         """
         self.stream_begin()
         for block in blocks:
-            self.stream_offer(block.to_packets(), duration_ns)
+            self.stream_offer(block, duration_ns)
             self.stream_advance(min(block.end_ns, duration_ns))
         return self.stream_finish(duration_ns, drain, max_drain_ns)
 
@@ -459,6 +477,7 @@ class HBMSwitch:
         if self.options.padding:
             for port in self.inputs:
                 batches = port.flush_partials(self.engine.now)
+                self._ingest.moved(port.port, sum(b.padding_bytes for b in batches))
                 if batches and not self._draining[port.port]:
                     self._schedule_drain(port.port, self.engine.now)
         deadline = duration_ns + max_drain_ns
@@ -556,9 +575,11 @@ class HBMSwitch:
             "repro_hbm_peak_frames", "peak frames resident in the HBM",
             switch=label,
         ).set(float(self._hbm_peak_frames))
+        # Each ingested arrival counts as one event, so the gauge does
+        # not depend on how arrivals reach the switch.
         registry.gauge(
             "repro_engine_events", "discrete events fired by this switch's engine",
             switch=label,
-        ).set(float(self.engine.events_fired))
+        ).set(float(self.engine.events_fired + self._ingest.ingested))
         if self.pfi.controller is not None:
             self.pfi.controller.publish_telemetry(registry, label)

@@ -9,17 +9,28 @@ cyclical crossbar.
 The SRAM is finite: when a packet would push the port's occupancy past
 ``sram_capacity_bytes`` it is dropped (tail-drop), which is how the
 simulator surfaces overload instead of buffering infinitely.
+
+Arrivals come a block at a time (:meth:`InputPort.load`): the port keeps
+its arrivals' block positions and a cumulative byte sum, so its
+occupancy at any point of the block is one binary search away and the
+per-output :class:`~repro.core.frames.BatchAssembler` queues cut batches
+without a per-packet step.  Occupancy only grows between crossbar pops,
+so the owning switch checks admission per batch (it walks packets only
+when the SRAM could actually overflow) and the occupancy tracker,
+sampled at every pop, flush and block end, sees the exact peak.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Deque, List, Optional
 
+import numpy as np
+
 from ..config import HBMSwitchConfig
 from ..sim.stats import DropCounter, OccupancyTracker
-from ..traffic.packet import Packet
-from .frames import Batch, BatchAssembler
+from .frames import _NO_BYTES, _NO_ROWS, Batch, BatchAssembler, int_array
 
 
 class InputPort:
@@ -38,24 +49,44 @@ class InputPort:
         if sram_capacity_bytes is None:
             sram_capacity_bytes = 64 * config.n_ports * config.batch_bytes
         self.sram_capacity_bytes = sram_capacity_bytes
-        self._assemblers = [
+        self.assemblers = [
             BatchAssembler(output, config.batch_bytes) for output in range(config.n_ports)
         ]
         self.fifo: Deque[Batch] = deque()
         self.drops = DropCounter()
         self.occupancy = OccupancyTracker()
         self._fifo_bytes = 0
-        # Maintained at enqueue/dequeue time so the occupancy check in
-        # on_packet (and the switch's residual accounting) is O(1)
-        # instead of a sum over N assemblers per packet.
-        self._partial_bytes = 0
+        # Payload admitted before the loaded block, and payload moved
+        # out of the partial batches into emitted ones.
+        self._admitted = 0
+        self._batched = 0
+        # The loaded block: block position and cumulative size of each
+        # arrival (leading 0), and bytes dropped on admission so far.
+        self._rows = _NO_ROWS
+        self._cum = _NO_BYTES
+        self._dropped = 0
+        #: Block position the owner has ingested up to (see
+        #: :attr:`partial_bytes`).
+        self.position = 0
 
     # -- state ---------------------------------------------------------------
+
+    def admitted_bytes(self, position: int) -> int:
+        """Payload admitted from arrivals before block ``position``."""
+        return (
+            self._admitted
+            + self._cum[bisect_left(self._rows, position)]
+            - self._dropped
+        )
+
+    def occupancy_at(self, position: int) -> int:
+        """SRAM occupancy once arrivals before ``position`` are in."""
+        return self.admitted_bytes(position) - self._batched + self._fifo_bytes
 
     @property
     def partial_bytes(self) -> int:
         """Bytes sitting in not-yet-complete batches."""
-        return self._partial_bytes
+        return self.admitted_bytes(self.position) - self._batched
 
     @property
     def occupancy_bytes(self) -> int:
@@ -67,45 +98,62 @@ class InputPort:
 
     # -- dataplane ---------------------------------------------------------------
 
-    def on_packet(self, packet: Packet, now: float) -> List[Batch]:
-        """Accept one packet; returns batches completed by it.
+    def load(self, rows: np.ndarray, sizes: np.ndarray) -> None:
+        """Take one block's arrivals: their block positions and sizes;
+        the per-output split is loaded into :attr:`assemblers` by the
+        owner."""
+        self._rows = int_array(rows)
+        self._cum = int_array(np.concatenate(([0], np.cumsum(sizes))))
+        self._dropped = 0
 
-        Completed batches are also appended to :attr:`fifo`; the switch
-        schedules the crossbar drain.  An overflowing packet is dropped
-        whole (no partial admission).
+    def drop(self, size: int) -> None:
+        """An arrival of the loaded block was tail-dropped on admission
+        (the owner decides and records it)."""
+        self._dropped += size
+
+    def enqueue(self, batch: Batch) -> None:
+        """Queue a completed batch for the crossbar."""
+        self.fifo.append(batch)
+        self._fifo_bytes += batch.size_bytes
+        self._batched += batch.payload_bytes
+
+    def close_block(self, now: Optional[float]) -> None:
+        """Every arrival of the loaded block is in (the last at ``now``;
+        ``None`` for a block without arrivals here)."""
+        self._admitted += self._cum[-1] - self._dropped
+        self._rows = _NO_ROWS
+        self._cum = _NO_BYTES
+        self._dropped = 0
+        self.position = 0
+        for assembler in self.assemblers:
+            assembler.close_block()
+        if now is not None:
+            self.occupancy.observe(self.occupancy_bytes, now)
+
+    def pop_batch(self, now: float, occupancy: Optional[int] = None) -> Optional[Batch]:
+        """Remove the head-of-line batch for transmission.
+
+        ``occupancy`` is the current occupancy when the caller already
+        knows it.
         """
-        if packet.size_bytes + self.occupancy_bytes > self.sram_capacity_bytes:
-            self.drops.record(packet.size_bytes, reason="input-sram-overflow")
-            return []
-        assembler = self._assemblers[packet.output_port]
-        fill_before = assembler.fill_bytes
-        emitted = assembler.add(packet, now)
-        self._partial_bytes += assembler.fill_bytes - fill_before
-        for batch in emitted:
-            self.fifo.append(batch)
-            self._fifo_bytes += batch.size_bytes
-        self.occupancy.observe(self.occupancy_bytes, now)
-        return emitted
-
-    def pop_batch(self, now: float) -> Optional[Batch]:
-        """Remove the head-of-line batch for transmission."""
         if not self.fifo:
             return None
+        if occupancy is None:
+            occupancy = self.occupancy_bytes
+        # The peak is reached just before a pop (arrivals only add).
+        self.occupancy.observe(occupancy, now)
         batch = self.fifo.popleft()
         self._fifo_bytes -= batch.size_bytes
-        self.occupancy.observe(self.occupancy_bytes, now)
+        self.occupancy.observe(occupancy - batch.size_bytes, now)
         return batch
 
     def flush_partials(self, now: float) -> List[Batch]:
         """Pad out all partial batches (used at drain time with padding on)."""
         flushed = []
-        for assembler in self._assemblers:
-            fill_before = assembler.fill_bytes
+        for assembler in self.assemblers:
             batch = assembler.flush(now)
             if batch is not None:
-                self._partial_bytes -= fill_before
-                self.fifo.append(batch)
-                self._fifo_bytes += batch.size_bytes
+                self.enqueue(batch)
                 flushed.append(batch)
         if flushed:
             self.occupancy.observe(self.occupancy_bytes, now)

@@ -7,19 +7,78 @@ wavelengths by flow 5-tuple, as in ECMP/LAG (SS 3.2 step 6).
 Transmission is modelled analytically: the port is a single server at
 the line rate; a frame's packets depart back-to-back in batch order
 (padding is discarded in the cut-back step and consumes no wire time).
+Packets are recorded as arrays: a port buffers its transmitted frames
+and settles them in one numpy pass -- departures, latencies and their
+stage breakdown, lane bytes, the flow-order check -- every
+:data:`SETTLE_PACKETS` packets and whenever a statistic is read, in
+transmission order, so the figures are those of a per-packet loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..config import HBMSwitchConfig
 from ..errors import OrderingViolation
 from ..sim.stats import LatencyRecorder, ThroughputMeter
 from ..traffic.ecmp import EcmpSelector
-from ..traffic.packet import Packet
 from ..units import rate_to_bytes_per_ns
-from .frames import Frame
+from .frames import Frame, segment_rows
+
+#: Transmitted packets an output port buffers before recording them in
+#: one pass (see :meth:`OutputPort.settle`).
+SETTLE_PACKETS = 1_024
+
+
+class FlowIndex:
+    """Per-switch flow state: egress lane and flow-order bookkeeping.
+
+    Flows arrive as blocks' flow tables; :meth:`intern` maps each
+    distinct :class:`~repro.traffic.flows.FiveTuple` to a switch-wide
+    id once, hashes its egress lane once, and gives every (flow,
+    output) pair an order key whose last delivered pid
+    (:attr:`last_pid`, -1 before any) the output ports check.
+    """
+
+    def __init__(self, n_ports: int, n_fibers: int = 4, n_wavelengths: int = 16):
+        self.n_ports = n_ports
+        self.ecmp = EcmpSelector(n_fibers, n_wavelengths)
+        self._ids: Dict[object, int] = {}
+        self._lanes = np.empty(64, dtype=np.int64)
+        self._keys: Dict[int, int] = {}
+        self.last_pid = np.full(64, -1, dtype=np.int64)
+
+    def intern(self, flows: Sequence, flow_ids: np.ndarray, outputs: np.ndarray):
+        """``(lanes, order_keys)`` for packets whose flows are
+        ``flows[flow_ids]`` and whose outputs are ``outputs``."""
+        used, inverse = np.unique(flow_ids, return_inverse=True)
+        ids = self._ids
+        fresh = []
+        for flow in (flows[k] for k in used.tolist()):
+            if flow not in ids:
+                ids[flow] = len(ids)
+                fresh.append(flow)
+        if len(ids) > self._lanes.size:
+            self._lanes = np.resize(self._lanes, 2 * len(ids))
+        for flow in fresh:
+            self._lanes[ids[flow]] = self.ecmp.lane_index(flow)
+        gids = np.fromiter((ids[flows[k]] for k in used.tolist()), np.int64, used.size)
+        flow_gids = gids[inverse]
+        keys = flow_gids * self.n_ports + outputs
+        unique_keys, key_inverse = np.unique(keys, return_inverse=True)
+        table = self._keys
+        key_ids = np.fromiter(
+            (table.setdefault(k, len(table)) for k in unique_keys.tolist()),
+            np.int64,
+            unique_keys.size,
+        )
+        if len(table) > self.last_pid.size:
+            grown = np.full(2 * len(table), -1, dtype=np.int64)
+            grown[: self.last_pid.size] = self.last_pid
+            self.last_pid = grown
+        return self._lanes[flow_gids], key_ids[key_inverse]
 
 
 class OutputPort:
@@ -33,6 +92,7 @@ class OutputPort:
         n_wavelengths: int = 16,
         telemetry=None,
         latency_sample_cap=None,
+        flows: FlowIndex = None,
     ):
         self.config = config
         self.port = port
@@ -41,37 +101,79 @@ class OutputPort:
         self.telemetry = telemetry
         self._rate = rate_to_bytes_per_ns(config.port_rate_bps)
         self._busy_until = 0.0
-        self.ecmp = EcmpSelector(n_fibers, n_wavelengths)
+        #: Flow ids, lanes and order state, shared by a switch's ports.
+        self.flows = (
+            flows if flows is not None
+            else FlowIndex(config.n_ports, n_fibers, n_wavelengths)
+        )
+        self.ecmp = self.flows.ecmp
         self.throughput = ThroughputMeter()
         #: ``latency_sample_cap`` bounds the retained latency samples
         #: (seeded reservoir) for internet-scale streaming runs; the
         #: default ``None`` keeps every sample, bit-identical to the
         #: historical recorder.
-        self.latency = LatencyRecorder(capacity=latency_sample_cap)
-        #: Where the nanoseconds go, per delivered packet: time to fill
-        #: its batch, to fill its frame, the HBM round-trip wait, and the
-        #: egress drain.  Components sum to the total latency.
-        self.breakdown = {
+        self._latency = LatencyRecorder(capacity=latency_sample_cap)
+        # Where the nanoseconds go, per delivered packet: time to fill
+        # its batch, to fill its frame, the HBM round-trip wait, and the
+        # egress drain.  Components sum to the total latency.
+        self._breakdown = {
             "batch_fill": LatencyRecorder(capacity=latency_sample_cap),
             "frame_fill": LatencyRecorder(capacity=latency_sample_cap),
             "hbm_wait": LatencyRecorder(capacity=latency_sample_cap),
             "egress": LatencyRecorder(capacity=latency_sample_cap),
         }
-        #: Optional per-departure callback ``sink(packet)`` fired the
-        #: instant a packet's departure time is stamped -- the streaming
-        #: degradation path bins delivered bytes here instead of
-        #: post-scanning a materialized packet list.
+        #: Optional ``sink(departures_ns, sizes)`` fed the aligned
+        #: departure times and sizes of delivered packets, in
+        #: transmission order, one settled chunk at a time -- the
+        #: streaming degradation path bins delivered bytes here.
         self.departure_sink = None
-        self._flow_last_pid: Dict[Tuple[int, int, int, int, int], int] = {}
+        #: Optional ``(departures, lanes)`` arrays indexed by ingest row:
+        #: when set, each delivered packet's departure time and egress
+        #: lane are written there (the Packet-list entry point's
+        #: write-back).
+        self.record = None
         #: Optional fault hook (:mod:`repro.faults`): maps a timestamp to
         #: the egress-rate factor in (0, 1] -- OEO/laser degradation.
         #: ``None`` keeps the exact nominal-rate path.
         self.rate_factor_fn = None
-        self.ordering_violations = 0
         self.padding_discarded_bytes = 0
-        #: Bytes sent per (fiber, wavelength) egress lane -- the ECMP
-        #: spreading that E10/SS 4 relies on, observable per port.
-        self.lane_bytes: Dict[Tuple[int, int], int] = {}
+        self._violations = 0
+        self._lane_bytes = np.zeros(self.ecmp.n_lanes, dtype=np.int64)
+        # Transmitted frames whose packets are not yet recorded, and
+        # how many packets they complete.
+        self._pending: List[tuple] = []
+        self._pending_packets = 0
+
+    @property
+    def latency(self) -> LatencyRecorder:
+        """Per delivered packet: departure minus arrival."""
+        self.settle()
+        return self._latency
+
+    @property
+    def breakdown(self) -> Dict[str, LatencyRecorder]:
+        """Where the nanoseconds go, per delivered packet: time to fill
+        its batch, to fill its frame, the HBM round-trip wait, and the
+        egress drain.  Components sum to the total latency."""
+        self.settle()
+        return self._breakdown
+
+    @property
+    def ordering_violations(self) -> int:
+        """Delivered packets whose flow had already delivered a later pid."""
+        self.settle()
+        return self._violations
+
+    @property
+    def lane_bytes(self) -> Dict[Tuple[int, int], int]:
+        """Bytes sent per (fiber, wavelength) egress lane -- the ECMP
+        spreading that E10/SS 4 relies on, observable per port."""
+        self.settle()
+        wavelengths = self.ecmp.n_wavelengths
+        return {
+            divmod(lane, wavelengths): int(self._lane_bytes[lane])
+            for lane in np.flatnonzero(self._lane_bytes).tolist()
+        }
 
     @property
     def busy_until(self) -> float:
@@ -81,84 +183,129 @@ class OutputPort:
     def transmit_frame(self, frame: Frame, ready_ns: float) -> float:
         """Send a frame's payload onto the wire; returns its finish time.
 
-        Packets depart at the instant their last byte leaves.  Padding
-        (batch filler and missing batches of padded frames) is dropped
-        at the cut-back step and takes no wire time.
+        Packets depart at the instant their batch's last byte leaves.
+        Padding (batch filler and missing batches of padded frames) is
+        dropped at the cut-back step and takes no wire time.
         """
-        start = max(ready_ns, self._busy_until)
-        cursor = start
+        cursor = max(ready_ns, self._busy_until)
+        telemetry = self.telemetry
+        finishes = []
+        created = []
+        counts = []
+        segments = []
         for batch in frame.batches:
             if batch.payload_bytes > 0:
-                cursor = self._transmit_batch(batch, cursor, frame, ready_ns)
+                rate = self._rate
+                if self.rate_factor_fn is not None:
+                    # Degraded OEO: the factor is sampled at batch start
+                    # (a batch is the atomic wire unit; windows are >>
+                    # one batch time).
+                    rate = self._rate * self.rate_factor_fn(cursor)
+                finish = cursor + batch.payload_bytes / rate
+                self.throughput.record(batch.payload_bytes, finish)
+                if telemetry is not None:
+                    # Output drain: wire time of this batch's payload
+                    # (longer under OEO degradation).
+                    telemetry.drain.observe(finish - cursor)
+                    telemetry.bytes_out.inc(batch.payload_bytes)
+                    telemetry.win_bytes_out.observe(finish, batch.payload_bytes)
+                if batch.completing:
+                    finishes.append(finish)
+                    created.append(batch.created_ns)
+                    counts.append(batch.completing_count)
+                    segments.extend(batch.completing)
+                cursor = finish
             self.padding_discarded_bytes += batch.padding_bytes
         # Whole missing batches of a padded frame: pure filler.
         missing = frame.size_bytes - sum(b.size_bytes for b in frame.batches)
         self.padding_discarded_bytes += max(0, missing)
         self._busy_until = cursor
+        if segments:
+            packets = sum(counts)
+            self._pending.append(
+                (frame.created_ns, ready_ns, packets, segments, finishes, created, counts)
+            )
+            self._pending_packets += packets
+            if self._pending_packets >= SETTLE_PACKETS:
+                self.settle()
         return cursor
 
-    def _transmit_batch(self, batch, start_ns: float, frame: Frame, ready_ns: float) -> float:
-        """Transmit one batch's payload; finalise its completing packets."""
-        rate = self._rate
-        if self.rate_factor_fn is not None:
-            # Degraded OEO: the factor is sampled at batch start (a batch
-            # is the atomic wire unit; windows are >> one batch time).
-            rate = self._rate * self.rate_factor_fn(start_ns)
-        finish = start_ns + batch.payload_bytes / rate
-        # Packets complete in arrival (pid) order within the batch; model
-        # their last bytes as spread to the batch end in order.
-        for packet in batch.completing:
-            packet.departure_ns = finish
-            if self.departure_sink is not None:
-                self.departure_sink(packet)
-            packet.fiber, packet.wavelength = self.ecmp.select(packet.flow)
-            lane = (packet.fiber, packet.wavelength)
-            self.lane_bytes[lane] = self.lane_bytes.get(lane, 0) + packet.size_bytes
-            self.latency.record(packet.departure_ns - packet.arrival_ns)
-            self._record_breakdown(packet, batch, frame, ready_ns, finish)
-            self._check_order(packet)
-        self.throughput.record(batch.payload_bytes, finish)
-        if self.telemetry is not None:
-            # Output drain: wire time of this batch's payload (longer
-            # under OEO degradation -- the rate factor is inside).
-            self.telemetry.drain.observe(finish - start_ns)
-            self.telemetry.packets_out.inc(len(batch.completing))
-            self.telemetry.bytes_out.inc(batch.payload_bytes)
-            self.telemetry.win_bytes_out.observe(finish, batch.payload_bytes)
-        return finish
+    def settle(self) -> None:
+        """Record the departures of every transmitted frame not yet
+        recorded, in transmission order, as one set of array operations.
 
-    def _record_breakdown(self, packet, batch, frame: Frame, ready_ns: float, finish: float) -> None:
-        """Decompose the packet's latency along the pipeline stages.
-
-        Stage boundaries are the timestamps the objects already carry:
-        batch completion, frame completion, frame arrival at the head
-        SRAM (``ready_ns``), and wire departure.  Clamped at zero for
-        the rare bypass/padding paths where a later stage's timestamp
-        precedes an earlier one's bookkeeping time.
+        Reading any per-packet statistic settles first, so the figures
+        are those of recording each frame as it leaves.
         """
-        t_arrival = packet.arrival_ns
-        t_batch = max(batch.created_ns, t_arrival)
-        t_frame = max(frame.created_ns, t_batch)
-        t_ready = max(ready_ns, t_frame)
-        self.breakdown["batch_fill"].record(t_batch - t_arrival)
-        self.breakdown["frame_fill"].record(t_frame - t_batch)
-        self.breakdown["hbm_wait"].record(t_ready - t_frame)
-        self.breakdown["egress"].record(max(0.0, finish - t_ready))
-
-    def _check_order(self, packet: Packet) -> None:
-        """Flows must not reorder: pids within a flow are monotonic."""
-        key = (
-            packet.flow.src_ip,
-            packet.flow.dst_ip,
-            packet.flow.src_port,
-            packet.flow.dst_port,
-            packet.flow.protocol,
+        if not self._pending:
+            return
+        pending = self._pending
+        self._pending = []
+        self._pending_packets = 0
+        segments = [segment for frame in pending for segment in frame[3]]
+        counts = [count for frame in pending for count in frame[6]]
+        fields = ("times", "sizes", "lanes", "okeys", "pids")
+        if self.record is not None:
+            fields += ("rows",)
+        arrivals, sizes, lanes, keys, pids, *rows = segment_rows(segments, *fields)
+        departures = np.repeat([f for frame in pending for f in frame[4]], counts)
+        per_frame = [frame[2] for frame in pending]
+        # Stage boundaries are the timestamps the objects carry: batch
+        # completion, frame completion, arrival at the head SRAM
+        # (``ready_ns``) and wire departure -- clamped at zero for the
+        # bypass/padding paths where a later stage's timestamp precedes
+        # an earlier one's bookkeeping time.
+        t_batch = np.maximum(
+            np.repeat([c for frame in pending for c in frame[5]], counts), arrivals
         )
-        last = self._flow_last_pid.get(key)
-        if last is not None and packet.pid < last:
-            self.ordering_violations += 1
-        else:
-            self._flow_last_pid[key] = packet.pid
+        t_frame = np.maximum(np.repeat([frame[0] for frame in pending], per_frame), t_batch)
+        t_ready = np.maximum(np.repeat([frame[1] for frame in pending], per_frame), t_frame)
+        self._latency.record_many(departures - arrivals)
+        self._breakdown["batch_fill"].record_many(t_batch - arrivals)
+        self._breakdown["frame_fill"].record_many(t_frame - t_batch)
+        self._breakdown["hbm_wait"].record_many(t_ready - t_frame)
+        self._breakdown["egress"].record_many(np.maximum(0.0, departures - t_ready))
+        self._lane_bytes += np.bincount(
+            lanes, weights=sizes, minlength=self._lane_bytes.size
+        ).astype(np.int64)
+        self._check_order(keys, pids)
+        if self.telemetry is not None:
+            self.telemetry.packets_out.inc(departures.size)
+        if self.departure_sink is not None:
+            self.departure_sink(departures, sizes)
+        if self.record is not None:
+            record_departures, record_lanes = self.record
+            record_departures[rows[0]] = departures
+            record_lanes[rows[0]] = lanes
+
+    def _check_order(self, keys: np.ndarray, pids: np.ndarray) -> None:
+        """Flows must not reorder: pids within a flow are monotonic.
+
+        A packet is out of order when its pid is below the largest pid
+        its flow delivered before it (the per-packet running-max check,
+        evaluated per flow group at once).
+        """
+        last = self.flows.last_pid
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        pids = pids[order]
+        new_group = np.empty(keys.size, dtype=bool)
+        new_group[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
+        starts = np.flatnonzero(new_group)
+        seeds = last[keys[starts]]
+        # Shift every group above the one before it so one running max
+        # serves all groups; +1 lifts the "no pid yet" seed of -1 to 0.
+        span = int(max(pids.max(), seeds.max())) + 2
+        group = np.cumsum(new_group) - 1
+        offset = group * span
+        shifted = pids + 1 + offset
+        previous = np.empty_like(shifted)
+        previous[0] = 0
+        np.maximum.accumulate(shifted[:-1], out=previous[1:])
+        np.maximum(previous, seeds[group] + 1 + offset, out=previous)
+        self._violations += int(np.count_nonzero(shifted < previous))
+        last[keys[starts]] = np.maximum(seeds, np.maximum.reduceat(pids, starts))
 
     def raise_on_reorder(self) -> None:
         """Escalate recorded reorderings (used by integration tests)."""

@@ -28,6 +28,7 @@ from ..photonics.oeo import OEOConverter
 from ..sim.parallel import SwitchWorkUnit, finish_switch, open_switch, run_work_units
 from ..traffic.ecmp import hash_to_choice
 from ..traffic.packet import Packet
+from ..traffic.stream import ArrivalBlock, arrival_order
 from ..units import bytes_per_ns_to_rate
 from .fiber_split import FiberSplitter, PseudoRandomSplitter, split_imbalance
 from .hbm_switch import SwitchReport
@@ -37,15 +38,30 @@ from .pfi import PFIOptions
 RUN_MODES = ("sequential", "parallel", "auto")
 
 
-def assign_fibers(packets: Sequence[Packet], n_fibers: int, salt: int = 0xECA) -> List[int]:
+def assign_fibers(traffic, n_fibers: int, salt: int = 0xECA):
     """Pick the arrival fiber of each packet by upstream ECMP/LAG hash.
 
     Flow-stable: all packets of a flow use the same fiber, so the split
-    cannot reorder a flow.
+    cannot reorder a flow.  ``traffic`` is an
+    :class:`~repro.traffic.stream.ArrivalBlock` (returns a fiber array,
+    hashing each entry of its flow table once) or a packet list
+    (returns a list, hashing each distinct flow once).
     """
     if n_fibers <= 0:
         raise ConfigError(f"n_fibers must be positive, got {n_fibers}")
-    return [hash_to_choice(p.flow, n_fibers, salt) for p in packets]
+    if isinstance(traffic, ArrivalBlock):
+        table = np.fromiter(
+            (hash_to_choice(flow, n_fibers, salt) for flow in traffic.flows),
+            np.int64,
+            len(traffic.flows),
+        )
+        return table[traffic.flow_ids]
+    fibers: Dict = {}
+    return [
+        fibers[p.flow] if p.flow in fibers
+        else fibers.setdefault(p.flow, hash_to_choice(p.flow, n_fibers, salt))
+        for p in traffic
+    ]
 
 
 @dataclass
@@ -223,6 +239,10 @@ class SplitParallelSwitch:
         self._assignments = [
             self.splitter.assignment(r) for r in range(config.n_ribbons)
         ]
+        self._assignment_table = np.array(
+            [self.splitter.assignment_array(r) for r in range(config.n_ribbons)],
+            dtype=np.int64,
+        ).reshape(config.n_ribbons, config.fibers_per_ribbon)
 
     def switch_for(self, ribbon: int, fiber: int) -> int:
         """Which HBM switch serves (ribbon, fiber)."""
@@ -232,16 +252,22 @@ class SplitParallelSwitch:
             raise ConfigError(f"fiber {fiber} out of range")
         return self._assignments[ribbon][fiber]
 
-    def partition_packets(
-        self, packets: Sequence[Packet], fibers: Sequence[int]
-    ) -> List[List[Packet]]:
-        """Split a packet stream into per-switch streams by arrival fiber."""
-        if len(packets) != len(fibers):
-            raise ConfigError("packets and fibers must align")
-        per_switch: List[List[Packet]] = [[] for _ in range(self.config.n_switches)]
-        for packet, fiber in zip(packets, fibers):
-            per_switch[self.switch_for(packet.input_port, fiber)].append(packet)
-        return per_switch
+    def switch_index(self, ribbons: np.ndarray, fibers: np.ndarray) -> np.ndarray:
+        """:meth:`switch_for` over aligned arrays, range-checked."""
+        ribbons = np.asarray(ribbons, dtype=np.int64)
+        fibers = np.asarray(fibers, dtype=np.int64)
+        if ribbons.size:
+            if ribbons.min() < 0 or ribbons.max() >= self.config.n_ribbons:
+                raise ConfigError(
+                    f"ribbon {int(ribbons.max())} out of range "
+                    f"(router has {self.config.n_ribbons})"
+                )
+            if fibers.min() < 0 or fibers.max() >= self.config.fibers_per_ribbon:
+                raise ConfigError(
+                    f"fiber out of range [{int(fibers.min())}, {int(fibers.max())}] "
+                    f"(ribbons have {self.config.fibers_per_ribbon})"
+                )
+        return self._assignment_table[ribbons, fibers]
 
     def run(
         self,
@@ -256,12 +282,15 @@ class SplitParallelSwitch:
     ) -> RouterReport:
         """Simulate the whole router on an eager packet list.
 
-        The eager path is a one-block stream: ``packets`` form a single
-        batch ending at ``duration_ns`` and take the same split,
-        simulation and report assembly as :meth:`run_stream`, so the
-        two entry points cannot drift apart.  ``fibers[i]`` is packet
-        i's arrival fiber within its ribbon; by default fibers are
-        chosen by upstream ECMP hash.
+        The Packet-list entry point: ``packets`` become one
+        :class:`~repro.traffic.stream.ArrivalBlock` (stably sorted by
+        arrival time) and take the same split, simulation and report
+        assembly as :meth:`run_stream`, so the two entry points cannot
+        drift apart.  The packets themselves are not modified
+        (``departure_ns`` is not written back; stream with a
+        ``departure_sink`` to observe departures).  ``fibers[i]`` is
+        packet i's arrival fiber within its ribbon; by default fibers
+        are chosen by upstream ECMP hash.
 
         ``fault_schedule`` (a :class:`~repro.faults.FaultSchedule`)
         injects timed faults: whole-run switch deaths lose their traffic
@@ -276,12 +305,11 @@ class SplitParallelSwitch:
         ``mode`` selects where the H independent simulations execute:
 
         - ``"sequential"`` (default): one after another in this process.
-        - ``"parallel"``: each live switch's slice ships as a
+        - ``"parallel"``: each live switch's arrival arrays ship as a
           :class:`~repro.sim.parallel.SwitchWorkUnit` to a process pool
           of ``n_workers`` (default: CPU count).  Reports are merged in
           switch-index order, so the result is byte-identical to
-          sequential mode; the caller's packet objects are, however,
-          simulated as copies (``departure_ns`` is not written back).
+          sequential mode.
         - ``"auto"``: parallel when it can help (several live switches
           and several CPUs), sequential otherwise.
 
@@ -297,10 +325,16 @@ class SplitParallelSwitch:
         """
         if mode not in RUN_MODES:
             raise ConfigError(f"mode must be one of {RUN_MODES}, got {mode!r}")
+        if fibers is not None and len(fibers) != len(packets):
+            raise ConfigError("packets and fibers must align")
+        order = arrival_order(packets)
+        block = ArrivalBlock.from_packets([packets[k] for k in order], duration_ns)
         if fibers is None:
-            fibers = assign_fibers(packets, self.config.fibers_per_ribbon)
+            fibers = assign_fibers(block, self.config.fibers_per_ribbon)
+        else:
+            fibers = np.asarray(fibers, dtype=np.int64)[order]
         return self._simulate(
-            [(packets, fibers, duration_ns)],
+            [(block, fibers)],
             duration_ns,
             drain=drain,
             fault_schedule=fault_schedule,
@@ -325,24 +359,24 @@ class SplitParallelSwitch:
 
         The bounded-memory ingest path: ``blocks`` is any iterable of
         :class:`~repro.traffic.stream.ArrivalBlock` (typically
-        ``source.blocks(duration_ns)``).  Each block is one batch of
-        the core :meth:`run` also uses: it is partitioned across the H
-        switches and every engine is advanced to the block boundary
-        before the next block is pulled, so at most one block of
-        packets is ever materialized.  Reports -- and telemetry dumps
-        -- do not depend on the block count, so they are byte-identical
-        to :meth:`run` fed the concatenated packets
+        ``source.blocks(duration_ns)``).  Each block is split across
+        the H switches as arrays and every engine is advanced to the
+        block boundary before the next block is pulled, so at most one
+        block of arrivals is held at a time.  Reports -- and telemetry
+        dumps -- do not depend on the block count, so they are
+        byte-identical to :meth:`run` fed the concatenated packets
         (``mode="sequential"``); the switches advance in lockstep with
         the source, so there is no ``mode`` knob here.
 
-        ``fibers_fn(packets, block)`` supplies per-packet arrival
-        fibers for one block (default: the upstream ECMP hash of
+        ``fibers_fn(block)`` returns the block's per-packet arrival
+        fibers as an array (default: the upstream ECMP hash of
         :func:`assign_fibers` -- stateless, so chunking cannot change
         it; stateful policies carry their cursors in a closure).
 
-        ``departure_sink(packet)`` fires per delivered packet at
-        departure-stamp time on every switch -- the streaming
-        degradation path bins delivered bytes here.
+        ``departure_sink(departures_ns, sizes)`` receives, on every
+        switch, aligned arrays of delivered packets' departure times
+        and sizes, in transmission order, a chunk at a time -- the
+        streaming degradation path bins delivered bytes here.
         ``latency_sample_cap`` bounds retained latency samples per
         output port (see :class:`~repro.sim.stats.LatencyRecorder`);
         both default to off, keeping the bit-exact historical path.
@@ -350,13 +384,12 @@ class SplitParallelSwitch:
 
         def batches():
             for block in blocks:
-                packets = block.to_packets()
                 fibers = (
-                    fibers_fn(packets, block)
+                    fibers_fn(block)
                     if fibers_fn is not None
-                    else assign_fibers(packets, self.config.fibers_per_ribbon)
+                    else assign_fibers(block, self.config.fibers_per_ribbon)
                 )
-                yield packets, fibers, block.end_ns
+                yield block, fibers
 
         return self._simulate(
             batches(),
@@ -371,7 +404,7 @@ class SplitParallelSwitch:
 
     def _simulate(
         self,
-        batches: Iterable[Tuple[Sequence[Packet], Sequence[int], float]],
+        batches: Iterable[Tuple[ArrivalBlock, np.ndarray]],
         duration_ns: float,
         drain: bool,
         fault_schedule,
@@ -385,19 +418,20 @@ class SplitParallelSwitch:
         """The one split-and-simulate core behind :meth:`run` and
         :meth:`run_stream`.
 
-        ``batches`` yields time-ordered ``(packets, fibers, end_ns)``.
-        Per batch: arrivals at or after ``duration_ns`` are dropped
-        (they never enter the simulated window), cut fibers' traffic
-        dies at the passive split, and the rest is partitioned across
-        the switches.  A batch ending before ``duration_ns`` is offered
-        to each switch, which then advances to ``end_ns``.  The batch
-        that reaches ``duration_ns`` is offered to each switch, which
-        is finished (drained and reported) and released before the next
-        switch is offered -- so a one-batch eager run holds one
+        ``batches`` yields time-ordered ``(block, fibers)``.  Per
+        block, as array operations: arrivals at or after
+        ``duration_ns`` are dropped (they never enter the simulated
+        window), cut fibers' traffic dies at the passive split (a
+        mask), and the rest is split across the switches by a vectorised
+        fiber-to-switch lookup.  A block ending before ``duration_ns``
+        is offered to each switch, which then advances to its end.  The
+        block that reaches ``duration_ns`` is offered to each switch,
+        which is finished (drained and reported) and released before
+        the next switch is offered -- so a one-block eager run holds one
         finished switch's latency samples at a time, not H.
 
         Pooled runs (``mode`` parallel, or auto with several workers)
-        hand each live switch's whole slice to a worker process as a
+        hand each live switch's sub-blocks to a worker process as a
         :class:`SwitchWorkUnit` instead; the split and the report
         assembly are the same.
         """
@@ -429,7 +463,7 @@ class SplitParallelSwitch:
                 config=self.config.switch,
                 options=self.options,
                 timing=self.timing,
-                packets=(),
+                blocks=(),
                 duration_ns=duration_ns,
                 drain=drain,
                 max_drain_ns=max_drain_ns,
@@ -453,76 +487,77 @@ class SplitParallelSwitch:
         cut_lost: Dict[tuple, int] = {}
         cuts = schedule is not None and schedule.has_fiber_cuts
         finished = False
-        for packets, fibers, end_ns in batches:
-            if len(packets) != len(fibers):
+        for block, fibers in batches:
+            fibers = np.asarray(fibers, dtype=np.int64)
+            if fibers.size != len(block):
                 raise ConfigError("packets and fibers must align")
-            if cuts or any(p.arrival_ns >= duration_ns for p in packets):
-                kept_packets: List[Packet] = []
-                kept_fibers: List[int] = []
-                for packet, fiber in zip(packets, fibers):
-                    if packet.arrival_ns >= duration_ns:
-                        continue
-                    if cuts and schedule.fiber_cut_active(
-                        packet.input_port, fiber, packet.arrival_ns
+            keep = block.times < duration_ns
+            if cuts:
+                cut = keep & schedule.fiber_cut_mask(block.inputs, fibers, block.times)
+                if cut.any():
+                    lost = block.sizes[cut]
+                    fault_lost += int(lost.sum())
+                    for ribbon, fiber, n_bytes in zip(
+                        block.inputs[cut].tolist(), fibers[cut].tolist(), lost.tolist()
                     ):
-                        fault_lost += packet.size_bytes
-                        key = (packet.input_port, fiber)
-                        cut_lost[key] = cut_lost.get(key, 0) + packet.size_bytes
-                    else:
-                        kept_packets.append(packet)
-                        kept_fibers.append(fiber)
-                packets, fibers = kept_packets, kept_fibers
-            if finished and packets:
+                        key = (ribbon, fiber)
+                        cut_lost[key] = cut_lost.get(key, 0) + n_bytes
+                    keep &= ~cut
+            if not keep.all():
+                block = block.select(keep)
+                fibers = fibers[keep]
+            if finished and len(block):
                 raise SimulationError(
                     f"arrivals before {duration_ns} ns offered after the "
                     "batch that reached the end of the run"
                 )
-            per_switch = self.partition_packets(packets, fibers)
-            finished = finished or end_ns >= duration_ns
+            switch_of = self.switch_index(block.inputs, fibers)
+            by_switch = np.argsort(switch_of, kind="stable")
+            bounds = np.searchsorted(switch_of[by_switch], np.arange(n_switches + 1))
+            arrived_bytes = np.bincount(
+                switch_of, weights=block.sizes, minlength=n_switches
+            ).astype(np.int64).tolist()
+            finished = finished or block.end_ns >= duration_ns
             for h in range(n_switches):
-                arrived = sum(p.size_bytes for p in per_switch[h])
-                offered[h] += arrived
+                part = block.select(by_switch[bounds[h]:bounds[h + 1]])
+                offered[h] += arrived_bytes[h]
                 if telemetry is not None:
                     # The split is passive (0 ns); the observable is the
                     # per-switch packet count -- the load balance of E10.
-                    # Per-batch increments sum to the same final values
+                    # Per-block increments sum to the same final values
                     # (the registry dump is value-sorted, never
                     # insertion-ordered).
                     telemetry.histogram(
                         "repro_stage_latency_ns",
                         "passive fiber-split assignment (count = per-switch load)",
                         stage="split", switch=str(h),
-                    ).observe_n(0.0, len(per_switch[h]))
+                    ).observe_n(0.0, len(part))
                     # Time-resolved view of the same split: offered bytes
                     # per window per switch, recorded at the split point
                     # so dead switches' offered load shows up too.
-                    split_series = telemetry.timeseries(
+                    telemetry.timeseries(
                         "repro_split_window_bytes",
                         "offered bytes per window at the fiber split",
                         switch=str(h),
-                    )
-                    for packet in per_switch[h]:
-                        split_series.observe(packet.arrival_ns, packet.size_bytes)
+                    ).observe_many(part.times, part.sizes)
                 if units[h] is None:
-                    failed_bytes += arrived
+                    failed_bytes += arrived_bytes[h]
                 elif pooled:
-                    units[h] = replace(
-                        units[h], packets=units[h].packets + tuple(per_switch[h])
-                    )
+                    units[h] = replace(units[h], blocks=units[h].blocks + (part,))
                 elif reports[h] is None:
                     if running[h] is None:
                         running[h] = open_switch(
                             units[h], departure_sink, latency_sample_cap
                         )
                     switch, registry = running[h]
-                    switch.stream_offer(per_switch[h], duration_ns)
+                    switch.stream_offer(part, duration_ns)
                     if finished:
                         reports[h] = finish_switch(units[h], switch, registry)
                         # Release the finished switch -- and its latency
                         # samples -- before the next one is offered.
                         running[h] = switch = registry = None
                     else:
-                        switch.stream_advance(end_ns)
+                        switch.stream_advance(block.end_ns)
         if not pooled:
             # A stream that stopped short of duration_ns still finishes.
             for h, unit in enumerate(units):

@@ -10,15 +10,19 @@ aging, fiber cuts) can be read off as a capacity-over-time curve.
 Binning: offered bytes are attributed to the interval of each packet's
 *arrival*; delivered bytes to the interval of its *departure* (the wire
 time of its last byte).  The run is sequential so every departure is
-seen: open-loop runs bin them through the output ports' departure sink,
-closed-loop runs read them back off the packet list.  Departures during
-the drain tail (after ``duration_ns``) land in the last interval.
+seen: both open- and closed-loop runs bin them through the output
+ports' departure sink, one array of departures per transmitted frame.
+Departures during the drain tail (after ``duration_ns``) land in the
+last interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from ..config import RouterConfig
 from ..core.pfi import PFIOptions
@@ -64,21 +68,29 @@ def router_fault_traffic(
 def _fiber_cursor(n_fibers: int):
     """A per-ribbon round-robin fiber cursor.
 
-    Returns ``assign(packets, block=None)`` (the shape of
-    ``run_stream``'s ``fibers_fn``): the next fiber of each packet's
-    ribbon, with the count carried across calls, so a stream assigned
-    block by block gets exactly the fibers of the concatenated list.
+    Returns ``assign(block)`` (the shape of ``run_stream``'s
+    ``fibers_fn``): the next fiber of each arrival's ribbon as an
+    array, with the count carried across calls, so a stream assigned
+    block by block gets exactly the fibers of the concatenated run.
     """
     if n_fibers <= 0:
         raise ConfigError(f"n_fibers must be positive, got {n_fibers}")
     counters: dict = {}
 
-    def assign(packets: Sequence, block=None) -> List[int]:
-        fibers = []
-        for packet in packets:
-            count = counters.get(packet.input_port, 0)
-            fibers.append(count % n_fibers)
-            counters[packet.input_port] = count + 1
+    def assign(block) -> np.ndarray:
+        ribbons = np.asarray(block.inputs, dtype=np.int64)
+        order = np.argsort(ribbons, kind="stable")
+        sorted_ribbons = ribbons[order]
+        starts = np.flatnonzero(np.r_[True, sorted_ribbons[1:] != sorted_ribbons[:-1]])
+        counts = np.diff(np.r_[starts, ribbons.size])
+        base = np.zeros(ribbons.size, dtype=np.int64)
+        for start, count in zip(starts.tolist(), counts.tolist()):
+            ribbon = int(sorted_ribbons[start])
+            done = counters.get(ribbon, 0)
+            base[start:start + count] = done - start
+            counters[ribbon] = done + count
+        fibers = np.empty(ribbons.size, dtype=np.int64)
+        fibers[order] = (base + np.arange(ribbons.size)) % n_fibers
         return fibers
 
     return assign
@@ -93,7 +105,10 @@ def deterministic_fibers(packets: Sequence, n_fibers: int) -> List[int]:
     kept per ribbon (each ribbon has its own fiber-to-switch map), so
     every ribbon's packets cover its fibers exactly evenly.
     """
-    return _fiber_cursor(n_fibers)(packets)
+    ribbons = SimpleNamespace(
+        inputs=np.fromiter((p.input_port for p in packets), np.int64, len(packets))
+    )
+    return _fiber_cursor(n_fibers)(ribbons).tolist()
 
 
 @dataclass(frozen=True)
@@ -312,6 +327,17 @@ def measure_degradation(
         raise ConfigError(f"n_intervals must be positive, got {n_intervals}")
     router = SplitParallelSwitch(config, options=options)
     fibers_fn = _fiber_cursor(config.fibers_per_ribbon)
+    width = duration_ns / n_intervals
+    last = n_intervals - 1
+    offered = np.zeros(n_intervals, dtype=np.int64)
+    delivered = np.zeros(n_intervals, dtype=np.int64)
+
+    def interval_of(times: np.ndarray) -> np.ndarray:
+        return np.minimum(last, (times / width).astype(np.int64))
+
+    def departure_sink(departures: np.ndarray, sizes: np.ndarray) -> None:
+        np.add.at(delivered, interval_of(departures), sizes)
+
     throttled_bytes = 0
     control_summary = None
     if control is not None:
@@ -321,6 +347,7 @@ def measure_degradation(
                 "(the control prepass materializes the packet list)"
             )
         from ..control.packet import packet_control_prepass
+        from ..traffic.stream import ArrivalBlock, arrival_order
 
         packets = router_fault_traffic(
             config, load=load, duration_ns=duration_ns, seed=seed
@@ -329,21 +356,26 @@ def measure_degradation(
             config,
             control,
             packets,
-            fibers_fn(packets),
+            deterministic_fibers(packets, config.fibers_per_ribbon),
             router.splitter,
             duration_ns,
             schedule=schedule,
             telemetry=telemetry,
         )
-        report: RouterReport = router.run(
-            kept,
+        # Every generated packet is offered, throttled ones included.
+        for packet in packets:
+            offered[min(last, int(packet.arrival_ns / width))] += packet.size_bytes
+        order = arrival_order(kept)
+        block = ArrivalBlock.from_packets([kept[k] for k in order], duration_ns)
+        kept_fibers = np.asarray(fibers, dtype=np.int64)[order]
+        report: RouterReport = router.run_stream(
+            [block],
             duration_ns,
-            fibers=fibers,
+            fibers_fn=lambda _: kept_fibers,
             fault_schedule=schedule,
-            mode="sequential",
             telemetry=telemetry,
+            departure_sink=departure_sink,
         )
-        intervals = bin_packets(packets, duration_ns, n_intervals)
         throttled_bytes = int(round(loop.throttled_bytes))
         control_summary = loop.summary()
     else:
@@ -362,21 +394,11 @@ def measure_degradation(
                 seed=seed,
                 duration_ns=duration_ns,
             )
-        width = duration_ns / n_intervals
-        last = n_intervals - 1
-        offered = [0] * n_intervals
-        delivered = [0] * n_intervals
 
         def binned_blocks():
             for block in source.blocks(duration_ns):
-                for t, size in zip(block.times, block.sizes):
-                    offered[min(last, int(t / width))] += int(size)
+                np.add.at(offered, interval_of(block.times), block.sizes)
                 yield block
-
-        def departure_sink(packet):
-            delivered[min(last, int(packet.departure_ns / width))] += (
-                packet.size_bytes
-            )
 
         report = router.run_stream(
             binned_blocks(),
@@ -386,15 +408,15 @@ def measure_degradation(
             telemetry=telemetry,
             departure_sink=departure_sink,
         )
-        intervals = [
-            IntervalSample(
-                start_ns=i * width,
-                end_ns=(i + 1) * width,
-                offered_bytes=offered[i],
-                delivered_bytes=delivered[i],
-            )
-            for i in range(n_intervals)
-        ]
+    intervals = [
+        IntervalSample(
+            start_ns=i * width,
+            end_ns=(i + 1) * width,
+            offered_bytes=int(offered[i]),
+            delivered_bytes=int(delivered[i]),
+        )
+        for i in range(n_intervals)
+    ]
     return DegradationReport(
         duration_ns=duration_ns,
         intervals=intervals,

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import ConfigError
 from .model import (
     FiberCut,
@@ -97,6 +99,13 @@ class SwitchFaultView:
             if failure.active_at(t_ns):
                 return True
         return False
+
+    def dead_mask(self, times_ns: np.ndarray) -> np.ndarray:
+        """:meth:`dead_at` over an array of times."""
+        dead = np.zeros(len(times_ns), dtype=bool)
+        for failure in self.failures:
+            dead |= (times_ns >= failure.start_ns) & (times_ns < failure.end_ns)
+        return dead
 
     def channels_lost(self, t_ns: float) -> int:
         """Memory channels unavailable at ``t_ns`` (capped at T)."""
@@ -174,17 +183,21 @@ class FaultSchedule:
     def has_fiber_cuts(self) -> bool:
         return any(isinstance(e, FiberCut) for e in self.events)
 
-    def fiber_cut_active(self, ribbon: int, fiber: int, t_ns: float) -> bool:
-        """Whether traffic on (ribbon, fiber) is lost at ``t_ns``."""
-        for cut in self.events:
-            if (
-                isinstance(cut, FiberCut)
-                and cut.ribbon == ribbon
-                and cut.fiber == fiber
-                and cut.active_at(t_ns)
-            ):
-                return True
-        return False
+    def fiber_cut_mask(
+        self, ribbons: np.ndarray, fibers: np.ndarray, times_ns: np.ndarray
+    ) -> np.ndarray:
+        """Which arrivals on (ribbon, fiber) at time t, given as aligned
+        arrays, are lost to an active fiber cut."""
+        cut = np.zeros(len(times_ns), dtype=bool)
+        for event in self.events:
+            if isinstance(event, FiberCut):
+                cut |= (
+                    (ribbons == event.ribbon)
+                    & (fibers == event.fiber)
+                    & (times_ns >= event.start_ns)
+                    & (times_ns < event.end_ns)
+                )
+        return cut
 
     def switch_events(self, switch: int) -> List:
         """Every switch-scoped event targeting ``switch``."""

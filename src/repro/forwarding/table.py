@@ -104,6 +104,21 @@ class Fib:
         """The SS 3.2 step-1 operation: packet -> output port."""
         return self.lookup(packet.flow.dst_ip)
 
+    def classify_array(self, dst_ips: np.ndarray) -> np.ndarray:
+        """:meth:`classify` for an array of destination addresses: one
+        trie walk per distinct address, lookup and miss counts per
+        packet; -1 where no route (and no default) applies."""
+        unique, inverse = np.unique(np.asarray(dst_ips, dtype=np.int64), return_inverse=True)
+        hops = [self.trie.lookup(int(address)) for address in unique.tolist()]
+        missed = np.array([hop is None for hop in hops], dtype=bool)
+        default = -1 if self.default_next_hop is None else self.default_next_hop
+        table = np.array(
+            [default if hop is None else hop for hop in hops], dtype=np.int64
+        )
+        self.lookups += inverse.size
+        self.misses += int(np.count_nonzero(missed[inverse]))
+        return table[inverse].reshape(-1)
+
     @property
     def miss_fraction(self) -> float:
         if self.lookups == 0:

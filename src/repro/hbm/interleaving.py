@@ -18,6 +18,8 @@ row cycle tRC, subject to the four-activation limit.
 
 from __future__ import annotations
 
+import math
+
 from dataclasses import dataclass, replace
 from typing import List, Sequence
 
@@ -44,7 +46,12 @@ def derive_gamma(
     Condition (i) of the paper: the precharge of the first bank in one
     group must complete before that bank (or its successor group's first
     bank) is activated again, i.e. the group must spread a bank's reuse
-    over at least one row cycle: ``gamma * segment_time >= t_rc``.
+    over the bank's whole open span -- ACT, tRCD, then the later of
+    tRAS and the end of the segment's data, then tRP:
+    ``gamma * segment_time >= t_rcd + max(t_ras - t_rcd, segment_time)
+    + t_rp``.  While a segment fits inside tRAS - tRCD the span is one
+    row cycle (``t_rc``); a longer segment holds the row open until its
+    data is done, so the precharge waits for the data.
 
     Condition (ii): at most ``max_activations`` banks may be activated
     concurrently, bounding gamma from above.
@@ -56,16 +63,24 @@ def derive_gamma(
         raise ConfigError(f"segment time must be positive, got {segment_time_ns}")
     if max_activations < 1:
         raise ConfigError(f"max_activations must be >= 1, got {max_activations}")
+    span = open_span(timing, segment_time_ns)
     gamma = 1
-    while gamma * segment_time_ns < timing.t_rc:
+    while gamma * segment_time_ns < span:
         gamma += 1
         if gamma > max_activations:
             raise ConfigError(
                 f"no legal gamma <= {max_activations}: segment time "
-                f"{segment_time_ns:.3f} ns is too short to hide "
-                f"t_rc = {timing.t_rc:.3f} ns"
+                f"{segment_time_ns:.3f} ns is too short to hide the "
+                f"{span:.3f} ns open span of a bank"
             )
     return gamma
+
+
+def open_span(timing: HBMTiming, segment_time_ns: float) -> float:
+    """How long one bank stays busy per segment: from its ACT until its
+    precharge completes (tRCD, then the later of tRAS and the data's
+    end, then tRP)."""
+    return timing.t_rcd + max(timing.t_ras - timing.t_rcd, segment_time_ns) + timing.t_rp
 
 
 def max_concurrent_activations(timing: HBMTiming, segment_time_ns: float) -> int:
@@ -78,10 +93,7 @@ def max_concurrent_activations(timing: HBMTiming, segment_time_ns: float) -> int
     """
     if segment_time_ns <= 0:
         raise ConfigError(f"segment time must be positive, got {segment_time_ns}")
-    open_span = timing.t_rcd + max(timing.t_ras - timing.t_rcd, segment_time_ns) + timing.t_rp
-    import math
-
-    return math.ceil(open_span / segment_time_ns)
+    return math.ceil(open_span(timing, segment_time_ns) / segment_time_ns)
 
 
 def bank_group_for_frame(frame_index: int, n_groups: int) -> int:

@@ -474,34 +474,23 @@ def _router_report(scenario: Scenario, registry):
     router = SplitParallelSwitch(config, options=_options(scenario))
     port_rate_bps = config.fibers_per_ribbon * config.per_fiber_rate_bps
     if scenario.workload is not None:
-        # Streaming ingest (open loop by validation).  Sequential cells
-        # pull blocks straight through run_stream; parallel cells
-        # materialize once and take the pooled path -- byte-identical
-        # results either way (the repo invariant), so both land on the
-        # same cache entry.
         source = _workload_source(scenario, config.n_ribbons, port_rate_bps)
-        if scenario.mode == "sequential":
-            report = router.run_stream(
-                source.blocks(scenario.duration_ns),
-                scenario.duration_ns,
-                drain=scenario.drain,
-                fault_schedule=scenario.schedule,
-                telemetry=registry,
-            )
-        else:
-            report = router.run(
-                source.materialize(scenario.duration_ns),
-                scenario.duration_ns,
-                drain=scenario.drain,
-                fault_schedule=scenario.schedule,
-                mode=scenario.mode,
-                n_workers=scenario.workers,
-                telemetry=registry,
-            )
+    else:
+        source = _traffic(scenario, config.n_ribbons, port_rate_bps)
+    if scenario.control is None and scenario.mode == "sequential":
+        # Open-loop sequential cells pull arrival blocks straight
+        # through run_stream: no Packet objects at all.  Parallel cells
+        # take the pooled path -- byte-identical results either way
+        # (the repo invariant), so both land on the same cache entry.
+        report = router.run_stream(
+            source.blocks(scenario.duration_ns),
+            scenario.duration_ns,
+            drain=scenario.drain,
+            fault_schedule=scenario.schedule,
+            telemetry=registry,
+        )
         return report, None
-    packets = _traffic(scenario, config.n_ribbons, port_rate_bps).materialize(
-        scenario.duration_ns
-    )
+    packets = source.materialize(scenario.duration_ns)
     control_summary = None
     fibers = None
     if scenario.control is not None:

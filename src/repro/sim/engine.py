@@ -1,15 +1,16 @@
 """A small deterministic discrete-event engine.
 
 Time is a float in nanoseconds (see :mod:`repro.units`).  The engine is
-intentionally simple: a binary heap of ``(time, priority, sequence,
-event)`` where the priority class puts external arrivals ahead of
-internal pipeline events at the same instant and the monotonically
-increasing sequence number breaks remaining ties, so two events
-scheduled for the same instant always fire in a deterministic order --
-the same order whether arrivals were scheduled up front (eager runs)
-or block by block (streaming runs).  Determinism matters here because
-the OQ-mimicry experiment (E5) compares two switches fed the *same*
-arrival sequence.
+intentionally simple: a binary heap of ``(time, sequence, event)``
+where the monotonically increasing sequence number breaks ties, so two
+events scheduled for the same instant always fire in a deterministic
+order.  External arrivals are not heap events: an attached arrival
+cursor (:meth:`Engine.attach_arrivals`) is handed every run of arrivals
+that precedes the next internal event, and arrivals outrank internal
+events at equal times -- the same order whether arrivals come in one
+block (eager runs) or block by block (streaming runs).  Determinism
+matters here because the OQ-mimicry experiment (E5) compares two
+switches fed the *same* arrival sequence.
 
 The engine is the innermost loop of every simulation -- a loaded switch
 run fires one event per batch, frame and phase -- so the hot path is
@@ -34,36 +35,22 @@ from ..errors import SimulationError
 #: common cancel-free case.
 _COMPACT_THRESHOLD = 64
 
+_INF = float("inf")
 
-#: Priority classes within one timestamp.  External arrivals outrank
-#: internal pipeline events at the same instant, so a streaming run
-#: that injects a block's arrivals *after* earlier blocks seeded
-#: internal work still fires them in the same order an eager run would
-#: have (where every arrival is scheduled up front with the smallest
-#: sequence numbers).
-PRI_ARRIVAL = 0
-PRI_INTERNAL = 1
 
 
 class Event:
     """One scheduled callback.
 
-    The heap orders entries by ``(time, pri, seq)`` tuples, so events
-    pop in deterministic order.  ``cancelled`` events are skipped when
-    popped (lazy deletion -- cheaper than heap surgery).
+    The heap orders entries by ``(time, seq)`` tuples, so events pop in
+    deterministic order.  ``cancelled`` events are skipped when popped
+    (lazy deletion -- cheaper than heap surgery).
     """
 
-    __slots__ = ("time", "pri", "seq", "action", "cancelled")
+    __slots__ = ("time", "seq", "action", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        action: Callable[[], None],
-        pri: int = PRI_INTERNAL,
-    ) -> None:
+    def __init__(self, time: float, seq: int, action: Callable[[], None]) -> None:
         self.time = time
-        self.pri = pri
         self.seq = seq
         self.action = action
         self.cancelled = False
@@ -73,15 +60,11 @@ class Event:
         self.cancelled = True
 
     def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.pri, self.seq) < (
-            other.time,
-            other.pri,
-            other.seq,
-        )
+        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time:.3f}, pri={self.pri}, seq={self.seq}{state})"
+        return f"Event(t={self.time:.3f}, seq={self.seq}{state})"
 
 
 class Engine:
@@ -95,11 +78,27 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._now = 0.0
         self._cancelled = 0
         self._fired = 0
+        #: Optional external-arrival cursor (see :meth:`attach_arrivals`).
+        self.arrivals = None
+
+    def attach_arrivals(self, arrivals) -> None:
+        """Feed external arrivals from a cursor instead of heap events.
+
+        ``arrivals.next_time`` is the time of the next pending arrival
+        (``inf`` when none); ``arrivals.ingest(limit, closed)`` consumes
+        pending arrivals up to ``limit`` (inclusive when ``closed``)
+        and returns the time of the last one it consumed.  It may stop
+        early: once it schedules an internal event, arrivals later than
+        that event's time must wait for it.  The loop hands the cursor
+        every run of arrivals that precedes the next internal event;
+        arrivals outrank internal events at equal times.
+        """
+        self.arrivals = arrivals
 
     @property
     def now(self) -> float:
@@ -111,9 +110,7 @@ class Engine:
         """Total events fired over the engine's lifetime (perf metric)."""
         return self._fired
 
-    def schedule(
-        self, time: float, action: Callable[[], None], pri: int = PRI_INTERNAL
-    ) -> Event:
+    def schedule(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` to fire at absolute ``time``.
 
         Scheduling in the past is an error: it would silently reorder
@@ -125,20 +122,9 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, action, pri)
-        heapq.heappush(self._queue, (time, pri, seq, event))
+        event = Event(time, seq, action)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
-
-    def schedule_arrival(self, time: float, action: Callable[[], None]) -> Event:
-        """Schedule an *external arrival* at absolute ``time``.
-
-        Arrivals carry :data:`PRI_ARRIVAL`, so at equal timestamps they
-        fire before internal pipeline events regardless of when they
-        were pushed -- the property that makes block-streamed ingest
-        (arrivals injected block by block) byte-identical to an eager
-        run that schedules every arrival up front.
-        """
-        return self.schedule(time, action, pri=PRI_ARRIVAL)
 
     def schedule_after(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` to fire ``delay`` ns from now."""
@@ -160,7 +146,7 @@ class Engine:
             and self._cancelled * 2 > len(self._queue)
         ):
             self._queue = [
-                entry for entry in self._queue if not entry[3].cancelled
+                entry for entry in self._queue if not entry[2].cancelled
             ]
             heapq.heapify(self._queue)
             self._cancelled = 0
@@ -168,16 +154,25 @@ class Engine:
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the queue is empty."""
         queue = self._queue
-        while queue and queue[0][3].cancelled:
+        while queue and queue[0][2].cancelled:
             heapq.heappop(queue)
         return queue[0][0] if queue else None
 
     def step(self) -> bool:
-        """Fire the next event.  Returns ``False`` when the queue is empty."""
+        """Fire the next internal event, ingesting any arrivals that
+        precede it first.  Returns ``False`` when the queue is empty."""
         queue = self._queue
         pop = heapq.heappop
+        arrivals = self.arrivals
+        if arrivals is not None:
+            top = self.peek_time()
+            while arrivals.next_time <= (top if top is not None else _INF):
+                self._now = arrivals.ingest(
+                    top if top is not None else _INF, True
+                )
+                top = self.peek_time()
         while queue:
-            time, _pri, _seq, event = pop(queue)
+            time, _seq, event = pop(queue)
             if event.cancelled:
                 continue
             self._now = time
@@ -202,17 +197,32 @@ class Engine:
         ``inclusive=False`` stops *before* events at exactly ``until``
         fire (they stay queued).  Block-streamed runs advance the
         engine this way to each block boundary: events at the boundary
-        must wait until the next block's arrivals are pushed, so that
-        same-timestamp ordering (arrivals first, by priority) matches
-        the eager run.
+        must wait until the next block's arrivals are offered, so that
+        same-timestamp ordering (arrivals first) matches the eager run.
         """
         queue = self._queue
         pop = heapq.heappop
         fired = 0
-        while queue:
+        arrivals = self.arrivals
+        while True:
+            if arrivals is not None:
+                arrival = arrivals.next_time
+                top = queue[0][0] if queue else _INF
+                if arrival <= top and arrival != _INF:
+                    if until is not None and (
+                        arrival > until or (not inclusive and arrival >= until)
+                    ):
+                        break
+                    if until is None or top < until:
+                        self._now = arrivals.ingest(top, True)
+                    else:
+                        self._now = arrivals.ingest(until, inclusive)
+                    continue
+            if not queue:
+                break
             if max_events is not None and fired >= max_events:
                 break
-            time, _pri, _seq, event = queue[0]
+            time, _seq, event = queue[0]
             if event.cancelled:
                 pop(queue)
                 continue

@@ -22,10 +22,11 @@ Design constraints:
   which is also the fallback on platforms without working
   multiprocessing.
 
-Workers re-simulate copies of the packets, so mutations workers make
-(``departure_ns``, egress lane) are visible only in their reports, not
-on the caller's :class:`~repro.traffic.packet.Packet` objects; run
-sequentially when per-packet post-mortems of the originals are needed.
+A unit carries its switch's arrivals as
+:class:`~repro.traffic.stream.ArrivalBlock` arrays -- cheap to pickle,
+and the same blocks the in-process path offers -- and the worker
+streams them through :func:`open_switch` / :func:`finish_switch`
+exactly as the sequential router does, so the two paths cannot drift.
 """
 
 from __future__ import annotations
@@ -43,14 +44,15 @@ class SwitchWorkUnit:
     """One picklable, self-contained switch simulation.
 
     ``index`` identifies the unit in the deterministic merge; the rest
-    mirrors the :meth:`~repro.core.hbm_switch.HBMSwitch.run` signature.
+    mirrors the :meth:`~repro.core.hbm_switch.HBMSwitch.run_stream`
+    signature.  ``blocks`` are the switch's time-ordered arrival blocks.
     """
 
     index: int
     config: object  # HBMSwitchConfig (kept loose to avoid an import cycle)
     options: object  # PFIOptions
     timing: Optional[object]  # HBMTiming
-    packets: Tuple = field(repr=False)
+    blocks: Tuple = field(repr=False)
     duration_ns: float = 0.0
     drain: bool = True
     max_drain_ns: Optional[float] = None
@@ -115,7 +117,9 @@ def execute_work_unit(unit: SwitchWorkUnit):
     processes regardless of the multiprocessing start method.
     """
     switch, registry = open_switch(unit)
-    switch.stream_offer(unit.packets, unit.duration_ns)
+    for block in unit.blocks:
+        switch.stream_offer(block, unit.duration_ns)
+        switch.stream_advance(min(block.end_ns, unit.duration_ns))
     return unit.index, finish_switch(unit, switch, registry)
 
 

@@ -83,10 +83,18 @@ class LatencyRecorder:
     def __init__(self, capacity: Optional[int] = None, seed: int = 0) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
+        # Unbounded: samples as float64 arrays in record order (8 bytes
+        # a sample), plus the scalar records since the last array.
+        # Bounded: the reservoir list.
+        self._chunks: List[np.ndarray] = []
+        self._loose: List[float] = []
         self._samples: List[float] = []
         self._capacity = capacity
         self._count = 0
-        self._sum = 0.0
+        # Running sum of the samples in record order; arrays recorded
+        # since it was last read are folded into it on demand.
+        self._folded = 0.0
+        self._unfolded: List[np.ndarray] = []
         self._max = float("-inf")
         self._min = float("inf")
         self._random = random.Random(seed) if capacity is not None else None
@@ -96,12 +104,14 @@ class LatencyRecorder:
         if latency_ns < 0:
             raise ValueError(f"negative latency {latency_ns:.3f} ns")
         self._count += 1
-        self._sum += latency_ns
+        self._folded = self._sum + latency_ns
         if latency_ns > self._max:
             self._max = latency_ns
         if latency_ns < self._min:
             self._min = latency_ns
-        if self._capacity is None or len(self._samples) < self._capacity:
+        if self._capacity is None:
+            self._loose.append(latency_ns)
+        elif len(self._samples) < self._capacity:
             self._samples.append(latency_ns)
         else:
             # Algorithm R: each of the _count samples seen so far has a
@@ -110,26 +120,74 @@ class LatencyRecorder:
             if slot < self._capacity:
                 self._samples[slot] = latency_ns
 
+    def record_many(self, latencies_ns: np.ndarray) -> None:
+        """Record an array of samples in order, exactly as that many
+        :meth:`record` calls would (the running sum folds sequentially,
+        not pairwise)."""
+        values = np.asarray(latencies_ns, dtype=np.float64)
+        if values.size == 0:
+            return
+        low = float(values.min())
+        if low < 0:
+            raise ValueError(f"negative latency {low:.3f} ns")
+        if self._capacity is not None:
+            for value in values.tolist():
+                self.record(value)
+            return
+        self._count += values.size
+        self._unfolded.append(values)
+        high = float(values.max())
+        if high > self._max:
+            self._max = high
+        if low < self._min:
+            self._min = low
+        self._settle()
+        self._chunks.append(values)
+
+    @property
+    def _sum(self) -> float:
+        """The sequential (not pairwise) sum of every sample."""
+        for values in self._unfolded:
+            self._folded = float(np.cumsum(np.concatenate(([self._folded], values)))[-1])
+        self._unfolded = []
+        return self._folded
+
+    def _settle(self) -> None:
+        """Move scalar records into the chunk list (keeps record order)."""
+        if self._loose:
+            self._chunks.append(np.asarray(self._loose, dtype=np.float64))
+            self._loose = []
+
+    def _array(self) -> np.ndarray:
+        """Every retained sample, in record order."""
+        if self._capacity is not None:
+            return np.asarray(self._samples, dtype=np.float64)
+        self._settle()
+        if len(self._chunks) > 1:
+            self._chunks = [np.concatenate(self._chunks)]
+        return self._chunks[0] if self._chunks else np.empty(0)
+
     def absorb(self, other: "LatencyRecorder") -> None:
         """Merge ``other``'s samples into this recorder.
 
         The roll-up path for per-port recorders: an unbounded recorder
-        absorbing unbounded recorders extends its sample list exactly
-        as per-sample :meth:`record` calls would, so the numpy-based
+        absorbing unbounded recorders extends its samples exactly as
+        per-sample :meth:`record` calls would, so the numpy-based
         statistics below are byte-identical to the historical roll-up
         loop.  Exact accumulators (count/sum/min/max) merge exactly in
         every combination.
         """
         self._count += other._count
-        self._sum += other._sum
+        self._folded = self._sum + other._sum
         if other._max > self._max:
             self._max = other._max
         if other._min < self._min:
             self._min = other._min
         if self._capacity is None:
-            self._samples.extend(other._samples)
+            self._settle()
+            self._chunks.append(other._array())
         else:
-            for sample in other._samples:
+            for sample in other._array().tolist():
                 if len(self._samples) < self._capacity:
                     self._samples.append(sample)
                 else:
@@ -143,12 +201,12 @@ class LatencyRecorder:
 
     @property
     def samples(self) -> List[float]:
-        """The retained samples (read-only by convention).
+        """The retained samples (a copy).
 
         Equal to every recorded sample unless ``capacity`` trimmed the
         reservoir.
         """
-        return self._samples
+        return self._array().tolist()
 
     @property
     def mean(self) -> float:
@@ -157,7 +215,7 @@ class LatencyRecorder:
         if self._capacity is None:
             # Preserve numpy's pairwise summation bit-for-bit for the
             # exact path; the running sum is for the bounded path only.
-            return float(np.mean(self._samples))
+            return float(np.mean(self._array()))
         return self._sum / self._count
 
     @property
@@ -175,11 +233,8 @@ class LatencyRecorder:
         """
         if not 0 <= q <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        return (
-            float(np.percentile(self._samples, q))
-            if self._samples
-            else float("nan")
-        )
+        samples = self._array()
+        return float(np.percentile(samples, q)) if samples.size else float("nan")
 
     def summary(self) -> Dict[str, float]:
         """Mean / p50 / p99 / max in one dict, for table rows."""

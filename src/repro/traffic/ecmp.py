@@ -51,10 +51,17 @@ class EcmpSelector:
     def n_lanes(self) -> int:
         return self._n_fibers * self._n_wavelengths
 
+    @property
+    def n_wavelengths(self) -> int:
+        return self._n_wavelengths
+
+    def lane_index(self, flow: FiveTuple) -> int:
+        """The flat lane index ``fiber * n_wavelengths + wavelength``."""
+        return hash_to_choice(flow, self.n_lanes, self._salt)
+
     def select(self, flow: FiveTuple) -> Tuple[int, int]:
         """Return the (fiber, wavelength) lane for ``flow``."""
-        lane = hash_to_choice(flow, self.n_lanes, self._salt)
-        return lane // self._n_wavelengths, lane % self._n_wavelengths
+        return divmod(self.lane_index(flow), self._n_wavelengths)
 
     def lane_loads(self, flows_with_bytes) -> "dict[Tuple[int, int], int]":
         """Aggregate bytes per lane for a ``(flow, bytes)`` iterable.

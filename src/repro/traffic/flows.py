@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -82,23 +82,34 @@ class FlowGenerator:
             self._cache[key] = flow
         return flow
 
-    def flows_for_batch(self, inputs, outputs) -> list:
+    def flows_for_batch(self, inputs, outputs) -> Tuple[np.ndarray, tuple]:
         """Flows for aligned arrays of port pairs, one RNG draw total.
 
         Vectorized counterpart of per-packet :meth:`flow_for`: the flow
         *indices* for all packets are drawn in a single ``integers``
-        call, then mapped through the same cache, so every packet still
-        gets a deterministic member of its pair's pool.
+        call.  Returns ``(flow_ids, table)``: ``table`` holds each
+        distinct flow once (built through the same cache, so every
+        packet still gets a deterministic member of its pair's pool)
+        and ``flow_ids[k]`` indexes packet k's flow in it.
         """
         n = len(inputs)
         if n == 0:
-            return []
+            return np.empty(0, dtype=np.int64), ()
         indices = self._rng.integers(self._flows_per_pair, size=n)
+        inputs = np.asarray(inputs, dtype=np.int64)
+        outputs = np.asarray(outputs, dtype=np.int64)
+        n_outputs = int(outputs.max()) + 1
+        keys = (inputs * n_outputs + outputs) * self._flows_per_pair + indices
+        unique, flow_ids = np.unique(keys, return_inverse=True)
         flow_for = self.flow_for
-        return [
-            flow_for(int(i), int(j), int(index))
-            for i, j, index in zip(inputs, outputs, indices)
-        ]
+        table = tuple(
+            flow_for(int(pair // n_outputs), int(pair % n_outputs), int(index))
+            for pair, index in zip(
+                (unique // self._flows_per_pair).tolist(),
+                (unique % self._flows_per_pair).tolist(),
+            )
+        )
+        return flow_ids.astype(np.int64, copy=False), table
 
     def all_flows(self, input_port: int, output_port: int) -> Iterator[FiveTuple]:
         """Every flow in the (input, output) pool, in index order."""

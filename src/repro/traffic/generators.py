@@ -107,7 +107,8 @@ class TrafficGenerator(TrafficSource):
         self._flows = FlowGenerator(np.random.default_rng(seed + 1), flows_per_pair)
 
     def _arrays(self, duration_ns: float):
-        """(times, sizes, inputs, outputs, flows) for ``[0, duration_ns)``.
+        """(times, sizes, inputs, outputs, flow_ids, flow_table) for
+        ``[0, duration_ns)``.
 
         Arrival times and sizes are drawn with vectorized numpy
         sampling per (input, output) pair and merged with one stable
@@ -115,7 +116,8 @@ class TrafficGenerator(TrafficSource):
         the old per-packet heap-merge did.  Flow headers are assigned
         after the global sort (one batched draw), so the draw order --
         and therefore every byte of output -- matches the historical
-        eager generator.
+        eager generator.  The flow table is shared by every block of
+        the run.
         """
         if duration_ns <= 0:
             raise ConfigError(f"duration must be positive, got {duration_ns}")
@@ -136,14 +138,8 @@ class TrafficGenerator(TrafficSource):
                 inputs_parts.append(np.full(times.size, i, dtype=np.int64))
                 outputs_parts.append(np.full(times.size, j, dtype=np.int64))
         if not times_parts:
-            empty = np.empty(0)
-            return (
-                empty,
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                (),
-            )
+            empty = np.empty(0, dtype=np.int64)
+            return np.empty(0), empty, empty, empty, empty, ()
         times = np.concatenate(times_parts)
         sizes = np.concatenate(sizes_parts)
         inputs = np.concatenate(inputs_parts)
@@ -151,8 +147,8 @@ class TrafficGenerator(TrafficSource):
         order = np.argsort(times, kind="stable")
         times, sizes = times[order], sizes[order]
         inputs, outputs = inputs[order], outputs[order]
-        flows = self._flows.flows_for_batch(inputs, outputs)
-        return times, sizes, inputs, outputs, flows
+        flow_ids, table = self._flows.flows_for_batch(inputs, outputs)
+        return times, sizes, inputs, outputs, flow_ids, table
 
     def blocks(
         self, duration_ns: float, block_ns: float = DEFAULT_BLOCK_NS
@@ -163,7 +159,7 @@ class TrafficGenerator(TrafficSource):
         block boundaries (see the class docstring for why the arrays
         are computed eagerly for this legacy generator).
         """
-        times, sizes, inputs, outputs, flows = self._arrays(duration_ns)
+        times, sizes, inputs, outputs, flow_ids, table = self._arrays(duration_ns)
         for start, end in block_edges(duration_ns, block_ns):
             lo = int(np.searchsorted(times, start, side="left"))
             hi = int(np.searchsorted(times, end, side="left"))
@@ -172,10 +168,11 @@ class TrafficGenerator(TrafficSource):
                 sizes[lo:hi],
                 inputs[lo:hi],
                 outputs[lo:hi],
-                flows[lo:hi],
+                table,
                 start,
                 end,
                 pid_offset=lo,
+                flow_ids=flow_ids[lo:hi],
             )
 
     def materialize(
@@ -187,11 +184,17 @@ class TrafficGenerator(TrafficSource):
         straight from the arrays (``block_ns`` is irrelevant here --
         block content never depends on it).
         """
-        times, sizes, inputs, outputs, flows = self._arrays(duration_ns)
+        times, sizes, inputs, outputs, flow_ids, table = self._arrays(duration_ns)
         return [
-            Packet(pid, int(size), int(i), int(j), flow, float(time_ns))
-            for pid, (time_ns, size, i, j, flow) in enumerate(
-                zip(times, sizes, inputs, outputs, flows)
+            Packet(pid, size, i, j, table[f], time_ns)
+            for pid, (time_ns, size, i, j, f) in enumerate(
+                zip(
+                    times.tolist(),
+                    sizes.tolist(),
+                    inputs.tolist(),
+                    outputs.tolist(),
+                    flow_ids.tolist(),
+                )
             )
         ]
 

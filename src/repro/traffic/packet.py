@@ -37,9 +37,12 @@ class Packet:
     arrival_ns:
         When the packet's last byte arrived at the switch input.
     departure_ns:
-        Set by the switch when the packet's last byte leaves.
+        When the packet's last byte left, written back by
+        :meth:`~repro.core.hbm_switch.HBMSwitch.run` once the run ends
+        (``None`` if it was not delivered).
     fiber / wavelength:
-        Egress lane chosen by the output-port hash (SS 3.2 step 6).
+        Egress lane chosen by the output-port hash (SS 3.2 step 6),
+        written back with ``departure_ns``.
     """
 
     __slots__ = (

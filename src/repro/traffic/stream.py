@@ -84,11 +84,20 @@ def block_edges(
 class ArrivalBlock:
     """One time-sorted chunk of arrivals as structured numpy arrays.
 
-    ``times``/``sizes``/``inputs``/``outputs`` are aligned arrays (one
-    row per packet); ``flows`` is the aligned tuple of
-    :class:`~repro.traffic.flows.FiveTuple` headers.  ``pid_offset`` is
-    the global arrival index of the block's first packet, so
-    :meth:`to_packets` continues the eager pid sequence across blocks.
+    ``times``/``sizes``/``inputs``/``outputs``/``flow_ids`` are aligned
+    arrays (one row per packet); ``flows`` is the table of distinct
+    :class:`~repro.traffic.flows.FiveTuple` headers that ``flow_ids``
+    indexes, so per-flow work (the upstream fiber hash, the egress lane
+    hash) runs once per table entry, not once per packet.  Without
+    ``flow_ids``, ``flows`` is one header per packet and is
+    deduplicated here.  ``pids`` are global packet ids: by default
+    ``pid_offset + index``, continuing the eager pid sequence across
+    blocks.
+
+    The block checks what a :class:`~repro.traffic.packet.Packet` would:
+    sizes must be positive and ports non-negative
+    (:class:`~repro.errors.ConfigError`); the switch and router entries
+    check the upper port bounds against their own geometry.
     """
 
     __slots__ = (
@@ -96,7 +105,9 @@ class ArrivalBlock:
         "sizes",
         "inputs",
         "outputs",
+        "flow_ids",
         "flows",
+        "pids",
         "start_ns",
         "end_ns",
         "pid_offset",
@@ -112,22 +123,38 @@ class ArrivalBlock:
         start_ns: float,
         end_ns: float,
         pid_offset: int = 0,
+        flow_ids: Optional[np.ndarray] = None,
+        pids: Optional[np.ndarray] = None,
     ) -> None:
         times = np.asarray(times, dtype=np.float64)
         sizes = np.asarray(sizes, dtype=np.int64)
         inputs = np.asarray(inputs, dtype=np.int64)
         outputs = np.asarray(outputs, dtype=np.int64)
         n = times.size
-        if not (sizes.size == inputs.size == outputs.size == len(flows) == n):
+        if flow_ids is None:
+            if len(flows) != n:
+                raise ConfigError(
+                    "misaligned block arrays: "
+                    f"times={n} flows={len(flows)}"
+                )
+            flow_ids, flows = _flow_table(flows)
+        flow_ids = np.asarray(flow_ids, dtype=np.int64)
+        if not (sizes.size == inputs.size == outputs.size == flow_ids.size == n):
             raise ConfigError(
                 "misaligned block arrays: "
-                f"times={times.size} sizes={sizes.size} inputs={inputs.size} "
-                f"outputs={outputs.size} flows={len(flows)}"
+                f"times={n} sizes={sizes.size} inputs={inputs.size} "
+                f"outputs={outputs.size} flows={flow_ids.size}"
             )
         if start_ns >= end_ns:
             raise ConfigError(
                 f"empty block span [{start_ns}, {end_ns}) is invalid"
             )
+        if pids is None:
+            pids = np.arange(pid_offset, pid_offset + n, dtype=np.int64)
+        else:
+            pids = np.asarray(pids, dtype=np.int64)
+            if pids.size != n:
+                raise ConfigError(f"misaligned block arrays: pids={pids.size}")
         if n:
             if np.any(times[1:] < times[:-1]):
                 raise ConfigError("block arrivals are not time-sorted")
@@ -136,14 +163,50 @@ class ArrivalBlock:
                     f"arrivals [{times[0]}, {times[-1]}] escape the block "
                     f"span [{start_ns}, {end_ns})"
                 )
+            if sizes.min() <= 0:
+                raise ConfigError(
+                    f"packet sizes must be positive, got {int(sizes.min())}"
+                )
+            if min(inputs.min(), outputs.min()) < 0:
+                raise ConfigError(
+                    "ports must be non-negative, got "
+                    f"input {int(inputs.min())} / output {int(outputs.min())}"
+                )
+            if flow_ids.min() < 0 or flow_ids.max() >= len(flows):
+                raise ConfigError(
+                    f"flow ids escape the {len(flows)}-entry flow table"
+                )
         self.times = times
         self.sizes = sizes
         self.inputs = inputs
         self.outputs = outputs
+        self.flow_ids = flow_ids
         self.flows = tuple(flows)
+        self.pids = pids
         self.start_ns = float(start_ns)
         self.end_ns = float(end_ns)
         self.pid_offset = int(pid_offset)
+
+    @classmethod
+    def from_packets(cls, packets: Sequence[Packet], end_ns: float) -> "ArrivalBlock":
+        """One block holding time-sorted ``packets`` (see
+        :func:`arrival_order`) -- the Packet-list entry points' single
+        conversion.
+
+        Packets keep their own pids.  The span is ``[0, end_ns)``,
+        widened past the last arrival when one lies beyond ``end_ns``.
+        """
+        last = packets[-1].arrival_ns if len(packets) else 0.0
+        return cls(
+            [p.arrival_ns for p in packets],
+            [p.size_bytes for p in packets],
+            [p.input_port for p in packets],
+            [p.output_port for p in packets],
+            [p.flow for p in packets],
+            0.0,
+            max(float(end_ns), np.nextafter(last, np.inf)),
+            pids=[p.pid for p in packets],
+        )
 
     def __len__(self) -> int:
         return self.times.size
@@ -153,16 +216,34 @@ class ArrivalBlock:
         """Sum of packet sizes in the block."""
         return int(self.sizes.sum()) if self.times.size else 0
 
-    def to_packets(self) -> List[Packet]:
-        """Materialize the block as :class:`Packet` objects.
+    def select(self, mask_or_index) -> "ArrivalBlock":
+        """The sub-block of the rows ``mask_or_index`` picks (same flow
+        table, same span, pids kept)."""
+        return ArrivalBlock(
+            self.times[mask_or_index],
+            self.sizes[mask_or_index],
+            self.inputs[mask_or_index],
+            self.outputs[mask_or_index],
+            self.flows,
+            self.start_ns,
+            self.end_ns,
+            self.pid_offset,
+            flow_ids=self.flow_ids[mask_or_index],
+            pids=self.pids[mask_or_index],
+        )
 
-        Pids continue the global arrival order (``pid_offset + index``).
-        """
-        offset = self.pid_offset
+    def to_packets(self) -> List[Packet]:
+        """Materialize the block as :class:`Packet` objects."""
+        flows = self.flows
         return [
-            Packet(offset + k, int(size), int(i), int(j), flow, float(t))
-            for k, (t, size, i, j, flow) in enumerate(
-                zip(self.times, self.sizes, self.inputs, self.outputs, self.flows)
+            Packet(pid, size, i, j, flows[f], t)
+            for pid, size, i, j, f, t in zip(
+                self.pids.tolist(),
+                self.sizes.tolist(),
+                self.inputs.tolist(),
+                self.outputs.tolist(),
+                self.flow_ids.tolist(),
+                self.times.tolist(),
             )
         ]
 
@@ -171,6 +252,25 @@ class ArrivalBlock:
             f"ArrivalBlock(n={len(self)}, span=[{self.start_ns:.1f}, "
             f"{self.end_ns:.1f}), pid_offset={self.pid_offset})"
         )
+
+
+def arrival_order(packets: Sequence[Packet]) -> List[int]:
+    """Indices that sort ``packets`` by arrival time, equal times in list
+    order -- the order a simulation ingests them."""
+    times = np.fromiter((p.arrival_ns for p in packets), np.float64, len(packets))
+    return np.argsort(times, kind="stable").tolist()
+
+
+def _flow_table(flows: Sequence[FiveTuple]) -> Tuple[np.ndarray, Tuple]:
+    """``(ids, table)``: per-packet headers as indices into their
+    distinct values, in first-appearance order."""
+    index: Dict[FiveTuple, int] = {}
+    ids = np.fromiter(
+        (index.setdefault(flow, len(index)) for flow in flows),
+        np.int64,
+        len(flows),
+    )
+    return ids, tuple(index)
 
 
 class TrafficSource(ABC):
@@ -486,7 +586,8 @@ class HeavyTailSource(TrafficSource):
             sizes_parts: List[np.ndarray] = []
             inputs_parts: List[np.ndarray] = []
             outputs_parts: List[np.ndarray] = []
-            flows_parts: List[List[FiveTuple]] = []
+            ids_parts: List[np.ndarray] = []
+            table: List[FiveTuple] = []
             for i, j, load, st in pairs:
                 self._advance_flows(st, i, j, load, end, duration_ns)
                 live: List[_FlowTrain] = []
@@ -502,7 +603,10 @@ class HeavyTailSource(TrafficSource):
                         outputs_parts.append(
                             np.full(t_times.size, j, dtype=np.int64)
                         )
-                        flows_parts.append([train.flow] * t_times.size)
+                        ids_parts.append(
+                            np.full(t_times.size, len(table), dtype=np.int64)
+                        )
+                        table.append(train.flow)
                     if not train.done:
                         live.append(train)
                 st.trains = live
@@ -511,22 +615,20 @@ class HeavyTailSource(TrafficSource):
                 sizes = np.concatenate(sizes_parts)
                 inputs = np.concatenate(inputs_parts)
                 outputs = np.concatenate(outputs_parts)
-                flows: List[FiveTuple] = [
-                    f for part in flows_parts for f in part
-                ]
+                flow_ids = np.concatenate(ids_parts)
                 order = np.argsort(times, kind="stable")
                 times, sizes = times[order], sizes[order]
                 inputs, outputs = inputs[order], outputs[order]
-                flows = [flows[k] for k in order]
+                flow_ids = flow_ids[order]
             else:
                 times = np.empty(0, dtype=np.float64)
                 sizes = np.empty(0, dtype=np.int64)
                 inputs = np.empty(0, dtype=np.int64)
                 outputs = np.empty(0, dtype=np.int64)
-                flows = []
+                flow_ids = np.empty(0, dtype=np.int64)
             block = ArrivalBlock(
-                times, sizes, inputs, outputs, flows, start, end,
-                pid_offset=pid,
+                times, sizes, inputs, outputs, table, start, end,
+                pid_offset=pid, flow_ids=flow_ids,
             )
             pid += len(block)
             yield block

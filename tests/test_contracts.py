@@ -18,3 +18,77 @@ def test_contiguous_exposure_exceeds_pseudo_random(tmp_path, capsys):
     random = doc["pseudo-random"]["summary"]["victim_gain"]["mean"]
     assert contiguous > random, (contiguous, random)
     assert doc["exposure_ratio"] > 1.5, doc["exposure_ratio"]
+
+
+def _metrics_jsonl(capsys, *extra):
+    code = main([
+        "metrics", "--switches", "2", "--duration-us", "10", "--format", "jsonl",
+        *extra,
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    return out
+
+
+def test_parallel_metrics_dump_matches_sequential(capsys):
+    seq = _metrics_jsonl(capsys)
+    par = _metrics_jsonl(capsys, "--mode", "parallel", "--workers", "2")
+    assert seq == par
+
+
+def test_windowed_series_present_and_identical_across_modes(capsys):
+    def series(text):
+        entries = [
+            json.loads(line) for line in text.splitlines()
+            if '"timeseries"' in line
+        ]
+        return [e for e in entries if e.get("kind") == "timeseries"]
+
+    seq = series(_metrics_jsonl(capsys))
+    par = series(_metrics_jsonl(capsys, "--mode", "parallel", "--workers", "2"))
+    assert seq, "no windowed series in the sequential dump"
+    names = {entry["name"] for entry in seq}
+    assert "repro_window_bytes" in names, sorted(names)
+    assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
+    assert any(entry["windows"] for entry in seq)
+
+
+def test_streaming_equals_eager_on_a_faulted_router_cell():
+    import dataclasses
+
+    from repro.config import scaled_router
+    from repro.core import PFIOptions, SplitParallelSwitch
+    from repro.faults import FaultSchedule, FiberCut, SwitchFailure
+    from repro.telemetry import MetricsRegistry
+    from repro.traffic import workload_source
+
+    config = scaled_router()
+    duration_ns = 20_000.0
+    schedule = FaultSchedule([
+        SwitchFailure(switch=1, start_ns=5_000.0, end_ns=12_000.0),
+        FiberCut(ribbon=0, fiber=1),
+    ])
+
+    def source():
+        return workload_source(
+            "pareto",
+            n_ports=config.n_ribbons,
+            port_rate_bps=config.fibers_per_ribbon * config.per_fiber_rate_bps,
+            load=0.7,
+            seed=3,
+            duration_ns=duration_ns,
+        )
+
+    reg_stream, reg_eager = MetricsRegistry(), MetricsRegistry()
+    stream = SplitParallelSwitch(config, options=PFIOptions()).run_stream(
+        source().blocks(duration_ns), duration_ns,
+        fault_schedule=schedule, telemetry=reg_stream,
+    )
+    eager = SplitParallelSwitch(config, options=PFIOptions()).run(
+        source().materialize(duration_ns), duration_ns,
+        mode="sequential", fault_schedule=schedule, telemetry=reg_eager,
+    )
+    a = json.dumps(dataclasses.asdict(stream), sort_keys=True, default=str)
+    b = json.dumps(dataclasses.asdict(eager), sort_keys=True, default=str)
+    assert a == b, "streamed report diverged from eager"
+    assert reg_stream.dumps() == reg_eager.dumps()

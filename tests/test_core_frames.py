@@ -1,10 +1,17 @@
 """Batch and frame assembly: byte conservation, straddling, padding."""
 
+import numpy as np
 import pytest
 
-from repro.core.frames import Batch, BatchAssembler, Frame, FrameAssembler
+from repro.core.frames import (
+    ArrivalColumns,
+    Batch,
+    BatchAssembler,
+    Frame,
+    FrameAssembler,
+    segment_rows,
+)
 from repro.errors import ConfigError
-from tests.test_traffic_basics import make_packet
 
 K = 1024  # batch size used throughout
 
@@ -13,49 +20,70 @@ def assembler(output=1):
     return BatchAssembler(output=output, batch_bytes=K)
 
 
+def completing_pids(batch):
+    """Pids of the packets ``batch`` completes, in arrival order."""
+    return segment_rows(batch.completing, "pids")[0].tolist()
+
+
+def offer(asm, sizes, times=None, pids=None):
+    """Feed one block of arrivals for the assembler's pair on its own;
+    returns the batches they complete, in order."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n = sizes.size
+    times = np.zeros(n) if times is None else np.asarray(times, dtype=np.float64)
+    pids = np.arange(n) if pids is None else np.asarray(pids)
+    zeros = np.zeros(n, dtype=np.int64)
+    columns = ArrivalColumns(times, sizes, pids, zeros, zeros, np.arange(n))
+    emitted = []
+    position = asm.load(columns, 0, np.arange(n), sizes)
+    while position is not None:
+        emitted += asm.complete(float(times[position]))
+        position = asm.next_completion()
+    asm.close_block()
+    return emitted
+
+
 class TestBatchAssembler:
     def test_small_packets_fill_one_batch(self):
         asm = assembler()
-        emitted = []
-        for i in range(4):
-            emitted += asm.add(make_packet(pid=i, size=256, dst=1), now=float(i))
+        emitted = offer(asm, [256] * 4, times=[0.0, 1.0, 2.0, 3.0])
         assert len(emitted) == 1
         batch = emitted[0]
         assert batch.size_bytes == K
         assert batch.payload_bytes == K
         assert batch.padding_bytes == 0
-        assert [p.pid for p in batch.completing] == [0, 1, 2, 3]
+        assert completing_pids(batch) == [0, 1, 2, 3]
 
     def test_packet_straddles_two_batches(self):
         asm = assembler()
-        first = asm.add(make_packet(pid=0, size=800, dst=1), 0.0)
+        first = offer(asm, [800], times=[0.0], pids=[0])
         assert first == []
         # 800 + 800 = 1600: first batch closes at 1024, the second packet
         # straddles and completes in the (still partial) second batch.
-        second = asm.add(make_packet(pid=1, size=800, dst=1), 1.0)
+        second = offer(asm, [800], times=[1.0], pids=[1])
         assert len(second) == 1
-        assert [p.pid for p in second[0].completing] == [0]
+        assert completing_pids(second[0]) == [0]
         assert asm.fill_bytes == 1600 - K
 
     def test_packet_exactly_filling_batch_completes_in_it(self):
         asm = assembler()
-        emitted = asm.add(make_packet(pid=0, size=K, dst=1), 0.0)
+        emitted = offer(asm, [K])
         assert len(emitted) == 1
-        assert [p.pid for p in emitted[0].completing] == [0]
+        assert completing_pids(emitted[0]) == [0]
         assert asm.fill_bytes == 0
 
     def test_giant_packet_spans_many_batches(self):
         asm = assembler()
-        emitted = asm.add(make_packet(pid=0, size=3 * K + 100, dst=1), 0.0)
+        emitted = offer(asm, [3 * K + 100])
         assert len(emitted) == 3
         # The packet completes only in the batch holding its last byte,
         # which is still forming.
-        assert all(b.completing == [] for b in emitted)
+        assert all(completing_pids(b) == [] for b in emitted)
         assert asm.fill_bytes == 100
 
     def test_flush_pads_partial(self):
         asm = assembler()
-        asm.add(make_packet(pid=0, size=300, dst=1), 0.0)
+        offer(asm, [300])
         batch = asm.flush(5.0)
         assert batch is not None
         assert batch.payload_bytes == 300
@@ -65,22 +93,16 @@ class TestBatchAssembler:
     def test_flush_empty_returns_none(self):
         assert assembler().flush(0.0) is None
 
-    def test_wrong_output_rejected(self):
-        with pytest.raises(ConfigError):
-            assembler(output=2).add(make_packet(dst=1), 0.0)
-
     def test_sequence_numbers_increment(self):
         asm = assembler()
-        batches = asm.add(make_packet(pid=0, size=2 * K, dst=1), 0.0)
+        batches = offer(asm, [2 * K])
         assert [b.seq for b in batches] == [0, 1]
         assert asm.batches_emitted == 2
 
     def test_byte_conservation(self):
         asm = assembler()
         sizes = [137, 964, 2000, 41, 1024, 333]
-        batches = []
-        for i, size in enumerate(sizes):
-            batches += asm.add(make_packet(pid=i, size=size, dst=1), 0.0)
+        batches = offer(asm, sizes)
         total_emitted = sum(b.payload_bytes for b in batches)
         assert total_emitted + asm.fill_bytes == sum(sizes)
 
@@ -99,12 +121,7 @@ class TestBatch:
 class TestFrameAssembler:
     def make_batches(self, count, output=0):
         asm = BatchAssembler(output, K)
-        batches = []
-        pid = 0
-        while len(batches) < count:
-            batches += asm.add(make_packet(pid=pid, size=K, dst=output, src=0), float(pid))
-            pid += 1
-        return batches[:count]
+        return offer(asm, [K] * count, times=[float(pid) for pid in range(count)])
 
     def test_frame_completes_at_exact_batch_count(self):
         fasm = FrameAssembler(0, K, batches_per_frame=4)
@@ -115,7 +132,7 @@ class TestFrameAssembler:
         assert isinstance(frame, Frame)
         assert frame.size_bytes == 4 * K
         assert frame.payload_bytes == 4 * K
-        assert len(frame.completing_packets) == 4
+        assert frame.completing_count == 4
 
     def test_flush_builds_padded_frame(self):
         fasm = FrameAssembler(0, K, 4)

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.config import scaled_router
@@ -53,9 +54,10 @@ class TestPartitioning:
         sps = SplitParallelSwitch(small_router)
         packets = router_traffic(small_router)
         fibers = assign_fibers(packets, small_router.fibers_per_ribbon)
-        parts = sps.partition_packets(packets, fibers)
-        assert len(parts) == small_router.n_switches
-        assert sum(len(p) for p in parts) == len(packets)
+        switches = sps.switch_index([p.input_port for p in packets], fibers)
+        counts = np.bincount(switches, minlength=small_router.n_switches)
+        assert counts.size == small_router.n_switches
+        assert counts.sum() == len(packets)
 
     def test_switch_for_follows_splitter(self, small_router):
         splitter = ContiguousSplitter(
@@ -77,7 +79,7 @@ class TestPartitioning:
         sps = SplitParallelSwitch(small_router)
         packets = router_traffic(small_router)
         with pytest.raises(ConfigError):
-            sps.partition_packets(packets, [0])
+            sps.run(packets, DURATION, fibers=[0])
 
     def test_splitter_shape_validated(self, small_router):
         with pytest.raises(ConfigError):

@@ -1,8 +1,9 @@
 """Pipeline stages: input port, tail SRAM, head SRAM, output port."""
 
+import numpy as np
 import pytest
 
-from repro.core.frames import Batch, Frame
+from repro.core.frames import ArrivalColumns, Batch, Frame
 from repro.core.head_sram import HeadSRAM
 from repro.core.input_port import InputPort
 from repro.core.output_port import OutputPort
@@ -18,36 +19,55 @@ def config(small_switch):
     return small_switch
 
 
+def offer_one(port, pid, size, dst, t=0.0):
+    """Offer one packet to ``port`` as a block of its own; returns the
+    batches it completes (tail-dropped when the SRAM is full)."""
+    port.load(np.array([0]), np.array([size]))
+    emitted = []
+    if size > port.sram_capacity_bytes - port.occupancy_at(0):
+        port.drop(size)
+        port.drops.record(size, reason="input-sram-overflow")
+    else:
+        columns = ArrivalColumns([t], [size], [pid], [0], [0], [0])
+        assembler = port.assemblers[dst]
+        if assembler.load(columns, 0, np.array([0]), np.array([size])) is not None:
+            for batch in assembler.complete(t):
+                port.enqueue(batch)
+                emitted.append(batch)
+    port.close_block(t)
+    return emitted
+
+
 class TestInputPort:
     def test_packet_accumulates_then_emits_batch(self, config):
         port = InputPort(config, 0)
         for i in range(3):
-            assert port.on_packet(make_packet(pid=i, size=256, src=0, dst=1), 0.0) == []
-        emitted = port.on_packet(make_packet(pid=3, size=256, src=0, dst=1), 1.0)
+            assert offer_one(port, pid=i, size=256, dst=1) == []
+        emitted = offer_one(port, pid=3, size=256, dst=1, t=1.0)
         assert len(emitted) == 1
         assert len(port.fifo) == 1
         assert port.fifo_bytes == K
 
     def test_outputs_have_independent_queues(self, config):
         port = InputPort(config, 0)
-        port.on_packet(make_packet(pid=0, size=512, src=0, dst=0), 0.0)
-        port.on_packet(make_packet(pid=1, size=512, src=0, dst=1), 0.0)
+        offer_one(port, pid=0, size=512, dst=0)
+        offer_one(port, pid=1, size=512, dst=1)
         # Neither queue is full: no batch.
         assert len(port.fifo) == 0
         assert port.partial_bytes == 1024
 
     def test_overflow_drops_whole_packet(self, config):
         port = InputPort(config, 0, sram_capacity_bytes=1024)
-        port.on_packet(make_packet(pid=0, size=800, src=0, dst=0), 0.0)
-        port.on_packet(make_packet(pid=1, size=800, src=0, dst=1), 0.0)
+        offer_one(port, pid=0, size=800, dst=0)
+        offer_one(port, pid=1, size=800, dst=1)
         assert port.drops.dropped_items == 1
         assert port.drops.dropped_bytes == 800
         assert port.partial_bytes == 800
 
     def test_pop_batch_fifo_order(self, config):
         port = InputPort(config, 0)
-        port.on_packet(make_packet(pid=0, size=K, src=0, dst=0), 0.0)
-        port.on_packet(make_packet(pid=1, size=K, src=0, dst=1), 1.0)
+        offer_one(port, pid=0, size=K, dst=0)
+        offer_one(port, pid=1, size=K, dst=1, t=1.0)
         first = port.pop_batch(2.0)
         second = port.pop_batch(2.0)
         assert first.output == 0 and second.output == 1
@@ -55,8 +75,8 @@ class TestInputPort:
 
     def test_flush_partials_pads_everything(self, config):
         port = InputPort(config, 0)
-        port.on_packet(make_packet(pid=0, size=100, src=0, dst=0), 0.0)
-        port.on_packet(make_packet(pid=1, size=200, src=0, dst=2), 0.0)
+        offer_one(port, pid=0, size=100, dst=0)
+        offer_one(port, pid=1, size=200, dst=2)
         flushed = port.flush_partials(5.0)
         assert len(flushed) == 2
         assert port.partial_bytes == 0
@@ -64,8 +84,26 @@ class TestInputPort:
 
     def test_occupancy_peak_recorded(self, config):
         port = InputPort(config, 0)
-        port.on_packet(make_packet(pid=0, size=900, src=0, dst=0), 0.0)
+        offer_one(port, pid=0, size=900, dst=0)
         assert port.occupancy.peak == 900
+
+
+def completing(port, packets):
+    """The segment naming ``packets`` as a batch's completing packets,
+    laid out the way a switch lays out a block for ``port``."""
+    flows = [p.flow for p in packets]
+    lanes, okeys = port.flows.intern(
+        flows, np.arange(len(packets)), np.array([p.output_port for p in packets])
+    )
+    columns = ArrivalColumns(
+        [p.arrival_ns for p in packets],
+        [p.size_bytes for p in packets],
+        [p.pid for p in packets],
+        okeys,
+        lanes,
+        np.arange(len(packets)),
+    )
+    return [(columns, 0, len(packets))]
 
 
 def make_batch(output, seq=0, payload=K, created=0.0):
@@ -188,20 +226,24 @@ class TestOutputPort:
     def test_packets_get_departure_and_lane(self, config):
         port = OutputPort(config, 0, n_fibers=2, n_wavelengths=4)
         packet = make_packet(pid=0, size=K, dst=0)
-        batch = Batch(0, 0, K, K, [packet], 0.0)
+        batch = Batch(0, 0, K, K, completing(port, [packet]), 0.0)
         frame = Frame(0, 0, [batch], config.frame_bytes, 0.0)
+        departures, lanes = np.full(1, np.nan), np.full(1, -1)
+        port.record = (departures, lanes)
         port.transmit_frame(frame, 10.0)
-        assert packet.departure_ns is not None
-        assert 0 <= packet.fiber < 2
-        assert 0 <= packet.wavelength < 4
+        port.settle()
+        assert departures[0] >= 10.0
+        fiber, wavelength = divmod(int(lanes[0]), 4)
+        assert 0 <= fiber < 2
+        assert 0 <= wavelength < 4
         assert len(port.latency) == 1
 
     def test_reordering_detected(self, config):
         port = OutputPort(config, 0)
         early = make_packet(pid=5, size=256, dst=0, t=0.0)
         late = make_packet(pid=3, size=256, dst=0, t=0.0)
-        batch1 = Batch(0, 0, K, K, [early], 0.0)
-        batch2 = Batch(0, 1, K, K, [late], 0.0)
+        batch1 = Batch(0, 0, K, K, completing(port, [early]), 0.0)
+        batch2 = Batch(0, 1, K, K, completing(port, [late]), 0.0)
         frame = Frame(0, 0, [batch1, batch2], config.frame_bytes, 0.0)
         port.transmit_frame(frame, 0.0)
         assert port.ordering_violations == 1
@@ -213,7 +255,7 @@ class TestEgressLanes:
     def test_lane_bytes_recorded(self, config):
         port = OutputPort(config, 0, n_fibers=2, n_wavelengths=2)
         packet = make_packet(pid=0, size=K, dst=0)
-        batch = Batch(0, 0, K, K, [packet], 0.0)
+        batch = Batch(0, 0, K, K, completing(port, [packet]), 0.0)
         frame = Frame(0, 0, [batch], config.frame_bytes, 0.0)
         port.transmit_frame(frame, 0.0)
         assert sum(port.lane_bytes.values()) == K
@@ -228,7 +270,7 @@ class TestEgressLanes:
         packets = [
             Packet(i, 256, 0, 0, flows.flow_for(0, 0, i), 0.0) for i in range(512)
         ]
-        batches = [Batch(0, i, K, K, [p], 0.0) for i, p in enumerate(packets)]
+        batches = [Batch(0, i, K, K, completing(port, [p]), 0.0) for i, p in enumerate(packets)]
         frame = Frame(0, 0, batches[: config.batches_per_frame], config.frame_bytes, 0.0)
         port.transmit_frame(frame, 0.0)
         # Multiple lanes used even within one frame's worth of flows.

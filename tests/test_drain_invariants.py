@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import HBMSwitch, PFIOptions
+from repro.traffic.stream import ArrivalBlock
 
 from tests.conftest import make_traffic
 
@@ -79,8 +80,10 @@ class TestDrainGuard:
         once and shared, not recomputed per schedule)."""
         switch = HBMSwitch(small_switch, PFIOptions(padding=True, bypass=True))
         packet = make_traffic(small_switch, 0.9, 4_000.0, size=1500)[0]
-        switch._on_packet(packet)  # emits a full batch, schedules _drain
-        assert switch.engine.step()  # fire _drain: pops the batch
+        switch.stream_offer(ArrivalBlock.from_packets([packet], 4_000.0), 4_000.0)
+        # The step ingests the arrival (a full batch, which schedules
+        # _drain at its instant) and fires _drain: it pops the batch.
+        assert switch.engine.step()
         times = [entry[0] for entry in switch.engine._queue]
         assert len(times) == 2
         assert times[0] == times[1]

@@ -29,11 +29,17 @@ class TestDeriveGamma:
         assert derive_gamma(T, SEGMENT_TIME) == 4
 
     def test_longer_segments_need_smaller_gamma(self):
-        # A 4 KB segment (51.2 ns) alone covers tRC: gamma = 1.
-        assert derive_gamma(T, 51.2) == 1
+        # A 4 KB segment (51.2 ns) outlasts tRAS - tRCD, so its bank stays
+        # open for 15 + 51.2 + 15 = 81.2 ns: two segments cover it, one
+        # does not (the command-level check agrees: gamma = 1 re-opens
+        # the bank before its precharge, gamma = 2 runs clean).
+        assert derive_gamma(T, 51.2) == 2
 
-    def test_gamma_two_for_half_trc_segments(self):
-        assert derive_gamma(T, T.t_rc / 2) == 2
+    def test_half_trc_segments_need_gamma_three(self):
+        # 22.5 ns segments hold a bank open 15 + 22.5 + 15 = 52.5 ns,
+        # more than two segments: gamma = 3 (the command-level check
+        # gives 3 for the nearest burst-aligned segment, 22.4 ns).
+        assert derive_gamma(T, T.t_rc / 2) == 3
 
     def test_too_short_segments_have_no_legal_gamma(self):
         # Shorter than tRC/4 per segment: would need gamma > 4.

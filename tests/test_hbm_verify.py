@@ -22,6 +22,7 @@ from repro.hbm import (
     plan_refreshes,
 )
 from repro.hbm.controller import FRAME_BLOCK
+from repro.hbm.interleaving import open_span
 from repro.hbm.verify import CommandBlock
 
 #: Refresh due every 400 ns, 30 ns each, so short trains need it.
@@ -347,30 +348,32 @@ def same_group_train(gamma, segment_bytes, n_channels, timing, n_frames=4):
 @settings(max_examples=60, deadline=None)
 @given(
     n_channels=st.integers(1, 8),
-    bursts=st.integers(22, 64),  # 704..2048 B: 8.8..25.6 ns at 80 B/ns
-    ras_slack=st.floats(0.0, 30.0),
+    bursts=st.integers(22, 160),  # 704..5120 B: 8.8..64 ns at 80 B/ns
+    ras_slack=st.floats(-60.0, 30.0),
     t_rp=st.floats(1.0, 30.0),
 )
 def test_pfi_train_legal_at_derived_gamma(n_channels, bursts, ras_slack, t_rp):
     """At ``derive_gamma``'s gamma the same-group train runs clean; at
-    gamma - 1 the group's first bank is re-activated before its row
-    cycle ends.
+    gamma - 1 the group's first bank is re-activated before its open
+    span ends.
 
-    Drawn where the derivation's premises hold: the PRE is tRAS-bound
-    (a segment fits between ACT + tRCD and ACT + tRAS), and four ACTs a
-    segment apart span tFAW.
+    Drawn in both regimes of the derivation: a PRE bound by tRAS (the
+    segment fits between ACT + tRCD and ACT + tRAS) and a PRE that waits
+    for a longer segment's data.  Segments are whole 32 B bursts, and
+    four ACTs a segment apart span tFAW.
     """
     config = HBMSwitchConfig()
     segment_bytes = 32 * bursts
     segment_time = segment_bytes / config.stack.channel_bytes_per_ns
     base = HBMTiming()
-    timing = HBMTiming(t_ras=base.t_rcd + segment_time + ras_slack, t_rp=t_rp)
+    t_ras = max(base.t_rcd + 1.0, base.t_rcd + segment_time + ras_slack)
+    timing = HBMTiming(t_ras=t_ras, t_rp=t_rp)
     assume(4 * segment_time >= timing.t_faw)
     try:
         gamma = derive_gamma(timing, segment_time)
     except ConfigError:
         assume(False)
-    assert gamma >= 2  # one segment never covers tRC here
+    assert gamma >= 2  # one segment never covers its own open span
     result, _ = same_group_train(gamma, segment_bytes, n_channels, timing)
     assert result.payload_bytes == 4 * gamma * segment_bytes * n_channels
 
@@ -378,11 +381,32 @@ def test_pfi_train_legal_at_derived_gamma(n_channels, bursts, ras_slack, t_rp):
         same_group_train(gamma - 1, segment_bytes, n_channels, timing)
     violation = caught.value
     # The second frame's first ACT, on the group's first bank, is the
-    # first illegal command; it is legal only a row cycle after the
-    # first frame's.  The bank is either still open or still
-    # precharging, which the oracle names ACT-on-open-bank or tRP.
+    # first illegal command: it comes before the first frame's open
+    # span on that bank has ended.  The bank is either still open
+    # (ACT-on-open-bank) or still precharging (tRP); the oracle quotes
+    # the row-cycle bound for the first and the precharge end for the
+    # second.
     first_act = first_legal_start(timing) - timing.t_rcd
+    closed = first_act + open_span(timing, segment_time)
     assert violation.command.startswith("ACT ch0 bank0 row1")
-    assert violation.rule in ("ACT-on-open-bank", "tRP")
-    assert violation.legal_at == pytest.approx(first_act + timing.t_rc)
-    assert violation.issued_at < violation.legal_at
+    assert violation.issued_at < closed
+    if violation.rule == "tRP":
+        assert violation.legal_at == pytest.approx(closed)
+    else:
+        assert violation.rule == "ACT-on-open-bank"
+        assert violation.legal_at == pytest.approx(first_act + timing.t_rc)
+
+
+@pytest.mark.parametrize(
+    "segment_time, gamma",
+    [(12.8, 4), (15.2, 3), (22.4, 3), (25.6, 3), (32.0, 2), (38.4, 2), (51.2, 2)],
+)
+def test_derived_gamma_is_the_smallest_legal_one(segment_time, gamma):
+    """With the reference timing, across both regimes, ``derive_gamma``
+    is exactly the smallest gamma the command-level check accepts."""
+    timing = HBMTiming()
+    segment_bytes = round(segment_time * HBMSwitchConfig().stack.channel_bytes_per_ns)
+    assert derive_gamma(timing, segment_time) == gamma
+    same_group_train(gamma, segment_bytes, 2, timing)
+    with pytest.raises(TimingViolation):
+        same_group_train(gamma - 1, segment_bytes, 2, timing)

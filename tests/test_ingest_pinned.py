@@ -1,0 +1,265 @@
+"""Pinned ingest regression grid: small switch and router cells whose
+report and registry digests were recorded with the per-packet event
+model (one heap event per arrival).
+
+The array-native ingest must reproduce every one of them byte for byte:
+equal timestamps across ports, input- and tail-SRAM overflow, the four
+padding x bypass combinations, FIB no-route drops, switch-dead windows,
+fiber cuts and an HBM channel loss, telemetry on, three block sizes,
+and the Packet-list entry point's departure write-back.  A digest here
+changes only with a declared behaviour change.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from repro import HBMSwitch, PFIOptions, SplitParallelSwitch, scaled_router
+from repro.control import ControlConfig
+from repro.faults import FaultSchedule, FiberCut, HBMChannelLoss, SwitchFailure
+from repro.forwarding import Fib, RouteTable
+from repro.runtime import degradation_scenario, execute_scenario
+from repro.telemetry import MetricsRegistry, SwitchTelemetry
+from repro.traffic import (
+    ArrivalProcess,
+    FiveTuple,
+    FixedSize,
+    ImixSize,
+    TrafficGenerator,
+    uniform_matrix,
+)
+from repro.traffic.packet import Packet
+from repro.traffic.stream import workload_source
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _switch_payload(report, packets=None) -> str:
+    payload = {"report": dataclasses.asdict(report)}
+    if packets is not None:
+        payload["departures"] = [p.departure_ns for p in packets]
+    return _digest(payload)
+
+
+def _traffic(config, load, duration, size_dist, process, seed):
+    return TrafficGenerator(
+        n_ports=config.n_ports,
+        port_rate_bps=config.port_rate_bps,
+        matrix=uniform_matrix(config.n_ports, load),
+        size_dist=size_dist,
+        process=process,
+        seed=seed,
+    ).materialize(duration)
+
+
+def _switch(options=PFIOptions(padding=True, bypass=True), **kwargs):
+    config = scaled_router().switch
+    return config, HBMSwitch(config, options, **kwargs)
+
+
+def _instrumented(config, **kwargs):
+    registry = MetricsRegistry()
+    telemetry = SwitchTelemetry(registry, config, 0)
+    return registry, telemetry
+
+
+def cell_equal_timestamps() -> str:
+    """Every port receives an arrival at the same instants."""
+    config, switch = _switch()
+    packets = []
+    pid = 0
+    for k in range(240):
+        for i in range(config.n_ports):
+            j = (i + k) % config.n_ports
+            flow = FiveTuple((10 << 24) | (i << 16) | k % 8, (192 << 24) | (j << 16), 1024 + k % 8, 443)
+            packets.append(Packet(pid, 256 + 64 * (k % 5), i, j, flow, 12.8 * k))
+            pid += 1
+    report = switch.run(packets, 240 * 12.8)
+    return _switch_payload(report, packets)
+
+
+def cell_deterministic() -> str:
+    config, switch = _switch(PFIOptions(padding=True, bypass=False))
+    packets = _traffic(config, 0.8, 6_000.0, FixedSize(1500), ArrivalProcess.DETERMINISTIC, 0)
+    report = switch.run(packets, 6_000.0)
+    return _switch_payload(report, packets)
+
+
+def cell_input_overflow() -> str:
+    config = scaled_router().switch
+    registry, telemetry = _instrumented(config)
+    switch = HBMSwitch(
+        config,
+        PFIOptions(padding=True, bypass=True),
+        input_sram_capacity=3 * config.batch_bytes,
+        telemetry=telemetry,
+    )
+    packets = _traffic(config, 0.9, 8_000.0, ImixSize(), ArrivalProcess.ONOFF, 3)
+    report = switch.run(packets, 8_000.0)
+    return _digest([_switch_payload(report, packets), registry.to_dict()])
+
+
+def cell_tail_overflow() -> str:
+    config = scaled_router().switch
+    registry, telemetry = _instrumented(config)
+    switch = HBMSwitch(
+        config,
+        PFIOptions(padding=False, bypass=False),
+        tail_sram_capacity=2 * config.frame_bytes,
+        telemetry=telemetry,
+    )
+    packets = _traffic(config, 0.95, 8_000.0, FixedSize(64), ArrivalProcess.ONOFF, 4)
+    report = switch.run(packets, 8_000.0)
+    return _digest([_switch_payload(report, packets), registry.to_dict()])
+
+
+def _options_cell(padding: bool, bypass: bool) -> str:
+    config, switch = _switch(PFIOptions(padding=padding, bypass=bypass))
+    packets = _traffic(config, 0.7, 8_000.0, ImixSize(), ArrivalProcess.POISSON, 5)
+    report = switch.run(packets, 8_000.0)
+    return _switch_payload(report, packets)
+
+
+def cell_no_route() -> str:
+    """A FIB that routes only outputs 0 and 1: the rest drop as no-route."""
+    config = scaled_router().switch
+    table = RouteTable(
+        routes=tuple(((192 << 24) | (j << 16), 16, j) for j in range(2)),
+        n_next_hops=config.n_ports,
+    )
+    switch = HBMSwitch(config, PFIOptions(padding=True, bypass=True), fib=Fib(table))
+    packets = _traffic(config, 0.6, 5_000.0, ImixSize(), ArrivalProcess.POISSON, 6)
+    report = switch.run(packets, 5_000.0)
+    return _switch_payload(report, packets)
+
+
+ROUTER_SPAN = 20_000.0
+
+
+def _faults() -> FaultSchedule:
+    return FaultSchedule(
+        [
+            SwitchFailure(switch=1, start_ns=5_000.0, end_ns=9_000.0),
+            FiberCut(ribbon=0, fiber=1, start_ns=2_000.0, end_ns=12_000.0),
+            HBMChannelLoss(switch=0, n_channels=2, start_ns=3_000.0, end_ns=8_000.0),
+        ]
+    )
+
+
+def _router_source(config):
+    return workload_source(
+        "lognormal",
+        n_ports=config.n_ribbons,
+        port_rate_bps=config.fibers_per_ribbon * config.per_fiber_rate_bps,
+        load=0.7,
+        seed=7,
+        duration_ns=ROUTER_SPAN,
+    )
+
+
+def _router_cell(block_ns=None) -> str:
+    config = scaled_router()
+    registry = MetricsRegistry()
+    router = SplitParallelSwitch(config, options=PFIOptions(padding=True, bypass=True))
+    source = _router_source(config)
+    if block_ns is None:
+        report = router.run(
+            source.materialize(ROUTER_SPAN),
+            ROUTER_SPAN,
+            fault_schedule=_faults(),
+            telemetry=registry,
+        )
+    else:
+        report = router.run_stream(
+            source.blocks(ROUTER_SPAN, block_ns),
+            ROUTER_SPAN,
+            fault_schedule=_faults(),
+            telemetry=registry,
+        )
+    return _digest(dataclasses.asdict(report))
+
+
+def cell_router_64b() -> str:
+    config = scaled_router(fibers_per_ribbon=32, n_switches=8)
+    port_rate = config.fibers_per_ribbon * config.per_fiber_rate_bps
+    packets = TrafficGenerator(
+        n_ports=config.n_ribbons,
+        port_rate_bps=port_rate,
+        matrix=uniform_matrix(config.n_ribbons, 0.8),
+        size_dist=FixedSize(64),
+        seed=2,
+    ).materialize(3_000.0)
+    report = SplitParallelSwitch(config).run(packets, 3_000.0)
+    return _digest(dataclasses.asdict(report))
+
+
+def _degradation_cell(control) -> str:
+    config = scaled_router()
+    scenario = degradation_scenario(
+        config,
+        schedule=FaultSchedule([SwitchFailure(switch=0, start_ns=4_000.0, end_ns=8_000.0)]),
+        load=0.6,
+        duration_ns=16_000.0,
+        seed=1,
+        telemetry=True,
+        control=control,
+    )
+    return _digest(execute_scenario(scenario))
+
+
+CELLS = {
+    "switch_equal_timestamps": cell_equal_timestamps,
+    "switch_deterministic": cell_deterministic,
+    "switch_input_overflow": cell_input_overflow,
+    "switch_tail_overflow": cell_tail_overflow,
+    "switch_padding_bypass": lambda: _options_cell(True, True),
+    "switch_padding_only": lambda: _options_cell(True, False),
+    "switch_bypass_only": lambda: _options_cell(False, True),
+    "switch_neither": lambda: _options_cell(False, False),
+    "switch_no_route": cell_no_route,
+    "router_faults_eager": lambda: _router_cell(None),
+    "router_faults_block_1us": lambda: _router_cell(1_000.0),
+    "router_faults_block_3333ns": lambda: _router_cell(3_333.0),
+    "router_faults_block_40us": lambda: _router_cell(40_000.0),
+    "router_64b": cell_router_64b,
+    "degradation_open_loop": lambda: _degradation_cell(None),
+    "degradation_closed_loop": lambda: _degradation_cell(ControlConfig(tick_ns=1_000.0)),
+}
+
+#: Recorded with the per-packet event model (one heap event per arrival).
+PINNED = {
+    'degradation_closed_loop': 'b989ed5639a81ff80d8d0d7e2232ee912ea87d83d40c9ea2e586afcdcdfeafba',
+    'degradation_open_loop': 'c404a5bdfc83d36aaede3744a414247ee9c49c6437341b60eb54045513125248',
+    'router_64b': 'ba4eda10817fd7d5b05406391555ddf4f5bf62a93819436d1d21006b50273baf',
+    'router_faults_block_1us': '244db450df769c43a45b3df83480f8aea49720abdf93e25fd985baa23f48d578',
+    'router_faults_block_3333ns': '244db450df769c43a45b3df83480f8aea49720abdf93e25fd985baa23f48d578',
+    'router_faults_block_40us': '244db450df769c43a45b3df83480f8aea49720abdf93e25fd985baa23f48d578',
+    'router_faults_eager': '244db450df769c43a45b3df83480f8aea49720abdf93e25fd985baa23f48d578',
+    'switch_bypass_only': '83b819e0552a93c74d12f7ad67f91ccdeaf75d41cee526e9cdde48ee819036d7',
+    'switch_deterministic': 'fd008310e6270d4305128b5f88779db295e67d8757c7d9b4e3fe9af941197220',
+    'switch_equal_timestamps': 'f1dcd6dec5aac99bab0e5e5c503ceaf528b108ca07310e627c21252a20dbfa96',
+    'switch_input_overflow': 'aea28c4929bc6a03f8fc7e8b780b883a2acdf24d5bc3986b0d483d009d8f699e',
+    'switch_neither': '99c7c17f5f442c4b03173c2bbdab2d9e95a0891c6e49a0cfc80374df4e0c2f6b',
+    'switch_no_route': 'e7530e54334d5d4b0ae0e940ceef29ccd3f1df8a36554fab2cd32c6389df7af2',
+    'switch_padding_bypass': '415bbbdd985133ab74d7714ff484ad7cf89642afe171485c2af0f505bfd8b16f',
+    'switch_padding_only': 'e841ff080fd4358d782eb42b2665cd2dbce5f0968a30b1fe5cddf72180aba93e',
+    'switch_tail_overflow': '3374f0ebe42712fdf2a94a19b7c5d3597ddae432cf2289ea24ee86b8a4d1048b',
+}
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_pinned_digest(name):
+    assert CELLS[name]() == PINNED[name]
+
+
+def test_block_sizes_agree():
+    """The router cell's digest does not depend on how it is chunked."""
+    digests = {PINNED[name] for name in PINNED if name.startswith("router_faults_")}
+    assert len(digests) == 1

@@ -14,6 +14,7 @@ from repro.sim import (
     run_work_units,
 )
 from repro.traffic import FixedSize, TrafficGenerator, uniform_matrix
+from repro.traffic.stream import ArrivalBlock
 
 DURATION = 30_000.0
 
@@ -58,32 +59,33 @@ class TestWorkUnits:
             small_router, options=PFIOptions(padding=True, bypass=True)
         )
         packets = router_traffic(small_router)
-        fibers = assign_fibers(packets, small_router.fibers_per_ribbon)
-        parts = sps.partition_packets(packets, fibers)
+        block = ArrivalBlock.from_packets(packets, DURATION)
+        fibers = assign_fibers(block, small_router.fibers_per_ribbon)
+        switches = sps.switch_index(block.inputs, fibers)
         return [
             SwitchWorkUnit(
                 index=k,
                 config=small_router.switch,
                 options=sps.options,
                 timing=None,
-                packets=tuple(parts[k]),
+                blocks=(block.select(switches == k),),
                 duration_ns=DURATION,
             )
-            for k in range(min(n, len(parts)))
+            for k in range(min(n, small_router.n_switches))
         ]
 
     def test_execute_returns_index_and_report(self, small_router):
         units = self._units(small_router, n=1)
         index, report = execute_work_unit(units[0])
         assert index == 0
-        assert report.offered_packets == len(units[0].packets)
+        assert report.offered_packets == len(units[0].blocks[0])
 
     def test_run_work_units_preserves_order(self, small_router):
         units = self._units(small_router, n=2)
         reports = run_work_units(units, n_workers=2)
         assert len(reports) == 2
         for unit, report in zip(units, reports):
-            assert report.offered_packets == len(unit.packets)
+            assert report.offered_packets == len(unit.blocks[0])
 
     def test_single_worker_runs_inline(self, small_router):
         units = self._units(small_router, n=2)

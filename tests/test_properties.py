@@ -10,9 +10,10 @@ from repro.core.crossbar import CyclicalCrossbar
 from repro.core.fiber_split import ContiguousSplitter, PseudoRandomSplitter, per_switch_loads
 from repro.core.frames import BatchAssembler, FrameAssembler
 from repro.hbm import HBMTiming, bank_group_for_frame, derive_gamma
+from tests.test_core_frames import completing_pids, offer
+from repro.hbm.interleaving import open_span
 from repro.sim import Engine
 from repro.traffic import FiveTuple, hash_to_choice, is_admissible, random_admissible_matrix, uniform_matrix
-from tests.test_traffic_basics import make_packet
 
 sizes = st.integers(min_value=1, max_value=5000)
 
@@ -24,7 +25,7 @@ class TestBatchAssemblerProperties:
         asm = BatchAssembler(output=0, batch_bytes=1024)
         emitted = []
         for i, size in enumerate(packet_sizes):
-            emitted += asm.add(make_packet(pid=i, size=size, dst=0), 0.0)
+            emitted += offer(asm, [size], pids=[i])
         assert sum(b.payload_bytes for b in emitted) + asm.fill_bytes == sum(packet_sizes)
 
     @given(st.lists(sizes, min_size=1, max_size=60))
@@ -33,11 +34,11 @@ class TestBatchAssemblerProperties:
         asm = BatchAssembler(output=0, batch_bytes=1024)
         emitted = []
         for i, size in enumerate(packet_sizes):
-            emitted += asm.add(make_packet(pid=i, size=size, dst=0), 0.0)
+            emitted += offer(asm, [size], pids=[i])
         final = asm.flush(0.0)
         if final is not None:
             emitted.append(final)
-        completed = [p.pid for b in emitted for p in b.completing]
+        completed = [pid for b in emitted for pid in completing_pids(b)]
         assert completed == sorted(completed)
         assert completed == list(range(len(packet_sizes)))
 
@@ -45,9 +46,7 @@ class TestBatchAssemblerProperties:
     @settings(max_examples=60, deadline=None)
     def test_all_batches_are_full_size(self, packet_sizes):
         asm = BatchAssembler(output=0, batch_bytes=512)
-        emitted = []
-        for i, size in enumerate(packet_sizes):
-            emitted += asm.add(make_packet(pid=i, size=size, dst=0), 0.0)
+        emitted = offer(asm, packet_sizes)
         assert all(b.size_bytes == 512 for b in emitted)
 
 
@@ -174,15 +173,18 @@ class TestGammaProperties:
     @settings(max_examples=80, deadline=None)
     def test_derived_gamma_is_minimal_and_sufficient(self, segment_time):
         timing = HBMTiming()
+        span = open_span(timing, segment_time)
         try:
             gamma = derive_gamma(timing, segment_time)
         except Exception:
             # No legal gamma <= 4: the segment really is too short.
-            assert 4 * segment_time < timing.t_rc
+            assert 4 * segment_time < span
             return
-        assert gamma * segment_time >= timing.t_rc or gamma == 1 and segment_time >= timing.t_rc
+        # The group covers a bank's open span (ACT to precharged),
+        # and one bank fewer would not.
+        assert gamma * segment_time >= span
         if gamma > 1:
-            assert (gamma - 1) * segment_time < timing.t_rc
+            assert (gamma - 1) * segment_time < span
 
 
 class TestEngineProperties:

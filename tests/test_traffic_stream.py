@@ -140,6 +140,49 @@ class TestBlockProtocol:
             )
 
 
+class TestBlockValidation:
+    """A block checks what a Packet checked, since no Packet is built."""
+
+    def _block(self, sizes=(100, 100), inputs=(0, 0), outputs=(1, 1)):
+        return ArrivalBlock(
+            times=[1.0, 2.0], sizes=list(sizes), inputs=list(inputs),
+            outputs=list(outputs), flows=(None, None),
+            start_ns=0.0, end_ns=10.0,
+        )
+
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_non_positive_sizes_rejected(self, size):
+        with pytest.raises(ConfigError, match="sizes must be positive"):
+            self._block(sizes=(100, size))
+
+    def test_negative_ports_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            self._block(outputs=(1, -5))
+        with pytest.raises(ConfigError, match="non-negative"):
+            self._block(inputs=(-1, 0))
+
+    def test_switch_rejects_ports_beyond_its_geometry(self):
+        config = scaled_router().switch
+        block = self._block(outputs=(1, config.n_ports))
+        with pytest.raises(ConfigError, match="below the switch"):
+            HBMSwitch(config, PFIOptions()).run_stream([block], 10.0)
+        block = self._block(inputs=(config.n_ports + 3, 0))
+        with pytest.raises(ConfigError, match="below the switch"):
+            HBMSwitch(config, PFIOptions()).run_stream([block], 10.0)
+
+    def test_router_rejects_ribbons_and_fibers_beyond_its_geometry(self):
+        config = scaled_router()
+        router = SplitParallelSwitch(config)
+        block = self._block(inputs=(0, config.n_ribbons))
+        first_fibers = lambda block: np.zeros(len(block), dtype=np.int64)  # noqa: E731
+        with pytest.raises(ConfigError, match="ribbon"):
+            router.run_stream([block], 10.0, fibers_fn=first_fibers)
+        # A negative fiber must not wrap around the assignment table.
+        fibers = np.array([0, -1])
+        with pytest.raises(ConfigError, match="fiber"):
+            router.run_stream([self._block()], 10.0, fibers_fn=lambda block: fibers)
+
+
 class TestGeneratorStreaming:
     def test_generator_blocks_match_generate_exactly(self):
         config = scaled_router().switch
