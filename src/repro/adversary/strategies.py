@@ -5,9 +5,9 @@ fiber-to-switch assignment defeats both a hostile operator (who loads
 the first fibers first) and an attacker who targets one internal switch.
 This module makes those adversaries executable: each strategy produces a
 per-fiber / per-pair workload -- normalized per-ribbon fiber weights for
-the analytic helpers of :mod:`repro.core.fiber_split`, plus a packet
-stream and explicit fiber choices that drive the full SPS -> PFI -> HBM
-pipeline through :meth:`repro.core.sps.SplitParallelSwitch.run`.
+the analytic helpers of :mod:`repro.core.fiber_split`, plus an arrival
+block and explicit fiber choices that drive the full SPS -> PFI -> HBM
+pipeline through :meth:`repro.core.sps.SplitParallelSwitch.run_stream`.
 
 The threat model (docs/adversary.md) fixes what each adversary knows:
 
@@ -56,11 +56,11 @@ from ..traffic import (
     ArrivalProcess,
     FixedSize,
     FiveTuple,
-    Packet,
     TrafficGenerator,
     uniform_matrix,
 )
 from ..traffic.generators import fiber_load_profile
+from ..traffic.stream import ArrivalBlock
 from ..units import rate_to_bytes_per_ns
 
 #: Capacity (in single-fiber units) used by the probe oracle: two fibers
@@ -104,65 +104,69 @@ def _mix_with_background(
 
 
 def weighted_fibers(
-    packets: Sequence[Packet], fiber_weights: Sequence[np.ndarray]
-) -> List[int]:
+    block: ArrivalBlock, fiber_weights: Sequence[np.ndarray]
+) -> np.ndarray:
     """Deterministic byte-weighted fiber choice (smooth weighted
     round-robin): ribbon r's bytes land on fiber f in proportion
     ``fiber_weights[r][f]``, with no sampling noise.
 
     Each ribbon keeps per-fiber credit that grows by ``weight * size``
-    on every packet; the packet takes the fiber with the most credit and
-    pays its size back.  The running deviation from the exact weighted
-    split stays bounded by one packet per fiber, so the analytic
-    per-switch loads of :mod:`repro.core.fiber_split` and the simulated
-    per-switch offered bytes agree to within a packet.
+    on every arrival of ``block``; the arrival takes the fiber with the
+    most credit and pays its size back.  The running deviation from the
+    exact weighted split stays bounded by one packet per fiber, so the
+    analytic per-switch loads of :mod:`repro.core.fiber_split` and the
+    simulated per-switch offered bytes agree to within a packet.
+    Returns one fiber per arrival.
     """
     credits = [np.zeros(len(w), dtype=np.float64) for w in fiber_weights]
-    fibers: List[int] = []
-    for packet in packets:
-        ribbon = packet.input_port
+    fibers = np.empty(len(block), dtype=np.int64)
+    for i, (ribbon, size) in enumerate(
+        zip(block.inputs.tolist(), block.sizes.tolist())
+    ):
         credit = credits[ribbon]
-        credit += fiber_weights[ribbon] * packet.size_bytes
+        credit += fiber_weights[ribbon] * size
         fiber = int(np.argmax(credit))
-        credit[fiber] -= packet.size_bytes
-        fibers.append(fiber)
+        credit[fiber] -= size
+        fibers[i] = fiber
     return fibers
 
 
-def _carrier_packets(
+def _carrier_block(
     config: RouterConfig,
     load: float,
     duration_ns: float,
     seed: int,
     packet_bytes: int,
     workload: Optional[str],
-) -> List[Packet]:
-    """The (time-sorted, freshly-pid'd) carrier traffic an attack rides
-    on: the historical fixed-size Poisson stream, or -- when ``workload``
-    is given -- a :func:`~repro.traffic.stream.workload_source` family."""
+) -> ArrivalBlock:
+    """The carrier traffic an attack rides on, as one whole-run block:
+    the historical fixed-size Poisson stream, or -- when ``workload`` is
+    given -- a :func:`~repro.traffic.stream.workload_source` family."""
+    port_rate_bps = config.fibers_per_ribbon * config.per_fiber_rate_bps
     if workload is not None:
         from ..traffic.stream import workload_source
 
         source = workload_source(
             workload,
             n_ports=config.n_ribbons,
-            port_rate_bps=config.fibers_per_ribbon * config.per_fiber_rate_bps,
+            port_rate_bps=port_rate_bps,
             load=load,
             seed=seed,
             duration_ns=duration_ns,
             packet_bytes=packet_bytes,
         )
-        return source.materialize(duration_ns)
-    generator = TrafficGenerator(
-        n_ports=config.n_ribbons,
-        port_rate_bps=config.fibers_per_ribbon * config.per_fiber_rate_bps,
-        matrix=uniform_matrix(config.n_ribbons, load),
-        size_dist=FixedSize(packet_bytes),
-        process=ArrivalProcess.POISSON,
-        seed=seed,
-        flows_per_pair=256,
-    )
-    return generator.materialize(duration_ns)
+    else:
+        source = TrafficGenerator(
+            n_ports=config.n_ribbons,
+            port_rate_bps=port_rate_bps,
+            matrix=uniform_matrix(config.n_ribbons, load),
+            size_dist=FixedSize(packet_bytes),
+            process=ArrivalProcess.POISSON,
+            seed=seed,
+            flows_per_pair=256,
+        )
+    (block,) = source.blocks(duration_ns, block_ns=duration_ns)
+    return block
 
 
 @dataclass(frozen=True)
@@ -230,8 +234,11 @@ class AttackStrategy(ABC):
         seed: int,
         packet_bytes: int = 1500,
         workload: Optional[str] = None,
-    ) -> Tuple[List[Packet], List[int]]:
-        """(packets, fibers) driving the full router pipeline.
+    ) -> Tuple[ArrivalBlock, np.ndarray]:
+        """``(block, fibers)`` driving the full router pipeline: the
+        whole run's arrivals as one
+        :class:`~repro.traffic.stream.ArrivalBlock` and each arrival's
+        fiber within its ribbon.
 
         The default builds an admissible uniform ribbon-level matrix at
         ``load`` (the attack redistributes traffic across *fibers*, not
@@ -243,11 +250,11 @@ class AttackStrategy(ABC):
         (:func:`~repro.traffic.stream.workload_source` spec) -- the
         attack's fiber weighting applies unchanged.
         """
-        packets = _carrier_packets(
+        block = _carrier_block(
             config, load, duration_ns, seed, packet_bytes, workload
         )
         weights = self.fiber_weights(splitter, config.n_ribbons)
-        return packets, weighted_fibers(packets, weights)
+        return block, weighted_fibers(block, weights)
 
     def describe(self) -> str:
         return f"{self.name}(attack_fraction={self.attack_fraction:g})"
@@ -459,14 +466,16 @@ class BurstSynchronizedAttack(AttackStrategy):
         seed: int,
         packet_bytes: int = 1500,
         workload: Optional[str] = None,
-    ) -> Tuple[List[Packet], List[int]]:
+    ) -> Tuple[ArrivalBlock, np.ndarray]:
         """Background traffic plus synchronized burst trains.
 
         The burst ON rate is ``attack_fraction * load / duty`` of the
         ribbon line rate, clamped to the line rate (an attacker cannot
         exceed its physical ingress), identical windows on every ribbon.
         ``workload`` swaps the background for a streaming family; the
-        crafted bursts are unchanged.
+        crafted bursts are unchanged.  Background and bursts merge by a
+        stable sort on arrival time (background first at equal times)
+        and take fresh pids in that order.
         """
         attack_load = self.attack_fraction * load
         if attack_load / self.duty > 1.0 + 1e-9:
@@ -475,67 +484,76 @@ class BurstSynchronizedAttack(AttackStrategy):
                 f"rate; raise duty (>= {attack_load:g}) or lower the load"
             )
         background_load = load - attack_load
-        packets: List[Packet] = []
+        n_ribbons = config.n_ribbons
+        # (times, sizes, inputs, outputs, flow_ids) per part: the
+        # background first, then each window's burst train, merged by
+        # one stable sort below.
+        flows: List[FiveTuple] = []
+        empty = np.empty(0, dtype=np.int64)
+        parts = [(np.empty(0), empty, empty, empty, empty)]
         if background_load > 0:
-            packets = _carrier_packets(
+            carrier = _carrier_block(
                 config, background_load, duration_ns, seed, packet_bytes,
                 workload,
             )
+            flows.extend(carrier.flows)
+            parts.append((
+                carrier.times, carrier.sizes, carrier.inputs,
+                carrier.outputs, carrier.flow_ids,
+            ))
 
         ribbon_rate = rate_to_bytes_per_ns(
             config.fibers_per_ribbon * config.per_fiber_rate_bps
         )
         on_rate = min(1.0, attack_load / self.duty) * ribbon_rate
-        burst: List[Packet] = []
         if attack_load > 0 and on_rate > 0:
             gap_ns = packet_bytes / on_rate
             on_ns = self.duty * self.period_ns
             per_window = max(int(on_ns / gap_ns), 1)
+            ribbons = np.arange(n_ribbons, dtype=np.int64)
             window = 0
             while window * self.period_ns < duration_ns:
                 start = window * self.period_ns
-                for k in range(per_window):
-                    arrival = start + k * gap_ns
-                    if arrival >= min(start + on_ns, duration_ns):
-                        break
-                    for ribbon in range(config.n_ribbons):
-                        # One crafted flow per (ribbon, window): bursts
-                        # are deliberately flow-dense and synchronized.
-                        flow = FiveTuple(
-                            src_ip=(172 << 24) | (ribbon << 16) | (window & 0xFFFF),
-                            dst_ip=(203 << 24) | (self.victim << 16),
-                            src_port=1024 + (window % 60_000),
-                            dst_port=179,
-                        )
-                        burst.append(
-                            Packet(
-                                pid=0,  # re-assigned after the merge
-                                size_bytes=packet_bytes,
-                                input_port=ribbon,
-                                output_port=(ribbon + window + k)
-                                % config.n_ribbons,
-                                flow=flow,
-                                arrival_ns=arrival,
-                            )
-                        )
+                ks = np.arange(per_window)
+                arrivals = start + ks * gap_ns
+                sent = arrivals < min(start + on_ns, duration_ns)
+                ks, arrivals = ks[sent], arrivals[sent]
+                parts.append((
+                    np.repeat(arrivals, n_ribbons),
+                    np.full(ks.size * n_ribbons, packet_bytes, dtype=np.int64),
+                    np.tile(ribbons, ks.size),
+                    (ribbons[None, :] + window + ks[:, None]).ravel() % n_ribbons,
+                    np.tile(ribbons + len(flows), ks.size),
+                ))
+                # One crafted flow per (ribbon, window): bursts are
+                # deliberately flow-dense and synchronized.
+                flows.extend(
+                    FiveTuple(
+                        src_ip=(172 << 24) | (ribbon << 16) | (window & 0xFFFF),
+                        dst_ip=(203 << 24) | (self.victim << 16),
+                        src_port=1024 + (window % 60_000),
+                        dst_port=179,
+                    )
+                    for ribbon in range(n_ribbons)
+                )
                 window += 1
 
-        merged = sorted(
-            packets + burst, key=lambda p: p.arrival_ns
+        times, sizes, inputs, outputs, flow_ids = (
+            np.concatenate(column) for column in zip(*parts)
         )
-        relabelled = [
-            Packet(
-                pid=i,
-                size_bytes=p.size_bytes,
-                input_port=p.input_port,
-                output_port=p.output_port,
-                flow=p.flow,
-                arrival_ns=p.arrival_ns,
-            )
-            for i, p in enumerate(merged)
-        ]
+        order = np.argsort(times, kind="stable")
+        block = ArrivalBlock(
+            times[order],
+            sizes[order],
+            inputs[order],
+            outputs[order],
+            flows,
+            0.0,
+            duration_ns,
+            flow_ids=flow_ids[order],
+        )
         weights = self.fiber_weights(splitter, config.n_ribbons)
-        return relabelled, weighted_fibers(relabelled, weights)
+        return block, weighted_fibers(block, weights)
 
     def describe(self) -> str:
         return (

@@ -3,20 +3,20 @@
 The packet engine (:class:`~repro.core.sps.SplitParallelSwitch`)
 consumes a complete workload up front, so the control plane acts where
 a real SPS control plane would: at the split, before packets commit to
-a fiber.  :func:`packet_control_prepass` walks the workload in arrival
-order through the same tick cadence as the fluid loop -- tick ``k``'s
-actuation is computed purely from tick ``k-1``'s signals -- and
-produces a *modified* workload:
+a fiber.  :func:`packet_control_prepass` walks the run's arrival block
+in arrival order through the same tick cadence as the fluid loop --
+tick ``k``'s actuation is computed purely from tick ``k-1``'s signals
+-- and produces a *modified* workload:
 
 - **reweight** -- a packet bound for a down-weighted switch is
   deterministically redirected (error diffusion per switch, smooth
   weighted round-robin over the healthier switches, round-robin over
   the ribbon's fibers feeding the new switch via
   :meth:`~repro.core.fiber_split.FiberSplitter.fibers_to`);
-- **admission / mitigation** -- a throttled packet is marked and
-  excluded from the simulation; it stays in the workload for offered
-  accounting (a throttled byte is an explicit backpressure loss, never
-  a vanished offer).
+- **admission / mitigation** -- a throttled packet is excluded from
+  the simulation; its bytes stay in the offered accounting through
+  the loop's ``throttled_bytes`` (a throttled byte is an explicit
+  backpressure loss, never a vanished offer).
 
 Signals are what switch hardware can actually report per tick: offered
 bytes at the split, a leaky-bucket occupancy estimate drained at the
@@ -34,6 +34,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import RouterConfig
+from ..core.sps import check_split_range
+from ..errors import ConfigError
+from ..traffic.stream import ArrivalBlock
 from ..units import rate_to_bytes_per_ns
 from .actions import ActionLog
 from .config import ControlConfig
@@ -81,28 +84,40 @@ class _SmoothWRR:
 def packet_control_prepass(
     config: RouterConfig,
     control: ControlConfig,
-    packets: Sequence,
-    fibers: Sequence[int],
+    block: ArrivalBlock,
+    fibers: np.ndarray,
     splitter,
     duration_ns: float,
     schedule=None,
     attack_windows: Optional[Sequence[Tuple[float, float]]] = None,
     telemetry=None,
     log: Optional[ActionLog] = None,
-) -> Tuple[List, List[int], ControlLoop]:
-    """Run the control loop over a packet workload before the engine.
+) -> Tuple[ArrivalBlock, np.ndarray, ControlLoop]:
+    """Run the control loop over a whole-run arrival block before the
+    engine.
 
-    Returns ``(packets, fibers, loop)``: the admitted packets in input
-    order, their (possibly reassigned) fibers -- the workload the engine
-    runs -- and the finished :class:`ControlLoop` (its action log
-    carries the ``repro-control-v1`` stream, its ``throttled_bytes``
-    the backpressured total).
+    ``block`` is the run's time-sorted arrivals and ``fibers`` their
+    arrival fibers within each ribbon.  Returns ``(block, fibers,
+    loop)``: the admitted rows of ``block``, their (possibly
+    reassigned) fibers -- the workload the engine runs -- and the
+    finished :class:`ControlLoop` (its action log carries the
+    ``repro-control-v1`` stream, its ``throttled_bytes`` the
+    backpressured total).  A fiber array of the wrong length, a ribbon
+    beyond the router's or a fiber outside ``[0, fibers_per_ribbon)``
+    raises :class:`~repro.errors.ConfigError`.
     """
     from ..flow.engine import buffer_limit_bytes
 
     n_switches = config.n_switches
     n_ribbons = config.n_ribbons
     switch = config.switch
+    fibers = np.asarray(fibers, dtype=np.int64)
+    if fibers.shape != (len(block),):
+        raise ConfigError(
+            f"fibers must align with the block: {fibers.size} fibers for "
+            f"{len(block)} arrivals"
+        )
+    check_split_range(config, block.inputs, fibers)
     tick_ns = control.tick_ns
     n_ticks = max(int(np.ceil(duration_ns / tick_ns - 1e-9)), 1)
     capacity_per_tick = (
@@ -150,15 +165,16 @@ def packet_control_prepass(
     def attack_active_in(start: float, end: float) -> bool:
         return any(s < end and e > start for s, e in spans)
 
-    # Deterministic arrival-order walk regardless of input list order.
-    arrivals = np.asarray([p.arrival_ns for p in packets], dtype=np.float64)
-    order = np.argsort(arrivals, kind="stable")
+    # The walk is sequential (its error-diffusion credits are
+    # order-dependent floats); it reads plain lists taken from the
+    # block's time-sorted arrays.
     ticks_of = np.minimum(
-        (arrivals / tick_ns).astype(np.int64), n_ticks - 1
-    )
-
-    new_fibers = list(fibers)
-    throttled = [False] * len(new_fibers)
+        (block.times / tick_ns).astype(np.int64), n_ticks - 1
+    ).tolist()
+    ribbons = block.inputs.tolist()
+    sizes = block.sizes.tolist()
+    new_fibers = fibers.tolist()
+    throttled = np.zeros(len(block), dtype=bool)
     throttled_bytes = 0
     bucket = np.zeros(n_switches)  # leaky-bucket occupancy estimate
     offered_now = np.zeros(n_switches)
@@ -166,7 +182,7 @@ def packet_control_prepass(
     admit_credit = np.zeros(n_switches)  # admission error diffusion
     wrr = _SmoothWRR(n_switches)
 
-    pos = 0
+    i = 0
     for tick in range(n_ticks):
         if tick > 0:
             # Close tick-1's window: served bytes per switch (zero while
@@ -186,11 +202,9 @@ def packet_control_prepass(
                 ),
             )
             offered_now = np.zeros(n_switches)
-        while pos < len(order) and ticks_of[order[pos]] == tick:
-            i = int(order[pos])
-            pos += 1
-            packet = packets[i]
-            ribbon = packet.input_port
+        while i < len(ticks_of) and ticks_of[i] == tick:
+            ribbon = ribbons[i]
+            size = sizes[i]
             target = int(assignments[ribbon][new_fibers[i]])
             if loop.weight[target] < 1.0 - _WEIGHT_EPS:
                 keep_credit[target] += loop.weight[target]
@@ -202,19 +216,23 @@ def packet_control_prepass(
                     cursor = fiber_cursor[ribbon, target]
                     new_fibers[i] = lanes[cursor % len(lanes)]
                     fiber_cursor[ribbon, target] = cursor + 1
-            offered_now[target] += packet.size_bytes
+            offered_now[target] += size
             admit = float(loop.admit[target])
             admit_credit[target] += admit
             if admit_credit[target] >= 1.0:
                 admit_credit[target] -= 1.0
                 if not dead_in_tick(target, tick):
-                    bucket[target] += packet.size_bytes
+                    bucket[target] += size
             else:
                 throttled[i] = True
-                throttled_bytes += packet.size_bytes
+                throttled_bytes += size
+            i += 1
 
     loop.throttled_bytes = float(throttled_bytes)
     loop.finish(duration_ns)
-    kept = [p for p, t in zip(packets, throttled) if not t]
-    kept_fibers = [f for f, t in zip(new_fibers, throttled) if not t]
-    return kept, kept_fibers, loop
+    kept = ~throttled
+    return (
+        block.select(kept),
+        np.asarray(new_fibers, dtype=np.int64)[kept],
+        loop,
+    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .fiber_split import FiberSplitter, PseudoRandomSplitter, split_imbalance
 from .hbm_switch import SwitchReport
 from .pfi import PFIOptions
 
-#: Execution modes of :meth:`SplitParallelSwitch.run`.
+#: Execution modes of :meth:`SplitParallelSwitch.run_stream`.
 RUN_MODES = ("sequential", "parallel", "auto")
 
 
@@ -62,6 +62,25 @@ def assign_fibers(traffic, n_fibers: int, salt: int = 0xECA):
         else fibers.setdefault(p.flow, hash_to_choice(p.flow, n_fibers, salt))
         for p in traffic
     ]
+
+
+def check_split_range(
+    config: RouterConfig, ribbons: np.ndarray, fibers: np.ndarray
+) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless every (ribbon,
+    fiber) lies inside ``config``'s geometry -- numpy indexing would
+    silently wrap a negative one."""
+    if ribbons.size:
+        if ribbons.min() < 0 or ribbons.max() >= config.n_ribbons:
+            raise ConfigError(
+                f"ribbon {int(ribbons.max())} out of range "
+                f"(router has {config.n_ribbons})"
+            )
+        if fibers.min() < 0 or fibers.max() >= config.fibers_per_ribbon:
+            raise ConfigError(
+                f"fiber out of range [{int(fibers.min())}, {int(fibers.max())}] "
+                f"(ribbons have {config.fibers_per_ribbon})"
+            )
 
 
 @dataclass
@@ -256,17 +275,7 @@ class SplitParallelSwitch:
         """:meth:`switch_for` over aligned arrays, range-checked."""
         ribbons = np.asarray(ribbons, dtype=np.int64)
         fibers = np.asarray(fibers, dtype=np.int64)
-        if ribbons.size:
-            if ribbons.min() < 0 or ribbons.max() >= self.config.n_ribbons:
-                raise ConfigError(
-                    f"ribbon {int(ribbons.max())} out of range "
-                    f"(router has {self.config.n_ribbons})"
-                )
-            if fibers.min() < 0 or fibers.max() >= self.config.fibers_per_ribbon:
-                raise ConfigError(
-                    f"fiber out of range [{int(fibers.min())}, {int(fibers.max())}] "
-                    f"(ribbons have {self.config.fibers_per_ribbon})"
-                )
+        check_split_range(self.config, ribbons, fibers)
         return self._assignment_table[ribbons, fibers]
 
     def run(
@@ -282,15 +291,68 @@ class SplitParallelSwitch:
     ) -> RouterReport:
         """Simulate the whole router on an eager packet list.
 
-        The Packet-list entry point: ``packets`` become one
-        :class:`~repro.traffic.stream.ArrivalBlock` (stably sorted by
-        arrival time) and take the same split, simulation and report
-        assembly as :meth:`run_stream`, so the two entry points cannot
-        drift apart.  The packets themselves are not modified
+        The Packet-list adapter over :meth:`run_stream`: ``packets``
+        become one :class:`~repro.traffic.stream.ArrivalBlock` (stably
+        sorted by arrival time) and ``fibers[i]``, packet i's arrival
+        fiber within its ribbon (default: the upstream ECMP hash), is
+        reordered with them.  The packets themselves are not modified
         (``departure_ns`` is not written back; stream with a
-        ``departure_sink`` to observe departures).  ``fibers[i]`` is
-        packet i's arrival fiber within its ribbon; by default fibers
-        are chosen by upstream ECMP hash.
+        ``departure_sink`` to observe departures).
+        """
+        if fibers is not None and len(fibers) != len(packets):
+            raise ConfigError("packets and fibers must align")
+        order = arrival_order(packets)
+        block = ArrivalBlock.from_packets([packets[k] for k in order], duration_ns)
+        if fibers is not None:
+            fibers = np.asarray(fibers, dtype=np.int64)[order]
+        return self.run_stream(
+            [block],
+            duration_ns,
+            fibers_fn=None if fibers is None else lambda _: fibers,
+            drain=drain,
+            mode=mode,
+            n_workers=n_workers,
+            fault_schedule=fault_schedule,
+            telemetry=telemetry,
+        )
+
+    def run_stream(
+        self,
+        blocks: Iterable[ArrivalBlock],
+        duration_ns: float,
+        fibers_fn=None,
+        drain: bool = True,
+        max_drain_ns: Optional[float] = None,
+        mode: str = "sequential",
+        n_workers: Optional[int] = None,
+        fault_schedule=None,
+        telemetry=None,
+        departure_sink=None,
+        latency_sample_cap: Optional[int] = None,
+    ) -> RouterReport:
+        """Simulate the router from a stream of arrival blocks.
+
+        The one router entry point: ``blocks`` is any iterable of
+        time-ordered :class:`~repro.traffic.stream.ArrivalBlock`
+        (typically ``source.blocks(duration_ns)``, or one whole-run
+        block).  Per block, as array operations: arrivals at or after
+        ``duration_ns`` are dropped (they never enter the simulated
+        window), cut fibers' traffic dies at the passive split (a
+        mask), and the rest is split across the switches by a
+        vectorised fiber-to-switch lookup.  A block ending before
+        ``duration_ns`` is offered to each switch, which then advances
+        to its end, so at most one block of arrivals is held at a time.
+        The block that reaches ``duration_ns`` is offered to each
+        switch, which is finished (drained and reported) and released
+        before the next switch is offered -- so a one-block run holds
+        one finished switch's latency samples at a time, not H.
+        Reports -- and telemetry dumps -- do not depend on how the
+        arrivals are chunked.
+
+        ``fibers_fn(block)`` returns the block's per-packet arrival
+        fibers as an array (default: the upstream ECMP hash of
+        :func:`assign_fibers` -- stateless, so chunking cannot change
+        it; stateful policies carry their cursors in a closure).
 
         ``fault_schedule`` (a :class:`~repro.faults.FaultSchedule`)
         injects timed faults: whole-run switch deaths lose their traffic
@@ -304,8 +366,10 @@ class SplitParallelSwitch:
 
         ``mode`` selects where the H independent simulations execute:
 
-        - ``"sequential"`` (default): one after another in this process.
-        - ``"parallel"``: each live switch's arrival arrays ship as a
+        - ``"sequential"`` (default): in this process, in lockstep with
+          the stream.
+        - ``"parallel"``: each live switch's sub-blocks are collected
+          for the whole stream, then ship as a
           :class:`~repro.sim.parallel.SwitchWorkUnit` to a process pool
           of ``n_workers`` (default: CPU count).  Reports are merged in
           switch-index order, so the result is byte-identical to
@@ -316,125 +380,31 @@ class SplitParallelSwitch:
         ``telemetry`` (a :class:`~repro.telemetry.MetricsRegistry`)
         instruments the whole pipeline: split-level series are recorded
         here, each live switch runs with its own per-switch registry
-        (in *both* modes -- workers ship dumps back on their reports),
+        (in every mode -- workers ship dumps back on their reports),
         and the dumps are merged into ``telemetry`` in switch-index
-        order.  Because per-switch series never overlap and the merge
-        order is fixed, parallel and sequential runs of the same
-        workload produce byte-identical dumps.  The merged dump is also
-        stored on :attr:`RouterReport.telemetry`.
-        """
-        if mode not in RUN_MODES:
-            raise ConfigError(f"mode must be one of {RUN_MODES}, got {mode!r}")
-        if fibers is not None and len(fibers) != len(packets):
-            raise ConfigError("packets and fibers must align")
-        order = arrival_order(packets)
-        block = ArrivalBlock.from_packets([packets[k] for k in order], duration_ns)
-        if fibers is None:
-            fibers = assign_fibers(block, self.config.fibers_per_ribbon)
-        else:
-            fibers = np.asarray(fibers, dtype=np.int64)[order]
-        return self._simulate(
-            [(block, fibers)],
-            duration_ns,
-            drain=drain,
-            fault_schedule=fault_schedule,
-            telemetry=telemetry,
-            mode=mode,
-            n_workers=n_workers,
-        )
-
-    def run_stream(
-        self,
-        blocks,
-        duration_ns: float,
-        fibers_fn=None,
-        drain: bool = True,
-        max_drain_ns: Optional[float] = None,
-        fault_schedule=None,
-        telemetry=None,
-        departure_sink=None,
-        latency_sample_cap: Optional[int] = None,
-    ) -> RouterReport:
-        """Simulate the router from a stream of arrival blocks.
-
-        The bounded-memory ingest path: ``blocks`` is any iterable of
-        :class:`~repro.traffic.stream.ArrivalBlock` (typically
-        ``source.blocks(duration_ns)``).  Each block is split across
-        the H switches as arrays and every engine is advanced to the
-        block boundary before the next block is pulled, so at most one
-        block of arrivals is held at a time.  Reports -- and telemetry
-        dumps -- do not depend on the block count, so they are
-        byte-identical to :meth:`run` fed the concatenated packets
-        (``mode="sequential"``); the switches advance in lockstep with
-        the source, so there is no ``mode`` knob here.
-
-        ``fibers_fn(block)`` returns the block's per-packet arrival
-        fibers as an array (default: the upstream ECMP hash of
-        :func:`assign_fibers` -- stateless, so chunking cannot change
-        it; stateful policies carry their cursors in a closure).
+        order, so parallel and sequential runs produce byte-identical
+        dumps.  The merged dump is also stored on
+        :attr:`RouterReport.telemetry`.
 
         ``departure_sink(departures_ns, sizes)`` receives, on every
         switch, aligned arrays of delivered packets' departure times
         and sizes, in transmission order, a chunk at a time -- the
         streaming degradation path bins delivered bytes here.
         ``latency_sample_cap`` bounds retained latency samples per
-        output port (see :class:`~repro.sim.stats.LatencyRecorder`);
-        both default to off, keeping the bit-exact historical path.
+        output port (see :class:`~repro.sim.stats.LatencyRecorder`).
+        Both observe in-process switches, so they need
+        ``mode="sequential"``; both default to off, keeping the
+        bit-exact historical path.
         """
-
-        def batches():
-            for block in blocks:
-                fibers = (
-                    fibers_fn(block)
-                    if fibers_fn is not None
-                    else assign_fibers(block, self.config.fibers_per_ribbon)
-                )
-                yield block, fibers
-
-        return self._simulate(
-            batches(),
-            duration_ns,
-            drain=drain,
-            max_drain_ns=max_drain_ns,
-            fault_schedule=fault_schedule,
-            telemetry=telemetry,
-            departure_sink=departure_sink,
-            latency_sample_cap=latency_sample_cap,
-        )
-
-    def _simulate(
-        self,
-        batches: Iterable[Tuple[ArrivalBlock, np.ndarray]],
-        duration_ns: float,
-        drain: bool,
-        fault_schedule,
-        telemetry,
-        max_drain_ns: Optional[float] = None,
-        mode: str = "sequential",
-        n_workers: Optional[int] = None,
-        departure_sink=None,
-        latency_sample_cap: Optional[int] = None,
-    ) -> RouterReport:
-        """The one split-and-simulate core behind :meth:`run` and
-        :meth:`run_stream`.
-
-        ``batches`` yields time-ordered ``(block, fibers)``.  Per
-        block, as array operations: arrivals at or after
-        ``duration_ns`` are dropped (they never enter the simulated
-        window), cut fibers' traffic dies at the passive split (a
-        mask), and the rest is split across the switches by a vectorised
-        fiber-to-switch lookup.  A block ending before ``duration_ns``
-        is offered to each switch, which then advances to its end.  The
-        block that reaches ``duration_ns`` is offered to each switch,
-        which is finished (drained and reported) and released before
-        the next switch is offered -- so a one-block eager run holds one
-        finished switch's latency samples at a time, not H.
-
-        Pooled runs (``mode`` parallel, or auto with several workers)
-        hand each live switch's sub-blocks to a worker process as a
-        :class:`SwitchWorkUnit` instead; the split and the report
-        assembly are the same.
-        """
+        if mode not in RUN_MODES:
+            raise ConfigError(f"mode must be one of {RUN_MODES}, got {mode!r}")
+        if mode != "sequential" and (
+            departure_sink is not None or latency_sample_cap is not None
+        ):
+            raise ConfigError(
+                "departure_sink and latency_sample_cap observe in-process "
+                f'switches: they need mode="sequential", got {mode!r}'
+            )
         schedule = fault_schedule
         if schedule is not None:
             schedule.validate(self.config)
@@ -487,8 +457,13 @@ class SplitParallelSwitch:
         cut_lost: Dict[tuple, int] = {}
         cuts = schedule is not None and schedule.has_fiber_cuts
         finished = False
-        for block, fibers in batches:
-            fibers = np.asarray(fibers, dtype=np.int64)
+        for block in blocks:
+            fibers = np.asarray(
+                fibers_fn(block)
+                if fibers_fn is not None
+                else assign_fibers(block, self.config.fibers_per_ribbon),
+                dtype=np.int64,
+            )
             if fibers.size != len(block):
                 raise ConfigError("packets and fibers must align")
             keep = block.times < duration_ns

@@ -296,15 +296,14 @@ class _RouterRuns:
             process=ArrivalProcess("poisson"),
             seed=derived_seed,
         )
-        packets = generator.materialize(self.duration_ns)
         registry = None
         if self.want_telemetry:
             from ..telemetry import MetricsRegistry
 
             registry = MetricsRegistry()
         router = SplitParallelSwitch(self.config, options=PFIOptions())
-        report = router.run(
-            packets,
+        report = router.run_stream(
+            generator.blocks(self.duration_ns),
             self.duration_ns,
             drain=self.drain,
             fault_schedule=schedule,

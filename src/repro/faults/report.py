@@ -26,7 +26,7 @@ import numpy as np
 
 from ..config import RouterConfig
 from ..core.pfi import PFIOptions
-from ..core.sps import RouterReport, SplitParallelSwitch
+from ..core.sps import SplitParallelSwitch
 from ..errors import ConfigError
 from ..traffic import FixedSize, TrafficGenerator, uniform_matrix
 from ..units import bytes_per_ns_to_rate
@@ -298,23 +298,23 @@ def measure_degradation(
     (:func:`deterministic_fibers`), so measured capacity matches the
     (H - k)/H closed form without multinomial hash noise.
 
-    Open loop, the run consumes arrival blocks incrementally: offered
-    bytes are binned per block as it is offered (arrival interval) and
-    delivered bytes per packet via the output ports' departure sink
-    (departure interval, drain tail into the last bin) -- the attribution
-    rules of :func:`bin_packets`, without keeping packets around.  The
-    blocks come from the default smooth fixed-size traffic, or from
+    The run consumes arrival blocks incrementally: offered bytes are
+    binned per block as it is offered (arrival interval) and delivered
+    bytes per packet via the output ports' departure sink (departure
+    interval, drain tail into the last bin) -- the attribution rules of
+    :func:`bin_packets`, without keeping packets around.  The blocks
+    come from the default smooth fixed-size traffic, or from
     ``workload`` (a :func:`~repro.traffic.stream.workload_source` spec,
     e.g. ``"pareto"`` or ``"trace:capture.csv"``).
 
     ``control`` (a :class:`~repro.control.ControlConfig`) closes the
-    loop: the same traffic and fibers go through the control pre-pass
+    loop, with either traffic: the run's arrivals are taken as one
+    whole-run block and its fibers go through the control pre-pass
     (:func:`~repro.control.packet.packet_control_prepass`) before the
-    engine pass, so the packet list is materialized.  Offered bytes
-    count *all* generated packets -- throttled ones bin as
-    offered-but-undelivered and are added back to the byte totals as
-    losses -- so the delivered fraction is measured against the original
-    offer, never against a throttle-shrunk one.
+    engine pass.  Offered bytes count *all* generated packets --
+    throttled ones bin as offered-but-undelivered and are added back to
+    the byte totals as losses -- so the delivered fraction is measured
+    against the original offer, never against a throttle-shrunk one.
 
     ``telemetry`` (a :class:`~repro.telemetry.MetricsRegistry`)
     instruments the run; the fault schedule's windows are tagged onto
@@ -338,76 +338,57 @@ def measure_degradation(
     def departure_sink(departures: np.ndarray, sizes: np.ndarray) -> None:
         np.add.at(delivered, interval_of(departures), sizes)
 
+    if workload is None:
+        source = _fault_traffic_source(config, load, seed)
+    else:
+        from ..traffic.stream import workload_source
+
+        source = workload_source(
+            workload,
+            n_ports=config.n_ribbons,
+            port_rate_bps=config.fibers_per_ribbon * config.per_fiber_rate_bps,
+            load=load,
+            seed=seed,
+            duration_ns=duration_ns,
+        )
+
+    def binned(blocks):
+        # Every generated packet is offered, throttled ones included.
+        for block in blocks:
+            np.add.at(offered, interval_of(block.times), block.sizes)
+            yield block
+
     throttled_bytes = 0
     control_summary = None
-    if control is not None:
-        if workload is not None:
-            raise ConfigError(
-                "workload streaming composes with open-loop runs only "
-                "(the control prepass materializes the packet list)"
-            )
+    if control is None:
+        blocks = binned(source.blocks(duration_ns))
+    else:
         from ..control.packet import packet_control_prepass
-        from ..traffic.stream import ArrivalBlock, arrival_order
 
-        packets = router_fault_traffic(
-            config, load=load, duration_ns=duration_ns, seed=seed
-        )
-        kept, fibers, loop = packet_control_prepass(
+        # The pre-pass walks the whole run: one block.
+        (block,) = binned(source.blocks(duration_ns, block_ns=duration_ns))
+        block, fibers, loop = packet_control_prepass(
             config,
             control,
-            packets,
-            deterministic_fibers(packets, config.fibers_per_ribbon),
+            block,
+            fibers_fn(block),
             router.splitter,
             duration_ns,
             schedule=schedule,
             telemetry=telemetry,
         )
-        # Every generated packet is offered, throttled ones included.
-        for packet in packets:
-            offered[min(last, int(packet.arrival_ns / width))] += packet.size_bytes
-        order = arrival_order(kept)
-        block = ArrivalBlock.from_packets([kept[k] for k in order], duration_ns)
-        kept_fibers = np.asarray(fibers, dtype=np.int64)[order]
-        report: RouterReport = router.run_stream(
-            [block],
-            duration_ns,
-            fibers_fn=lambda _: kept_fibers,
-            fault_schedule=schedule,
-            telemetry=telemetry,
-            departure_sink=departure_sink,
-        )
+        blocks = [block]
+        fibers_fn = lambda _: fibers  # noqa: E731
         throttled_bytes = int(round(loop.throttled_bytes))
         control_summary = loop.summary()
-    else:
-        if workload is None:
-            source = _fault_traffic_source(config, load, seed)
-        else:
-            from ..traffic.stream import workload_source
-
-            source = workload_source(
-                workload,
-                n_ports=config.n_ribbons,
-                port_rate_bps=(
-                    config.fibers_per_ribbon * config.per_fiber_rate_bps
-                ),
-                load=load,
-                seed=seed,
-                duration_ns=duration_ns,
-            )
-
-        def binned_blocks():
-            for block in source.blocks(duration_ns):
-                np.add.at(offered, interval_of(block.times), block.sizes)
-                yield block
-
-        report = router.run_stream(
-            binned_blocks(),
-            duration_ns,
-            fibers_fn=fibers_fn,
-            fault_schedule=schedule,
-            telemetry=telemetry,
-            departure_sink=departure_sink,
-        )
+    report = router.run_stream(
+        blocks,
+        duration_ns,
+        fibers_fn=fibers_fn,
+        fault_schedule=schedule,
+        telemetry=telemetry,
+        departure_sink=departure_sink,
+    )
     intervals = [
         IntervalSample(
             start_ns=i * width,

@@ -120,6 +120,13 @@ class Scenario:
     value of any other field with :class:`~repro.errors.ConfigError`,
     so one result never sits under two digests.  Unread fields still
     participate in the digest at their defaults, which hash stably.
+
+    At packet fidelity every kind runs on
+    :class:`~repro.traffic.stream.ArrivalBlock` arrays from its traffic
+    source to the engine's ``run_stream``; no executor builds
+    :class:`~repro.traffic.Packet` objects.  ``control`` thins the
+    arrivals in the split-level pre-pass
+    (:func:`~repro.control.packet.packet_control_prepass`) first.
     """
 
     kind: str
@@ -154,8 +161,9 @@ class Scenario:
     #: ``"trace:<path>"``.  ``None`` keeps the legacy
     #: :class:`~repro.traffic.TrafficGenerator` traffic -- a conditional
     #: digest key, so pre-existing digests are untouched.  Packet
-    #: fidelity and open loop only; the arrivals are consumed as blocks
-    #: (bounded memory) on sequential cells.
+    #: fidelity only; composes with ``control``.  Open-loop cells
+    #: consume the arrivals block by block (bounded memory); closed-loop
+    #: cells and attack trials draw the run as one block.
     workload: Optional[str] = None
     #: Free-form cell tag (campaign index); part of the digest because
     #: campaign payloads embed it.
@@ -254,12 +262,6 @@ class Scenario:
                 raise ConfigError(
                     "workload streaming requires packet fidelity (the "
                     "flow engine has no per-packet arrival stream)"
-                )
-            if self.control is not None:
-                raise ConfigError(
-                    "workload streaming composes with open-loop cells "
-                    "only (the control prepass materializes the packet "
-                    "list)"
                 )
         if self.control is not None:
             from ..control.config import ControlConfig
@@ -383,27 +385,28 @@ def _size_dist(scenario: Scenario):
     return ImixSize()
 
 
-def _workload_source(scenario: Scenario, n_ports: int, port_rate_bps: float):
-    """The scenario's streaming source (``scenario.workload`` is set)."""
-    from ..traffic.stream import workload_source
-
-    return workload_source(
-        scenario.workload,
-        n_ports=n_ports,
-        port_rate_bps=port_rate_bps,
-        load=scenario.load,
-        seed=scenario.seed,
-        duration_ns=scenario.duration_ns,
-        packet_bytes=scenario.packet_size if scenario.packet_size > 0 else 1500,
-    )
-
-
 def _options(scenario: Scenario) -> PFIOptions:
     return PFIOptions(padding=scenario.padding, bypass=scenario.bypass)
 
 
-def _traffic(scenario: Scenario, n_ports: int, port_rate_bps: float):
-    """The scenario's synthetic :class:`~repro.traffic.TrafficGenerator`."""
+def _source(scenario: Scenario, n_ports: int, port_rate_bps: float):
+    """The scenario's arrival source: the streaming ``workload`` family
+    when one is set, else the synthetic
+    :class:`~repro.traffic.TrafficGenerator`."""
+    if scenario.workload is not None:
+        from ..traffic.stream import workload_source
+
+        return workload_source(
+            scenario.workload,
+            n_ports=n_ports,
+            port_rate_bps=port_rate_bps,
+            load=scenario.load,
+            seed=scenario.seed,
+            duration_ns=scenario.duration_ns,
+            packet_bytes=(
+                scenario.packet_size if scenario.packet_size > 0 else 1500
+            ),
+        )
     return TrafficGenerator(
         n_ports=n_ports,
         port_rate_bps=port_rate_bps,
@@ -435,21 +438,13 @@ def _switch_report(scenario: Scenario, registry, trace):
 
         telemetry = SwitchTelemetry(registry, config, switch=0)
     switch = HBMSwitch(config, _options(scenario), telemetry=telemetry, trace=trace)
-    if scenario.workload is not None:
-        # Streaming ingest: the switch pulls arrival blocks and never
-        # sees the whole workload at once.
-        source = _workload_source(
-            scenario, config.n_ports, config.port_rate_bps
-        )
-        return switch.run_stream(
-            source.blocks(scenario.duration_ns),
-            scenario.duration_ns,
-            drain=scenario.drain,
-        )
-    packets = _traffic(
-        scenario, config.n_ports, config.port_rate_bps
-    ).materialize(scenario.duration_ns)
-    return switch.run(packets, scenario.duration_ns, drain=scenario.drain)
+    return switch.run_stream(
+        _source(scenario, config.n_ports, config.port_rate_bps).blocks(
+            scenario.duration_ns
+        ),
+        scenario.duration_ns,
+        drain=scenario.drain,
+    )
 
 
 def _router_report(scenario: Scenario, registry):
@@ -469,53 +464,45 @@ def _router_report(scenario: Scenario, registry):
             control=scenario.control,
         )
         return result.report, result.control
-    from ..core.sps import SplitParallelSwitch
+    from ..core.sps import SplitParallelSwitch, assign_fibers
 
     router = SplitParallelSwitch(config, options=_options(scenario))
-    port_rate_bps = config.fibers_per_ribbon * config.per_fiber_rate_bps
-    if scenario.workload is not None:
-        source = _workload_source(scenario, config.n_ribbons, port_rate_bps)
+    source = _source(
+        scenario,
+        config.n_ribbons,
+        config.fibers_per_ribbon * config.per_fiber_rate_bps,
+    )
+    if scenario.control is None:
+        blocks = source.blocks(scenario.duration_ns)
+        fibers_fn = control_summary = None
     else:
-        source = _traffic(scenario, config.n_ribbons, port_rate_bps)
-    if scenario.control is None and scenario.mode == "sequential":
-        # Open-loop sequential cells pull arrival blocks straight
-        # through run_stream: no Packet objects at all.  Parallel cells
-        # take the pooled path -- byte-identical results either way
-        # (the repo invariant), so both land on the same cache entry.
-        report = router.run_stream(
-            source.blocks(scenario.duration_ns),
-            scenario.duration_ns,
-            drain=scenario.drain,
-            fault_schedule=scenario.schedule,
-            telemetry=registry,
-        )
-        return report, None
-    packets = source.materialize(scenario.duration_ns)
-    control_summary = None
-    fibers = None
-    if scenario.control is not None:
         from ..control.packet import packet_control_prepass
-        from ..core.sps import assign_fibers
 
-        packets, fibers, loop = packet_control_prepass(
+        # The pre-pass walks the whole run: one block.
+        (block,) = source.blocks(
+            scenario.duration_ns, block_ns=scenario.duration_ns
+        )
+        block, fibers, loop = packet_control_prepass(
             config,
             scenario.control,
-            packets,
-            assign_fibers(packets, config.fibers_per_ribbon),
+            block,
+            assign_fibers(block, config.fibers_per_ribbon),
             router.splitter,
             scenario.duration_ns,
             schedule=scenario.schedule,
             telemetry=registry,
         )
+        blocks = [block]
+        fibers_fn = lambda _: fibers  # noqa: E731
         control_summary = loop.summary()
-    report = router.run(
-        packets,
+    report = router.run_stream(
+        blocks,
         scenario.duration_ns,
-        fibers=fibers,
+        fibers_fn=fibers_fn,
         drain=scenario.drain,
-        fault_schedule=scenario.schedule,
         mode=scenario.mode,
         n_workers=scenario.workers,
+        fault_schedule=scenario.schedule,
         telemetry=registry,
     )
     return report, control_summary
@@ -631,7 +618,7 @@ def _attack_run(scenario: Scenario, splitter, weights, registry):
         return result.report, 0, result.control
     from ..core.sps import SplitParallelSwitch
 
-    packets, fibers = strategy.build_workload(
+    block, fibers = strategy.build_workload(
         config,
         splitter,
         scenario.load,
@@ -644,10 +631,10 @@ def _attack_run(scenario: Scenario, splitter, weights, registry):
     if control is not None:
         from ..control.packet import packet_control_prepass
 
-        packets, fibers, loop = packet_control_prepass(
+        block, fibers, loop = packet_control_prepass(
             config,
             control,
-            packets,
+            block,
             fibers,
             splitter,
             scenario.duration_ns,
@@ -657,10 +644,10 @@ def _attack_run(scenario: Scenario, splitter, weights, registry):
         )
         throttled_bytes = int(round(loop.throttled_bytes))
         control_summary = loop.summary()
-    report = SplitParallelSwitch(config, splitter=splitter).run(
-        packets,
+    report = SplitParallelSwitch(config, splitter=splitter).run_stream(
+        [block],
         scenario.duration_ns,
-        fibers=fibers,
+        fibers_fn=lambda _: fibers,
         drain=False,
         fault_schedule=scenario.schedule,
         telemetry=registry,

@@ -151,10 +151,11 @@ class TestBurstSynchronizedAttack:
         attack = BurstSynchronizedAttack(
             victim=0, period_ns=1_000.0, duty=0.5, attack_fraction=0.5
         )
-        packets, fibers = attack.build_workload(
+        block, fibers = attack.build_workload(
             config, splitter, load=0.5, duration_ns=4_000.0, seed=1
         )
-        assert len(packets) == len(fibers)
+        assert len(block) == len(fibers)
+        packets = block.to_packets()
         # Every ribbon must be present inside the first ON window.
         window0 = {
             p.input_port for p in packets if p.arrival_ns < 500.0 and
@@ -169,12 +170,12 @@ class TestBurstSynchronizedAttack:
     def test_pids_sorted_and_sequential(self):
         config = small_router()
         attack = BurstSynchronizedAttack(victim=0)
-        packets, _ = attack.build_workload(
+        block, _ = attack.build_workload(
             config, ContiguousSplitter(16, 4), 0.5, 2_000.0, seed=2
         )
-        arrivals = [p.arrival_ns for p in packets]
+        arrivals = block.times.tolist()
         assert arrivals == sorted(arrivals)
-        assert [p.pid for p in packets] == list(range(len(packets)))
+        assert block.pids.tolist() == list(range(len(block)))
 
     def test_inadmissible_duty_rejected(self):
         config = small_router()
@@ -196,28 +197,36 @@ class TestWeightedFibers:
         config = small_router()
         attack = KnownAssignmentAttack(victim=0, attack_fraction=0.6)
         splitter = ContiguousSplitter(16, 4)
-        packets, fibers = attack.build_workload(
+        block, fibers = attack.build_workload(
             config, splitter, 0.6, 20_000.0, seed=4
         )
         weights = attack.fiber_weights(splitter, config.n_ribbons)
         byte_share = np.zeros((config.n_ribbons, 16))
-        for p, f in zip(packets, fibers):
-            byte_share[p.input_port, f] += p.size_bytes
+        np.add.at(byte_share, (block.inputs, fibers), block.sizes)
         for r in range(config.n_ribbons):
             share = byte_share[r] / byte_share[r].sum()
             assert np.abs(share - weights[r]).max() < 0.01
 
     def test_deterministic(self):
         weights = [np.array([0.5, 0.3, 0.2])]
-        from repro.traffic import FiveTuple, Packet
+        from repro.traffic import ArrivalBlock, FiveTuple
 
-        flow = FiveTuple(1, 2, 3, 4)
-        packets = [
-            Packet(i, 100 + 7 * i, 0, 0, flow, float(i)) for i in range(50)
-        ]
-        a = weighted_fibers(packets, weights)
-        b = weighted_fibers(packets, weights)
-        assert a == b
+        block = ArrivalBlock(
+            np.arange(50.0),
+            100 + 7 * np.arange(50),
+            np.zeros(50),
+            np.zeros(50),
+            [FiveTuple(1, 2, 3, 4)],
+            0.0,
+            50.0,
+            flow_ids=np.zeros(50),
+        )
+        a = weighted_fibers(block, weights)
+        b = weighted_fibers(block, weights)
+        assert a.tolist() == b.tolist()
+        # Bytes land on the fibers in proportion to the weights.
+        shares = np.bincount(a, weights=block.sizes, minlength=3) / block.total_bytes
+        assert np.abs(shares - weights[0]).max() < 0.05
 
 
 class TestCampaign:

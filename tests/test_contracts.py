@@ -92,3 +92,16 @@ def test_streaming_equals_eager_on_a_faulted_router_cell():
     b = json.dumps(dataclasses.asdict(eager), sort_keys=True, default=str)
     assert a == b, "streamed report diverged from eager"
     assert reg_stream.dumps() == reg_eager.dumps()
+
+
+def test_control_action_stream_validates(tmp_path, capsys):
+    from repro.control import validate_control_actions
+
+    out = tmp_path / "control_actions.jsonl"
+    code = main(["control", "--duration-us", "20", "--actions-out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    records = validate_control_actions(out.read_text())
+    kinds = [r["kind"] for r in records]
+    assert kinds[0] == "control_start" and kinds[-1] == "control_finish"
+    assert "state_change" in kinds, kinds

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.adversary import AttackCampaignParams, BurstSynchronizedAttack
@@ -36,8 +37,18 @@ from repro.control import (
 from repro.errors import ConfigError
 from repro.faults import CampaignParams, FaultSchedule, SwitchFailure
 from repro.flow import flow_degradation, flow_router_result
-from repro.runtime import FaultCampaign, Runtime, Scenario
+from repro.control.packet import attack_windows_for, packet_control_prepass
+from repro.core.fiber_split import ContiguousSplitter, PseudoRandomSplitter
+from repro.core.sps import assign_fibers
+from repro.runtime import (
+    FaultCampaign,
+    Runtime,
+    Scenario,
+    degradation_scenario,
+    execute_scenario,
+)
 from repro.telemetry import ewma_step
+from repro.traffic import ArrivalBlock, FixedSize, TrafficGenerator, uniform_matrix
 
 
 def small_router(n_switches: int = 4):
@@ -205,8 +216,6 @@ class TestActionStream:
 
 class TestControlLoop:
     def test_loop_is_deterministic(self):
-        import numpy as np
-
         def run():
             loop = ControlLoop(ControlConfig(), 2, occupancy_limit_bytes=1e6)
             for i in range(10):
@@ -223,8 +232,6 @@ class TestControlLoop:
         assert run() == run()
 
     def test_dead_switch_weight_collapses_healthy_stays(self):
-        import numpy as np
-
         loop = ControlLoop(ControlConfig(), 2, occupancy_limit_bytes=1e9)
         for i in range(20):
             loop.tick(
@@ -237,8 +244,6 @@ class TestControlLoop:
         assert loop.weight[1] == DEFAULT_REWEIGHT.floor
 
     def test_idle_switch_is_not_a_broken_switch(self):
-        import numpy as np
-
         loop = ControlLoop(ControlConfig(), 2, occupancy_limit_bytes=1e9)
         for i in range(10):
             loop.tick(
@@ -315,6 +320,78 @@ class TestClosedLoopRuns:
         assert "control" not in report.to_dict()
 
 
+class TestPacketPrepass:
+    """The split-level pre-pass over one whole-run arrival block."""
+
+    DURATION = 4_000.0
+
+    def workload(self):
+        config = scaled_router()
+        source = TrafficGenerator(
+            n_ports=config.n_ribbons,
+            port_rate_bps=config.fibers_per_ribbon * config.per_fiber_rate_bps,
+            matrix=uniform_matrix(config.n_ribbons, 0.8),
+            size_dist=FixedSize(1500),
+            seed=1,
+        )
+        (block,) = source.blocks(self.DURATION, block_ns=self.DURATION)
+        splitter = PseudoRandomSplitter(config.fibers_per_ribbon, config.n_switches)
+        return config, block, assign_fibers(block, config.fibers_per_ribbon), splitter
+
+    def prepass(self, config, block, fibers, splitter, control=None):
+        return packet_control_prepass(
+            config, control or ControlConfig(), block, fibers, splitter,
+            self.DURATION,
+        )
+
+    def test_negative_fiber_rejected(self):
+        config, block, fibers, splitter = self.workload()
+        fibers = fibers.copy()
+        fibers[0] = -1
+        with pytest.raises(ConfigError, match="fiber out of range"):
+            self.prepass(config, block, fibers, splitter)
+
+    def test_fiber_beyond_the_ribbon_rejected(self):
+        config, block, fibers, splitter = self.workload()
+        fibers = fibers.copy()
+        fibers[-1] = config.fibers_per_ribbon
+        with pytest.raises(ConfigError, match="fiber out of range"):
+            self.prepass(config, block, fibers, splitter)
+
+    def test_short_fiber_array_rejected(self):
+        config, block, fibers, splitter = self.workload()
+        with pytest.raises(ConfigError, match="fibers must align"):
+            self.prepass(config, block, fibers[:-1], splitter)
+
+    def test_ribbon_beyond_the_router_rejected(self):
+        config, block, fibers, splitter = self.workload()
+        wide = ArrivalBlock(
+            block.times, block.sizes, block.inputs + config.n_ribbons,
+            block.outputs, block.flows, block.start_ns, block.end_ns,
+            flow_ids=block.flow_ids,
+        )
+        with pytest.raises(ConfigError, match="ribbon .* out of range"):
+            self.prepass(config, wide, fibers, splitter)
+
+    def test_admitted_rows_and_throttled_bytes_cover_the_block(self):
+        # A synchronized burst on one switch makes mitigation throttle.
+        config = scaled_router(fibers_per_ribbon=16, n_switches=4)
+        splitter = ContiguousSplitter(16, 4)
+        attack = BurstSynchronizedAttack(
+            victim=0, period_ns=2_000.0, duty=0.5, attack_fraction=0.9
+        )
+        duration = 12_000.0
+        block, fibers = attack.build_workload(config, splitter, 0.5, duration, seed=5)
+        kept, kept_fibers, loop = packet_control_prepass(
+            config, ControlConfig(), block, fibers, splitter, duration,
+            attack_windows=attack_windows_for(attack, duration),
+        )
+        assert len(kept) == kept_fibers.size < len(block)
+        assert kept.total_bytes + loop.throttled_bytes == block.total_bytes
+        assert np.isin(kept.pids, block.pids).all()
+        assert 0 <= kept_fibers.min() <= kept_fibers.max() < 16
+
+
 class TestDigestsAndCaching:
     def scenario(self, control):
         return Scenario(
@@ -356,6 +433,36 @@ class TestDigestsAndCaching:
             warm.to_dict(), sort_keys=True
         )
         assert runtime.cache.stats()["hits"] == 3
+
+    def test_streamed_workload_composes_with_control(self, tmp_path):
+        # A closed-loop cell on a streamed heavy-tailed workload offers
+        # exactly its open-loop twin's bytes (throttled bytes count as
+        # offered) and caches like any other cell.
+        def cell(control):
+            return degradation_scenario(
+                scaled_router(),
+                schedule=FaultSchedule(
+                    [SwitchFailure(switch=0, start_ns=4_000.0, end_ns=8_000.0)]
+                ),
+                load=0.6,
+                duration_ns=16_000.0,
+                seed=2,
+                workload="lognormal",
+                control=control,
+            )
+
+        open_loop = execute_scenario(cell(None))["report"]
+        runtime = Runtime(cache_dir=str(tmp_path))
+        cold = runtime.run(cell(ControlConfig()))
+        warm = runtime.run(cell(ControlConfig()))
+        assert runtime.cache.stats()["hits"] == 1
+        assert json.dumps(cold, sort_keys=True) == json.dumps(warm, sort_keys=True)
+        closed_loop = cold["report"]
+        assert closed_loop["offered_bytes"] == open_loop["offered_bytes"] > 0
+        assert [s["offered_bytes"] for s in closed_loop["intervals"]] == [
+            s["offered_bytes"] for s in open_loop["intervals"]
+        ]
+        assert closed_loop["control"]["ticks"] > 0
 
     def test_sequential_equals_parallel(self):
         campaign = FaultCampaign(

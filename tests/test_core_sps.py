@@ -1,5 +1,6 @@
 """Split-Parallel Switch: partitioning, independence, aggregate reports."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -225,3 +226,33 @@ class TestIngestCore:
         )
         with pytest.raises(SimulationError):
             SplitParallelSwitch(config).run_stream(blocks, self.SPAN)
+
+    def test_parallel_stream_equals_sequential(self):
+        """Pooled switches get every block's slice: the report matches
+        the lockstep stream at any chunking."""
+        config = self._config()
+
+        def report(mode, block_ns):
+            return SplitParallelSwitch(config).run_stream(
+                self._generator(config).blocks(self.SPAN, block_ns),
+                self.SPAN,
+                mode=mode,
+                n_workers=2,
+            )
+
+        sequential = dataclasses.asdict(report("sequential", self.SPAN))
+        assert dataclasses.asdict(report("parallel", 700.0)) == sequential
+
+    def test_in_process_observers_need_sequential_mode(self):
+        config = self._config()
+        for observer in (
+            {"departure_sink": lambda departures, sizes: None},
+            {"latency_sample_cap": 16},
+        ):
+            with pytest.raises(ConfigError, match="sequential"):
+                SplitParallelSwitch(config).run_stream(
+                    self._generator(config).blocks(self.SPAN),
+                    self.SPAN,
+                    mode="parallel",
+                    **observer,
+                )

@@ -6,8 +6,11 @@ The array-native ingest must reproduce every one of them byte for byte:
 equal timestamps across ports, input- and tail-SRAM overflow, the four
 padding x bypass combinations, FIB no-route drops, switch-dead windows,
 fiber cuts and an HBM channel loss, telemetry on, three block sizes,
-and the Packet-list entry point's departure write-back.  A digest here
-changes only with a declared behaviour change.
+and the Packet-list entry point's departure write-back.  Later cells
+pin whole scenario payloads: closed-loop router and attack cells (the
+control pre-pass), a parallel router cell, an attack on a streamed
+workload, a packet-fidelity fabric cell and a switch cell's pipeline
+trace.  A digest here changes only with a declared behaviour change.
 """
 
 from __future__ import annotations
@@ -19,10 +22,20 @@ import json
 import pytest
 
 from repro import HBMSwitch, PFIOptions, SplitParallelSwitch, scaled_router
+from repro.adversary import BurstSynchronizedAttack, KnownAssignmentAttack
 from repro.control import ControlConfig
+from repro.fabric import ClosTopology
 from repro.faults import FaultSchedule, FiberCut, HBMChannelLoss, SwitchFailure
 from repro.forwarding import Fib, RouteTable
-from repro.runtime import degradation_scenario, execute_scenario
+from repro.runtime import (
+    Scenario,
+    degradation_scenario,
+    execute_scenario,
+    fabric_scenario,
+    router_scenario,
+    switch_scenario,
+)
+from repro.sim.trace import TraceRecorder
 from repro.telemetry import MetricsRegistry, SwitchTelemetry
 from repro.traffic import (
     ArrivalProcess,
@@ -214,6 +227,58 @@ def _degradation_cell(control) -> str:
     return _digest(execute_scenario(scenario))
 
 
+def _router_scenario_cell(**kwargs) -> str:
+    scenario = router_scenario(
+        scaled_router(fibers_per_ribbon=16, n_switches=4),
+        load=0.95,
+        duration_ns=12_000.0,
+        seed=3,
+        schedule=FaultSchedule([SwitchFailure(switch=1, start_ns=3_000.0, end_ns=8_000.0)]),
+        telemetry=True,
+        **kwargs,
+    )
+    return _digest(execute_scenario(scenario))
+
+
+def _attack_cell(strategy, load, splitter_kind, **kwargs) -> str:
+    scenario = Scenario(
+        kind="attack",
+        config=scaled_router(fibers_per_ribbon=16, n_switches=4),
+        load=load,
+        duration_ns=12_000.0,
+        seed=5,
+        splitter_kind=splitter_kind,
+        splitter_seed=2,
+        strategy=strategy,
+        traffic_seed=5,
+        telemetry=True,
+        **kwargs,
+    )
+    return _digest(execute_scenario(scenario))
+
+
+def cell_fabric_packet() -> str:
+    scenario = fabric_scenario(
+        scaled_router(fibers_per_ribbon=16, n_switches=4),
+        ClosTopology(k=2, stages=2),
+        load=0.6, duration_ns=6_000.0, seed=7, fidelity="packet",
+        telemetry=True,
+    )
+    return _digest(execute_scenario(scenario))
+
+
+def cell_switch_trace() -> str:
+    """The ``timeline --events`` path: a switch cell's pipeline trace."""
+    recorder = TraceRecorder()
+    payload = execute_scenario(
+        switch_scenario(
+            scaled_router().switch, load=0.7, duration_ns=4_000.0, seed=1
+        ),
+        trace=recorder,
+    )
+    return _digest([payload, recorder.to_jsonl()])
+
+
 CELLS = {
     "switch_equal_timestamps": cell_equal_timestamps,
     "switch_deterministic": cell_deterministic,
@@ -231,10 +296,36 @@ CELLS = {
     "router_64b": cell_router_64b,
     "degradation_open_loop": lambda: _degradation_cell(None),
     "degradation_closed_loop": lambda: _degradation_cell(ControlConfig(tick_ns=1_000.0)),
+    # The control loop reweights away from the failing switch.
+    "router_closed_loop": lambda: _router_scenario_cell(control=ControlConfig()),
+    "router_open_sequential": lambda: _router_scenario_cell(),
+    "router_open_parallel": lambda: _router_scenario_cell(mode="parallel", workers=2),
+    # Throttles and reweights inside the burst windows.
+    "attack_burst_closed_loop": lambda: _attack_cell(
+        BurstSynchronizedAttack(victim=0, period_ns=2_000.0, duty=0.5, attack_fraction=0.9),
+        0.5,
+        "contiguous",
+        control=ControlConfig(),
+    ),
+    "attack_known_lognormal": lambda: _attack_cell(
+        KnownAssignmentAttack(victim=1), 0.8, "pseudo-random", workload="lognormal"
+    ),
+    "fabric_packet": cell_fabric_packet,
+    "switch_trace": cell_switch_trace,
 }
 
-#: Recorded with the per-packet event model (one heap event per arrival).
+#: Recorded with the per-packet event model (one heap event per arrival);
+#: the router-scenario, attack, fabric and trace cells were recorded
+#: later, while closed-loop, attack, fabric and switch cells still
+#: built Packet lists.
 PINNED = {
+    'attack_burst_closed_loop': '22c1114904dcc70ee8dd5c62a648b39d599cd0931a4d8cd449fa1707162a70e4',
+    'attack_known_lognormal': '7a1e4e17a944f177036db0efb6288769f077bd0ae382363026960a129fc308ad',
+    'fabric_packet': '7f2591aa578bf68fdc92ce45c24aa6e721ede2cd27924eff4f30de4220ce792e',
+    'router_closed_loop': '135762df1e7488339b65446639b23b5cac0bc3ef3be010a04dd94d7672010570',
+    'router_open_parallel': 'e6edd9a8b30e45b48189a382e39c9750780c3906ec36c1db861342b3377de096',
+    'router_open_sequential': 'e6edd9a8b30e45b48189a382e39c9750780c3906ec36c1db861342b3377de096',
+    'switch_trace': '3738017eef4e278ae8d8ab5a345e5a465c05e2cf1e4836436f4c93e55db8963a',
     'degradation_closed_loop': 'b989ed5639a81ff80d8d0d7e2232ee912ea87d83d40c9ea2e586afcdcdfeafba',
     'degradation_open_loop': 'c404a5bdfc83d36aaede3744a414247ee9c49c6437341b60eb54045513125248',
     'router_64b': 'ba4eda10817fd7d5b05406391555ddf4f5bf62a93819436d1d21006b50273baf',
@@ -263,3 +354,7 @@ def test_block_sizes_agree():
     """The router cell's digest does not depend on how it is chunked."""
     digests = {PINNED[name] for name in PINNED if name.startswith("router_faults_")}
     assert len(digests) == 1
+
+
+def test_parallel_cell_equals_sequential():
+    assert PINNED["router_open_parallel"] == PINNED["router_open_sequential"]

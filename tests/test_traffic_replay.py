@@ -173,8 +173,8 @@ class TestRoundTripSatellites:
 
         config = scaled_router(n_ribbons=4, fibers_per_ribbon=16, n_switches=4)
         splitter = ContiguousSplitter(16, 4)
-        attack_packets, _ = KnownAssignmentAttack(victim=1).build_workload(
+        attack_block, _ = KnownAssignmentAttack(victim=1).build_workload(
             config, splitter, load=0.5, duration_ns=2_000.0, seed=3
         )
-        text = trace_to_string(attack_packets)
+        text = trace_to_string(attack_block.to_packets())
         assert trace_to_string(load_trace(io.StringIO(text))) == text
