@@ -35,11 +35,18 @@ output.  The same four commands take ``--fidelity flow`` to swap the
 packet engine for the vectorized fluid engine (:mod:`repro.flow`) --
 same report shapes, ~100-1000x faster, validated against the packet
 oracle in ``docs/flow_engine.md``.
+
+A flag that several commands take is declared once in ``_SHARED`` and
+reaches each command through an argparse parent parser carrying that
+command's defaults; ``choices`` come from the engine constants
+:class:`~repro.runtime.Scenario` checks.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 from typing import List, Optional
 
@@ -54,7 +61,12 @@ from .analysis import (
 from .config import reference_router, scaled_router
 from .errors import ConfigError
 from .reporting import Table
+from .adversary import SPLITTER_KINDS, STRATEGIES
+from .core.sps import RUN_MODES
+from .fabric.engine import FIDELITIES, TRAFFIC_PATTERNS
+from .fabric.routing import ROUTING_POLICIES
 from .traffic import ArrivalProcess
+from .traffic.stream import WORKLOAD_KINDS
 from .units import format_rate, format_size, format_time
 
 #: The experiment index (mirrors DESIGN.md SS 4).
@@ -131,6 +143,110 @@ def _mtbf_campaign_params(args: argparse.Namespace, **fields):
     )
 
 
+#: Every flag more than one command takes, declared once.  A command
+#: picks its shared flags with :func:`_flags` and sets its own defaults.
+_SHARED = {
+    "--load": dict(
+        type=float,
+        help="offered load in [0, 1] per input (attack: per ribbon; "
+             "fabric: per endpoint; timeline: --events only)",
+    ),
+    "--duration-us": dict(
+        type=float, help="arrival window in us (timeline: --events only)",
+    ),
+    "--seed": dict(
+        type=int, default=0,
+        help="traffic seed (attack: campaign seed; timeline: --events only)",
+    ),
+    "--switches": dict(
+        type=int,
+        help="router H (simulate/sweep: 0 = one switch, more runs the "
+             "full H-switch router; fabric: per node)",
+    ),
+    "--failed-switches": dict(
+        type=str, default="",
+        help="comma list of whole-run dead switches, e.g. 0,3 "
+             "(simulate/sweep: implies router mode)",
+    ),
+    "--fault": dict(
+        action="append", default=[],
+        help="fault spec: switch:H | channels:H:N | oeo:H:F | fiber:R:F "
+             "(fabric: router:R | link:U:V), optionally @START[-END] in "
+             "us; repeatable or comma-separated",
+    ),
+    "--fidelity": dict(
+        choices=FIDELITIES, default="packet",
+        help="packet = discrete-event pipeline (exact); flow = "
+             "vectorized fluid engine (~100-1000x faster, rate-level)",
+    ),
+    "--workload": dict(
+        type=str, default=None,
+        help=f"streaming workload: {'|'.join(WORKLOAD_KINDS)}|trace:<path> "
+             "(heavy-tailed flows at bounded memory; packet fidelity "
+             "only; default: smooth synthetic traffic, or attack's "
+             "fixed-size Poisson carrier)",
+    ),
+    "--workers": dict(
+        type=int, default=None,
+        help="process-pool size (default: 1, sequential, for sweep; all "
+             "cores for the others, metrics with --mode parallel; "
+             "results are byte-identical either way)",
+    ),
+    "--cache-dir": dict(
+        type=str, default=None,
+        help="content-addressed result cache: a rerun recalls finished "
+             "cells instead of simulating them, so a killed sweep or "
+             "campaign resumes",
+    ),
+    "--shard": dict(
+        type=str, default=None,
+        help="K/N: execute only cells K, K+N, ... against one shared "
+             "--cache-dir; an unsharded rerun merges deterministically "
+             "(faults: campaigns only)",
+    ),
+    "--switch-mtbf-us": dict(
+        type=float, default=200.0,
+        help="fault campaign: per-component mean time between failures",
+    ),
+    "--switch-mttr-us": dict(
+        type=float, default=10.0, help="fault campaign: mean time to repair",
+    ),
+    "--json": dict(
+        action="store_true",
+        help="print the JSON report instead of tables (simulate/fabric: "
+             "with its scenario_digest)",
+    ),
+    "--out": dict(
+        type=str, default=None,
+        help="also write the JSON report to this path (sweep: the "
+             "repro-sweep-v1 document; metrics: the full dump, "
+             ".prom/.txt = Prometheus text, else JSONL; faults "
+             "campaigns default to FAULTS_CAMPAIGN.json)",
+    ),
+    "--metrics-out": dict(
+        type=str, default=None,
+        help="write the run's telemetry, merged over cells, to this path "
+             "(.prom/.txt = Prometheus text, else JSONL; faults: single "
+             "runs only)",
+    ),
+}
+
+
+def _flags(*names: str, **defaults) -> argparse.ArgumentParser:
+    """A parent parser holding the shared flags ``names`` with this
+    command's ``defaults`` (keyed by dest)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in names:
+        parent.add_argument(name, **_SHARED[name])
+    parent.set_defaults(**defaults)
+    return parent
+
+
+_RUN = ("--load", "--duration-us", "--seed", "--switches")
+_RUNTIME = ("--fidelity", "--cache-dir")
+_MTBF = ("--switch-mtbf-us", "--switch-mttr-us")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -138,12 +254,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="print the SS4 design analysis")
+    def command(name, summary, *flags, **defaults):
+        return sub.add_parser(
+            name, help=summary, parents=[_flags(*flags, **defaults)]
+        )
+
+    analyze = command("analyze", "print the SS4 design analysis")
     analyze.add_argument("--scaled", action="store_true", help="use the test-scale config")
 
-    simulate = sub.add_parser("simulate", help="simulate one HBM switch")
-    simulate.add_argument("--load", type=float, default=0.8, help="offered load in [0, 1]")
-    simulate.add_argument("--duration-us", type=float, default=50.0, help="arrival window")
+    simulate = command(
+        "simulate", "simulate one HBM switch", *_RUN, "--failed-switches",
+        *_RUNTIME, "--workload", "--json", "--metrics-out",
+        load=0.8, duration_us=50.0, switches=0,
+    )
     simulate.add_argument("--packet-size", type=int, default=0, help="fixed size; 0 = IMIX")
     simulate.add_argument(
         "--process", choices=[p.value for p in ArrivalProcess], default="poisson"
@@ -151,216 +274,64 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--speedup", type=float, default=1.0)
     simulate.add_argument("--no-padding", action="store_true")
     simulate.add_argument("--no-bypass", action="store_true")
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument(
-        "--switches", type=int, default=0,
-        help="simulate the full H-switch router instead of one switch",
-    )
-    simulate.add_argument(
-        "--failed-switches", type=str, default="",
-        help="comma list of dead switches, e.g. 0,3 (implies router mode)",
-    )
-    simulate.add_argument(
-        "--json", action="store_true",
-        help="emit the full report as JSON instead of a table",
-    )
-    simulate.add_argument(
-        "--metrics-out", type=str, default=None,
-        help="write the run's telemetry to this path "
-             "(.prom/.txt = Prometheus text, else JSONL)",
-    )
-    simulate.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="content-addressed result cache; a rerun of the same "
-             "scenario recalls its payload instead of simulating",
-    )
-    simulate.add_argument(
-        "--fidelity", choices=["packet", "flow"], default="packet",
-        help="packet = discrete-event pipeline (exact); flow = "
-             "vectorized fluid engine (~100-1000x faster, rate-level)",
-    )
-    simulate.add_argument(
-        "--workload", type=str, default=None,
-        help="streaming workload: pareto|lognormal|diurnal|flash|"
-             "trace:<path> (heavy-tailed flows at bounded memory; "
-             "packet fidelity only, default: smooth synthetic traffic)",
-    )
 
-    sweep = sub.add_parser("sweep", help="sweep offered load")
+    sweep = command(
+        "sweep", "sweep offered load", "--duration-us", "--seed",
+        "--switches", "--failed-switches", *_RUNTIME, "--workload",
+        "--workers", "--shard", "--out", "--metrics-out",
+        duration_us=40.0, switches=0, workers=1,
+    )
     sweep.add_argument("--loads", type=str, default="0.3,0.5,0.7,0.9,1.0")
-    sweep.add_argument("--duration-us", type=float, default=40.0)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument(
-        "--switches", type=int, default=0,
-        help="sweep the full H-switch router instead of one switch",
-    )
-    sweep.add_argument(
-        "--failed-switches", type=str, default="",
-        help="comma list of dead switches, e.g. 0,3 (implies router mode)",
-    )
-    sweep.add_argument(
-        "--metrics-out", type=str, default=None,
-        help="write telemetry aggregated over all sweep points to this "
-             "path (.prom/.txt = Prometheus text, else JSONL)",
-    )
-    sweep.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="content-addressed result cache: finished cells are "
-             "checkpointed as they complete, so a killed sweep resumes "
-             "from where it stopped",
-    )
-    sweep.add_argument(
-        "--shard", type=str, default=None,
-        help="K/N: execute only cells K, K+N, ... (use one shared "
-             "--cache-dir; a final unsharded run merges deterministically)",
-    )
-    sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool size for the cell fan-out (default: 1, "
-             "sequential; results are byte-identical either way)",
-    )
-    sweep.add_argument(
-        "--out", type=str, default=None,
-        help="also write the sweep document (schema repro-sweep-v1, one "
-             "cell per load) as JSON to this path",
-    )
-    sweep.add_argument(
-        "--fidelity", choices=["packet", "flow"], default="packet",
-        help="packet = discrete-event pipeline (exact); flow = "
-             "vectorized fluid engine (~100-1000x faster, rate-level)",
-    )
-    sweep.add_argument(
-        "--workload", type=str, default=None,
-        help="streaming workload: pareto|lognormal|diurnal|flash|"
-             "trace:<path> (heavy-tailed flows at bounded memory; "
-             "packet fidelity only, default: smooth synthetic traffic)",
-    )
     sweep.add_argument(
         "--events-out", type=str, default=None,
         help="append a live JSONL lifecycle stream (schema "
              "repro-events-v1: sweep/cell/worker events) to this path",
     )
 
-    metrics = sub.add_parser(
+    metrics = command(
         "metrics",
-        help="run an instrumented simulation and report per-stage telemetry",
-    )
-    metrics.add_argument("--load", type=float, default=0.7, help="offered load in [0, 1]")
-    metrics.add_argument("--duration-us", type=float, default=20.0, help="arrival window")
-    metrics.add_argument("--seed", type=int, default=0)
-    metrics.add_argument(
-        "--switches", type=int, default=4,
-        help="router H (the run is always a full-router simulation)",
+        "run an instrumented simulation and report per-stage telemetry",
+        *_RUN, "--workers", "--out", load=0.7, duration_us=20.0, switches=4,
     )
     metrics.add_argument(
-        "--mode", choices=["sequential", "parallel", "auto"], default="sequential",
+        "--mode", choices=RUN_MODES, default="sequential",
         help="execution mode (all modes export identical dumps)",
-    )
-    metrics.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size for --mode parallel (default: all cores)",
     )
     metrics.add_argument(
         "--format", choices=["table", "prom", "jsonl"], default="table",
         help="stdout format: stage-summary table, Prometheus text, or JSONL",
     )
-    metrics.add_argument(
-        "--out", type=str, default=None,
-        help="also write the full dump to this path "
-             "(.prom/.txt = Prometheus text, else JSONL)",
-    )
 
-    faults = sub.add_parser(
-        "faults", help="fault injection & graceful degradation"
+    faults = command(
+        "faults", "fault injection & graceful degradation", *_RUN,
+        "--fault", "--failed-switches", *_MTBF, *_RUNTIME, "--workload",
+        "--workers", "--shard", "--json", "--out", "--metrics-out",
+        load=0.6, duration_us=40.0, switches=4,
     )
-    faults.add_argument(
-        "--fault", action="append", default=[],
-        help="fault spec: switch:H | channels:H:N | oeo:H:F | fiber:R:F, "
-             "optionally @START[-END] in us; repeatable or comma-separated",
-    )
-    faults.add_argument(
-        "--failed-switches", type=str, default="",
-        help="comma list of whole-run dead switches, e.g. 0,3",
-    )
-    faults.add_argument("--switches", type=int, default=4, help="router H")
-    faults.add_argument("--load", type=float, default=0.6)
-    faults.add_argument("--duration-us", type=float, default=40.0)
     faults.add_argument("--intervals", type=int, default=8)
-    faults.add_argument("--seed", type=int, default=0)
     faults.add_argument(
         "--campaign", type=int, default=0,
         help="draw and run N Monte-Carlo scenarios instead of one run",
     )
-    faults.add_argument(
-        "--switch-mtbf-us", type=float, default=200.0,
-        help="campaign: per-component mean time between failures",
-    )
-    faults.add_argument(
-        "--switch-mttr-us", type=float, default=10.0,
-        help="campaign: mean time to repair",
-    )
-    faults.add_argument(
-        "--workers", type=int, default=None,
-        help="campaign: process-pool size (default: all cores)",
-    )
-    faults.add_argument(
-        "--json", action="store_true",
-        help="print the JSON report instead of tables",
-    )
-    faults.add_argument(
-        "--out", type=str, default=None,
-        help="also write the JSON report to this path "
-             "(campaigns default to FAULTS_CAMPAIGN.json)",
-    )
-    faults.add_argument(
-        "--metrics-out", type=str, default=None,
-        help="single-run only: write the run's telemetry (with fault "
-             "windows tagged) to this path",
-    )
-    faults.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="content-addressed result cache: campaign cells checkpoint "
-             "as they finish, so a killed campaign resumes",
-    )
-    faults.add_argument(
-        "--shard", type=str, default=None,
-        help="campaign: K/N -- execute only cells K, K+N, ... against a "
-             "shared --cache-dir; the unsharded rerun aggregates",
-    )
-    faults.add_argument(
-        "--fidelity", choices=["packet", "flow"], default="packet",
-        help="packet = discrete-event pipeline (exact); flow = "
-             "vectorized fluid engine (~100-1000x faster, rate-level)",
-    )
-    faults.add_argument(
-        "--workload", type=str, default=None,
-        help="streaming workload: pareto|lognormal|diurnal|flash|"
-             "trace:<path> (heavy-tailed flows at bounded memory; "
-             "packet fidelity only, default: smooth synthetic traffic)",
-    )
 
-    attack = sub.add_parser(
-        "attack", help="adversarial campaigns: attack strategies vs splitters"
+    attack = command(
+        "attack", "adversarial campaigns: attack strategies vs splitters",
+        *_RUN, "--fault", "--failed-switches", *_RUNTIME, "--workload",
+        "--workers", "--json", "--out", "--metrics-out",
+        load=0.6, duration_us=10.0, switches=16,
     )
     attack.add_argument(
-        "--strategy",
-        choices=["known-assignment", "oblivious-probe", "operator-skew", "burst-sync"],
-        default="known-assignment",
+        "--strategy", choices=list(STRATEGIES), default="known-assignment"
     )
     attack.add_argument(
-        "--splitter", choices=["contiguous", "pseudo-random", "both"],
-        default="both",
+        "--splitter", choices=[*SPLITTER_KINDS, "both"], default="both",
         help="splitter family to attack ('both' also reports the exposure ratio)",
     )
     attack.add_argument("--trials", type=int, default=8, help="campaign trials")
-    attack.add_argument("--seed", type=int, default=0, help="campaign seed")
-    attack.add_argument("--switches", type=int, default=16, help="router H")
     attack.add_argument(
         "--ribbons", type=int, default=8, help="router ribbon count N"
     )
     attack.add_argument("--victim", type=int, default=0, help="targeted switch")
-    attack.add_argument("--load", type=float, default=0.6, help="per-ribbon offered load")
-    attack.add_argument("--duration-us", type=float, default=10.0, help="arrival window")
     attack.add_argument(
         "--attack-fraction", type=float, default=None,
         help="share of the load the adversary controls "
@@ -387,54 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--duty", type=float, default=0.5, help="burst-sync: on fraction"
     )
     attack.add_argument(
-        "--fault", action="append", default=[],
-        help="compose with a fault spec (same grammar as the faults command)",
-    )
-    attack.add_argument(
-        "--failed-switches", type=str, default="",
-        help="comma list of whole-run dead switches, e.g. 0,3",
-    )
-    attack.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size for the trial fan-out (default: sequential)",
-    )
-    attack.add_argument(
         "--seed-sweep", type=int, default=0,
         help="also run the pseudo-random seed-sensitivity sweep over N seeds",
     )
-    attack.add_argument(
-        "--json", action="store_true",
-        help="print the JSON report instead of tables",
-    )
-    attack.add_argument(
-        "--out", type=str, default=None,
-        help="also write the JSON report to this path",
-    )
-    attack.add_argument(
-        "--metrics-out", type=str, default=None,
-        help="write the campaign's merged telemetry (attack windows + "
-             "victim series) to this path",
-    )
-    attack.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="content-addressed result cache: trials are recalled "
-             "instead of re-simulated on reruns",
-    )
-    attack.add_argument(
-        "--fidelity", choices=["packet", "flow"], default="packet",
-        help="packet = discrete-event pipeline (exact); flow = "
-             "vectorized fluid engine (~100-1000x faster, rate-level)",
-    )
-    attack.add_argument(
-        "--workload", type=str, default=None,
-        help="streaming carrier workload: pareto|lognormal|diurnal|"
-             "flash|trace:<path> (heavy-tailed flows at bounded memory; "
-             "packet fidelity only, default: fixed-size Poisson carrier)",
-    )
 
-    fabric = sub.add_parser(
-        "fabric",
-        help="compose routers into an optical DCN fabric and run one cell",
+    fabric = command(
+        "fabric", "compose routers into an optical DCN fabric and run one cell",
+        *_RUN, "--fault", *_RUNTIME, "--json", "--out", "--metrics-out",
+        load=0.6, duration_us=50.0, switches=4,
     )
     fabric.add_argument(
         "--topology",
@@ -466,58 +397,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="dragonfly routers per group",
     )
     fabric.add_argument(
-        "--routing", choices=["direct", "vlb", "hoho"], default="direct",
+        "--routing", choices=ROUTING_POLICIES, default="direct",
         help="direct = shortest-path ECMP, vlb = Valiant load balancing, "
              "hoho = hop-on-hop-off (rotation only)",
     )
     fabric.add_argument(
-        "--pattern", choices=["uniform", "hotspot"], default="uniform",
+        "--pattern", choices=TRAFFIC_PATTERNS, default="uniform",
         help="endpoint demand: uniform all-to-all or half of each "
              "source's load aimed at one hot endpoint",
-    )
-    fabric.add_argument("--load", type=float, default=0.6, help="per-endpoint offered load in [0, 1]")
-    fabric.add_argument("--duration-us", type=float, default=50.0, help="arrival window")
-    fabric.add_argument("--seed", type=int, default=0)
-    fabric.add_argument(
-        "--switches", type=int, default=4, help="per-node router H"
-    )
-    fabric.add_argument(
-        "--fault", action="append", default=[],
-        help="fabric fault spec: router:R | link:U:V, optionally "
-             "@START[-END] in us; repeatable or comma-separated",
     )
     fabric.add_argument(
         "--link-delay-ns", type=float, default=0.0,
         help="inter-package propagation delay per hop",
     )
-    fabric.add_argument(
-        "--json", action="store_true",
-        help="emit the full report (+ scenario_digest) as JSON",
-    )
-    fabric.add_argument(
-        "--out", type=str, default=None,
-        help="also write the JSON report to this path",
-    )
-    fabric.add_argument(
-        "--metrics-out", type=str, default=None,
-        help="write the router=-labelled merged telemetry to this path "
-             "(.prom/.txt = Prometheus text, else JSONL; packet only)",
-    )
-    fabric.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="content-addressed result cache; a rerun of the same "
-             "fabric cell recalls its payload instead of simulating",
-    )
-    fabric.add_argument(
-        "--fidelity", choices=["packet", "flow"], default="packet",
-        help="packet = per-node discrete-event engine (memoised across "
-             "identical hops); flow = fluid engine (much faster)",
-    )
 
-    sub.add_parser("experiments", help="list the experiment index")
+    command("experiments", "list the experiment index")
 
-    timeline = sub.add_parser(
-        "timeline", help="render Fig. 4: PFI's staggered schedule as ASCII"
+    timeline = command(
+        "timeline", "render Fig. 4: PFI's staggered schedule as ASCII",
+        "--load", "--duration-us", "--seed", load=0.7, duration_us=10.0,
     )
     timeline.add_argument("--frames", type=int, default=2, help="frames to draw")
     timeline.add_argument("--width", type=int, default=72, help="columns")
@@ -527,13 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
              "events (batch/frame/write/read/bypass/deliver lanes) "
              "instead of the bank schedule",
     )
-    timeline.add_argument("--load", type=float, default=0.7, help="--events: offered load")
-    timeline.add_argument("--duration-us", type=float, default=10.0, help="--events: arrival window")
-    timeline.add_argument("--seed", type=int, default=0, help="--events: traffic seed")
 
-    timeseries = sub.add_parser(
-        "timeseries",
-        help="render the windowed time series of a telemetry dump",
+    timeseries = command(
+        "timeseries", "render the windowed time series of a telemetry dump"
     )
     timeseries.add_argument(
         "path",
@@ -553,9 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="max sparkline columns (older windows are summarised away)",
     )
 
-    control = sub.add_parser(
+    control = command(
         "control",
-        help="closed-loop control plane: admission, reweighting, mitigation",
+        "closed-loop control plane: admission, reweighting, mitigation",
+        *_RUN, *_MTBF, *_RUNTIME, "--workers", "--json", "--out",
+        load=0.6, duration_us=40.0, switches=4, fidelity="flow",
     )
     control.add_argument(
         "--campaign", choices=["fault", "attack"], default="fault",
@@ -567,45 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
              "and report the per-cell delivered-fraction delta",
     )
     control.add_argument(
-        "--fidelity", choices=["packet", "flow"], default="flow",
-        help="engine for the campaign cells (flow = fluid, fast)",
-    )
-    control.add_argument(
         "--cells", type=int, default=8,
         help="fault scenarios / attack trials per campaign",
     )
-    control.add_argument("--seed", type=int, default=0)
-    control.add_argument("--switches", type=int, default=4, help="router H")
-    control.add_argument("--load", type=float, default=0.6)
-    control.add_argument("--duration-us", type=float, default=40.0)
     control.add_argument(
         "--tick-ns", type=float, default=1_000.0,
         help="control period: signals fold and actuators move once per tick",
-    )
-    control.add_argument(
-        "--switch-mtbf-us", type=float, default=200.0,
-        help="fault campaign: per-component mean time between failures",
-    )
-    control.add_argument(
-        "--switch-mttr-us", type=float, default=10.0,
-        help="fault campaign: mean time to repair",
-    )
-    control.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: all cores)",
-    )
-    control.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="content-addressed result cache (closed-loop cells have "
-             "their own digests; both loops checkpoint)",
-    )
-    control.add_argument(
-        "--json", action="store_true",
-        help="print the JSON report instead of tables",
-    )
-    control.add_argument(
-        "--out", type=str, default=None,
-        help="also write the JSON report to this path",
     )
     control.add_argument(
         "--actions-out", type=str, default=None,
@@ -644,6 +507,29 @@ def _router_config(n_switches: int):
     )
 
 
+def _simulated_config(args: argparse.Namespace, failed: List[int]):
+    """simulate/sweep: the router grown to ``--switches`` H (the scaled
+    router's H when only ``--failed-switches`` is given), or ``None``
+    for one switch (``--switches 0``)."""
+    if args.switches == 0 and not failed:
+        return None
+    return _router_config(args.switches or scaled_router().n_switches)
+
+
+def _emit_json(document, out=None, show=False, announce=True) -> bool:
+    """Write ``document`` as indented JSON to ``out`` (saying so unless
+    ``announce`` is off) and print it when ``show``; returns ``show``."""
+    text = json.dumps(document, indent=2, sort_keys=True)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+        if announce:
+            print(f"wrote {out}")
+    if show:
+        print(text)
+    return show
+
+
 def _failed_schedule(failed: List[int]):
     """A ``--failed-switches`` list as its degenerate fault schedule (or
     ``None``)."""
@@ -675,9 +561,6 @@ def _write_merged_metrics(dumps, path: str) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    import dataclasses
-    import json
-
     from .runtime import Runtime, router_scenario, switch_scenario
 
     failed = _parse_int_list(args.failed_switches)
@@ -695,9 +578,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         fidelity=args.fidelity,
         workload=args.workload,
     )
-    if args.switches > 0 or failed:
-        h = args.switches if args.switches > 0 else scaled_router().n_switches
-        config = _router_config(h)
+    config = _simulated_config(args, failed)
+    if config is not None:
         config = dataclasses.replace(
             config,
             switch=dataclasses.replace(config.switch, speedup=args.speedup),
@@ -705,15 +587,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         scenario = router_scenario(
             config, schedule=_failed_schedule(failed), **common
         )
-        payload = runtime.run(scenario)
-        report = payload["report"]
-        if want_metrics:
-            _write_metrics_dump(payload["telemetry"], args.metrics_out)
-        if args.json:
-            document = dict(report)
-            document["scenario_digest"] = scenario.digest()
-            print(json.dumps(document, indent=2, sort_keys=True))
-            return 0
+    else:
+        switch = dataclasses.replace(scaled_router().switch, speedup=args.speedup)
+        scenario = switch_scenario(switch, **common)
+    payload = runtime.run(scenario)
+    report = payload["report"]
+    if want_metrics:
+        _write_metrics_dump(payload["telemetry"], args.metrics_out)
+    if args.json:
+        _emit_json({**report, "scenario_digest": scenario.digest()}, show=True)
+        return 0
+    if config is not None:
         table = Table("Router simulation", ["metric", "value"])
         table.add("switches (H)", config.n_switches)
         table.add("failed switches", str(report["failed_switches"]) if report["failed_switches"] else "none")
@@ -727,17 +611,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         table.add("mean latency", format_time(report["latency"]["mean_ns"]))
         table.add("p99 latency", format_time(report["latency"]["p99_ns"]))
         table.show()
-        return 0
-    config = dataclasses.replace(scaled_router().switch, speedup=args.speedup)
-    scenario = switch_scenario(config, **common)
-    payload = runtime.run(scenario)
-    report = payload["report"]
-    if want_metrics:
-        _write_metrics_dump(payload["telemetry"], args.metrics_out)
-    if args.json:
-        document = dict(report)
-        document["scenario_digest"] = scenario.digest()
-        print(json.dumps(document, indent=2, sort_keys=True))
         return 0
     table = Table("Switch simulation", ["metric", "value"])
     table.add("offered", format_size(report["offered_bytes"]))
@@ -754,8 +627,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    import json
-
     from .runtime import (
         Runtime,
         execute_scenario,
@@ -783,37 +654,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n_workers=args.workers,
     )
     duration_ns = args.duration_us * 1e3
-    router_mode = args.switches > 0 or bool(failed)
+    config = _simulated_config(args, failed)
+    router_mode = config is not None
+    common = dict(
+        duration_ns=duration_ns,
+        seed=args.seed,
+        telemetry=want_metrics,
+        fidelity=args.fidelity,
+        workload=args.workload,
+    )
     if router_mode:
-        h = args.switches if args.switches > 0 else scaled_router().n_switches
-        config = _router_config(h)
         schedule = _failed_schedule(failed)
         scenarios = [
-            router_scenario(
-                config,
-                load=load,
-                duration_ns=duration_ns,
-                seed=args.seed,
-                schedule=schedule,
-                telemetry=want_metrics,
-                fidelity=args.fidelity,
-                workload=args.workload,
-            )
+            router_scenario(config, load=load, schedule=schedule, **common)
             for load in loads
         ]
     else:
-        config = scaled_router().switch
+        switch = scaled_router().switch
         scenarios = [
-            switch_scenario(
-                config,
-                load=load,
-                duration_ns=duration_ns,
-                seed=args.seed,
-                telemetry=want_metrics,
-                fidelity=args.fidelity,
-                workload=args.workload,
-            )
-            for load in loads
+            switch_scenario(switch, load=load, **common) for load in loads
         ]
     from .runtime import open_event_stream
 
@@ -913,17 +772,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "digests": [s.digest() for s in scenarios],
                 "cells": [p["report"] for p in payloads],
             }
-            with open(args.out, "w") as fh:
-                fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
-            print(f"wrote {args.out}")
+            _emit_json(document, args.out)
     if want_metrics:
         _write_metrics_dump(registry.to_dict(), args.metrics_out)
     return 0
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
-    import json
-
     from .faults import DegradationReport, parse_fault_specs
     from .reporting import (
         campaign_table,
@@ -973,13 +828,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 0
-        text = json.dumps(result.to_dict(), indent=2, sort_keys=True)
         out = args.out if args.out else "FAULTS_CAMPAIGN.json"
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-        if args.json:
-            print(text)
-        else:
+        if not _emit_json(result.to_dict(), out, args.json, announce=False):
             campaign_table(result).show()
             print(
                 f"{result.n_faulted}/{params.n_scenarios} scenarios drew faults"
@@ -1002,15 +852,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
     )
     if args.metrics_out:
         _write_metrics_dump(payload["telemetry"], args.metrics_out)
-    if args.json or args.out:
-        text = json.dumps(payload["report"], indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {args.out}")
-        if args.json:
-            print(text)
-            return 0
+    if _emit_json(payload["report"], args.out, args.json):
+        return 0
     report = DegradationReport.from_dict(payload["report"])
     degradation_summary_table(report).show()
     degradation_table(report).show()
@@ -1047,8 +890,6 @@ def _attack_strategy(args: argparse.Namespace):
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    import json
-
     from .adversary import (
         AttackCampaignParams,
         compare_splitters,
@@ -1141,13 +982,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             args.metrics_out,
         )
 
-    text = json.dumps(document, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}")
-    if args.json:
-        print(text)
+    if _emit_json(document, args.out, args.json):
         return 0
     for table in tables:
         table.show()
@@ -1178,8 +1013,6 @@ def _fabric_topology(args: argparse.Namespace):
 
 
 def cmd_fabric(args: argparse.Namespace) -> int:
-    import json
-
     from .faults import parse_fault_specs
     from .runtime import Runtime, fabric_scenario
 
@@ -1205,17 +1038,9 @@ def cmd_fabric(args: argparse.Namespace) -> int:
     report = payload["report"]
     if want_metrics:
         _write_metrics_dump(payload["telemetry"], args.metrics_out)
-    if args.json or args.out:
-        document = dict(report)
-        document["scenario_digest"] = scenario.digest()
-        text = json.dumps(document, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {args.out}")
-        if args.json:
-            print(text)
-            return 0
+    document = {**report, "scenario_digest": scenario.digest()}
+    if _emit_json(document, args.out, args.json):
+        return 0
     table = Table("Fabric simulation", ["metric", "value"])
     table.add("topology", report["topology"]["kind"])
     table.add("routers", report["n_routers"])
@@ -1436,8 +1261,6 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
 
 
 def cmd_control(args: argparse.Namespace) -> int:
-    import json
-
     from .control import ControlConfig, compare_attack_loops, compare_fault_loops
     from .runtime import Runtime
 
@@ -1469,13 +1292,7 @@ def cmd_control(args: argparse.Namespace) -> int:
                 fidelity=args.fidelity, runtime=runtime,
             )
             extra = ("victim gain", result["victim_gain"])
-        text = json.dumps(result, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {args.out}")
-        if args.json:
-            print(text)
+        if _emit_json(result, args.out, args.json):
             return 0
         table = Table(
             f"closed vs open loop: {args.campaign} campaign "
@@ -1546,15 +1363,8 @@ def cmd_control(args: argparse.Namespace) -> int:
         "availability": report.availability(),
         "control": report.control,
     }
-    if args.json or args.out:
-        text = json.dumps(summary, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {args.out}")
-        if args.json:
-            print(text)
-            return 0
+    if _emit_json(summary, args.out, args.json):
+        return 0
     ctrl = report.control or {}
     table = Table(
         "closed-loop demo: switch 0 down for the middle third",

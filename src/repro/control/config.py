@@ -39,6 +39,7 @@ What each controller's *signal* is, is fixed by the loop
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -125,8 +126,10 @@ class ControlConfig:
     mitigation: Optional[ControllerParams] = DEFAULT_MITIGATION
 
     def __post_init__(self) -> None:
-        if self.tick_ns <= 0:
-            raise ConfigError(f"tick_ns must be positive, got {self.tick_ns}")
+        if not (math.isfinite(self.tick_ns) and self.tick_ns > 0):
+            raise ConfigError(
+                f"tick_ns must be finite and positive, got {self.tick_ns}"
+            )
         if (
             self.admission is None
             and self.reweight is None

@@ -69,6 +69,10 @@ from .topology import FabricTopology, RotationTopology
 #: Valiant load balancing exists for.
 TRAFFIC_PATTERNS = ("uniform", "hotspot")
 
+#: The engines every cell can run on: ``"packet"`` (discrete events)
+#: or ``"flow"`` (the fluid engine of :mod:`repro.flow`).
+FIDELITIES = ("packet", "flow")
+
 #: Share of each source's offered load aimed at its hot partner under
 #: the ``hotspot`` pattern (the rest spreads uniformly).
 HOTSPOT_SHARE = 0.5
@@ -366,10 +370,8 @@ def simulate_fabric(
         raise ConfigError(f"load must be in [0, 1], got {load}")
     if duration_ns <= 0:
         raise ConfigError(f"duration_ns must be positive, got {duration_ns}")
-    if fidelity not in ("packet", "flow"):
-        raise ConfigError(
-            f'fidelity must be "packet" or "flow", got {fidelity!r}'
-        )
+    if fidelity not in FIDELITIES:
+        raise ConfigError(f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
     if pattern not in TRAFFIC_PATTERNS:
         raise ConfigError(
             f"pattern must be one of {TRAFFIC_PATTERNS}, got {pattern!r}"

@@ -38,17 +38,20 @@ are byte-identical to the pre-runtime outputs for the same seeds.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..adversary.campaign import SPLITTER_KINDS
 from ..config import HBMSwitchConfig, RouterConfig
+from ..control.config import ControlConfig
 from ..core.pfi import PFIOptions
+from ..core.sps import RUN_MODES
 from ..errors import ConfigError
-from ..fabric.engine import TRAFFIC_PATTERNS
+from ..fabric.engine import FIDELITIES, TRAFFIC_PATTERNS
 from ..fabric.routing import ROUTING_POLICIES
 from ..fabric.topology import FabricTopology, topology_to_dict
 from ..traffic import (
@@ -58,42 +61,90 @@ from ..traffic import (
     TrafficGenerator,
     uniform_matrix,
 )
-
-#: The optional fields each workload family (``Scenario.kind``) reads.
-#: Every kind reads ``config``, ``load``, ``duration_ns``, ``seed`` and
-#: ``fidelity`` (and takes the ``mode``/``workers`` hints); any other
-#: field a kind does not list here must keep its default, because a
-#: value the executor never reads would still change the digest and
-#: split one result over two cache entries.
-KIND_FIELDS = {
-    "switch": (
-        "packet_size", "process", "padding", "bypass", "drain",
-        "telemetry", "workload",
-    ),
-    "router": (
-        "packet_size", "process", "padding", "bypass", "schedule",
-        "drain", "telemetry", "workload", "control",
-    ),
-    "degradation": (
-        "padding", "bypass", "schedule", "n_intervals", "telemetry",
-        "workload", "control",
-    ),
-    "fault_cell": (
-        "padding", "bypass", "schedule", "n_intervals", "workload",
-        "control", "tag",
-    ),
-    "attack": (
-        "schedule", "splitter_kind", "splitter_seed", "strategy",
-        "traffic_seed", "telemetry", "workload", "control", "tag",
-    ),
-    "fabric": (
-        "schedule", "drain", "telemetry", "topology", "routing",
-        "pattern", "link_delay_ns",
-    ),
-}
+from ..traffic.stream import WORKLOAD_KINDS
+from .cache import payload_checksum
 
 #: The workload families the runtime can execute.
-SCENARIO_KINDS = tuple(KIND_FIELDS)
+SCENARIO_KINDS = (
+    "switch", "router", "degradation", "fault_cell", "attack", "fabric",
+)
+
+
+@dataclass(frozen=True)
+class Param:
+    """The rule of one :class:`Scenario` field.
+
+    ``kinds`` are the kinds that read the field; any other kind must
+    leave it at its default, because a value the executor never reads
+    would still change the digest and split one result over two cache
+    entries.  A non-``None`` value must be an instance of ``types``,
+    a finite number in ``[low, high]`` (``above``: strictly above
+    ``low``), and one of ``values`` or start with ``prefix``; ``None``
+    is accepted exactly when it is the default.  ``digest`` says when
+    the field enters :meth:`Scenario.describe`: ``"always"``,
+    ``"if_set"`` (a key added after digests were in use, so older
+    digests stay valid) or ``"never"``; ``content`` renders an object
+    value JSON-safe.
+    """
+
+    kinds: Tuple[str, ...] = SCENARIO_KINDS
+    types: Optional[tuple] = None
+    low: Optional[float] = None
+    high: float = math.inf
+    above: bool = False
+    values: Optional[tuple] = None
+    prefix: Optional[str] = None
+    digest: str = "always"
+    content: Optional[Callable[[Any], Any]] = None
+
+    def check(self, name: str, value) -> None:
+        if self.types is not None and not isinstance(value, self.types):
+            raise ConfigError(
+                f"{name} must be a {' or '.join(t.__name__ for t in self.types)}"
+                f", got {type(value).__name__}"
+            )
+        if self.low is not None and not (
+            isinstance(value, numbers.Real)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value))
+            and (value > self.low if self.above else value >= self.low)
+            and value <= self.high
+        ):
+            bound = (
+                f"in [{self.low:g}, {self.high:g}]" if self.high < math.inf
+                else f"{'>' if self.above else '>='} {self.low:g}"
+            )
+            raise ConfigError(
+                f"{name} must be a finite number {bound}, got {value!r}"
+            )
+        if self.values is not None and not (
+            value in self.values
+            or (self.prefix and str(value).startswith(self.prefix))
+        ):
+            also = f' or "{self.prefix}<...>"' if self.prefix else ""
+            raise ConfigError(
+                f"{name} must be one of {self.values}{also}, got {value!r}"
+            )
+
+
+def _typed_content(obj) -> Dict[str, Any]:
+    """A config or strategy dataclass as digest content."""
+    data = dataclasses.asdict(obj)
+    data["_type"] = type(obj).__name__
+    return data
+
+
+def _field(default, *kinds: str, **rule) -> Any:
+    """A :class:`Scenario` field with its :class:`Param` (read by every
+    kind unless ``kinds`` are named)."""
+    return dataclasses.field(
+        default=default,
+        metadata={"param": Param(kinds=kinds or SCENARIO_KINDS, **rule)},
+    )
+
+
+_BOOL = (False, True)
+_PACKET_KINDS = ("switch", "router")
+_PFI_KINDS = ("switch", "router", "degradation", "fault_cell")
 
 
 @dataclass(frozen=True)
@@ -115,11 +166,14 @@ class Scenario:
       the :mod:`repro.fabric.topology` dataclasses, ``routing`` a
       :data:`~repro.fabric.routing.ROUTING_POLICIES` member.
 
-    A kind reads only the fields :data:`KIND_FIELDS` lists for it (plus
-    the ones every kind reads); construction rejects a non-default
-    value of any other field with :class:`~repro.errors.ConfigError`,
-    so one result never sits under two digests.  Unread fields still
-    participate in the digest at their defaults, which hash stably.
+    Each field declares its :class:`Param` once, beside it: the kinds
+    that read it, the values it accepts and whether it enters the
+    digest.  Construction checks every field against its rule and
+    raises :class:`~repro.errors.ConfigError` on a bad value or on a
+    non-default value of a field the kind never reads
+    (:data:`KIND_FIELDS`); :meth:`describe` is the same table read for
+    the digest.  Unread fields still participate in the digest at their
+    defaults, which hash stably.
 
     At packet fidelity every kind runs on
     :class:`~repro.traffic.stream.ArrivalBlock` arrays from its traffic
@@ -129,226 +183,144 @@ class Scenario:
     (:func:`~repro.control.packet.packet_control_prepass`) first.
     """
 
-    kind: str
-    config: object  # HBMSwitchConfig (switch) or RouterConfig (the rest)
-    load: float = 0.8
-    duration_ns: float = 50_000.0
-    seed: int = 0
+    kind: str = _field(dataclasses.MISSING, values=SCENARIO_KINDS)
+    #: HBMSwitchConfig (switch) or RouterConfig (the rest).
+    config: object = _field(dataclasses.MISSING, content=_typed_content)
+    load: float = _field(0.8, low=0.0, high=1.0)
+    duration_ns: float = _field(50_000.0, low=0.0, above=True)
+    #: A separate cache-key component: seeds of one scenario share its
+    #: digest, with per-seed cache cells.
+    seed: int = _field(0, low=0, digest="never")
     #: Fixed packet size in bytes; 0 selects the IMIX mix.
-    packet_size: int = 0
-    process: str = "poisson"
-    padding: bool = True
-    bypass: bool = True
+    packet_size: int = _field(0, *_PACKET_KINDS, low=0)
+    process: str = _field(
+        "poisson", *_PACKET_KINDS, values=tuple(p.value for p in ArrivalProcess)
+    )
+    padding: bool = _field(True, *_PFI_KINDS, values=_BOOL)
+    bypass: bool = _field(True, *_PFI_KINDS, values=_BOOL)
     #: Optional fault schedule (``None`` = pristine hardware).
-    schedule: Optional[object] = None
+    schedule: Optional[object] = _field(
+        None, "router", "degradation", "fault_cell", "attack", "fabric",
+        content=lambda s: s.to_dict(),
+    )
     #: ``degradation``/``fault_cell``: time-bin count.
-    n_intervals: int = 8
-    drain: bool = True
+    n_intervals: int = _field(8, "degradation", "fault_cell", low=1)
+    drain: bool = _field(True, "switch", "router", "fabric", values=_BOOL)
     #: ``attack`` only: splitter family, its manufacturing seed, the
     #: strategy object and the trial's traffic seed.
-    splitter_kind: Optional[str] = None
-    splitter_seed: int = 0
-    strategy: Optional[object] = None
-    traffic_seed: Optional[int] = None
-    telemetry: bool = False
+    splitter_kind: Optional[str] = _field(None, "attack", values=SPLITTER_KINDS)
+    splitter_seed: int = _field(0, "attack", low=0)
+    strategy: Optional[object] = _field(None, "attack", content=_typed_content)
+    traffic_seed: Optional[int] = _field(None, "attack", low=0)
+    telemetry: bool = _field(
+        False, "switch", "router", "degradation", "attack", "fabric",
+        values=_BOOL,
+    )
     #: ``"packet"`` runs the discrete-event pipeline; ``"flow"`` the
     #: numpy fluid engine (:mod:`repro.flow`).  Part of the digest, so
     #: flow and packet cells cache separately.
-    fidelity: str = "packet"
+    fidelity: str = _field("packet", values=FIDELITIES)
     #: Optional streaming workload spec
     #: (:func:`~repro.traffic.stream.workload_source`):
     #: ``"pareto"``/``"lognormal"``/``"diurnal"``/``"flash"`` or
     #: ``"trace:<path>"``.  ``None`` keeps the legacy
-    #: :class:`~repro.traffic.TrafficGenerator` traffic -- a conditional
-    #: digest key, so pre-existing digests are untouched.  Packet
+    #: :class:`~repro.traffic.TrafficGenerator` traffic.  Packet
     #: fidelity only; composes with ``control``.  Open-loop cells
     #: consume the arrivals block by block (bounded memory); closed-loop
     #: cells and attack trials draw the run as one block.
-    workload: Optional[str] = None
+    workload: Optional[str] = _field(
+        None, "switch", "router", "degradation", "fault_cell", "attack",
+        values=WORKLOAD_KINDS, prefix="trace:", digest="if_set",
+    )
     #: Free-form cell tag (campaign index); part of the digest because
     #: campaign payloads embed it.
-    tag: Optional[int] = None
-    #: Optional closed-loop control plane
-    #: (:class:`~repro.control.ControlConfig`); ``None`` = open loop.
-    #: Participates in the digest (closed-loop cells cache separately,
-    #: and distinct tunings occupy distinct entries).
-    control: Optional[object] = None
+    tag: Optional[int] = _field(None, "fault_cell", "attack")
+    #: Optional closed-loop control plane; ``None`` = open loop.  Distinct
+    #: tunings occupy distinct cache entries.
+    control: Optional[object] = _field(
+        None, "router", "degradation", "fault_cell", "attack",
+        types=(ControlConfig,), digest="if_set", content=lambda c: c.to_dict(),
+    )
     #: ``fabric`` only: the topology dataclass, routing policy, demand
     #: pattern and inter-package propagation delay.
-    topology: Optional[object] = None
-    routing: str = "direct"
-    pattern: str = "uniform"
-    link_delay_ns: float = 0.0
+    topology: Optional[object] = _field(
+        None, "fabric", types=(FabricTopology,), content=topology_to_dict
+    )
+    routing: str = _field("direct", "fabric", values=ROUTING_POLICIES)
+    pattern: str = _field("uniform", "fabric", values=TRAFFIC_PATTERNS)
+    link_delay_ns: float = _field(0.0, "fabric", low=0.0)
     #: Execution hints -- excluded from the digest (results are
     #: byte-identical across modes by construction).
-    mode: str = "sequential"
-    workers: Optional[int] = None
+    mode: str = _field("sequential", values=RUN_MODES, digest="never")
+    workers: Optional[int] = _field(None, low=1, digest="never")
 
     def __post_init__(self) -> None:
-        if self.kind not in SCENARIO_KINDS:
-            raise ConfigError(
-                f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}"
-            )
-        if self.duration_ns <= 0:
-            raise ConfigError(
-                f"duration_ns must be positive, got {self.duration_ns}"
-            )
-        if self.packet_size < 0:
-            raise ConfigError(
-                f"packet_size must be >= 0 (0 = IMIX), got {self.packet_size}"
-            )
-        if self.n_intervals < 1:
-            raise ConfigError(
-                f"n_intervals must be positive, got {self.n_intervals}"
-            )
-        for name, default in _OPTIONAL_DEFAULTS.items():
-            if name not in KIND_FIELDS[self.kind] and getattr(self, name) != default:
+        for name, default, param in _PARAMS:
+            value = getattr(self, name)
+            if value is None and default is None:
+                continue
+            param.check(name, value)
+            if self.kind not in param.kinds and value != default:
                 raise ConfigError(
                     f"{name} is not supported for kind {self.kind!r}: it "
                     f"does not read it (leave it at {default!r})"
                 )
-        if self.kind == "switch":
-            if not isinstance(self.config, HBMSwitchConfig):
-                raise ConfigError(
-                    "switch scenarios take an HBMSwitchConfig, got "
-                    f"{type(self.config).__name__}"
-                )
-        elif not isinstance(self.config, RouterConfig):
+        wanted = HBMSwitchConfig if self.kind == "switch" else RouterConfig
+        if not isinstance(self.config, wanted):
             raise ConfigError(
-                f"{self.kind} scenarios take a RouterConfig, got "
+                f"{self.kind} scenarios take a {wanted.__name__}, got "
                 f"{type(self.config).__name__}"
             )
-        if self.kind == "attack":
-            if self.splitter_kind is None or self.strategy is None:
-                raise ConfigError(
-                    "attack scenarios need splitter_kind and strategy"
-                )
-        if self.kind == "fabric":
-            if not isinstance(self.topology, FabricTopology):
-                raise ConfigError(
-                    "fabric scenarios take a FabricTopology, got "
-                    f"{type(self.topology).__name__}"
-                )
-        if self.routing not in ROUTING_POLICIES:
+        if self.kind == "attack" and (
+            self.splitter_kind is None or self.strategy is None
+        ):
+            raise ConfigError("attack scenarios need splitter_kind and strategy")
+        if self.kind == "fabric" and self.topology is None:
+            raise ConfigError("fabric scenarios take a FabricTopology, got None")
+        if self.workload is not None and self.fidelity != "packet":
             raise ConfigError(
-                f"routing must be one of {ROUTING_POLICIES}, got "
-                f"{self.routing!r}"
+                "workload streaming requires packet fidelity (the "
+                "flow engine has no per-packet arrival stream)"
             )
-        if self.pattern not in TRAFFIC_PATTERNS:
-            raise ConfigError(
-                f"pattern must be one of {TRAFFIC_PATTERNS}, got "
-                f"{self.pattern!r}"
-            )
-        if self.link_delay_ns < 0:
-            raise ConfigError(
-                f"link_delay_ns must be >= 0, got {self.link_delay_ns}"
-            )
-        if self.fidelity not in ("packet", "flow"):
-            raise ConfigError(
-                f'fidelity must be "packet" or "flow", got {self.fidelity!r}'
-            )
-        if self.workload is not None:
-            from ..traffic.stream import WORKLOAD_KINDS
-
-            if not (
-                self.workload in WORKLOAD_KINDS
-                or self.workload.startswith("trace:")
-            ):
-                raise ConfigError(
-                    f"workload must be one of {WORKLOAD_KINDS} or "
-                    f'"trace:<path>", got {self.workload!r}'
-                )
-            if self.fidelity != "packet":
-                raise ConfigError(
-                    "workload streaming requires packet fidelity (the "
-                    "flow engine has no per-packet arrival stream)"
-                )
-        if self.control is not None:
-            from ..control.config import ControlConfig
-
-            if not isinstance(self.control, ControlConfig):
-                raise ConfigError(
-                    "control must be a repro.control.ControlConfig, got "
-                    f"{type(self.control).__name__}"
-                )
 
     # -- digesting -----------------------------------------------------------
 
     def describe(self) -> Dict[str, Any]:
-        """The canonical JSON-safe content the digest hashes.
-
-        Excludes ``seed`` (a separate cache-key component) and the
-        ``mode``/``workers`` execution hints (results are invariant to
-        them).
-        """
-        data = {
-            "kind": self.kind,
-            "config": _config_content(self.config),
-            "load": self.load,
-            "duration_ns": self.duration_ns,
-            "packet_size": self.packet_size,
-            "process": self.process,
-            "padding": self.padding,
-            "bypass": self.bypass,
-            "schedule": (
-                self.schedule.to_dict() if self.schedule is not None else None
-            ),
-            "n_intervals": self.n_intervals,
-            "drain": self.drain,
-            "splitter_kind": self.splitter_kind,
-            "splitter_seed": self.splitter_seed,
-            "strategy": _strategy_content(self.strategy),
-            "traffic_seed": self.traffic_seed,
-            "telemetry": self.telemetry,
-            "fidelity": self.fidelity,
-            "tag": self.tag,
-            "topology": (
-                topology_to_dict(self.topology)
-                if self.topology is not None
-                else None
-            ),
-            "routing": self.routing,
-            "pattern": self.pattern,
-            "link_delay_ns": self.link_delay_ns,
-        }
-        if self.control is not None:
-            # Conditional key: open-loop digests stay exactly what they
-            # were before the control plane existed (cache continuity).
-            data["control"] = self.control.to_dict()
-        if self.workload is not None:
-            # Conditional for the same reason: legacy-traffic digests
-            # stay exactly what they were before workloads existed.
-            data["workload"] = self.workload
+        """The canonical JSON-safe content the digest hashes: every
+        field whose :class:`Param` puts it in the digest."""
+        data = {}
+        for name, _, param in _DIGESTED:
+            value = getattr(self, name)
+            if value is None:
+                if param.digest == "if_set":
+                    continue
+            elif param.content is not None:
+                value = param.content(value)
+            data[name] = value
         return data
 
     def digest(self) -> str:
         """Content hash of :meth:`describe` (hex sha256)."""
-        text = json.dumps(
-            self.describe(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return payload_checksum(self.describe())
 
 
-#: The default of every field :data:`KIND_FIELDS` lists, in field order.
-_OPTIONAL_DEFAULTS = {
-    f.name: f.default
-    for f in dataclasses.fields(Scenario)
-    if any(f.name in names for names in KIND_FIELDS.values())
+#: ``(name, default, Param)`` of every field, in field order.
+_PARAMS = tuple(
+    (f.name, f.default, f.metadata["param"]) for f in dataclasses.fields(Scenario)
+)
+_DIGESTED = tuple(p for p in _PARAMS if p[2].digest != "never")
+
+#: The optional fields each kind reads, derived from the field table:
+#: every kind also reads ``kind``, ``config``, ``load``,
+#: ``duration_ns``, ``seed`` and ``fidelity`` and takes the
+#: ``mode``/``workers`` hints.
+KIND_FIELDS = {
+    kind: tuple(
+        name for name, _, param in _PARAMS
+        if kind in param.kinds and param.kinds != SCENARIO_KINDS
+    )
+    for kind in SCENARIO_KINDS
 }
-
-
-def _config_content(config) -> Dict[str, Any]:
-    data = dataclasses.asdict(config)
-    data["_type"] = type(config).__name__
-    return data
-
-
-def _strategy_content(strategy) -> Optional[Dict[str, Any]]:
-    if strategy is None:
-        return None
-    data = dataclasses.asdict(strategy)
-    data["_type"] = type(strategy).__name__
-    return data
 
 
 # -- builders ------------------------------------------------------------------

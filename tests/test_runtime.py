@@ -362,7 +362,10 @@ class TestResumeAndShard:
         single = Runtime(n_workers=1).map(self.scenarios())
         partial = Runtime(cache_dir=tmp_path, n_workers=1)
         partial.map(scenarios[:1])  # the "killed" run got one cell in
-        resumed = Runtime(cache_dir=tmp_path, n_workers=1).map(scenarios)
+        resume_rt = Runtime(cache_dir=tmp_path, n_workers=1)
+        resumed = resume_rt.map(scenarios)
+        stats = resume_rt.cache.stats()
+        assert stats["hits"] == 1 and stats["writes"] == 2, stats
         assert json.dumps(resumed, sort_keys=True) == json.dumps(single, sort_keys=True)
 
     def test_shard_executes_only_owned_cells(self, tmp_path, monkeypatch):
