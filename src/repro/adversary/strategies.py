@@ -396,7 +396,7 @@ class OperatorSkew(AttackStrategy):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.skew <= 0:
+        if not self.skew > 0:  # also catches NaN
             raise ConfigError(f"skew must be positive, got {self.skew}")
 
     def attack_profile(self, splitter: FiberSplitter, ribbon: int) -> np.ndarray:

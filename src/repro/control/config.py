@@ -70,7 +70,7 @@ class ControllerParams:
                 f"thresholds must satisfy yellow <= soft_red <= red, got "
                 f"({self.yellow}, {self.soft_red}, {self.red})"
             )
-        if self.hysteresis < 0:
+        if not self.hysteresis >= 0:  # also catches NaN
             raise ConfigError(
                 f"hysteresis must be >= 0, got {self.hysteresis}"
             )
@@ -79,7 +79,7 @@ class ControllerParams:
                 f"need 0 < floor <= ceiling, got "
                 f"({self.floor}, {self.ceiling})"
             )
-        if self.step_up <= 0:
+        if not self.step_up > 0:
             raise ConfigError(f"step_up must be positive, got {self.step_up}")
         if not 0.0 < self.factor_down < 1.0:
             raise ConfigError(

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import chain
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -116,6 +118,56 @@ def segment_rows(segments: Sequence[Segment], *fields: str) -> List[np.ndarray]:
     return out
 
 
+def first_arrivals(batches: Sequence["Batch"]) -> np.ndarray:
+    """Arrival time of the first packet each batch completes (NaN for a
+    batch that completes none), gathered per block of columns."""
+    firsts = np.full(len(batches), np.nan)
+    completing = [batch.completing for batch in batches]
+    segments = list(chain.from_iterable(completing))
+    n = len(segments)
+    if not n:
+        return firsts
+    owners = np.repeat(
+        np.arange(len(batches)), np.fromiter(map(len, completing), np.int64, len(batches))
+    )
+    blocks = list(map(itemgetter(0), segments))
+    los = np.fromiter(map(itemgetter(1), segments), np.int64, n)
+    his = np.fromiter(map(itemgetter(2), segments), np.int64, n)
+    # Consecutive segments mostly share a block: group by runs.
+    ids = np.fromiter(map(id, blocks), np.int64, n)
+    heads = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    index_of: dict = {}
+    columns_of: list = []
+    run_block = []
+    for head in heads.tolist():
+        columns = blocks[head]
+        index = index_of.setdefault(id(columns), len(columns_of))
+        if index == len(columns_of):
+            columns_of.append(columns)
+        run_block.append(index)
+    block_of = np.repeat(run_block, np.diff(np.r_[heads, n]))
+    # The first admitted row of each segment, if it has one.
+    times = np.full(n, np.nan)
+    for index, columns in enumerate(columns_of):
+        where = np.flatnonzero(block_of == index) if len(columns_of) > 1 else np.arange(n)
+        first = los[where]
+        if columns.admitted is not None:
+            kept = np.flatnonzero(columns.admitted)
+            if not kept.size:
+                continue
+            at = np.searchsorted(kept, first)
+            first = np.where(at < kept.size, kept[np.minimum(at, kept.size - 1)], his[where])
+        found = first < his[where]
+        times[where[found]] = columns.times[first[found]]
+    # Segments are in batch order: a batch's first segment with an
+    # admitted row holds its first arrival.
+    found = np.flatnonzero(~np.isnan(times))
+    owner = owners[found]
+    lead = np.r_[True, owner[1:] != owner[:-1]]
+    firsts[owner[lead]] = times[found[lead]]
+    return firsts
+
+
 class Batch:
     """One fixed-size batch of ``size_bytes`` (= k), for one output.
 
@@ -156,18 +208,6 @@ class Batch:
             else int(np.count_nonzero(columns.admitted[lo:hi]))
             for columns, lo, hi in self.completing
         )
-
-    def first_arrival_ns(self) -> Optional[float]:
-        """Arrival time of the first packet this batch completes."""
-        for columns, lo, hi in self.completing:
-            if columns.admitted is None:
-                if hi > lo:
-                    return float(columns.times[lo])
-                continue
-            kept = np.flatnonzero(columns.admitted[lo:hi])
-            if kept.size:
-                return float(columns.times[lo + kept[0]])
-        return None
 
     def slice_bytes(self, n_modules: int) -> int:
         """Size of one of the N equal slices (k/N = 256 B reference)."""

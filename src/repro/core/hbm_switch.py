@@ -6,7 +6,9 @@ Stages and their timing:
    Arrivals are numpy blocks read by the switch's ingest cursor
    (:mod:`repro.core.ingest`), never one event each.
 2. Each port sends one batch per batch-time over the cyclical crossbar;
-   a batch lands in the tail SRAM one batch-time after it leaves.
+   a batch lands in the tail SRAM one batch-time after it leaves, and
+   the port sends its next batch at that instant -- one engine event
+   per batch.
 3. The tail SRAM aggregates frames; the PFI engine alternates HBM write
    and read phases (one frame each way per cycle).
 4. Read frames land in the head SRAM and drain onto the output line at
@@ -20,6 +22,7 @@ integration tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -31,7 +34,7 @@ from ..sim.engine import Engine
 from ..sim.stats import LatencyRecorder
 from ..traffic.packet import Packet
 from ..traffic.stream import ArrivalBlock, arrival_order
-from ..units import bytes_per_ns_to_rate, rate_to_bytes_per_ns
+from ..units import bytes_per_ns_to_rate
 from .address import HBMAddressMap
 from .frames import Frame
 from .head_sram import HeadSRAM
@@ -116,6 +119,7 @@ class HBMSwitch:
         #: instrumented call site guards on ``self.telemetry is not
         #: None``, so a run without telemetry pays one pointer check.
         self.telemetry = telemetry
+        self._batch_time_ns = config.batch_time_ns
         #: Bound on retained latency samples per output recorder
         #: (seeded reservoir; see :class:`~repro.sim.stats.LatencyRecorder`).
         #: ``None`` -- the default everywhere -- keeps every sample and
@@ -159,9 +163,6 @@ class HBMSwitch:
             faults=self.faults,
             telemetry=telemetry,
         )
-        # O/E serialisation time per byte at the port rate: the one
-        # conversion each packet pays on its way into the switch.
-        self._oeo_ns_per_byte = 1.0 / rate_to_bytes_per_ns(config.port_rate_bps)
         self._draining = [False] * config.n_ports
         #: The arrival cursor the engine reads (no heap event per arrival).
         self._ingest = Ingest(self)
@@ -180,10 +181,9 @@ class HBMSwitch:
     # -- stage plumbing -------------------------------------------------------
 
     def _record_drop(self, reason: str, port: int, output: int, size: int, now: float) -> None:
-        """Telemetry/trace for one dropped arrival (cold path)."""
+        """Telemetry/trace for one dropped arrival."""
         if self.telemetry is not None:
-            self.telemetry.drop(reason, size)
-            self.telemetry.win_dropped.observe(now, size)
+            self.telemetry.dropped(reason, size, now)
         if self.trace is not None:
             self.trace.record(
                 now, "switch", "drop",
@@ -194,15 +194,10 @@ class HBMSwitch:
         """Queue batches an arrival completed; True when this starts the
         port's crossbar drain (an internal event at ``now``)."""
         port = self.inputs[port_index]
+        if self.telemetry is not None:
+            self.telemetry.batches_formed(batches)
         for batch in batches:
             port.enqueue(batch)
-            if self.telemetry is not None:
-                # Batch aggregation wait: first completing packet's
-                # arrival to batch emission (0 for pure-straddle batches
-                # that complete no packet).
-                first = batch.first_arrival_ns()
-                wait = now - first if first is not None else 0.0
-                self.telemetry.batch.observe(max(0.0, wait))
             if self.trace is not None:
                 self.trace.record(
                     now, "switch", "batch_formed",
@@ -219,26 +214,36 @@ class HBMSwitch:
         self.engine.schedule(at, lambda: self._drain(port_index))
 
     def _drain(self, port_index: int) -> None:
-        """Send one batch across the crossbar; self-reschedules."""
+        """Send the port's next batch across the crossbar, or stop
+        draining when its FIFO is empty."""
         now = self.engine.now
-        port = self.inputs[port_index]
-        batch = port.pop_batch(now, self._ingest.occupancy(port_index))
+        batch = self.inputs[port_index].pop_batch(now, self._ingest.occupancy(port_index))
         if batch is None:
             self._draining[port_index] = False
             return
         self._ingest.moved(port_index, -batch.size_bytes)
         self._inflight_batch_payload += batch.payload_bytes
-        arrival = now + self.config.batch_time_ns
-        self.engine.schedule(arrival, lambda: self._batch_arrives(batch))
-        self.engine.schedule(arrival, lambda: self._drain(port_index))
+        self.engine.schedule(
+            now + self._batch_time_ns, partial(self._cross, port_index, batch)
+        )
+
+    def _cross(self, port_index: int, batch) -> None:
+        """One batch time after it left: ``batch`` lands in the tail
+        SRAM, then the port sends its next one.
+
+        One event for both steps: they share a timestamp, and as two
+        events they took adjacent sequence numbers, so nothing could
+        fire between them.  The ``repro_engine_events`` gauge still
+        counts a crossing as two events.
+        """
+        if self.telemetry is not None:
+            self.telemetry.crossings += 1
+        self._batch_arrives(batch)
+        self._drain(port_index)
 
     def _batch_arrives(self, batch) -> None:
         self._inflight_batch_payload -= batch.payload_bytes
         now = self.engine.now
-        if self.telemetry is not None:
-            # Cyclical-crossbar traversal: every batch crosses in
-            # exactly one batch time (the crossbar is non-blocking).
-            self.telemetry.stripe.observe(self.config.batch_time_ns)
         if self.trace is not None:
             self.trace.record(
                 now, "switch", "batch",
@@ -250,8 +255,7 @@ class HBMSwitch:
         if dropped:
             self._residual_payload -= dropped
             if self.telemetry is not None:
-                self.telemetry.drop("tail-sram-overflow", dropped)
-                self.telemetry.win_dropped.observe(now, dropped)
+                self.telemetry.dropped("tail-sram-overflow", dropped, now)
             if self.trace is not None:
                 self.trace.record(
                     now, "switch", "drop",
@@ -576,10 +580,17 @@ class HBMSwitch:
             switch=label,
         ).set(float(self._hbm_peak_frames))
         # Each ingested arrival counts as one event, so the gauge does
-        # not depend on how arrivals reach the switch.
+        # not depend on how arrivals reach the switch; a crossing (one
+        # event: land the batch, pop the next) counts as two.
         registry.gauge(
             "repro_engine_events", "discrete events fired by this switch's engine",
             switch=label,
-        ).set(float(self.engine.events_fired + self._ingest.ingested))
+        ).set(
+            float(
+                self.engine.events_fired
+                + self.telemetry.crossings
+                + self._ingest.ingested
+            )
+        )
         if self.pfi.controller is not None:
             self.pfi.controller.publish_telemetry(registry, label)

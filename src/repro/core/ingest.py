@@ -24,8 +24,10 @@ a span that really overflows is walked packet by packet
 Telemetry's per-arrival instruments -- packet and byte counters, the
 O/E histogram, windowed ingress bytes and the in-switch occupancy
 high-water -- are pure functions of the block, its admission mask and
-the residual at the start of each span, so they are folded once per
-block when its last arrival is in, in arrival order.
+the residual at the start of each span, so they are computed once per
+block when its last arrival is in, in arrival order, and handed to the
+switch's telemetry, which folds them in bulk with its other buffered
+observations.
 """
 
 from __future__ import annotations
@@ -128,7 +130,8 @@ class Ingest:
         self._outputs = outputs
         self._pre_mask = pre
         self._overflow: List[int] = []
-        self._steps: List[Tuple[int, int]] = []
+        # (position, residual) at the start of each admitted span, flat.
+        self._steps: List[int] = []
         laid_sizes = sizes[laid]
         starts = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])[: laid.size]
         ends = np.r_[starts[1:], laid.size]
@@ -237,7 +240,8 @@ class Ingest:
             self._drop(start, stop, overflow)
             n_bytes -= sum(size for _, _, size in overflow)
         if switch.telemetry is not None:
-            self._steps.append((start, switch._residual_payload))
+            self._steps.append(start)
+            self._steps.append(switch._residual_payload)
         switch._residual_payload += n_bytes
         self._safe = stop
 
@@ -328,9 +332,8 @@ class Ingest:
         self._block = None
 
     def _fold_telemetry(self) -> None:
-        """Per-arrival ingress instruments, folded once per block."""
-        switch = self.switch
-        telemetry = switch.telemetry
+        """The block's admitted arrivals, with the in-switch payload
+        each one leaves behind, for the per-arrival ingress instruments."""
         block = self._block
         admitted = ~self._pre_mask
         admitted[self._overflow] = False
@@ -342,12 +345,4 @@ class Ingest:
         starts = steps[step, 0]
         before = np.where(starts > 0, through[np.maximum(starts - 1, 0)], 0)
         residual = steps[step, 1] + through[kept] - before
-        times = block.times[kept]
-        kept_sizes = block.sizes[kept]
-        telemetry.packets_in.inc(kept.size)
-        telemetry.bytes_in.inc(int(kept_sizes.sum()))
-        # One O/E conversion per packet: serialisation at the port rate
-        # (the SPS single-conversion property).
-        telemetry.oeo.observe_many(kept_sizes * switch._oeo_ns_per_byte)
-        telemetry.win_bytes_in.observe_many(times, kept_sizes)
-        telemetry.win_occupancy.observe_many(times, residual)
+        self.switch.telemetry.arrived(block.times[kept], block.sizes[kept], residual)

@@ -96,8 +96,9 @@ class OutputPort:
     ):
         self.config = config
         self.port = port
-        #: Optional :class:`~repro.telemetry.SwitchTelemetry`; the drain
-        #: span is recorded per transmitted batch when attached.
+        #: Optional :class:`~repro.telemetry.SwitchTelemetry`; each
+        #: transmitted frame's batch finish times and sizes are handed
+        #: to it when attached (drain spans, egress bytes and windows).
         self.telemetry = telemetry
         self._rate = rate_to_bytes_per_ns(config.port_rate_bps)
         self._busy_until = 0.0
@@ -187,39 +188,44 @@ class OutputPort:
         Padding (batch filler and missing batches of padded frames) is
         dropped at the cut-back step and takes no wire time.
         """
-        cursor = max(ready_ns, self._busy_until)
-        telemetry = self.telemetry
+        start = cursor = max(ready_ns, self._busy_until)
+        rate = self._rate
+        factor = self.rate_factor_fn
         finishes = []
         created = []
         counts = []
         segments = []
+        # Finish time and payload of every batch that carries payload.
+        sent = []
+        sizes = []
+        batch_bytes = 0
         for batch in frame.batches:
-            if batch.payload_bytes > 0:
-                rate = self._rate
-                if self.rate_factor_fn is not None:
+            payload = batch.payload_bytes
+            batch_bytes += batch.size_bytes
+            if payload > 0:
+                if factor is not None:
                     # Degraded OEO: the factor is sampled at batch start
                     # (a batch is the atomic wire unit; windows are >>
                     # one batch time).
-                    rate = self._rate * self.rate_factor_fn(cursor)
-                finish = cursor + batch.payload_bytes / rate
-                self.throughput.record(batch.payload_bytes, finish)
-                if telemetry is not None:
-                    # Output drain: wire time of this batch's payload
-                    # (longer under OEO degradation).
-                    telemetry.drain.observe(finish - cursor)
-                    telemetry.bytes_out.inc(batch.payload_bytes)
-                    telemetry.win_bytes_out.observe(finish, batch.payload_bytes)
+                    rate = self._rate * factor(cursor)
+                cursor = cursor + payload / rate
+                sent.append(cursor)
+                sizes.append(payload)
                 if batch.completing:
-                    finishes.append(finish)
+                    finishes.append(cursor)
                     created.append(batch.created_ns)
                     counts.append(batch.completing_count)
                     segments.extend(batch.completing)
-                cursor = finish
-            self.padding_discarded_bytes += batch.padding_bytes
-        # Whole missing batches of a padded frame: pure filler.
-        missing = frame.size_bytes - sum(b.size_bytes for b in frame.batches)
-        self.padding_discarded_bytes += max(0, missing)
+        # Batch filler, and whole missing batches of a padded frame.
+        payload = sum(sizes)
+        self.padding_discarded_bytes += batch_bytes - payload + max(
+            0, frame.size_bytes - batch_bytes
+        )
         self._busy_until = cursor
+        if sent:
+            self.throughput.record_many(payload, len(sent), sent[0], cursor)
+            if self.telemetry is not None:
+                self.telemetry.transmitted(start, sent, sizes)
         if segments:
             packets = sum(counts)
             self._pending.append(

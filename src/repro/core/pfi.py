@@ -126,7 +126,8 @@ class PFIEngine:
         self.trace = trace
         #: Optional :class:`~repro.telemetry.SwitchTelemetry` -- records
         #: per-phase spans, per-bank-group histograms and per-channel
-        #: byte counters; ``None`` costs one pointer check per phase.
+        #: byte counters (buffered, folded in bulk); ``None`` costs one
+        #: pointer check per phase.
         self.telemetry = telemetry
         self._hbm_content: List[Deque[Frame]] = [
             deque() for _ in range(config.n_ports)
@@ -265,12 +266,9 @@ class PFIEngine:
         self.counters.payload_written_bytes += frame.payload_bytes
         self.counters.padding_written_bytes += frame.padding_bytes
         if self.telemetry is not None:
-            span = self.phase_duration * stretch
-            self.telemetry.hbm_write.observe(span)
-            self.telemetry.write_group[address.group.index].observe(span)
-            self.telemetry.frames_written.inc()
-            self.telemetry.stripe_frame_bytes(
-                frame.size_bytes, self._striped_channels(now)
+            self.telemetry.hbm_phase(
+                True, self.phase_duration * stretch, address.group.index,
+                frame.size_bytes, self._striped_channels(now),
             )
         if self.trace is not None:
             self.trace.record(
@@ -345,12 +343,9 @@ class PFIEngine:
                 self._execute_schedule(Op.RD, address, now)
             self.counters.frames_read += 1
             if self.telemetry is not None:
-                span = self.phase_duration * stretch
-                self.telemetry.hbm_read.observe(span)
-                self.telemetry.read_group[address.group.index].observe(span)
-                self.telemetry.frames_read.inc()
-                self.telemetry.stripe_frame_bytes(
-                    frame.size_bytes, self._striped_channels(now)
+                self.telemetry.hbm_phase(
+                    False, self.phase_duration * stretch, address.group.index,
+                    frame.size_bytes, self._striped_channels(now),
                 )
             if self.trace is not None:
                 self.trace.record(
@@ -377,8 +372,7 @@ class PFIEngine:
         frame.bypassed = True
         self.counters.bypassed_frames += 1
         if self.telemetry is not None:
-            self.telemetry.bypass.observe(self.phase_duration)
-            self.telemetry.frames_bypassed.inc()
+            self.telemetry.bypassed(self.phase_duration)
         if self.trace is not None:
             self.trace.record(
                 now, "pfi", "bypass", output=output, frame=frame.index,

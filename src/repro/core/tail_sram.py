@@ -68,17 +68,18 @@ class TailSRAM:
 
     def on_batch(self, batch: Batch, now: float) -> Optional[Frame]:
         """Accept a batch from the crossbar; returns a frame if one completed."""
-        if batch.size_bytes + self.occupancy_bytes > self.capacity_bytes:
+        if batch.size_bytes + self._pending_bytes + self._fifo_bytes > self.capacity_bytes:
             self.drops.record(batch.payload_bytes, reason="tail-sram-overflow")
             return None
-        assembler = self._assemblers[batch.output]
-        pending_before = assembler.pending_bytes
-        frame = assembler.add(batch, now)
-        self._pending_bytes += assembler.pending_bytes - pending_before
-        if frame is not None:
+        frame = self._assemblers[batch.output].add(batch, now)
+        if frame is None:
+            self._pending_bytes += self.config.batch_bytes
+        else:
+            # The frame took its batches out of the pending bytes.
+            self._pending_bytes -= frame.size_bytes - self.config.batch_bytes
             self.frame_fifo.append(frame)
             self._fifo_bytes += frame.size_bytes
-        self.occupancy.observe(self.occupancy_bytes, now)
+        self.occupancy.observe(self._pending_bytes + self._fifo_bytes, now)
         return frame
 
     def pop_frame(self, now: float) -> Optional[Frame]:

@@ -294,7 +294,7 @@ class RotationTopology(FabricTopology):
                 "rotation needs an even router count >= 4, got "
                 f"{self.n_routers}"
             )
-        if self.slot_ns <= 0:
+        if not self.slot_ns > 0:  # also catches NaN
             raise ConfigError(f"slot_ns must be positive, got {self.slot_ns}")
 
     def _build_adjacency(self) -> Dict[int, Tuple[int, ...]]:

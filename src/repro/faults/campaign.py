@@ -70,7 +70,7 @@ class CampaignParams:
             raise ConfigError(
                 f"n_scenarios must be positive, got {self.n_scenarios}"
             )
-        if self.duration_ns <= 0:
+        if not self.duration_ns > 0:  # also catches NaN
             raise ConfigError(
                 f"duration_ns must be positive, got {self.duration_ns}"
             )
@@ -88,8 +88,10 @@ class CampaignParams:
             "fiber_mtbf_ns",
             "fiber_mttr_ns",
         ):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            # inf is legal (an MTBF of inf means "never"); NaN is not.
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
 
 
 def _draw_window(rng, duration_ns: float, mttr_ns: float):

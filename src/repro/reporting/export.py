@@ -34,7 +34,10 @@ def _sanitize(value):
 def report_to_dict(report) -> Dict[str, Any]:
     """A JSON-safe dict of a switch or router report (NaN -> null)."""
     if isinstance(report, SwitchReport):
-        data = dataclasses.asdict(report)
+        # The telemetry dump is plain JSON data: sanitising rebuilds it,
+        # so it skips asdict's deep copy.
+        data = dataclasses.asdict(dataclasses.replace(report, telemetry=None))
+        data["telemetry"] = report.telemetry
         data["pfi"] = dataclasses.asdict(report.pfi)
         data["normalized_throughput"] = report.normalized_throughput
         data["delivery_fraction"] = report.delivery_fraction

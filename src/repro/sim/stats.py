@@ -29,11 +29,18 @@ class ThroughputMeter:
 
     def record(self, size_bytes: int, time_ns: float) -> None:
         """Record ``size_bytes`` delivered at ``time_ns``."""
+        self.record_many(size_bytes, 1, time_ns, time_ns)
+
+    def record_many(
+        self, size_bytes: int, count: int, first_ns: float, last_ns: float
+    ) -> None:
+        """Record ``count`` deliveries of ``size_bytes`` in all, the
+        first at ``first_ns`` and the last at ``last_ns``."""
         self._bytes += size_bytes
-        self._count += 1
+        self._count += count
         if self._first_time is None:
-            self._first_time = time_ns
-        self._last_time = time_ns
+            self._first_time = first_ns
+        self._last_time = last_ns
 
     @property
     def total_bytes(self) -> int:
@@ -268,7 +275,8 @@ class OccupancyTracker:
         elif self._first_time is None:
             self._first_time = time_ns
         self._current = occupancy
-        self._peak = max(self._peak, occupancy)
+        if occupancy > self._peak:
+            self._peak = occupancy
         self._last_time = time_ns
 
     @property

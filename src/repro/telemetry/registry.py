@@ -19,6 +19,15 @@ Design constraints (docs/observability.md):
   switch-index order by the caller, which makes parallel and sequential
   runs of the same workload produce identical dumps: float addition is
   carried out in the same order either way.
+- **Flush on read.**  An owner may buffer an instrument's observations
+  and fold them in bulk (:meth:`MetricsRegistry.add_settler`, as
+  :class:`~repro.telemetry.SwitchTelemetry` does with what a switch
+  observes per arrival, batch, frame, phase and drop).  Every read --
+  a counter's value, a histogram's buckets, count or sum, and the
+  registry's ``get``, iteration, ``to_dict``, ``dumps`` and
+  ``merge`` -- settles the pending folds first, so a reader sees
+  exactly the observations made so far, folded in the order they were
+  made.
 
 Histograms use **fixed** bucket bounds (ns scale by default) so bucket
 counts from different workers are element-wise addable without any
@@ -29,7 +38,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -56,28 +65,36 @@ def _label_key(labels: Mapping[str, str]) -> Tuple[Tuple[str, str], ...]:
 class Counter:
     """A monotonically increasing value (bytes, packets, frames...)."""
 
-    __slots__ = ("name", "help", "labels", "value")
+    __slots__ = ("name", "help", "labels", "_value", "_settle")
     kind = "counter"
 
     def __init__(self, name: str, help: str, labels: Tuple[Tuple[str, str], ...]):
         self.name = name
         self.help = help
         self.labels = labels
-        self.value = 0.0
+        self._value = 0.0
+        #: Folds the owner's buffered observations in (``None``: none).
+        self._settle: Optional[Callable[[], None]] = None
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (inc {amount})")
-        self.value += amount
+        self._value += amount
+
+    @property
+    def value(self) -> float:
+        if self._settle is not None:
+            self._settle()
+        return self._value
 
     def _merge(self, other: "Counter") -> None:
-        self.value += other.value
+        self._value = self.value + other.value
 
     def _values(self) -> Dict[str, Any]:
         return {"value": self.value}
 
     def _load(self, data: Mapping[str, Any]) -> None:
-        self.value = float(data["value"])
+        self._value = float(data["value"])
 
 
 class Gauge:
@@ -123,7 +140,9 @@ class Histogram:
     containing bucket (:meth:`quantile`).
     """
 
-    __slots__ = ("name", "help", "labels", "bounds", "bucket_counts", "count", "sum")
+    __slots__ = (
+        "name", "help", "labels", "bounds", "_buckets", "_count", "_sum", "_settle",
+    )
     kind = "histogram"
 
     def __init__(
@@ -139,22 +158,42 @@ class Histogram:
         self.help = help
         self.labels = labels
         self.bounds = tuple(float(b) for b in bounds)
-        self.bucket_counts = [0] * (len(bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
+        self._buckets = [0] * (len(bounds) + 1)
+        self._count = 0
+        self._sum = 0.0
+        #: Folds the owner's buffered observations in (``None``: none).
+        self._settle: Optional[Callable[[], None]] = None
+
+    @property
+    def bucket_counts(self) -> List[int]:
+        if self._settle is not None:
+            self._settle()
+        return self._buckets
+
+    @property
+    def count(self) -> int:
+        if self._settle is not None:
+            self._settle()
+        return self._count
+
+    @property
+    def sum(self) -> float:
+        if self._settle is not None:
+            self._settle()
+        return self._sum
 
     def observe(self, value: float) -> None:
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
+        self._buckets[bisect_left(self.bounds, value)] += 1
+        self._count += 1
+        self._sum += value
 
     def observe_n(self, value: float, n: int) -> None:
         """Record ``n`` identical observations in O(1) (bulk span tags)."""
         if n <= 0:
             return
-        self.bucket_counts[bisect_left(self.bounds, value)] += n
-        self.count += n
-        self.sum += value * n
+        self._buckets[bisect_left(self.bounds, value)] += n
+        self._count += n
+        self._sum += value * n
 
     def observe_many(self, values) -> None:
         """Record an array of observations in order: the bucket counts
@@ -165,12 +204,12 @@ class Histogram:
             return
         buckets = np.bincount(
             np.searchsorted(self.bounds, values, side="left"),
-            minlength=len(self.bucket_counts),
+            minlength=len(self._buckets),
         )
         for index in np.flatnonzero(buckets).tolist():
-            self.bucket_counts[index] += int(buckets[index])
-        self.count += values.size
-        self.sum = float(np.cumsum(np.concatenate(([self.sum], values)))[-1])
+            self._buckets[index] += int(buckets[index])
+        self._count += values.size
+        self._sum = float(np.cumsum(np.concatenate(([self._sum], values)))[-1])
 
     @property
     def mean(self) -> float:
@@ -186,9 +225,9 @@ class Histogram:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:
             return 0.0
-        target = q * self.count
+        target = q * self._count
         cumulative = 0
-        for i, n in enumerate(self.bucket_counts):
+        for i, n in enumerate(self._buckets):
             if cumulative + n >= target and n > 0:
                 lo = self.bounds[i - 1] if i > 0 else 0.0
                 if i >= len(self.bounds):
@@ -204,10 +243,11 @@ class Histogram:
             raise ConfigError(
                 f"cannot merge histogram {self.name}: bucket bounds differ"
             )
+        buckets = self.bucket_counts
         for i, n in enumerate(other.bucket_counts):
-            self.bucket_counts[i] += n
-        self.count += other.count
-        self.sum += other.sum
+            buckets[i] += n
+        self._count += other.count
+        self._sum += other.sum
 
     def _values(self) -> Dict[str, Any]:
         return {
@@ -223,9 +263,9 @@ class Histogram:
             raise ConfigError(
                 f"cannot load histogram {self.name}: bucket bounds differ"
             )
-        self.bucket_counts = [int(n) for n in data["buckets"]]
-        self.count = int(data["count"])
-        self.sum = float(data["sum"])
+        self._buckets = [int(n) for n in data["buckets"]]
+        self._count = int(data["count"])
+        self._sum = float(data["sum"])
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -243,6 +283,23 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Any] = {}
         self._timeseries: Optional[Any] = None  # lazy TimeSeriesRecorder
+        self._settlers: List[Callable[[], None]] = []
+
+    # -- buffered observations -------------------------------------------------
+
+    def add_settler(self, settle: Callable[[], None]) -> None:
+        """Register an owner's fold of buffered observations.
+
+        ``settle()`` folds everything the owner has buffered into this
+        registry's instruments; every registry read calls it first (the
+        instruments it feeds call it on their own reads).
+        """
+        self._settlers.append(settle)
+
+    def settle(self) -> None:
+        """Fold every buffered observation in (a no-op when none)."""
+        for settle in self._settlers:
+            settle()
 
     # -- instrument creation ---------------------------------------------------
 
@@ -289,11 +346,13 @@ class MetricsRegistry:
 
     def iter_timeseries(self):
         """Every windowed series, in deterministic order (may be empty)."""
+        self.settle()
         if self._timeseries is None:
             return iter(())
         return iter(self._timeseries)
 
     def get_timeseries(self, name: str, **labels: str):
+        self.settle()
         if self._timeseries is None:
             return None
         return self._timeseries.get(name, **labels)
@@ -301,10 +360,12 @@ class MetricsRegistry:
     # -- introspection ---------------------------------------------------------
 
     def __len__(self) -> int:
+        self.settle()
         return len(self._metrics)
 
     def __iter__(self):
         """Series in deterministic (name, labels) order."""
+        self.settle()
         for key in sorted(self._metrics):
             yield self._metrics[key]
 
@@ -313,6 +374,7 @@ class MetricsRegistry:
         return [m for m in self if m.name == name]
 
     def get(self, name: str, **labels: str) -> Optional[Any]:
+        self.settle()
         return self._metrics.get((name, _label_key(labels)))
 
     # -- merging ---------------------------------------------------------------
@@ -324,6 +386,7 @@ class MetricsRegistry:
         sequence of merges is reproducible whatever order the source
         registries were *built* in.
         """
+        self.settle()
         for metric in other:
             key = (metric.name, metric.labels)
             mine = self._metrics.get(key)
@@ -357,6 +420,7 @@ class MetricsRegistry:
         (present only when at least one series exists, so pre-series
         dumps are byte-unchanged).
         """
+        self.settle()
         dump: Dict[str, Any] = {
             "schema": SCHEMA,
             "metrics": [

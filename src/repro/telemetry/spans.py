@@ -23,16 +23,23 @@ drain       output-port wire time of one batch's payload
 (``repro_hbm_channel_bytes_total``), exposing the striping that PFI's
 peak-rate claim rests on.
 
-:class:`SwitchTelemetry` pre-binds every instrument at construction so
-the simulation hot path is one attribute access plus one ``observe`` --
-and the disabled path (``telemetry is None`` at each call site) is one
-pointer comparison.
+:class:`SwitchTelemetry` pre-binds every instrument at construction.
+What a switch observes per arrival, batch, frame, phase and drop is
+buffered and folded into the instruments in bulk -- every
+:data:`FOLD_EVERY` observations and before any read (flush on read) --
+so the simulation hot path appends to a list; the disabled path
+(``telemetry is None`` at each call site) is one pointer comparison.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from operator import attrgetter
+from typing import Dict, List
 
+import numpy as np
+
+from ..core.frames import first_arrivals
+from ..units import rate_to_bytes_per_ns
 from .registry import Counter, Histogram, MetricsRegistry
 
 #: Every pipeline stage, in traversal order.
@@ -75,12 +82,25 @@ _HELP = {
 }
 
 
+#: Buffered observations a :class:`SwitchTelemetry` holds before it
+#: folds them in (reads fold at once); bounds the buffers' memory.
+FOLD_EVERY = 8_192
+
+
 class SwitchTelemetry:
     """All instruments of one HBM switch, bound once, labeled ``switch=h``.
 
-    Hot-path members are plain attributes (``oeo``, ``batch``, ...) and
-    pre-sized lists (``write_group``, ``channel_bytes``); only the rare
-    drop path goes through a dict.
+    Instruments are plain attributes (``oeo``, ``batch``, ...) and
+    pre-sized lists (``write_group``, ``channel_bytes``).  The switch
+    records what it sees into buffers -- each block's admitted arrivals
+    (:meth:`arrived`), and per batch, frame, phase and drop
+    (:meth:`batches_formed`, :attr:`crossings`, :meth:`transmitted`,
+    :meth:`hbm_phase`, :meth:`bypassed`, :meth:`dropped`,
+    :meth:`stripe_frame_bytes`) -- and :meth:`settle` folds them in
+    bulk, in the order they were made: histogram sums add sequentially
+    and byte counters and windows add integers, so every dump is the
+    one per-observation updates would give.  Any read of the registry
+    or of a buffered instrument settles first.
     """
 
     __slots__ = (
@@ -108,6 +128,12 @@ class SwitchTelemetry:
         "win_dropped",
         "win_occupancy",
         "_drops",
+        "crossings",
+        "_buffer",
+        "_pending",
+        "_crossed",
+        "_batch_time_ns",
+        "_oeo_ns_per_byte",
     )
 
     def __init__(self, registry: MetricsRegistry, config, switch: int = 0) -> None:
@@ -185,17 +211,110 @@ class SwitchTelemetry:
             agg="max", switch=label,
         )
         self._drops: Dict[str, Counter] = {}
+        # O/E serialisation time per byte at the port rate: the one
+        # conversion each packet pays on its way into the switch.
+        self._oeo_ns_per_byte = 1.0 / rate_to_bytes_per_ns(config.port_rate_bps)
+        self._buffer = _Buffer()
+        self._pending = 0
+        #: Batches that have crossed the crossbar.  Each crosses in
+        #: exactly one batch time (the crossbar is non-blocking), so the
+        #: ``stripe`` stage folds from this count.
+        self.crossings = 0
+        self._crossed = 0
+        self._batch_time_ns = config.batch_time_ns
+        settle = self.settle
+        registry.add_settler(settle)
+        for instrument in (
+            self.oeo, self.packets_in, self.bytes_in, self.win_bytes_in,
+            self.win_occupancy, self.batch, self.stripe, self.hbm_write, self.hbm_read,
+            self.bypass, self.drain, *self.write_group, *self.read_group,
+            *self.channel_bytes, self.bytes_out, self.frames_written,
+            self.frames_read, self.frames_bypassed, self.win_bytes_out,
+            self.win_dropped,
+        ):
+            instrument._settle = settle
 
     def drop(self, reason: str, n_bytes: int) -> None:
-        """Count dropped bytes by reason (rare path; lazily labeled)."""
+        """Count dropped bytes by reason (lazily labeled)."""
         counter = self._drops.get(reason)
         if counter is None:
             counter = self.registry.counter(
                 DROPS, "dropped bytes by reason",
                 reason=reason, switch=str(self.switch),
             )
+            counter._settle = self.settle
             self._drops[reason] = counter
         counter.inc(n_bytes)
+
+    # -- buffered observations -----------------------------------------------
+    #
+    # Each recorder appends to its buffer and counts the observations
+    # pending; past FOLD_EVERY they fold at once.
+
+    def arrived(self, times: np.ndarray, sizes: np.ndarray, residual: np.ndarray) -> None:
+        """One block's admitted arrivals, in arrival order: their
+        times, sizes, and the in-switch payload after each (packet and
+        byte counters, O/E spans, ingress and occupancy windows)."""
+        buffer = self._buffer
+        buffer.arrivals.append((times, sizes, residual))
+        self._pending += len(times)
+        if self._pending >= FOLD_EVERY:
+            self.settle()
+
+    def batches_formed(self, batches) -> None:
+        """Batches queued at an input at their ``created_ns``: batch
+        aggregation wait, first completing packet's arrival to batch
+        emission (0 for pure-straddle batches that complete no packet)."""
+        self._buffer.formed.extend(batches)
+        self._pending += len(batches)
+        if self._pending >= FOLD_EVERY:
+            self.settle()
+
+    def transmitted(self, start_ns: float, finishes: List[float], sizes: List[int]) -> None:
+        """One frame on the wire from ``start_ns``: its payload batches
+        finished at ``finishes`` carrying ``sizes`` bytes (output drain
+        spans, egress bytes and their windows)."""
+        buffer = self._buffer
+        buffer.frame_starts.append(start_ns)
+        buffer.frame_batches.append(len(finishes))
+        buffer.finishes.extend(finishes)
+        buffer.sizes.extend(sizes)
+        self._pending += len(finishes)
+        if self._pending >= FOLD_EVERY:
+            self.settle()
+
+    def hbm_phase(
+        self, write: bool, span_ns: float, group: int, frame_bytes: int, channels_used: int
+    ) -> None:
+        """One frame written to (or read from) the HBM in ``span_ns``,
+        on bank group ``group``, striped over ``channels_used`` channels
+        (see :meth:`stripe_frame_bytes`)."""
+        buffer = self._buffer
+        spans, groups = buffer.writes if write else buffer.reads
+        spans.append(span_ns)
+        groups.append(group)
+        key = (frame_bytes, channels_used)
+        buffer.striped[key] = buffer.striped.get(key, 0) + 1
+        self._pending += 1
+        if self._pending >= FOLD_EVERY:
+            self.settle()
+
+    def bypassed(self, span_ns: float) -> None:
+        """One frame sent tail to head, skipping the HBM."""
+        self._buffer.bypasses.append(span_ns)
+        self._pending += 1
+        if self._pending >= FOLD_EVERY:
+            self.settle()
+
+    def dropped(self, reason: str, n_bytes: int, t_ns: float) -> None:
+        """``n_bytes`` dropped at ``t_ns`` for ``reason``."""
+        buffer = self._buffer
+        buffer.drop_reasons.append(reason)
+        buffer.drop_bytes.append(n_bytes)
+        buffer.drop_times.append(t_ns)
+        self._pending += 1
+        if self._pending >= FOLD_EVERY:
+            self.settle()
 
     def stripe_frame_bytes(self, frame_bytes: int, channels_used: int) -> None:
         """Attribute one frame's bytes across the channels it striped over.
@@ -205,13 +324,114 @@ class SwitchTelemetry:
         share.  Integer division keeps the counters exact in aggregate:
         the remainder goes to channel 0.
         """
-        if channels_used <= 0:
+        striped = self._buffer.striped
+        key = (frame_bytes, channels_used)
+        striped[key] = striped.get(key, 0) + 1
+        self._pending += 1
+        if self._pending >= FOLD_EVERY:
+            self.settle()
+
+    def settle(self) -> None:
+        """Fold every buffered observation into its instrument."""
+        crossed = self.crossings - self._crossed
+        if crossed:
+            self._crossed += crossed
+            self.stripe.observe_many(np.full(crossed, self._batch_time_ns))
+        if not self._pending:
             return
-        share, remainder = divmod(frame_bytes, channels_used)
-        for c in range(channels_used):
-            self.channel_bytes[c].inc(share)
-        if remainder:
-            self.channel_bytes[0].inc(remainder)
+        self._pending = 0
+        buffer, self._buffer = self._buffer, _Buffer()
+        if buffer.arrivals:
+            times, sizes, residual = (
+                np.concatenate(column) for column in zip(*buffer.arrivals)
+            )
+            self.packets_in.inc(times.size)
+            self.bytes_in.inc(int(sizes.sum()))
+            # One O/E conversion per packet: serialisation at the port
+            # rate (the SPS single-conversion property).
+            self.oeo.observe_many(sizes * self._oeo_ns_per_byte)
+            self.win_bytes_in.observe_many(times, sizes)
+            self.win_occupancy.observe_many(times, residual)
+        if buffer.formed:
+            formed = buffer.formed
+            created = np.fromiter(
+                map(attrgetter("created_ns"), formed), np.float64, len(formed)
+            )
+            firsts = first_arrivals(formed)
+            waits = np.where(np.isnan(firsts), 0.0, created - firsts)
+            self.batch.observe_many(np.maximum(0.0, waits))
+        if buffer.finishes:
+            self._fold_egress(buffer)
+        for (spans, groups), histogram, by_group, frames in (
+            (buffer.writes, self.hbm_write, self.write_group, self.frames_written),
+            (buffer.reads, self.hbm_read, self.read_group, self.frames_read),
+        ):
+            if spans:
+                spans = np.array(spans)
+                groups = np.array(groups)
+                histogram.observe_many(spans)
+                for g in np.unique(groups).tolist():
+                    by_group[g].observe_many(spans[groups == g])
+                frames.inc(spans.size)
+        if buffer.bypasses:
+            self.bypass.observe_many(buffer.bypasses)
+            self.frames_bypassed.inc(len(buffer.bypasses))
+        # Every frame adds integers to the channel counters, so one add
+        # per (frame size, channel count) gives the per-frame totals.
+        for (frame_bytes, channels), n in buffer.striped.items():
+            if channels <= 0:
+                continue
+            share, remainder = divmod(frame_bytes, channels)
+            for c in range(channels):
+                self.channel_bytes[c].inc(share * n)
+            if remainder:
+                self.channel_bytes[0].inc(remainder * n)
+        if buffer.drop_reasons:
+            totals: Dict[str, int] = {}
+            for reason, n_bytes in zip(buffer.drop_reasons, buffer.drop_bytes):
+                totals[reason] = totals.get(reason, 0) + n_bytes
+            for reason, n_bytes in totals.items():
+                self.drop(reason, n_bytes)
+            self.win_dropped.observe_many(buffer.drop_times, buffer.drop_bytes)
+
+    def _fold_egress(self, buffer: "_Buffer") -> None:
+        finishes = np.array(buffer.finishes)
+        sizes = np.array(buffer.sizes, dtype=np.int64)
+        # Each batch's wire time starts where the previous batch of its
+        # frame finished, or at the frame's start.
+        starts = np.empty_like(finishes)
+        starts[1:] = finishes[:-1]
+        counts = np.array(buffer.frame_batches)
+        starts[np.cumsum(counts) - counts] = buffer.frame_starts
+        self.drain.observe_many(finishes - starts)
+        self.bytes_out.inc(int(sizes.sum()))
+        self.win_bytes_out.observe_many(finishes, sizes)
+
+
+class _Buffer:
+    """One :class:`SwitchTelemetry`'s pending observations, as flat
+    lists of scalars in the order they were made."""
+
+    __slots__ = (
+        "arrivals", "formed", "frame_starts", "frame_batches", "finishes", "sizes",
+        "writes", "reads", "bypasses", "drop_reasons", "drop_bytes",
+        "drop_times", "striped",
+    )
+
+    def __init__(self) -> None:
+        self.arrivals: List = []  # (times, sizes, residual) arrays per block
+        self.formed: List = []  # batches queued at an input
+        self.frame_starts: List[float] = []  # per frame sent: wire start,
+        self.frame_batches: List[int] = []  # and its payload batches
+        self.finishes: List[float] = []  # per payload batch: finish time
+        self.sizes: List[int] = []  # and payload bytes
+        self.writes = ([], [])  # (spans, bank groups) of HBM write phases
+        self.reads = ([], [])  # and of read phases
+        self.bypasses: List[float] = []  # span per bypassed frame
+        self.drop_reasons: List[str] = []
+        self.drop_bytes: List[int] = []
+        self.drop_times: List[float] = []
+        self.striped: Dict = {}  # frames per (frame bytes, channels)
 
 
 def stage_summaries(registry: MetricsRegistry) -> Dict[str, Dict[str, float]]:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,7 +111,7 @@ class TimeSeries:
 
     __slots__ = (
         "name", "help", "labels", "window_ns", "agg", "capacity",
-        "_windows", "evicted",
+        "_windows", "_evicted", "_settle",
     )
     kind = "timeseries"
 
@@ -137,7 +137,23 @@ class TimeSeries:
         self.agg = agg
         self.capacity = int(capacity)
         self._windows: Dict[int, float] = {}
-        self.evicted = 0
+        self._evicted = 0
+        #: Folds the owner's buffered observations in (``None``: none);
+        #: every read below calls it first.
+        self._settle: Optional[Callable[[], None]] = None
+
+    @property
+    def evicted(self) -> int:
+        """Windows aged out of the ring plus late observations dropped."""
+        if self._settle is not None:
+            self._settle()
+        return self._evicted
+
+    def _current(self) -> Dict[int, float]:
+        """The window map, with any buffered observations folded in."""
+        if self._settle is not None:
+            self._settle()
+        return self._windows
 
     # -- recording -------------------------------------------------------------
 
@@ -146,13 +162,16 @@ class TimeSeries:
         self._fold(int(t_ns // self.window_ns), value)
 
     def observe_many(self, times_ns, values) -> None:
-        """Fold time-sorted observations, one window at a time.
+        """Fold observations in order, one run of same-window
+        observations at a time.
 
-        Equal to per-observation :meth:`observe` calls in time order
-        for integer-valued observations (bytes, occupancies): windows
-        are created in the same ascending order, a window's sum of
-        integers is exact in any order, and a max window keeps the
-        value (and type) the sequential fold would have kept.
+        Equal to per-observation :meth:`observe` calls in the same order
+        for integer-valued observations (bytes, occupancies), sorted in
+        time or not: windows are created (and the ring evicts) in the
+        same order, a window's sum of integers is exact in any order, a
+        max window keeps the value (and type) the sequential fold would
+        have kept, and a late observation to an aged-out window counts
+        once each.
         """
         times_ns = np.asarray(times_ns, dtype=np.float64)
         if times_ns.size == 0:
@@ -164,19 +183,17 @@ class TimeSeries:
         reduce = np.add if self.agg == "sum" else np.maximum
         totals = reduce.reduceat(values, starts).tolist()
         firsts = values[starts].tolist()
+        summed = self.agg == "sum"
         for window, first, total, count in zip(
             windows[starts].tolist(), firsts, totals, counts
         ):
-            if self.agg == "sum":
-                self._fold(window, total)
-                continue
             existed = window in self._windows
-            self._fold(window, total if existed else first)
+            self._fold(window, total if summed or existed else first)
             current = self._windows.get(window)
             if current is None:
                 # Aged out of the ring: every observation counts once.
-                self.evicted += count - 1
-            elif total > current:
+                self._evicted += count - 1
+            elif not summed and total > current:
                 self._windows[window] = total
 
     def _fold(self, window: int, value: float) -> None:
@@ -191,39 +208,41 @@ class TimeSeries:
             oldest = min(self._windows)
             if window <= oldest:
                 # The target window already aged out of the ring.
-                self.evicted += 1
+                self._evicted += 1
                 return
             del self._windows[oldest]
-            self.evicted += 1
+            self._evicted += 1
         self._windows[window] = float(value)
 
     # -- views -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._windows)
+        return len(self._current())
 
     def windows(self) -> List[Tuple[int, float]]:
         """``(window_index, value)`` pairs in ascending window order."""
-        return sorted(self._windows.items())
+        return sorted(self._current().items())
 
     def values(self) -> List[float]:
         return [value for _, value in self.windows()]
 
     @property
     def total(self) -> float:
-        return sum(self._windows.values())
+        return sum(self._current().values())
 
     @property
     def peak(self) -> float:
         """Largest window value; NaN when the series is empty."""
-        return max(self._windows.values()) if self._windows else math.nan
+        windows = self._current()
+        return max(windows.values()) if windows else math.nan
 
     @property
     def mean(self) -> float:
         """Mean per *recorded* window; NaN when the series is empty."""
-        if not self._windows:
+        windows = self._current()
+        if not windows:
             return math.nan
-        return self.total / len(self._windows)
+        return self.total / len(windows)
 
     def ewma(self, alpha: float = DEFAULT_EWMA_ALPHA) -> List[Tuple[int, float]]:
         """Exponentially smoothed view over the recorded windows.
@@ -252,15 +271,16 @@ class TimeSeries:
 
     def _merge(self, other: "TimeSeries") -> None:
         self._check_compatible(other.window_ns, other.agg)
+        windows = self._current()
         for window, value in other.windows():
-            current = self._windows.get(window)
+            current = windows.get(window)
             if current is None:
-                self._windows[window] = value
+                windows[window] = value
             elif self.agg == "sum":
-                self._windows[window] = current + value
+                windows[window] = current + value
             else:
-                self._windows[window] = current if current >= value else value
-        self.evicted += other.evicted
+                windows[window] = current if current >= value else value
+        self._evicted += other.evicted
         self._trim()
 
     def _trim(self) -> None:
@@ -268,7 +288,7 @@ class TimeSeries:
         if overflow > 0:
             for window in sorted(self._windows)[:overflow]:
                 del self._windows[window]
-            self.evicted += overflow
+            self._evicted += overflow
 
     def _values(self) -> Dict[str, Any]:
         mean = self.mean
@@ -287,7 +307,7 @@ class TimeSeries:
     def _load(self, data: Mapping[str, Any]) -> None:
         self._check_compatible(float(data["window_ns"]), data["agg"])
         self._windows = {int(w): float(v) for w, v in data["windows"]}
-        self.evicted = int(data.get("evicted", 0))
+        self._evicted = int(data.get("evicted", 0))
         self._trim()
 
 
@@ -403,8 +423,8 @@ def _copy_series(series: TimeSeries) -> TimeSeries:
         series.name, series.help, series.labels,
         series.window_ns, series.agg, series.capacity,
     )
-    clone._windows = dict(series._windows)
-    clone.evicted = series.evicted
+    clone._windows = dict(series.windows())
+    clone._evicted = series.evicted
     return clone
 
 

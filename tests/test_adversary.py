@@ -143,6 +143,20 @@ class TestOperatorSkew:
             PseudoRandomSplitter(16, 4, seed=11), skew, 4
         )
 
+    def test_nan_skew_is_rejected(self):
+        with pytest.raises(ConfigError, match="skew"):
+            OperatorSkew(skew=float("nan"))
+
+    def test_cli_nan_skew_exits_2(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "attack", "--strategy", "operator-skew", "--skew", "nan",
+            "--trials", "1", "--duration-us", "2", "--fidelity", "flow",
+        ])
+        assert code == 2
+        assert "skew" in capsys.readouterr().err
+
 
 class TestBurstSynchronizedAttack:
     def test_bursts_are_aligned_across_ribbons(self):

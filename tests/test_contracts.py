@@ -96,6 +96,39 @@ def test_streaming_equals_eager_on_a_faulted_router_cell():
     assert reg_stream.dumps() == reg_eager.dumps()
 
 
+def test_every_stage_is_present_in_the_prometheus_export(tmp_path, capsys):
+    from repro.telemetry import STAGES, parse_prometheus
+
+    out = tmp_path / "metrics.prom"
+    code = main(["metrics", "--switches", "2", "--duration-us", "10", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    samples = parse_prometheus(out.read_text())
+    stages = {
+        labels["stage"]
+        for labels, _ in samples.get("repro_stage_latency_ns_count", [])
+    }
+    missing = set(STAGES) - stages
+    assert not missing, f"stages absent from export: {sorted(missing)}"
+
+
+def test_sweep_event_stream_validates(tmp_path, capsys):
+    from repro.runtime import validate_events
+
+    out = tmp_path / "events.jsonl"
+    code = main([
+        "sweep", "--loads", "0.4,0.8", "--duration-us", "8", "--fidelity", "flow",
+        "--events-out", str(out),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    events = validate_events(out.read_text())
+    kinds = [event["kind"] for event in events]
+    assert kinds[0] == "sweep_start" and kinds[-1] == "sweep_finish"
+    assert kinds.count("cell_start") == kinds.count("cell_finish") == 2
+    assert events[-1]["n_unresolved"] == 0, events[-1]
+
+
 def test_control_action_stream_validates(tmp_path, capsys):
     from repro.control import validate_control_actions
 

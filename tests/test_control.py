@@ -146,6 +146,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ControllerParams(ewma_alpha=0.0)
 
+    @pytest.mark.parametrize("name", ["hysteresis", "step_up"])
+    def test_nan_tuning_is_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            ControllerParams(**{name: float("nan")})
+
     def test_all_disabled_rejected(self):
         with pytest.raises(ConfigError):
             ControlConfig(admission=None, reweight=None, mitigation=None)

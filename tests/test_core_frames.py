@@ -9,6 +9,7 @@ from repro.core.frames import (
     BatchAssembler,
     Frame,
     FrameAssembler,
+    first_arrivals,
     segment_rows,
 )
 from repro.errors import ConfigError
@@ -116,6 +117,50 @@ class TestBatch:
         batch = Batch(0, 0, 1000, 1000, [], 0.0)
         with pytest.raises(ConfigError):
             batch.slice_bytes(3)
+
+
+def first_arrival_loop(batch):
+    """Reference: the first admitted row of the first segment that has one."""
+    for columns, lo, hi in batch.completing:
+        for row in range(lo, hi):
+            if columns.admitted is None or columns.admitted[row]:
+                return float(columns.times[row])
+    return None
+
+
+class TestFirstArrivals:
+    def columns(self, n, seed, dropped=()):
+        rng = np.random.default_rng(seed)
+        times = np.sort(rng.uniform(0.0, 1_000.0, n))
+        zeros = np.zeros(n, dtype=np.int64)
+        columns = ArrivalColumns(times, np.full(n, 64), np.arange(n), zeros, zeros, np.arange(n))
+        for row in dropped:
+            columns.drop(row)
+        return columns
+
+    def test_matches_the_per_batch_loop(self):
+        rng = np.random.default_rng(7)
+        blocks = [
+            self.columns(40, 1),
+            self.columns(40, 2, dropped=range(5, 25)),
+            self.columns(40, 3, dropped=range(40)),
+        ]
+        batches = []
+        for seq in range(300):
+            segments = []
+            for _ in range(int(rng.integers(0, 4))):
+                columns = blocks[int(rng.integers(0, len(blocks)))]
+                lo = int(rng.integers(0, 40))
+                segments.append((columns, lo, int(rng.integers(lo, 41))))
+            batches.append(Batch(0, seq, K, K, segments, 2_000.0))
+        expected = [first_arrival_loop(batch) for batch in batches]
+        got = first_arrivals(batches)
+        assert [None if np.isnan(t) else t for t in got.tolist()] == expected
+        assert any(t is None for t in expected) and any(t is not None for t in expected)
+
+    def test_no_batches_and_no_segments(self):
+        assert first_arrivals([]).size == 0
+        assert np.isnan(first_arrivals([Batch(0, 0, K, K, [], 0.0)])).all()
 
 
 class TestFrameAssembler:

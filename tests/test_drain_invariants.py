@@ -74,10 +74,10 @@ class TestDrainGuard:
         switch.pfi.transition = 0.0
         assert switch._drain_check_interval() == 1.0
 
-    def test_drain_schedules_arrival_and_continuation_together(self, small_switch):
-        """One popped batch schedules its crossbar arrival and the next
-        drain step at the *same* instant (the arrival time is computed
-        once and shared, not recomputed per schedule)."""
+    def test_drain_schedules_one_crossing_event(self, small_switch):
+        """One popped batch schedules one event, a batch time later,
+        that lands the batch in the tail SRAM and pops the port's next
+        batch; the engine-events gauge still counts it as two."""
         switch = HBMSwitch(small_switch, PFIOptions(padding=True, bypass=True))
         packet = make_traffic(small_switch, 0.9, 4_000.0, size=1500)[0]
         switch.stream_offer(ArrivalBlock.from_packets([packet], 4_000.0), 4_000.0)
@@ -85,5 +85,9 @@ class TestDrainGuard:
         # _drain at its instant) and fires _drain: it pops the batch.
         assert switch.engine.step()
         times = [entry[0] for entry in switch.engine._queue]
-        assert len(times) == 2
-        assert times[0] == times[1]
+        assert times == [packet.arrival_ns + small_switch.batch_time_ns]
+        fired = switch.engine.events_fired
+        assert switch.engine.step()
+        assert switch.engine.events_fired == fired + 1
+        assert switch.tail.pending_bytes == small_switch.batch_bytes
+        assert not switch._draining[packet.input_port]

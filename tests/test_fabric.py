@@ -152,6 +152,10 @@ class TestTopologies:
             ExpanderTopology(n_routers=5, degree=3, seed=0)  # odd*odd
         with pytest.raises(ConfigError):
             RotationTopology(n_routers=5)
+
+    def test_rotation_rejects_nan_slot(self):
+        with pytest.raises(ConfigError, match="slot_ns"):
+            RotationTopology(n_routers=4, slot_ns=float("nan"))
         with pytest.raises(ConfigError):
             DragonflyTopology(n_groups=1, routers_per_group=2)
 
@@ -459,6 +463,16 @@ class TestFabricCli:
         assert document["schema"] == "repro-fabric-v1"
         assert len(document["scenario_digest"]) == 64
         assert document["delivered_fraction"] == pytest.approx(1.0, abs=0.01)
+
+    def test_nan_slot_exits_2(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "fabric", "--topology", "rotation", "--slot-ns", "nan",
+            "--fidelity", "flow", "--duration-us", "5",
+        ])
+        assert code == 2
+        assert "slot_ns" in capsys.readouterr().err
 
     def test_fabric_table_and_faults(self, capsys):
         out = self.run_cli(capsys, [

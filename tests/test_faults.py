@@ -388,6 +388,31 @@ class TestCampaign:
         with pytest.raises(ConfigError):
             CampaignParams(switch_mtbf_ns=-1.0)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "switch_mtbf_ns", "switch_mttr_ns", "channel_mtbf_ns",
+            "channel_mttr_ns", "oeo_mtbf_ns", "oeo_mttr_ns",
+            "fiber_mtbf_ns", "fiber_mttr_ns", "duration_ns",
+        ],
+    )
+    def test_nan_rate_parameter_is_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            CampaignParams(**{name: float("nan")})
+
+    def test_infinite_mtbf_stays_legal(self):
+        inf = float("inf")
+        params = CampaignParams(switch_mtbf_ns=inf, fiber_mtbf_ns=inf)
+        assert params.switch_mtbf_ns == inf
+
+    def test_cli_nan_mtbf_exits_2(self, capsys):
+        code = main([
+            "faults", "--campaign", "2", "--switch-mtbf-us", "nan",
+            "--duration-us", "5", "--fidelity", "flow",
+        ])
+        assert code == 2
+        assert "switch_mtbf_ns" in capsys.readouterr().err
+
 
 class TestSpecs:
     def test_parse_each_kind(self):

@@ -10,7 +10,13 @@ and the Packet-list entry point's departure write-back.  Later cells
 pin whole scenario payloads: closed-loop router and attack cells (the
 control pre-pass), a parallel router cell, an attack on a streamed
 workload, a packet-fidelity fabric cell and a switch cell's pipeline
-trace.  A digest here changes only with a declared behaviour change.
+trace.  ``TELEMETRY_CELLS`` pin report and registry-dump digests of
+instrumented runs recorded while every instrument was updated at the
+instant it observed: tail- and input-SRAM drops, a 2-channel HBM
+loss, OEO degradation, padding x bypass, a run longer than the
+512-window series ring, dumps read in the middle of a streamed run,
+and a faulted router cell sequentially and on the process pool.  A
+digest here changes only with a declared behaviour change.
 """
 
 from __future__ import annotations
@@ -25,7 +31,13 @@ from repro import HBMSwitch, PFIOptions, SplitParallelSwitch, scaled_router
 from repro.adversary import BurstSynchronizedAttack, KnownAssignmentAttack
 from repro.control import ControlConfig
 from repro.fabric import ClosTopology
-from repro.faults import FaultSchedule, FiberCut, HBMChannelLoss, SwitchFailure
+from repro.faults import (
+    FaultSchedule,
+    FiberCut,
+    HBMChannelLoss,
+    OEODegradation,
+    SwitchFailure,
+)
 from repro.forwarding import Fib, RouteTable
 from repro.runtime import (
     Scenario,
@@ -345,9 +357,211 @@ PINNED = {
 }
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _telemetry_switch_cell(
+    options,
+    duration,
+    load,
+    size_dist,
+    process,
+    seed,
+    events=(),
+    **kwargs,
+):
+    """One instrumented switch run: ``(report digest, registry dump digest)``."""
+    config = scaled_router().switch
+    registry, telemetry = _instrumented(config)
+    view = FaultSchedule(list(events)).switch_view(0, config.total_channels)
+    switch = HBMSwitch(config, options, telemetry=telemetry, faults=view, **kwargs)
+    packets = _traffic(config, load, duration, size_dist, process, seed)
+    report = switch.run(packets, duration)
+    return _switch_payload(report, packets), _sha(registry.dumps())
+
+
+def cell_telemetry_mid_run_reads():
+    """A streamed instrumented run whose registry is dumped after every
+    block: reads in the middle of a run must see exactly the
+    observations made so far, and must not perturb the rest."""
+    config = scaled_router().switch
+    registry, telemetry = _instrumented(config)
+    switch = HBMSwitch(
+        config,
+        PFIOptions(padding=True, bypass=True),
+        input_sram_capacity=4 * config.batch_bytes,
+        telemetry=telemetry,
+    )
+    duration = 10_000.0
+    source = TrafficGenerator(
+        n_ports=config.n_ports,
+        port_rate_bps=config.port_rate_bps,
+        matrix=uniform_matrix(config.n_ports, 0.9),
+        size_dist=ImixSize(),
+        process=ArrivalProcess.ONOFF,
+        seed=8,
+    )
+    dumps = []
+    switch.stream_begin()
+    for block in source.blocks(duration, 1_000.0):
+        switch.stream_offer(block, duration)
+        switch.stream_advance(min(block.end_ns, duration))
+        dumps.append(_sha(registry.dumps()))
+    report = switch.stream_finish(duration)
+    return _digest([dataclasses.asdict(report), dumps]), _sha(registry.dumps())
+
+
+def _telemetry_router_cell(**kwargs) -> str:
+    scenario = router_scenario(
+        scaled_router(fibers_per_ribbon=16, n_switches=4),
+        load=0.8,
+        duration_ns=10_000.0,
+        seed=4,
+        workload="lognormal",
+        packet_size=1500,
+        schedule=FaultSchedule(
+            [
+                HBMChannelLoss(switch=0, n_channels=2, start_ns=1_000.0, end_ns=6_000.0),
+                OEODegradation(switch=1, rate_factor=0.4, start_ns=2_000.0, end_ns=7_000.0),
+                SwitchFailure(switch=2, start_ns=3_000.0, end_ns=5_000.0),
+            ]
+        ),
+        telemetry=True,
+        **kwargs,
+    )
+    payload = execute_scenario(scenario)
+    return _digest(payload), _digest(payload["report"]["telemetry"])
+
+
+def config_frames(n: int) -> int:
+    return n * scaled_router().switch.frame_bytes
+
+
+def config_batches(n: int) -> int:
+    return n * scaled_router().switch.batch_bytes
+
+
+_BOTH = PFIOptions(padding=True, bypass=True)
+
+#: Instrumented cells, each aimed at one of the telemetry instruments
+#: fed per batch, frame, phase or drop.  Each returns its report digest
+#: and its registry dump digest.
+TELEMETRY_CELLS = {
+    # Tail-SRAM overflow drops (drop counters, windowed drops).
+    "tail_overflow": lambda: _telemetry_switch_cell(
+        _BOTH, 8_000.0, 0.95, ImixSize(), ArrivalProcess.ONOFF, 11,
+        tail_sram_capacity=config_frames(2),
+    ),
+    # Thousands of input-SRAM tail drops.
+    "input_drop_heavy": lambda: _telemetry_switch_cell(
+        _BOTH, 8_000.0, 1.0, FixedSize(1500), ArrivalProcess.ONOFF, 12,
+        input_sram_capacity=config_batches(5),
+    ),
+    # Frames stripe over the 6 surviving channels, phases stretch.
+    "channel_loss_2": lambda: _telemetry_switch_cell(
+        _BOTH, 12_000.0, 0.8, ImixSize(), ArrivalProcess.POISSON, 13,
+        events=[HBMChannelLoss(switch=0, n_channels=2, start_ns=2_000.0, end_ns=9_000.0)],
+    ),
+    # Degraded egress: drain spans come from ``rate_factor_fn``.
+    "oeo_degradation": lambda: _telemetry_switch_cell(
+        _BOTH, 10_000.0, 0.7, ImixSize(), ArrivalProcess.POISSON, 14,
+        events=[OEODegradation(switch=0, rate_factor=0.3, start_ns=2_000.0, end_ns=8_000.0)],
+    ),
+    "padding_bypass": lambda: _telemetry_switch_cell(
+        PFIOptions(padding=True, bypass=True), 6_000.0, 0.5, ImixSize(),
+        ArrivalProcess.POISSON, 15,
+    ),
+    "padding_only": lambda: _telemetry_switch_cell(
+        PFIOptions(padding=True, bypass=False), 6_000.0, 0.5, ImixSize(),
+        ArrivalProcess.POISSON, 15,
+    ),
+    "bypass_only": lambda: _telemetry_switch_cell(
+        PFIOptions(padding=False, bypass=True), 6_000.0, 0.5, ImixSize(),
+        ArrivalProcess.POISSON, 15,
+    ),
+    "neither": lambda: _telemetry_switch_cell(
+        PFIOptions(padding=False, bypass=False), 6_000.0, 0.5, ImixSize(),
+        ArrivalProcess.POISSON, 15,
+    ),
+    # 700 one-microsecond windows: the byte and occupancy series
+    # outgrow their 512-window ring, so the eviction order is pinned.
+    "long_ring": lambda: _telemetry_switch_cell(
+        _BOTH, 700_000.0, 0.15, FixedSize(1500), ArrivalProcess.POISSON, 16,
+        tail_sram_capacity=config_frames(1),
+    ),
+    "mid_run_reads": cell_telemetry_mid_run_reads,
+    "router_sequential": lambda: _telemetry_router_cell(),
+    "router_parallel": lambda: _telemetry_router_cell(mode="parallel", workers=2),
+}
+
+
+#: ``(report digest, registry dump digest)`` per cell, recorded with
+#: every telemetry instrument updated at the instant it observed.
+PINNED_TELEMETRY = {
+    'bypass_only': (
+        'bc98c40a0f758682ee9f49cfe191d089b6517586e2223713ba59db18634f094f',
+        '2945936e168826c1addace63551885c879d1fb663cb6ffa58d8070fb0ca92c54',
+    ),
+    'channel_loss_2': (
+        'f961d90063b8128b790da39462dc6f269d8a076e7f55f6bb0cf4939e38c2f08a',
+        '4b33d1904ed930162769f5e57d88f0058092dd9cb33a2d14cea1b73f915e64dd',
+    ),
+    'input_drop_heavy': (
+        '5bbe2d04a7ffab7794add740ecec4ed5edfbb92800dfd5396c7c333dc8305869',
+        'dda8b9a2f7ade6db44853e7c5931392bbccd68b31a3c4b4a9643be9b25445618',
+    ),
+    'long_ring': (
+        '3ef00e9e44dc8a3c57e367651cffca0a7cfda046a2ea0bee696a28dd03896cef',
+        'c13ffd17d995035f2bbe473a3bc944a920a8e3274301c26d4bb2c07230c39d88',
+    ),
+    'mid_run_reads': (
+        '5ac0e3c2d2d4429708a15d83f5334475f964bcf4a1d7676b8276f97906bace07',
+        '6b2ad7b9b13d272971d1f55fceea1d06a3e6d0a33fded402f7b2ad746b3d19b9',
+    ),
+    'neither': (
+        '10868ee39b6330a34f1170321f9e5c0df0ca365a2717c0ff9b24c9ce17bac5fd',
+        '89d54d093d1acf2bb5083f78c561695eb8a2d8ecdbf2f1e6e30eecbe6c4c2927',
+    ),
+    'oeo_degradation': (
+        'a5bff1c8fb95dd90aee545a945163bdb41b87f3fedccfdf6123357b4510eff6b',
+        '435da3583fe93859139a150c1e703618b1fd997a28ea49fdbc07d67c8a87f01e',
+    ),
+    'padding_bypass': (
+        'b14ef145e04cc38505ae4d5a90532342eb56679e8ea7c09b8afcb6f082e4828b',
+        'c7d8a3f77e4d4883b42874037117082d8637ce3b0421eaf6f5b6eb74aa596708',
+    ),
+    'padding_only': (
+        '16a15f99a3006ec13903186e0c455bdd6957b8fe411f17334552ed58df1214a8',
+        '95be7ff4ba71cd8ca6db19655f58fbd4bc5b8d08508aa4ab1c4d04129c5e3ea8',
+    ),
+    'router_parallel': (
+        '75e3d7241b5983850e8ee2b91fe24158fd7f4eb5b9c68c25eb9afed30362dda2',
+        'df3c17425efe0645cce263ed3490bcfc5c73767800e677ea9483b9174b8e810c',
+    ),
+    'router_sequential': (
+        '75e3d7241b5983850e8ee2b91fe24158fd7f4eb5b9c68c25eb9afed30362dda2',
+        'df3c17425efe0645cce263ed3490bcfc5c73767800e677ea9483b9174b8e810c',
+    ),
+    'tail_overflow': (
+        '08ac02c0632f992d86f0953f8cee7858d7c0f9df0fea1bff1789ff30c0d5f846',
+        '2f04711d1f9d6eef291118649a0b638b43f247d5f88efcc1f0bc4a0f75215e82',
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_pinned_digest(name):
     assert CELLS[name]() == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(TELEMETRY_CELLS))
+def test_pinned_telemetry_digest(name):
+    assert TELEMETRY_CELLS[name]() == PINNED_TELEMETRY[name]
+
+
+def test_parallel_telemetry_equals_sequential():
+    assert PINNED_TELEMETRY["router_parallel"] == PINNED_TELEMETRY["router_sequential"]
 
 
 def test_block_sizes_agree():

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.config import scaled_router
@@ -78,6 +79,32 @@ class TestRingEviction:
         assert [w for w, _ in series.windows()] == [2, 3, 4]
         assert all(value == 1.0 for _, value in series.windows())
         assert series.evicted == 3
+
+    @pytest.mark.parametrize("agg", ["sum", "max"])
+    def test_bulk_fold_matches_one_by_one_out_of_order(self, agg):
+        """Unsorted observations past the ring's capacity, including
+        late ones to aged-out windows: the bulk fold keeps the windows,
+        values and eviction count of observing one at a time."""
+        rng = np.random.default_rng(3)
+        times = np.sort(rng.uniform(0.0, 2_000.0, 400))
+        times += rng.uniform(-300.0, 0.0, times.size) * (rng.random(times.size) < 0.2)
+        values = rng.integers(1, 1_500, times.size)
+        one = make_series(capacity=8, agg=agg)
+        for t, v in zip(times.tolist(), values.tolist()):
+            one.observe(t, v)
+        bulk = make_series(capacity=8, agg=agg)
+        bulk.observe_many(times[:150], values[:150])
+        bulk.observe_many(times[150:], values[150:])
+        assert bulk.windows() == one.windows()
+        assert bulk.evicted == one.evicted > 0
+
+    @pytest.mark.parametrize("agg", ["sum", "max"])
+    def test_bulk_late_run_counts_each_observation(self, agg):
+        series = make_series(capacity=3, agg=agg)
+        series.observe_many([0.0, 100.0, 200.0, 300.0, 400.0], [1, 1, 1, 1, 1])
+        series.observe_many([0.0, 10.0, 20.0], [5, 5, 5])  # window 0 aged out
+        assert [w for w, _ in series.windows()] == [2, 3, 4]
+        assert series.evicted == 2 + 3
 
     def test_update_of_live_window_never_evicts(self):
         series = make_series(capacity=3)
