@@ -2,8 +2,8 @@
 
 One :class:`Controller` governs one controlled resource (one switch's
 admission fraction, one switch's split-weight multiplier, ...).  Each
-tick it folds the raw signal into an EWMA (via the shared
-:func:`repro.telemetry.ewma_step` -- the same algebra the timeseries
+tick it folds the raw signal into an EWMA (the algebra of the shared
+:func:`repro.telemetry.ewma_step`, the same one the timeseries
 renderer uses), classifies the smoothed signal into one of four states,
 and nudges its actuated value:
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..telemetry import ewma_step
+from ..telemetry.timeseries import ewma_fold
 from .config import ControllerParams
 
 #: State names, in escalation order (indexes are the wire encoding the
@@ -51,7 +51,7 @@ GREEN, YELLOW, SOFT_RED, RED = range(4)
 class Controller:
     """One resource's EWMA + state machine + floor/ceiling actuator."""
 
-    __slots__ = ("params", "state", "value", "smoothed")
+    __slots__ = ("params", "state", "value", "smoothed", "_entry")
 
     def __init__(
         self, params: ControllerParams, initial_value: float = 1.0
@@ -60,45 +60,46 @@ class Controller:
         self.state = GREEN
         self.value = min(max(initial_value, params.floor), params.ceiling)
         self.smoothed: Optional[float] = None
-
-    def _entry_threshold(self, state: int) -> float:
-        return (self.params.yellow, self.params.yellow,
-                self.params.soft_red, self.params.red)[state]
-
-    def _classify(self, smoothed: float) -> int:
-        p = self.params
-        if smoothed >= p.red:
-            target = RED
-        elif smoothed >= p.soft_red:
-            target = SOFT_RED
-        elif smoothed >= p.yellow:
-            target = YELLOW
-        else:
-            target = GREEN
-        if target >= self.state:
-            return target  # escalate immediately
-        # De-escalate one level per tick, and only with hysteresis margin
-        # below the current level's entry threshold.
-        if smoothed < self._entry_threshold(self.state) - p.hysteresis:
-            return self.state - 1
-        return self.state
+        #: Entry threshold of each state, indexed by state.
+        self._entry = (params.yellow, params.yellow, params.soft_red, params.red)
 
     def update(self, signal: float) -> Tuple[int, float, bool]:
         """Fold one tick's raw signal; returns (state, value, changed).
 
         ``changed`` is True when the state moved this tick -- what the
-        action stream logs as a ``state_change``.
+        action stream logs as a ``state_change``.  The EWMA fold skips
+        the alpha check: :class:`ControllerParams` made it once.
         """
         p = self.params
-        self.smoothed = ewma_step(self.smoothed, signal, p.ewma_alpha)
-        new_state = self._classify(self.smoothed)
-        changed = new_state != self.state
+        smoothed = self.smoothed = ewma_fold(self.smoothed, signal, p.ewma_alpha)
+        state = self.state
+        if smoothed >= p.red:
+            new_state = RED
+        elif smoothed >= p.soft_red:
+            new_state = SOFT_RED
+        elif smoothed >= p.yellow:
+            new_state = YELLOW
+        else:
+            new_state = GREEN
+        if new_state < state:
+            # Escalation is immediate; de-escalation goes one level per
+            # tick, and only with hysteresis margin below the current
+            # level's entry threshold.
+            if smoothed < self._entry[state] - p.hysteresis:
+                new_state = state - 1
+            else:
+                new_state = state
         self.state = new_state
+        # The clamps are min(ceiling, v) and max(floor, v), spelled as
+        # comparisons (the same result, without two builtin calls).
         if new_state == GREEN:
-            self.value = min(p.ceiling, self.value + p.step_up)
+            value = self.value + p.step_up
+            self.value = value if value < p.ceiling else p.ceiling
         elif new_state == SOFT_RED:
-            self.value = max(p.floor, self.value * 0.5 * (1.0 + p.factor_down))
+            value = self.value * 0.5 * (1.0 + p.factor_down)
+            self.value = value if value > p.floor else p.floor
         elif new_state == RED:
-            self.value = max(p.floor, self.value * p.factor_down)
+            value = self.value * p.factor_down
+            self.value = value if value > p.floor else p.floor
         # YELLOW holds.
-        return self.state, self.value, changed
+        return new_state, self.value, new_state != state

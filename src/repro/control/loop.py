@@ -68,8 +68,13 @@ class ControlLoop:
         self._admission = _bank(config.admission, n_switches)
         self._reweight = _bank(config.reweight, n_switches)
         self._mitigation = _bank(config.mitigation, n_switches)
+        #: The actuators.  Each array is replaced, never written in
+        #: place, and only on a tick that moves one of its values, so an
+        #: engine may cache what it derives from one by identity.
         self.admit = np.ones(n_switches)
         self.weight = np.ones(n_switches)
+        #: Telemetry series, looked up on first use and then held.
+        self._series: Dict[tuple, Any] = {}
         self.log.emit(
             "control_start",
             t_ns=0.0,
@@ -100,60 +105,85 @@ class ControlLoop:
 
         ``offered``/``delivered``/``backlog`` are (H,) byte arrays for
         the window that just closed.  Decisions apply from ``t_ns`` on.
+        The tick is one pass over the switches, on Python floats; each
+        switch's controllers run in the order admission, reweight,
+        mitigation, which is the order of its actions in the log.
         """
         index = self.ticks
         self.ticks += 1
+        n = self.n_switches
         total = float(offered.sum())
-        admit_a = np.ones(self.n_switches)
-        admit_m = np.ones(self.n_switches)
-        for h in range(self.n_switches):
-            if self._admission is not None:
-                signal = float(backlog[h]) / self.occupancy_limit
-                admit_a[h] = self._step(
-                    "admission", self._admission[h], h, index, t_ns, signal
+        offered = offered.tolist()
+        banks = []  # (name, controllers, signal per switch)
+        if self._admission is not None:
+            limit = self.occupancy_limit
+            banks.append(
+                ("admission", self._admission, [b / limit for b in backlog.tolist()])
+            )
+        if self._reweight is not None:
+            banks.append(
+                (
+                    "reweight",
+                    self._reweight,
+                    [
+                        max(0.0, 1.0 - d / o) if o > _SIGNAL_EPS else 0.0
+                        for o, d in zip(offered, delivered.tolist())
+                    ],
                 )
-            if self._reweight is not None:
-                if offered[h] > _SIGNAL_EPS:
-                    deficit = max(
-                        0.0, 1.0 - float(delivered[h]) / float(offered[h])
+            )
+        if self._mitigation is not None:
+            if attack_active and total > _SIGNAL_EPS:
+                gains = [o * n / total for o in offered]
+            else:
+                gains = [0.0] * n
+            banks.append(("mitigation", self._mitigation, gains))
+        values = {name: [1.0] * n for name in ("admission", "mitigation")}
+        values["reweight"] = self.weight.tolist()
+        telemetry = self.telemetry
+        for h in range(n):
+            for name, controllers, signals in banks:
+                controller = controllers[h]
+                before_state = controller.state
+                before_value = controller.value
+                state, value, changed = controller.update(signals[h])
+                if changed or value != before_value:
+                    self._log(
+                        name, controller, h, index, t_ns, before_state,
+                        changed, value != before_value,
                     )
-                else:
-                    deficit = 0.0
-                self.weight[h] = self._step(
-                    "reweight", self._reweight[h], h, index, t_ns, deficit
-                )
-            if self._mitigation is not None:
-                if attack_active and total > _SIGNAL_EPS:
-                    gain = float(offered[h]) * self.n_switches / total
-                else:
-                    gain = 0.0
-                admit_m[h] = self._step(
-                    "mitigation", self._mitigation[h], h, index, t_ns, gain
-                )
-        self.admit = np.minimum(admit_a, admit_m)
-        if self.telemetry is not None:
-            for h in range(self.n_switches):
-                throttle = 1.0 - float(self.admit[h])
-                self.telemetry.timeseries(
+                if telemetry is not None:
+                    self._timeseries(
+                        CONTROL_STATE,
+                        "controller state per control tick (0=GREEN..3=RED)",
+                        controller=name,
+                        switch=str(h),
+                    ).observe(t_ns, float(state))
+                values[name][h] = value
+        admit = [min(a, m) for a, m in zip(values["admission"], values["mitigation"])]
+        if admit != self.admit.tolist():
+            self.admit = np.array(admit)
+        if values["reweight"] != self.weight.tolist():
+            self.weight = np.array(values["reweight"])
+        if telemetry is not None:
+            for h in range(n):
+                self._timeseries(
                     CONTROL_THROTTLE,
                     "ingress throttle fraction per control tick",
-                    window_ns=self.config.tick_ns,
-                    agg="max",
                     switch=str(h),
-                ).observe(t_ns, throttle)
+                ).observe(t_ns, 1.0 - admit[h])
 
-    def _step(
+    def _log(
         self,
         name: str,
         controller: Controller,
         switch: int,
         index: int,
         t_ns: float,
-        signal: float,
-    ) -> float:
-        before_state = controller.state
-        before_value = controller.value
-        state, value, changed = controller.update(signal)
+        before_state: int,
+        changed: bool,
+        actuated: bool,
+    ) -> None:
+        """A controller's state change and/or actuation, in that order."""
         if changed:
             self.n_state_changes += 1
             self.log.emit(
@@ -163,28 +193,27 @@ class ControlLoop:
                 switch=switch,
                 controller=name,
                 from_state=STATES[before_state],
-                to_state=STATES[state],
+                to_state=STATES[controller.state],
                 signal=round(float(controller.smoothed), 9),
             )
-        if value != before_value:
+        if actuated:
             self.log.emit(
                 "actuation",
                 t_ns=t_ns,
                 tick=index,
                 switch=switch,
                 controller=name,
-                value=round(float(value), 9),
+                value=round(float(controller.value), 9),
             )
-        if self.telemetry is not None:
-            self.telemetry.timeseries(
-                CONTROL_STATE,
-                "controller state per control tick (0=GREEN..3=RED)",
-                window_ns=self.config.tick_ns,
-                agg="max",
-                controller=name,
-                switch=str(switch),
-            ).observe(t_ns, float(state))
-        return value
+
+    def _timeseries(self, name: str, help: str, **labels: str):
+        key = (name, *labels.values())
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = self.telemetry.timeseries(
+                name, help, window_ns=self.config.tick_ns, agg="max", **labels
+            )
+        return series
 
     # -- wrap-up -------------------------------------------------------------
 

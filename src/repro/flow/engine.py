@@ -53,8 +53,9 @@ validated quantities (see ``docs/flow_engine.md``).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,6 +125,7 @@ def _component_edges(components: Sequence[RateComponent]) -> List[float]:
 
 
 def _schedule_edges(schedule) -> List[float]:
+    """Window edges of a fault schedule (or any iterable of events)."""
     edges: List[float] = []
     if schedule is None:
         return edges
@@ -134,11 +136,31 @@ def _schedule_edges(schedule) -> List[float]:
     return edges
 
 
-def _segments(duration_ns: float, extra_edges: Sequence[float]) -> np.ndarray:
+def _segments(duration_ns: float, extra_edges: Sequence[float]) -> List[float]:
     """Sorted unique edges over ``[0, duration_ns]`` (both ends included)."""
     edges = [0.0, duration_ns]
     edges.extend(e for e in extra_edges if 0.0 < e < duration_ns)
-    return np.unique(np.asarray(edges, dtype=np.float64))
+    return np.unique(np.asarray(edges, dtype=np.float64)).tolist()
+
+
+class _Piecewise:
+    """A function of time that is constant between sorted edges.
+
+    Every window in the engine is half-open (``start <= t < end``), so
+    the value on ``[edges[k-1], edges[k])`` is the value at
+    ``edges[k-1]``, and before the first edge it is the value at
+    ``-inf``.  ``value_at`` runs once per interval; :meth:`at` is one
+    ``bisect_right`` and exact for every ``t``.
+    """
+
+    __slots__ = ("edges", "values")
+
+    def __init__(self, edges: Sequence[float], value_at) -> None:
+        self.edges = sorted({e for e in edges if math.isfinite(e)})
+        self.values = [value_at(t) for t in [-math.inf, *self.edges]]
+
+    def at(self, t_ns: float):
+        return self.values[bisect_right(self.edges, t_ns)]
 
 
 # --------------------------------------------------------------------------
@@ -162,8 +184,14 @@ class _FluidTandem:
         self.port_rate = port_rate
         self.input_capacity = input_capacity
         self.output_capacity = output_capacity
-        self.q1 = np.zeros((n_tandems, n_ports, n_ports))
-        self.q2 = np.zeros((n_tandems, n_ports))
+        #: Shared all-zero queues and backlog: a stage that empties
+        #: takes these, so the next step knows by identity that adding
+        #: the queue is the identity.  Never written in place.
+        self._empty_q1 = np.zeros((n_tandems, n_ports, n_ports))
+        self._empty_q2 = np.zeros((n_tandems, n_ports))
+        self._no_backlog = np.zeros(n_tandems)
+        self.q1 = self._empty_q1
+        self.q2 = self._empty_q2
         self.delivered = np.zeros(n_tandems)
         self.dropped_sram = np.zeros(n_tandems)
         self.dropped_hbm = np.zeros(n_tandems)
@@ -171,52 +199,88 @@ class _FluidTandem:
         self.peak_q1 = np.zeros(n_tandems)
         self.peak_q2 = np.zeros(n_tandems)
         #: Per-tandem deliveries and backlog of the most recent step --
-        #: the flow engine's per-segment telemetry reads these instead
-        #: of re-deriving them from cumulative counters.
+        #: the per-segment telemetry, the control hand-off, the drain
+        #: and the next step's queue integral read these instead of
+        #: re-deriving them from the queues.
         self.last_delivered = np.zeros(n_tandems)
-        self.last_backlog = np.zeros(n_tandems)
-
-    def backlog(self) -> np.ndarray:
-        return self.q1.sum(axis=(1, 2)) + self.q2.sum(axis=1)
+        self.last_backlog = self._no_backlog
 
     def step(self, dt: float, arrivals: np.ndarray, service: np.ndarray) -> float:
         """Advance every tandem by ``dt``.
 
         ``arrivals`` is the (L, N, N) byte-rate tensor already gated for
         dead windows; ``service`` the (L,) per-output egress rate.
-        Returns the total bytes delivered this segment.
+        Neither is modified.  Returns the total bytes delivered this
+        segment.
+
+        Each stage has a shortcut for the common case that is the exact
+        result of its general update, not an approximation: when every
+        row (output) can send all it holds, the served fraction is
+        exactly 1.0, so everything moves on and the queue is left
+        exactly 0.0; adding an all-zero queue is the identity; and with
+        no queue over capacity the tail drop changes nothing.  A step
+        that starts and ends with no backlog adds exactly 0.0 to the
+        queue integral, so that update is skipped too.
         """
-        pre = self.backlog()
-        avail = self.q1 + arrivals * dt
+        pre = self.last_backlog  # the backlog this state was left with
+        # Stage 1: input SRAM and the crossbar, P per input port.
+        avail = arrivals * dt
+        if self.q1 is not self._empty_q1:
+            avail = self.q1 + avail
         row_total = avail.sum(axis=2)
-        served1 = np.minimum(row_total, self.port_rate * dt)
-        safe_rows = np.where(row_total > 0.0, row_total, 1.0)
-        frac = np.where(row_total > 0.0, served1 / safe_rows, 0.0)
-        moved = avail * frac[:, :, None]
-        q1 = avail - moved
-        # Input-SRAM tail drop: a row (one input port) over capacity
-        # sheds its excess proportionally over its per-output queues.
-        occupancy = q1.sum(axis=2)
-        excess = np.maximum(occupancy - self.input_capacity, 0.0)
-        safe_occ = np.where(occupancy > 0.0, occupancy, 1.0)
-        keep = np.where(occupancy > 0.0, 1.0 - excess / safe_occ, 1.0)
-        self.dropped_sram += excess.sum(axis=1)
-        self.q1 = q1 * keep[:, :, None]
-        inflow = moved.sum(axis=1)
-        avail2 = self.q2 + inflow
-        served2 = np.minimum(avail2, service[:, None] * dt)
-        q2 = avail2 - served2
-        over = np.maximum(q2 - self.output_capacity, 0.0)
-        self.dropped_hbm += over.sum(axis=1)
-        self.q2 = q2 - over
+        port_bytes = self.port_rate * dt
+        q1_total = None
+        if row_total.max(initial=0.0) <= port_bytes:
+            moved = avail
+            self.q1 = self._empty_q1
+        else:
+            served1 = np.minimum(row_total, port_bytes)
+            frac = np.divide(
+                served1, row_total, out=np.zeros_like(row_total), where=row_total > 0.0
+            )
+            moved = avail * frac[:, :, None]
+            q1 = avail - moved
+            # Input-SRAM tail drop: a row (one input port) over capacity
+            # sheds its excess proportionally over its per-output queues.
+            occupancy = q1.sum(axis=2)
+            if (occupancy > self.input_capacity).any():
+                excess = np.maximum(occupancy - self.input_capacity, 0.0)
+                safe_occ = np.where(occupancy > 0.0, occupancy, 1.0)
+                keep = np.where(occupancy > 0.0, 1.0 - excess / safe_occ, 1.0)
+                self.dropped_sram += excess.sum(axis=1)
+                q1 = q1 * keep[:, :, None]
+            self.q1 = q1
+            q1_total = q1.sum(axis=(1, 2))
+            self.peak_q1 = np.maximum(self.peak_q1, occupancy.max(axis=1, initial=0.0))
+        # Stage 2: HBM and egress, ``service`` per output.
+        avail2 = moved.sum(axis=1)
+        if self.q2 is not self._empty_q2:
+            avail2 = self.q2 + avail2
+        drain_bytes = service[:, None] * dt
+        q2_total = None
+        if (avail2 <= drain_bytes).all():
+            served2 = avail2
+            self.q2 = self._empty_q2
+        else:
+            served2 = np.minimum(avail2, drain_bytes)
+            q2 = avail2 - served2
+            if (q2 > self.output_capacity).any():  # HBM overflow
+                over = np.maximum(q2 - self.output_capacity, 0.0)
+                self.dropped_hbm += over.sum(axis=1)
+                q2 = q2 - over
+            self.q2 = q2
+            q2_total = q2.sum(axis=1)
+            self.peak_q2 = np.maximum(self.peak_q2, q2_total)
         segment_delivered = served2.sum(axis=1)
         self.delivered += segment_delivered
         self.last_delivered = segment_delivered
-        post = self.backlog()
+        if q1_total is None:
+            post = self._no_backlog if q2_total is None else q2_total
+        else:
+            post = q1_total if q2_total is None else q1_total + q2_total
         self.last_backlog = post
-        self.queue_integral += 0.5 * (pre + post) * dt
-        self.peak_q1 = np.maximum(self.peak_q1, occupancy.max(axis=1, initial=0.0))
-        self.peak_q2 = np.maximum(self.peak_q2, self.q2.sum(axis=1))
+        if not (pre is self._no_backlog and post is self._no_backlog):
+            self.queue_integral += 0.5 * (pre + post) * dt
         return float(segment_delivered.sum())
 
 
@@ -239,11 +303,12 @@ def _drain(
     """
     t = start_ns
     edges = sorted(e for e in future_edges if e > start_ns and math.isfinite(e))
+    no_arrivals = np.zeros_like(tandem.q1)
     guard = 0
     limit = 8 * (len(edges) + 2) + 64
     while guard < limit:
         guard += 1
-        backlog = tandem.backlog()
+        backlog = tandem.last_backlog
         if backlog.sum() <= _DRAIN_EPS:
             break
         service = service_at(t + 1e-9)
@@ -257,14 +322,13 @@ def _drain(
             strides.append(rows.max() / tandem.port_rate)
         active = service > 0.0
         if active.any():
-            totals = tandem.q2.sum(axis=1) + tandem.q1.sum(axis=(1, 2))
-            strides.append((totals[active] / service[active]).max())
+            strides.append((backlog[active] / service[active]).max())
         dt = max(strides)
         if next_edge is not None:
             dt = min(dt, next_edge - t)
         if dt <= 0.0:
             dt = min_step
-        delivered = tandem.step(dt, np.zeros_like(tandem.q1), service)
+        delivered = tandem.step(dt, no_arrivals, service)
         if on_delivered is not None:
             on_delivered(delivered, t + 0.5 * dt)
         t += dt
@@ -356,6 +420,122 @@ def _switch_report(
 
 
 # --------------------------------------------------------------------------
+# Telemetry
+# --------------------------------------------------------------------------
+
+
+class _WindowRecorder:
+    """What one flow run records into a metrics registry.
+
+    Engines build one only with telemetry on and hold ``None``
+    otherwise.  Per switch (``labels``) it feeds the offered and
+    delivered :data:`FLOW_WINDOW_BYTES` and the :data:`FLOW_WINDOW_QUEUE`
+    series every segment; with ``losses`` also the
+    :data:`FLOW_WINDOW_DROPPED` series (each segment's change of the
+    cumulative drop totals) and the backlog during the drain, which the
+    single-switch engine does not record.  :meth:`totals` writes the
+    end-of-run byte counters.
+    """
+
+    def __init__(self, registry, labels: Sequence[str], losses: bool = True) -> None:
+        self.registry = registry
+        self.offered = [
+            registry.timeseries(
+                FLOW_WINDOW_BYTES, "flow bytes per window by crossing point",
+                point="offered", switch=label,
+            )
+            for label in labels
+        ]
+        self.delivered = [
+            registry.timeseries(
+                FLOW_WINDOW_BYTES, "flow bytes per window by crossing point",
+                point="delivered", switch=label,
+            )
+            for label in labels
+        ]
+        self.queue = [
+            registry.timeseries(
+                FLOW_WINDOW_QUEUE, "fluid backlog high-water per window",
+                agg="max", switch=label,
+            )
+            for label in labels
+        ]
+        self.dropped = (
+            [
+                registry.timeseries(
+                    FLOW_WINDOW_DROPPED, "flow dropped bytes per window",
+                    switch=label,
+                )
+                for label in labels
+            ]
+            if losses
+            else None
+        )
+        # Cumulative drop totals at the end of the previous segment.
+        zeros = np.zeros(len(labels))
+        self._drops = self._dead = self._throttled = zeros
+
+    def segment(
+        self,
+        t_ns: float,
+        offered: np.ndarray,
+        tandem: _FluidTandem,
+        dropped_dead: Optional[np.ndarray] = None,
+        dropped_throttled: Optional[np.ndarray] = None,
+    ) -> None:
+        """One segment at midpoint ``t_ns``: ``offered`` bytes per switch,
+        the tandem's step, and (with losses) the cumulative drops."""
+        dropped = None
+        if self.dropped is not None:
+            drops = tandem.dropped_sram + tandem.dropped_hbm
+            dropped = (
+                drops - self._drops + dropped_dead - self._dead
+                + dropped_throttled - self._throttled
+            ).tolist()
+            self._drops = drops
+            self._dead = dropped_dead.copy()
+            self._throttled = dropped_throttled.copy()
+        delivered = tandem.last_delivered.tolist()
+        backlog = tandem.last_backlog.tolist()
+        for idx, value in enumerate(offered.tolist()):
+            self.offered[idx].observe(t_ns, value)
+            self.delivered[idx].observe(t_ns, delivered[idx])
+            self.queue[idx].observe(t_ns, backlog[idx])
+            if dropped is not None and dropped[idx] > 0.0:
+                self.dropped[idx].observe(t_ns, dropped[idx])
+
+    def drained(self, t_ns: float, tandem: _FluidTandem) -> None:
+        """One drain step at midpoint ``t_ns``."""
+        delivered = tandem.last_delivered.tolist()
+        backlog = tandem.last_backlog.tolist()
+        for idx, value in enumerate(delivered):
+            if value > 0.0:
+                self.delivered[idx].observe(t_ns, value)
+            if self.dropped is not None:
+                self.queue[idx].observe(t_ns, backlog[idx])
+
+    def totals(
+        self, label: str, offered: int, delivered: int, losses: Dict[str, float]
+    ) -> None:
+        """One switch's offered/delivered bytes and its losses by reason."""
+        self.registry.counter(
+            FLOW_BYTES, "flow bytes by crossing point",
+            point="offered", switch=label,
+        ).inc(offered)
+        self.registry.counter(
+            FLOW_BYTES, "flow bytes by crossing point",
+            point="delivered", switch=label,
+        ).inc(delivered)
+        for reason in sorted(losses):
+            n_bytes = int(round(losses[reason]))
+            if n_bytes > 0:
+                self.registry.counter(
+                    FLOW_LOST, "flow dropped bytes by reason",
+                    reason=reason, switch=label,
+                ).inc(n_bytes)
+
+
+# --------------------------------------------------------------------------
 # Single-switch simulation (Scenario kind="switch")
 # --------------------------------------------------------------------------
 
@@ -397,24 +577,15 @@ def simulate_flow_switch(
         input_capacity=64.0 * n * config.batch_bytes,
         output_capacity=config.memory_capacity_bytes / n,
     )
-    win_offered = win_delivered = win_queue = None
-    if telemetry is not None:
-        win_offered = telemetry.timeseries(
-            FLOW_WINDOW_BYTES, "flow bytes per window by crossing point",
-            point="offered", switch="0",
-        )
-        win_delivered = telemetry.timeseries(
-            FLOW_WINDOW_BYTES, "flow bytes per window by crossing point",
-            point="delivered", switch="0",
-        )
-        win_queue = telemetry.timeseries(
-            FLOW_WINDOW_QUEUE, "fluid backlog high-water per window",
-            agg="max", switch="0",
-        )
+    recorder = (
+        _WindowRecorder(telemetry, ["0"], losses=False)
+        if telemetry is not None
+        else None
+    )
     offered = 0.0
     edges = _segments(duration_ns, _component_edges(components))
     for t0, t1 in zip(edges[:-1], edges[1:]):
-        dt = float(t1 - t0)
+        dt = t1 - t0
         if dt <= 0:
             continue
         tm = 0.5 * (t0 + t1)
@@ -424,52 +595,33 @@ def simulate_flow_switch(
         )
         offered += matrix.sum() * dt
         tandem.step(dt, matrix[None, :, :], service)
-        if telemetry is not None:
-            win_offered.observe(tm, float(matrix.sum()) * dt)
-            win_delivered.observe(tm, float(tandem.last_delivered[0]))
-            win_queue.observe(tm, float(tandem.last_backlog[0]))
+        if recorder is not None:
+            recorder.segment(tm, np.array([float(matrix.sum()) * dt]), tandem)
     if drain:
-        def drain_hook(delivered_bytes: float, t_mid: float) -> None:
-            if telemetry is not None and delivered_bytes > 0.0:
-                win_delivered.observe(t_mid, delivered_bytes)
-
         _drain(
             tandem,
             duration_ns,
             lambda t: service,
             (),
             max(config.batch_time_ns, 1.0),
-            on_delivered=drain_hook,
+            on_delivered=None
+            if recorder is None
+            else lambda _, t_mid: recorder.drained(t_mid, tandem),
         )
-    if telemetry is not None:
-        telemetry.counter(
-            FLOW_BYTES, "flow bytes by crossing point",
-            point="offered", switch="0",
-        ).inc(int(round(offered)))
-        telemetry.counter(
-            FLOW_BYTES, "flow bytes by crossing point",
-            point="delivered", switch="0",
-        ).inc(int(round(float(tandem.delivered[0]))))
-        losses = {
-            "input-sram-overflow": float(tandem.dropped_sram[0]),
-            "hbm-full": float(tandem.dropped_hbm[0]),
-        }
-        for reason in sorted(losses):
-            n_bytes = int(round(losses[reason]))
-            if n_bytes > 0:
-                telemetry.counter(
-                    FLOW_LOST, "flow dropped bytes by reason",
-                    reason=reason, switch="0",
-                ).inc(n_bytes)
+    losses = {
+        "input-sram-overflow": float(tandem.dropped_sram[0]),
+        "hbm-full": float(tandem.dropped_hbm[0]),
+    }
+    if recorder is not None:
+        recorder.totals(
+            "0", int(round(offered)), int(round(float(tandem.delivered[0]))), losses
+        )
     return _switch_report(
         config,
         duration_ns,
         offered,
         float(tandem.delivered[0]),
-        {
-            "input-sram-overflow": float(tandem.dropped_sram[0]),
-            "hbm-full": float(tandem.dropped_hbm[0]),
-        },
+        losses,
         float(tandem.queue_integral[0]),
         float(tandem.peak_q1[0]),
         float(tandem.peak_q2[0]),
@@ -506,6 +658,404 @@ def buffer_limit_bytes(switch_config: HBMSwitchConfig) -> float:
     n = switch_config.n_ports
     return 64.0 * n * n * switch_config.batch_bytes + float(
         switch_config.memory_capacity_bytes
+    )
+
+
+def _fault_table(schedule, live: Sequence[int], config: RouterConfig) -> _Piecewise:
+    """Per interval between fault edges: every live switch's egress
+    service rate, and the live indices whose switch is dead."""
+    switch = config.switch
+    port_rate = rate_to_bytes_per_ns(switch.port_rate_bps)
+    views = [
+        schedule.switch_view(h, switch.total_channels) if schedule is not None else None
+        for h in live
+    ]
+
+    def state_at(t_ns: float) -> Tuple[np.ndarray, Tuple[int, ...]]:
+        rates = np.empty(len(live))
+        dead = []
+        for idx, view in enumerate(views):
+            if view is None:
+                factor = min(1.0, switch.speedup)
+            else:
+                factor = min(
+                    view.oeo_rate_factor(t_ns),
+                    switch.speedup * view.channel_fraction(t_ns),
+                    1.0,
+                )
+                if view.dead_at(t_ns):
+                    dead.append(idx)
+            rates[idx] = port_rate * max(factor, 0.0)
+        return rates, tuple(dead)
+
+    return _Piecewise(_schedule_edges(schedule), state_at)
+
+
+class _Rates(NamedTuple):
+    """What the split gives every switch while the active components,
+    the fiber-cut state and the split weights hold (rates in bytes/ns)."""
+
+    matrix_total: float  # the whole offered matrix
+    cut_rate: float  # lost to active fiber cuts
+    offered: np.ndarray  # (H,) per switch
+    failed_rate: float  # offered to the whole-run-dead switches
+    arrivals: np.ndarray  # (L, N, N) of the live switches
+    live_rate: np.ndarray  # (L,) ``arrivals`` summed per switch
+
+
+class _Gate(NamedTuple):
+    """The arrivals a segment feeds the tandem: ``_Rates.arrivals``
+    throttled by the admit fractions and zeroed on dead switches."""
+
+    arrivals: np.ndarray
+    throttle: Optional[np.ndarray]  # (L,) 1 - admit; None when all admit
+    dead_rates: Tuple[Tuple[int, float], ...]  # (live index, zeroed rate)
+
+
+class _SplitCache:
+    """The fiber split of the offered rates, rebuilt only when an input
+    moves.
+
+    :meth:`rates` is keyed on the active component set, the active
+    fiber cuts and the reweight multiplier array (by identity: the
+    control loop replaces it when a weight moves); :meth:`gate` on the
+    rates, the admit array (likewise) and the dead switches.  Cached
+    arrays are shared with the segment loop, so nothing here or there
+    writes into one.
+    """
+
+    def __init__(
+        self,
+        components: Sequence[RateComponent],
+        weights: np.ndarray,
+        assignment: np.ndarray,
+        cuts: Sequence,
+        n_switches: int,
+        live: Sequence[int],
+        dead: Sequence[int],
+    ) -> None:
+        n_ribbons, n_fibers = weights.shape
+        self._components = components
+        self._weights = weights
+        self._assignment = assignment
+        self._index = (assignment.ravel(), np.repeat(np.arange(n_ribbons), n_fibers))
+        self._cuts = cuts
+        self._n_switches = n_switches
+        self._live = np.asarray(live, dtype=np.int64)
+        self._dead = list(dead)
+        self._active = _Piecewise(
+            _component_edges(components),
+            lambda t: tuple(i for i, c in enumerate(components) if c.active_at(t)),
+        )
+        self._cut = _Piecewise(
+            _schedule_edges(cuts),
+            lambda t: tuple(i for i, c in enumerate(cuts) if c.active_at(t)),
+        )
+        self._rates: Optional[_Rates] = None
+        self._rates_key: tuple = ()
+        self._gate: Optional[_Gate] = None
+        self._gate_key: tuple = ()
+
+    def rates(self, t_ns: float, multiplier: Optional[np.ndarray]) -> _Rates:
+        active = self._active.at(t_ns)
+        cut = self._cut.at(t_ns)
+        key = self._rates_key
+        if (
+            self._rates is None
+            or multiplier is not key[2]
+            or active != key[0]
+            or cut != key[1]
+        ):
+            self._rates = self._build(active, cut, multiplier)
+            self._rates_key = (active, cut, multiplier)
+        return self._rates
+
+    def _build(self, active, cut, multiplier) -> _Rates:
+        n = len(self._weights)
+        matrix = sum(
+            (self._components[i].matrix for i in active), np.zeros((n, n))
+        )
+        base = self._weights
+        if multiplier is not None:
+            # Reweight actuation: scale each fiber's weight by its
+            # switch's multiplier, renormalised per ribbon (rows stay
+            # positive -- the controller floor is > 0).
+            base = base * multiplier[self._assignment]
+            sums = base.sum(axis=1, keepdims=True)
+            base = base / np.where(sums > 0, sums, 1.0)
+        cut_rate = 0.0
+        if cut:
+            base = base.copy()
+            cut_weight = np.zeros(n)
+            for i in cut:
+                fiber = self._cuts[i]
+                cut_weight[fiber.ribbon] += base[fiber.ribbon, fiber.fiber]
+                base[fiber.ribbon, fiber.fiber] = 0.0
+            cut_rate = float((matrix.sum(axis=1) * cut_weight).sum())
+        shares = np.zeros((self._n_switches, n))
+        np.add.at(shares, self._index, base.ravel())
+        arrivals_all = shares[:, :, None] * matrix[None, :, :]
+        offered = arrivals_all.sum(axis=(1, 2))
+        arrivals = arrivals_all[self._live]
+        return _Rates(
+            matrix_total=matrix.sum(),
+            cut_rate=cut_rate,
+            offered=offered,
+            failed_rate=float(offered[self._dead].sum()) if self._dead else 0.0,
+            arrivals=arrivals,
+            live_rate=arrivals.sum(axis=(1, 2)),
+        )
+
+    def gate(
+        self, rates: _Rates, admit: Optional[np.ndarray], dead: Tuple[int, ...]
+    ) -> _Gate:
+        key = self._gate_key
+        if (
+            self._gate is None
+            or rates is not key[0]
+            or admit is not key[1]
+            or dead != key[2]
+        ):
+            self._gate = self._build_gate(rates, admit, dead)
+            self._gate_key = (rates, admit, dead)
+        return self._gate
+
+    def _build_gate(self, rates, admit, dead) -> _Gate:
+        arrivals = rates.arrivals
+        throttle = None
+        if admit is not None:
+            # Admission/mitigation actuation: throttle at ingress,
+            # before loss-of-light gating -- throttled bytes are an
+            # explicit drop, never a reduced offer.  At admit 1.0 the
+            # throttle is the identity and is skipped.
+            admit_live = admit[self._live]
+            if (admit_live != 1.0).any():
+                throttle = 1.0 - admit_live
+                arrivals = arrivals * admit_live[:, None, None]
+        dead_rates = []
+        if dead:
+            arrivals = arrivals.copy()
+            for idx in dead:
+                dead_rates.append((idx, arrivals[idx].sum()))
+                arrivals[idx] = 0.0
+        return _Gate(arrivals, throttle, tuple(dead_rates))
+
+
+class _Totals:
+    """The byte accumulators of one router run: rates times segment
+    lengths, summed in segment order."""
+
+    def __init__(
+        self,
+        n_switches: int,
+        n_live: int,
+        duration_ns: float,
+        n_intervals: Optional[int],
+    ) -> None:
+        self.per_switch_offered = np.zeros(n_switches)
+        self.live_offered = np.zeros(n_live)
+        self.dropped_dead = np.zeros(n_live)
+        self.dropped_throttled = np.zeros(n_live)
+        self.failed_offered = 0.0
+        self.fault_lost = 0.0
+        self.n_intervals = n_intervals or 0
+        self.width = duration_ns / n_intervals if n_intervals else None
+        self.offered_bins = np.zeros(self.n_intervals)
+        self.delivered_bins = np.zeros(self.n_intervals)
+
+    def intervals(self) -> List[IntervalSample]:
+        return [
+            IntervalSample(
+                start_ns=i * self.width,
+                end_ns=(i + 1) * self.width,
+                offered_bytes=int(round(self.offered_bins[i])),
+                delivered_bytes=int(round(self.delivered_bins[i])),
+            )
+            for i in range(self.n_intervals)
+        ]
+
+
+class _ControlWindow:
+    """The control hand-off: each switch's offered and delivered bytes
+    summed over the open tick window, handed with the backlog to
+    :meth:`~repro.control.loop.ControlLoop.tick` at every tick edge.
+    The loop's actuators then apply to the following segments."""
+
+    def __init__(
+        self,
+        loop,
+        tick_ns: float,
+        duration_ns: float,
+        n_switches: int,
+        live: Sequence[int],
+        dead: Sequence[int],
+        attack_windows: Optional[Sequence[Tuple[float, float]]],
+    ) -> None:
+        self.loop = loop
+        self.tick_ns = tick_ns
+        self.duration_ns = duration_ns
+        self.next_tick = tick_ns
+        self.n_switches = n_switches
+        self._live = np.asarray(live, dtype=np.int64)
+        self._dead = list(dead)
+        self._spans = tuple(attack_windows) if attack_windows else ()
+        self.offered = np.zeros(n_switches)
+        self.delivered = np.zeros(n_switches)
+
+    def segment(
+        self,
+        t1: float,
+        seg_offered: np.ndarray,
+        offered_rates: np.ndarray,
+        dt: float,
+        tandem: _FluidTandem,
+    ) -> None:
+        """Fold a segment ending at ``t1``; tick if a tick edge is reached."""
+        dead = self._dead
+        if dead:
+            self.offered[self._live] += seg_offered
+            self.offered[dead] += offered_rates[dead] * dt
+            self.delivered[self._live] += tandem.last_delivered
+        else:
+            self.offered += seg_offered
+            self.delivered += tandem.last_delivered
+        while self.next_tick < self.duration_ns - 1e-9 and t1 >= self.next_tick - 1e-9:
+            t_ns = self.next_tick
+            start = t_ns - self.tick_ns
+            backlog = tandem.last_backlog
+            if dead:
+                backlog = np.zeros(self.n_switches)
+                backlog[self._live] = tandem.last_backlog
+            self.loop.tick(
+                t_ns,
+                self.offered,
+                self.delivered,
+                backlog,
+                attack_active=any(s < t_ns and e > start for s, e in self._spans),
+            )
+            self.offered = np.zeros(self.n_switches)
+            self.delivered = np.zeros(self.n_switches)
+            self.next_tick += self.tick_ns
+
+
+def _run_segments(
+    edges: List[float],
+    split: _SplitCache,
+    faults: _Piecewise,
+    tandem: _FluidTandem,
+    totals: _Totals,
+    loop,
+    window: Optional[_ControlWindow],
+    recorder: Optional[_WindowRecorder],
+) -> None:
+    """The segment loop: per segment, the cached split and fault state,
+    one tandem step, the byte accounting and the control hand-off."""
+    width = totals.width
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        dt = t1 - t0
+        if dt <= 0:
+            continue
+        tm = 0.5 * (t0 + t1)
+        rates = split.rates(tm, None if loop is None else loop.weight)
+        totals.fault_lost += rates.cut_rate * dt
+        totals.failed_offered += rates.failed_rate * dt
+        totals.per_switch_offered += rates.offered * dt
+        seg_offered = rates.live_rate * dt
+        totals.live_offered += seg_offered
+        service, dead = faults.at(tm)
+        gate = split.gate(rates, None if loop is None else loop.admit, dead)
+        if gate.throttle is not None:
+            totals.dropped_throttled += seg_offered * gate.throttle
+        for idx, rate in gate.dead_rates:
+            totals.dropped_dead[idx] += rate * dt
+        delivered = tandem.step(dt, gate.arrivals, service)
+        if recorder is not None:
+            recorder.segment(
+                tm, seg_offered, tandem, totals.dropped_dead, totals.dropped_throttled
+            )
+        if width:
+            index = min(int(tm / width), totals.n_intervals - 1)
+            totals.offered_bins[index] += rates.matrix_total * dt
+            totals.delivered_bins[index] += delivered
+        if window is not None:
+            window.segment(t1, seg_offered, rates.offered, dt, tandem)
+
+
+def _router_result(
+    config: RouterConfig,
+    duration_ns: float,
+    live: Sequence[int],
+    dead: Sequence[int],
+    totals: _Totals,
+    tandem: _FluidTandem,
+    schedule,
+    mean_packet_bytes: float,
+    loop,
+    recorder: Optional[_WindowRecorder],
+) -> FlowRouterResult:
+    """Report assembly: per-switch reports, telemetry totals, intervals."""
+    if loop is not None:
+        loop.throttled_bytes = float(totals.dropped_throttled.sum())
+        loop.finish(duration_ns)
+    losses = [
+        {
+            "switch-dead": float(totals.dropped_dead[idx]),
+            "backpressure-throttled": float(totals.dropped_throttled[idx]),
+            "input-sram-overflow": float(tandem.dropped_sram[idx]),
+            "hbm-full": float(tandem.dropped_hbm[idx]),
+        }
+        for idx in range(len(live))
+    ]
+    reports = [
+        _switch_report(
+            config.switch,
+            duration_ns,
+            float(totals.live_offered[idx]),
+            float(tandem.delivered[idx]),
+            losses[idx],
+            float(tandem.queue_integral[idx]),
+            float(tandem.peak_q1[idx]),
+            float(tandem.peak_q2[idx]),
+            mean_packet_bytes,
+        )
+        for idx in range(len(live))
+    ]
+    registry = None
+    if recorder is not None:
+        from ..telemetry import record_fault_loss
+
+        registry = recorder.registry
+        for idx, h in enumerate(live):
+            recorder.totals(
+                str(h), reports[idx].offered_bytes, reports[idx].delivered_bytes,
+                losses[idx],
+            )
+        for h in dead:
+            n_bytes = int(round(totals.per_switch_offered[h]))
+            if n_bytes > 0:
+                record_fault_loss(registry, "switch", str(h), n_bytes)
+        if totals.fault_lost > 0:
+            # The fluid split has no per-fiber byte attribution (cut
+            # weight folds into one scalar per segment); record the
+            # aggregate under the packet engine's counter name.
+            record_fault_loss(
+                registry, "fiber", "aggregate", int(round(totals.fault_lost))
+            )
+    report = RouterReport(
+        switch_reports=reports,
+        per_switch_offered_bytes=[int(round(v)) for v in totals.per_switch_offered],
+        duration_ns=duration_ns,
+        failed_switches=list(dead),
+        failed_offered_bytes=int(round(totals.failed_offered)),
+        fault_lost_bytes=int(round(totals.fault_lost)),
+        fault_events=schedule.describe() if schedule is not None else [],
+        telemetry=registry.to_dict() if registry is not None else None,
+    )
+    return FlowRouterResult(
+        report=report,
+        intervals=totals.intervals(),
+        control=loop.summary() if loop is not None else None,
+        control_actions=loop.log if loop is not None else None,
     )
 
 
@@ -556,6 +1106,11 @@ def simulate_flow_router(
     (offered bytes are *not* reduced: a throttled byte is an accounted
     loss, never a vanished offer).  ``attack_windows`` gates the
     mitigation controller, mirroring ``repro_attack_active_window``.
+
+    Cost: fault state is computed once per interval between fault
+    edges, the split once per change of the active components, the
+    cut state or the control actuators, and each segment is one tandem
+    step plus the byte accounting (``docs/flow_engine.md``, "Cost").
     """
     if duration_ns <= 0:
         raise ConfigError(f"duration must be positive, got {duration_ns}")
@@ -586,67 +1141,30 @@ def simulate_flow_router(
         if schedule.is_empty:
             schedule = None
 
-    assignment = np.stack(
-        [splitter.assignment_array(r) for r in range(n_ribbons)]
-    )
-    assignment_flat = assignment.ravel()
-    ribbon_index_flat = np.repeat(np.arange(n_ribbons), n_fibers)
-
-    dead = set(schedule.whole_run_dead_switches()) if schedule is not None else set()
+    dead = schedule.whole_run_dead_switches() if schedule is not None else []
     live = [h for h in range(n_switches) if h not in dead]
-    views = {
-        h: schedule.switch_view(h, config.switch.total_channels)
-        if schedule is not None
-        else None
-        for h in live
-    }
-    cuts = list(schedule.fiber_cuts) if schedule is not None else []
-
-    port_rate = rate_to_bytes_per_ns(config.switch.port_rate_bps)
-    speedup = config.switch.speedup
+    split = _SplitCache(
+        components,
+        weights,
+        np.stack([splitter.assignment_array(r) for r in range(n_ribbons)]),
+        schedule.fiber_cuts if schedule is not None else (),
+        n_switches,
+        live,
+        dead,
+    )
     tandem = _FluidTandem(
         n_tandems=len(live),
         n_ports=n_ports,
-        port_rate=port_rate,
+        port_rate=rate_to_bytes_per_ns(config.switch.port_rate_bps),
         input_capacity=64.0 * n_ports * config.switch.batch_bytes,
         output_capacity=config.switch.memory_capacity_bytes / n_ports,
     )
+    totals = _Totals(n_switches, len(live), duration_ns, n_intervals)
 
-    def service_at(t_ns: float) -> np.ndarray:
-        rates = np.empty(len(live))
-        for idx, h in enumerate(live):
-            view = views[h]
-            if view is None:
-                factor = min(1.0, speedup)
-            else:
-                factor = min(
-                    view.oeo_rate_factor(t_ns),
-                    speedup * view.channel_fraction(t_ns),
-                    1.0,
-                )
-            rates[idx] = port_rate * max(factor, 0.0)
-        return rates
-
-    def shares_at(t_ns: float, base: np.ndarray) -> Tuple[np.ndarray, float]:
-        """(n_switches, n_ribbons) weight shares + the cut weight rate
-        multiplier per ribbon folded into a scalar-ready vector."""
-        if cuts:
-            effective = base.copy()
-            cut_weight = np.zeros(n_ribbons)
-            for cut in cuts:
-                if cut.active_at(t_ns):
-                    cut_weight[cut.ribbon] += effective[cut.ribbon, cut.fiber]
-                    effective[cut.ribbon, cut.fiber] = 0.0
-        else:
-            effective = base
-            cut_weight = None
-        shares = np.zeros((n_switches, n_ribbons))
-        np.add.at(
-            shares, (assignment_flat, ribbon_index_flat), effective.ravel()
-        )
-        return shares, cut_weight
-
-    loop = None
+    extra_edges = _component_edges(components) + _schedule_edges(schedule)
+    if totals.width:
+        extra_edges.extend(totals.width * i for i in range(1, n_intervals))
+    loop = window = None
     if control is not None:
         from ..control.loop import ControlLoop
 
@@ -656,270 +1174,43 @@ def simulate_flow_router(
             buffer_limit_bytes(config.switch),
             telemetry=telemetry,
         )
+        window = _ControlWindow(
+            loop, control.tick_ns, duration_ns, n_switches, live, dead, attack_windows
+        )
+        n_ticks = int(math.ceil(duration_ns / control.tick_ns - 1e-9))
+        extra_edges.extend(control.tick_ns * i for i in range(1, n_ticks))
 
-    static_shares = None
-    if not cuts and loop is None:
-        static_shares, _ = shares_at(0.0, weights)
-
-    per_switch_offered = np.zeros(n_switches)
-    live_offered = np.zeros(len(live))
-    dropped_dead = np.zeros(len(live))
-    dropped_throttled = np.zeros(len(live))
-    failed_offered = 0.0
-    fault_lost = 0.0
-
-    width = duration_ns / n_intervals if n_intervals else None
-    offered_bins = np.zeros(n_intervals) if n_intervals else None
-    delivered_bins = np.zeros(n_intervals) if n_intervals else None
-
-    extra_edges = _component_edges(components) + _schedule_edges(schedule)
-    if width:
-        extra_edges.extend(width * i for i in range(1, n_intervals))
-    if loop is not None:
-        tick_ns = control.tick_ns
-        n_ticks = int(math.ceil(duration_ns / tick_ns - 1e-9))
-        extra_edges.extend(tick_ns * i for i in range(1, n_ticks))
-        next_tick = tick_ns
-        tick_offered = np.zeros(n_switches)
-        tick_delivered = np.zeros(n_switches)
-        attack_spans = tuple(attack_windows) if attack_windows else ()
-
-        def attack_active_in(start: float, end: float) -> bool:
-            return any(s < end and e > start for s, e in attack_spans)
-
-    edges = _segments(duration_ns, extra_edges)
-
-    win_offered = win_delivered = win_queue = win_dropped = None
+    recorder = None
     if telemetry is not None:
         if schedule is not None:
             from ..telemetry import tag_fault_windows
 
             tag_fault_windows(telemetry, schedule)
-        win_offered = [
-            telemetry.timeseries(
-                FLOW_WINDOW_BYTES, "flow bytes per window by crossing point",
-                point="offered", switch=str(h),
-            )
-            for h in live
-        ]
-        win_delivered = [
-            telemetry.timeseries(
-                FLOW_WINDOW_BYTES, "flow bytes per window by crossing point",
-                point="delivered", switch=str(h),
-            )
-            for h in live
-        ]
-        win_queue = [
-            telemetry.timeseries(
-                FLOW_WINDOW_QUEUE, "fluid backlog high-water per window",
-                agg="max", switch=str(h),
-            )
-            for h in live
-        ]
-        win_dropped = [
-            telemetry.timeseries(
-                FLOW_WINDOW_DROPPED, "flow dropped bytes per window", switch=str(h)
-            )
-            for h in live
-        ]
+        recorder = _WindowRecorder(telemetry, [str(h) for h in live])
 
-    live_array = np.asarray(live, dtype=np.int64)
-    for t0, t1 in zip(edges[:-1], edges[1:]):
-        dt = float(t1 - t0)
-        if dt <= 0:
-            continue
-        tm = 0.5 * (t0 + t1)
-        matrix = sum(
-            (c.matrix for c in components if c.active_at(tm)),
-            np.zeros((n_ribbons, n_ribbons)),
-        )
-        row_rates = matrix.sum(axis=1)
-        if loop is None:
-            base_weights = weights
-        else:
-            # Reweight actuation: scale each fiber's weight by its
-            # switch's multiplier, renormalised per ribbon (rows stay
-            # positive -- the controller floor is > 0).
-            base_weights = weights * loop.weight[assignment]
-            base_sums = base_weights.sum(axis=1, keepdims=True)
-            base_weights = base_weights / np.where(base_sums > 0, base_sums, 1.0)
-        if cuts:
-            shares, cut_weight = shares_at(tm, base_weights)
-            fault_lost += float((row_rates * cut_weight).sum()) * dt
-        elif static_shares is not None:
-            shares = static_shares
-        else:
-            shares, _ = shares_at(tm, base_weights)
-        arrivals_all = shares[:, :, None] * matrix[None, :, :]
-        offered_now = arrivals_all.sum(axis=(1, 2))
-        per_switch_offered += offered_now * dt
-        if dead:
-            failed_offered += float(offered_now[sorted(dead)].sum()) * dt
-        arrivals = arrivals_all[live_array]
-        seg_offered = arrivals.sum(axis=(1, 2)) * dt
-        live_offered += seg_offered
-        if telemetry is not None:
-            drops_before = tandem.dropped_sram + tandem.dropped_hbm
-            dead_before = dropped_dead.copy()
-            throttled_before = dropped_throttled.copy()
-        if loop is not None:
-            # Admission/mitigation actuation: throttle at ingress,
-            # before loss-of-light gating -- throttled bytes are an
-            # explicit drop, never a reduced offer.
-            admit_live = loop.admit[live_array]
-            dropped_throttled += seg_offered * (1.0 - admit_live)
-            arrivals = arrivals * admit_live[:, None, None]
-        if schedule is not None:
-            for idx, h in enumerate(live):
-                view = views[h]
-                if view is not None and view.dead_at(tm):
-                    dropped_dead[idx] += arrivals[idx].sum() * dt
-                    arrivals[idx] = 0.0
-        segment_delivered = tandem.step(dt, arrivals, service_at(tm))
-        if telemetry is not None:
-            seg_dropped = (
-                tandem.dropped_sram + tandem.dropped_hbm - drops_before
-                + dropped_dead - dead_before
-                + dropped_throttled - throttled_before
-            )
-            for idx in range(len(live)):
-                win_offered[idx].observe(tm, float(seg_offered[idx]))
-                win_delivered[idx].observe(tm, float(tandem.last_delivered[idx]))
-                win_queue[idx].observe(tm, float(tandem.last_backlog[idx]))
-                if seg_dropped[idx] > 0.0:
-                    win_dropped[idx].observe(tm, float(seg_dropped[idx]))
-        if width:
-            bin_index = min(int(tm / width), n_intervals - 1)
-            offered_bins[bin_index] += matrix.sum() * dt
-            delivered_bins[bin_index] += segment_delivered
-        if loop is not None:
-            tick_offered[live_array] += seg_offered
-            if dead:
-                tick_offered[sorted(dead)] += offered_now[sorted(dead)] * dt
-            tick_delivered[live_array] += tandem.last_delivered
-            while next_tick < duration_ns - 1e-9 and t1 >= next_tick - 1e-9:
-                backlog_full = np.zeros(n_switches)
-                backlog_full[live_array] = tandem.last_backlog
-                loop.tick(
-                    next_tick,
-                    tick_offered,
-                    tick_delivered,
-                    backlog_full,
-                    attack_active=attack_active_in(
-                        next_tick - tick_ns, next_tick
-                    ),
-                )
-                tick_offered = np.zeros(n_switches)
-                tick_delivered = np.zeros(n_switches)
-                next_tick += tick_ns
-
+    faults = _fault_table(schedule, live, config)
+    _run_segments(
+        _segments(duration_ns, extra_edges),
+        split, faults, tandem, totals, loop, window, recorder,
+    )
     if drain:
-        def drain_hook(delivered_bytes: float, t_mid: float) -> None:
-            if width:
-                delivered_bins[-1] += delivered_bytes
-            if telemetry is not None:
-                for idx in range(len(live)):
-                    if tandem.last_delivered[idx] > 0.0:
-                        win_delivered[idx].observe(
-                            t_mid, float(tandem.last_delivered[idx])
-                        )
-                    win_queue[idx].observe(t_mid, float(tandem.last_backlog[idx]))
+        def drained(delivered_bytes: float, t_mid: float) -> None:
+            if totals.width:
+                totals.delivered_bins[-1] += delivered_bytes
+            if recorder is not None:
+                recorder.drained(t_mid, tandem)
 
         _drain(
             tandem,
             duration_ns,
-            service_at,
+            lambda t: faults.at(t)[0],
             _schedule_edges(schedule),
             max(config.switch.batch_time_ns, 1.0),
-            on_delivered=drain_hook,
+            on_delivered=drained,
         )
-
-    if loop is not None:
-        loop.throttled_bytes = float(dropped_throttled.sum())
-        loop.finish(duration_ns)
-
-    reports = [
-        _switch_report(
-            config.switch,
-            duration_ns,
-            float(live_offered[idx]),
-            float(tandem.delivered[idx]),
-            {
-                "switch-dead": float(dropped_dead[idx]),
-                "backpressure-throttled": float(dropped_throttled[idx]),
-                "input-sram-overflow": float(tandem.dropped_sram[idx]),
-                "hbm-full": float(tandem.dropped_hbm[idx]),
-            },
-            float(tandem.queue_integral[idx]),
-            float(tandem.peak_q1[idx]),
-            float(tandem.peak_q2[idx]),
-            mean_packet_bytes,
-        )
-        for idx in range(len(live))
-    ]
-    if telemetry is not None:
-        from ..telemetry import record_fault_loss
-
-        for idx, h in enumerate(live):
-            label = str(h)
-            telemetry.counter(
-                FLOW_BYTES, "flow bytes by crossing point",
-                point="offered", switch=label,
-            ).inc(reports[idx].offered_bytes)
-            telemetry.counter(
-                FLOW_BYTES, "flow bytes by crossing point",
-                point="delivered", switch=label,
-            ).inc(reports[idx].delivered_bytes)
-            losses = {
-                "switch-dead": dropped_dead[idx],
-                "backpressure-throttled": dropped_throttled[idx],
-                "input-sram-overflow": tandem.dropped_sram[idx],
-                "hbm-full": tandem.dropped_hbm[idx],
-            }
-            for reason in sorted(losses):
-                n_bytes = int(round(losses[reason]))
-                if n_bytes > 0:
-                    telemetry.counter(
-                        FLOW_LOST, "flow dropped bytes by reason",
-                        reason=reason, switch=label,
-                    ).inc(n_bytes)
-        for h in sorted(dead):
-            n_bytes = int(round(per_switch_offered[h]))
-            if n_bytes > 0:
-                record_fault_loss(telemetry, "switch", str(h), n_bytes)
-        if fault_lost > 0:
-            # The fluid split has no per-fiber byte attribution (cut
-            # weight folds into one scalar per segment); record the
-            # aggregate under the packet engine's counter name.
-            record_fault_loss(
-                telemetry, "fiber", "aggregate", int(round(fault_lost))
-            )
-    report = RouterReport(
-        switch_reports=reports,
-        per_switch_offered_bytes=[int(round(v)) for v in per_switch_offered],
-        duration_ns=duration_ns,
-        failed_switches=sorted(dead),
-        failed_offered_bytes=int(round(failed_offered)),
-        fault_lost_bytes=int(round(fault_lost)),
-        fault_events=schedule.describe() if schedule is not None else [],
-        telemetry=telemetry.to_dict() if telemetry is not None else None,
-    )
-    intervals: List[IntervalSample] = []
-    if n_intervals:
-        intervals = [
-            IntervalSample(
-                start_ns=i * width,
-                end_ns=(i + 1) * width,
-                offered_bytes=int(round(offered_bins[i])),
-                delivered_bytes=int(round(delivered_bins[i])),
-            )
-            for i in range(n_intervals)
-        ]
-    return FlowRouterResult(
-        report=report,
-        intervals=intervals,
-        control=loop.summary() if loop is not None else None,
-        control_actions=loop.log if loop is not None else None,
+    return _router_result(
+        config, duration_ns, live, dead, totals, tandem, schedule,
+        mean_packet_bytes, loop, recorder,
     )
 
 

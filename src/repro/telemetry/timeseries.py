@@ -79,6 +79,14 @@ def ewma_step(previous: Optional[float], value: float, alpha: float) -> float:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"ewma alpha must be in (0, 1], got {alpha}")
+    return ewma_fold(previous, value, alpha)
+
+
+def ewma_fold(previous: Optional[float], value: float, alpha: float) -> float:
+    """:func:`ewma_step` without the alpha check, for callers that
+    validated ``alpha`` once (:func:`ewma_series`, and the controllers,
+    whose :class:`~repro.control.config.ControllerParams` reject a bad
+    alpha at construction)."""
     if previous is None:
         return float(value)
     return alpha * float(value) + (1.0 - alpha) * previous
@@ -101,7 +109,7 @@ def ewma_series(
     smoothed: List[Tuple[int, float]] = []
     state: Optional[float] = None
     for window, value in pairs:
-        state = ewma_step(state, value, alpha)
+        state = ewma_fold(state, value, alpha)
         smoothed.append((window, state))
     return smoothed
 

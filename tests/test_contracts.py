@@ -182,3 +182,16 @@ def test_sharded_sweep_merges_to_the_single_shot_document(tmp_path, capsys):
         _sweep(capsys, *argv, "--cache-dir", cache, "--shard", f"{k}/3")
     _sweep(capsys, *argv, "--cache-dir", cache, "--out", str(merged))
     assert single.read_bytes() == merged.read_bytes()
+
+
+def test_fabric_router_down_json_carries_digest_and_capacity(capsys):
+    """Rotation N=4 with one router down keeps (N-2)/N of its capacity."""
+    code = main([
+        "fabric", "--topology", "rotation", "--routers", "4",
+        "--fault", "router:1", "--fidelity", "flow", "--json",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["scenario_digest"]) == 64
+    assert abs(doc["delivered_fraction"] - 0.5) <= 0.02, doc["delivered_fraction"]

@@ -260,6 +260,42 @@ class TestControlLoop:
         assert loop.weight[1] == 1.0
 
 
+    def test_actuators_are_replaced_only_when_a_value_moves(self):
+        """The flow engine caches its split on the identity of
+        ``weight`` and its gating on ``admit``: a tick that moves no
+        value keeps the arrays, one that moves a value replaces the
+        array and leaves the old one as it was."""
+        loop = ControlLoop(ControlConfig(), 2, occupancy_limit_bytes=1e9)
+        healthy = dict(
+            offered=np.array([1e5, 1e5]),
+            delivered=np.array([1e5, 1e5]),
+            backlog=np.zeros(2),
+        )
+        weight, admit = loop.weight, loop.admit
+        loop.tick(1_000.0, **healthy)
+        assert loop.weight is weight and loop.admit is admit
+        # Switch 1 stops delivering: its deficit EWMA climbs through
+        # YELLOW (weight held) into the states that cut the weight.
+        replaced = 0
+        for i in range(2, 8):
+            before = loop.weight
+            values = before.tolist()
+            loop.tick(
+                i * 1_000.0,
+                offered=np.array([1e5, 1e5]),
+                delivered=np.array([1e5, 0.0]),
+                backlog=np.zeros(2),
+            )
+            assert before.tolist() == values
+            if loop.weight.tolist() == values:
+                assert loop.weight is before
+            else:
+                assert loop.weight is not before
+                replaced += 1
+        assert replaced >= 2 and loop.weight[1] < 1.0
+        assert loop.admit is admit
+
+
 class TestClosedLoopRuns:
     def test_action_stream_byte_identical_across_runs(self):
         config = small_router()

@@ -435,6 +435,11 @@ class TestFabricScenario:
         assert json.dumps(sequential, sort_keys=True) == json.dumps(
             merged, sort_keys=True
         )
+        # A warm re-run of the grid resolves entirely from the cache.
+        warm = Runtime(cache_dir=str(tmp_path / "a"))
+        warm.map(scenarios)
+        stats = warm.cache.stats()
+        assert stats["hits"] == 4 and stats["misses"] == 0, stats
 
     def test_payload_reconstructs_report(self):
         scenario = fabric_scenario(

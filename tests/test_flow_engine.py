@@ -330,3 +330,119 @@ class TestFlowDegradation:
             router_config(), schedule=schedule, load=0.6, duration_ns=DURATION
         )
         json.dumps(report.to_dict(), allow_nan=False)
+
+
+def _reference_step(q1, q2, dt, arrivals, service, port_rate, in_cap, out_cap):
+    """The tandem's general update with no shortcut taken."""
+    avail = q1 + arrivals * dt
+    row_total = avail.sum(axis=2)
+    served1 = np.minimum(row_total, port_rate * dt)
+    safe_rows = np.where(row_total > 0.0, row_total, 1.0)
+    frac = np.where(row_total > 0.0, served1 / safe_rows, 0.0)
+    moved = avail * frac[:, :, None]
+    q1 = avail - moved
+    occupancy = q1.sum(axis=2)
+    excess = np.maximum(occupancy - in_cap, 0.0)
+    safe_occ = np.where(occupancy > 0.0, occupancy, 1.0)
+    keep = np.where(occupancy > 0.0, 1.0 - excess / safe_occ, 1.0)
+    q1 = q1 * keep[:, :, None]
+    avail2 = q2 + moved.sum(axis=1)
+    served2 = np.minimum(avail2, service[:, None] * dt)
+    q2 = avail2 - served2
+    over = np.maximum(q2 - out_cap, 0.0)
+    q2 = q2 - over
+    return q1, q2, served2.sum(axis=1), excess.sum(axis=1), over.sum(axis=1), occupancy
+
+
+class TestExactShortcuts:
+    """The engine's shortcuts reproduce the general computation bit for
+    bit: the tandem step's empty-queue and no-overflow paths, and the
+    fault state looked up per interval instead of queried per time."""
+
+    @pytest.mark.parametrize("n_tandems, n_ports", [(3, 4), (1, 2)])
+    def test_tandem_step_matches_general_update(self, n_tandems, n_ports):
+        from repro.flow.engine import _FluidTandem
+
+        rng = np.random.default_rng(11)
+        port_rate = 2.0
+        in_cap, out_cap = 4.0 * n_ports, 3.0 * n_ports
+        tandem = _FluidTandem(n_tandems, n_ports, port_rate, in_cap, out_cap)
+        q1 = np.zeros((n_tandems, n_ports, n_ports))
+        q2 = np.zeros((n_tandems, n_ports))
+        dropped_sram = np.zeros(n_tandems)
+        dropped_hbm = np.zeros(n_tandems)
+        backlog = np.zeros(n_tandems)
+        queue_integral = np.zeros(n_tandems)
+        peak_q1 = np.zeros(n_tandems)
+        peak_q2 = np.zeros(n_tandems)
+        paths = set()
+        for i in range(1_000):
+            # Rates and lengths on a coarse dyadic grid, so rows and
+            # outputs often land exactly on, or just past, their
+            # capacity; phases alternate light, near-capacity,
+            # overloaded and idle so every path of the step runs.
+            dt = float(rng.integers(1, 17))
+            scale = (0.05, 1.0, 1.5, 0.0, 0.4)[(i // 25) % 5]
+            arrivals = rng.integers(0, 9, (n_tandems, n_ports, n_ports)) * scale / 8
+            service = rng.integers(0, 33, n_tandems) / 4 * (i % 7 != 0)
+            q1, q2, delivered, excess, over, occupancy = _reference_step(
+                q1, q2, dt, arrivals, service, port_rate, in_cap, out_cap
+            )
+            dropped_sram = dropped_sram + excess
+            dropped_hbm = dropped_hbm + over
+            pre, backlog = backlog, q1.sum(axis=(1, 2)) + q2.sum(axis=1)
+            queue_integral = queue_integral + 0.5 * (pre + backlog) * dt
+            peak_q1 = np.maximum(peak_q1, occupancy.max(axis=1, initial=0.0))
+            peak_q2 = np.maximum(peak_q2, q2.sum(axis=1))
+            tandem.step(dt, arrivals, service)
+            paths.add((tandem.q1 is tandem._empty_q1, tandem.q2 is tandem._empty_q2))
+            assert np.array_equal(tandem.q1, q1)
+            assert np.array_equal(tandem.q2, q2)
+            assert np.array_equal(tandem.last_delivered, delivered)
+            assert np.array_equal(tandem.last_backlog, backlog)
+            assert np.array_equal(tandem.dropped_sram, dropped_sram)
+            assert np.array_equal(tandem.dropped_hbm, dropped_hbm)
+            assert np.array_equal(tandem.queue_integral, queue_integral)
+            assert np.array_equal(tandem.peak_q1, peak_q1)
+            assert np.array_equal(tandem.peak_q2, peak_q2)
+        assert paths == {(True, True), (True, False), (False, False), (False, True)}
+        assert dropped_sram.sum() > 0 and dropped_hbm.sum() > 0
+
+    def test_fault_table_matches_direct_queries(self):
+        from repro.faults.model import OEODegradation
+        from repro.flow.engine import _fault_table
+
+        config = router_config(fibers_per_ribbon=16, n_switches=4)
+        schedule = FaultSchedule(
+            [
+                SwitchFailure(switch=0, start_ns=1_000.0, end_ns=3_000.0),
+                SwitchFailure(switch=0, start_ns=2_500.0, end_ns=4_000.0),
+                HBMChannelLoss(switch=1, n_channels=3, start_ns=1_000.0),
+                OEODegradation(switch=1, rate_factor=0.7, start_ns=500.0, end_ns=2_000.0),
+                OEODegradation(switch=1, rate_factor=0.9, start_ns=1_500.0, end_ns=6_000.0),
+                FiberCut(ribbon=0, fiber=1, start_ns=700.0, end_ns=900.0),
+            ]
+        )
+        live = [0, 1, 3]
+        table = _fault_table(schedule, live, config)
+        switch = config.switch
+        port_rate = rate_to_bytes_per_ns(switch.port_rate_bps)
+        edges = sorted(
+            {e.start_ns for e in schedule} | {e.end_ns for e in schedule} - {math.inf}
+        )
+        times = [0.0, 10_000.0]
+        for edge in edges:
+            times += [edge, math.nextafter(edge, -math.inf), edge + 1e-9, edge + 1.0]
+        for t in times:
+            rates, dead = table.at(t)
+            for idx, h in enumerate(live):
+                view = schedule.switch_view(h, switch.total_channels)
+                factor = min(1.0, switch.speedup)
+                if view is not None:
+                    factor = min(
+                        view.oeo_rate_factor(t),
+                        switch.speedup * view.channel_fraction(t),
+                        1.0,
+                    )
+                assert rates[idx] == port_rate * max(factor, 0.0), (t, h)
+                assert (idx in dead) == (view is not None and view.dead_at(t)), (t, h)
