@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from ..config import HBMSwitchConfig
 from ..errors import ConfigError, SimulationError
 from ..hbm.timing import HBMTiming
 from ..sim.engine import Engine
-from ..sim.stats import LatencyRecorder
+from ..sim.stats import LatencyRecorder, nan_to_none
 from ..traffic.packet import Packet
 from ..traffic.stream import ArrivalBlock, arrival_order
 from ..units import bytes_per_ns_to_rate
@@ -85,6 +85,35 @@ class SwitchReport:
         if self.offered_bytes <= 0:
             return 1.0
         return self.delivered_bytes / self.offered_bytes
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The report as a JSON-safe dict: every field in field order
+        (the two latency dicts with NaN as ``None``), then the two
+        derived fractions.  The telemetry dump is shared, not copied:
+        it is already plain JSON data."""
+        return {
+            "duration_ns": self.duration_ns,
+            "offered_bytes": self.offered_bytes,
+            "offered_packets": self.offered_packets,
+            "delivered_bytes": self.delivered_bytes,
+            "delivered_packets": self.delivered_packets,
+            "dropped_bytes": self.dropped_bytes,
+            "residual_bytes": self.residual_bytes,
+            "throughput_bps": self.throughput_bps,
+            "capacity_bps": self.capacity_bps,
+            "latency": nan_to_none(self.latency),
+            "latency_breakdown": nan_to_none(self.latency_breakdown),
+            "ordering_violations": self.ordering_violations,
+            "pfi": self.pfi.to_dict(),
+            "input_sram_peak_bytes": self.input_sram_peak_bytes,
+            "tail_sram_peak_bytes": self.tail_sram_peak_bytes,
+            "head_sram_peak_bytes": self.head_sram_peak_bytes,
+            "hbm_peak_frames": self.hbm_peak_frames,
+            "drops_by_reason": dict(self.drops_by_reason),
+            "telemetry": self.telemetry,
+            "normalized_throughput": self.normalized_throughput,
+            "delivery_fraction": self.delivery_fraction,
+        }
 
 
 class HBMSwitch:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from ..config import HBMSwitchConfig
 from ..constants import HBM4_PHASE_TRANSITION_FRACTION
@@ -76,6 +76,11 @@ class PFICounters:
     read_phases: int = 0
     payload_written_bytes: int = 0
     padding_written_bytes: int = 0
+
+    def to_dict(self) -> Dict[str, int]:
+        """The counters as a plain dict, in field order."""
+        # Every attribute of an instance is one of the fields above.
+        return dict(vars(self))
 
 
 class PFIEngine:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from ..errors import ConfigError, SimulationError
 from ..hbm.timing import HBMTiming
 from ..photonics.oeo import OEOConverter
 from ..sim.parallel import SwitchWorkUnit, finish_switch, open_switch, run_work_units
+from ..sim.stats import nan_to_none
 from ..traffic.ecmp import hash_to_choice
 from ..traffic.packet import Packet
 from ..traffic.stream import ArrivalBlock, arrival_order
@@ -223,6 +224,37 @@ class RouterReport:
         from ..telemetry import MetricsRegistry, stage_summaries
 
         return stage_summaries(MetricsRegistry.from_dict(self.telemetry))
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The report as a JSON-safe dict, each switch's record nested
+        under ``"switches"``.  The telemetry dump and its stage roll-up
+        lead when the run was instrumented; the latency roll-up carries
+        NaN as ``None``."""
+        data: Dict[str, Any] = {}
+        if self.telemetry is not None:
+            data["telemetry"] = self.telemetry
+            data["stage_summaries"] = self.stage_summaries()
+        data.update({
+            "duration_ns": self.duration_ns,
+            "offered_bytes": self.offered_bytes,
+            "delivered_bytes": self.delivered_bytes,
+            "dropped_bytes": self.dropped_bytes,
+            "residual_bytes": self.residual_bytes,
+            "lost_bytes": self.lost_bytes,
+            "failed_switches": list(self.failed_switches),
+            "failed_offered_bytes": self.failed_offered_bytes,
+            "fault_lost_bytes": self.fault_lost_bytes,
+            "fault_events": list(self.fault_events),
+            "delivery_fraction": self.delivery_fraction,
+            "delivered_fraction": self.delivered_fraction,
+            "loss_fraction": self.loss_fraction,
+            "load_imbalance": self.load_imbalance,
+            "ordering_violations": self.ordering_violations,
+            "latency": nan_to_none(self.latency_summary()),
+            "per_switch_offered_bytes": list(self.per_switch_offered_bytes),
+            "switches": [r.to_dict() for r in self.switch_reports],
+        })
+        return data
 
 
 class SplitParallelSwitch:

@@ -8,6 +8,11 @@ store one scenario payload plus enough envelope to detect corruption:
 - a sha256 checksum of the canonical payload JSON (a truncated or
   bit-flipped entry is *evicted* on read and transparently recomputed).
 
+An entry is the canonical JSON of its envelope (sorted keys, no
+whitespace) plus a newline.  A write encodes the payload once, with the
+C one-shot encoder, and that one text gives both the checksum and the
+entry.
+
 Writes are atomic: the entry is serialised to a unique temporary file in
 the same directory and ``os.replace``-d into place, so concurrent
 writers (process-pool parents, parallel CI shards sharing a cache
@@ -33,10 +38,18 @@ from typing import Any, Dict, Optional
 CACHE_SCHEMA = "repro-cache-v1"
 
 
+def _canonical(value: Any) -> str:
+    """The canonical JSON text of ``value``: sorted keys, no whitespace."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def payload_checksum(payload: Dict[str, Any]) -> str:
     """sha256 of the canonical payload JSON."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _sha256(_canonical(payload))
 
 
 def _safe_component(text: str) -> str:
@@ -127,29 +140,32 @@ class ResultCache:
         """Atomically persist one cell; returns the entry path."""
         path = self.entry_path(digest, seed, code_version)
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "schema": CACHE_SCHEMA,
-            "digest": digest,
-            "seed": seed,
-            "code_version": code_version,
-            "checksum": payload_checksum(payload),
-            "payload": payload,
-        }
+        text = _canonical(payload)
+        # The canonical JSON of the whole envelope, written out key by
+        # key in sorted order so the payload is encoded only once.
+        entry = (
+            '{"checksum":' + _canonical(_sha256(text))
+            + ',"code_version":' + _canonical(code_version)
+            + ',"digest":' + _canonical(digest)
+            + ',"payload":' + text
+            + ',"schema":' + _canonical(CACHE_SCHEMA)
+            + ',"seed":' + _canonical(seed)
+            + "}\n"
+        )
         # Unique tmp name per writer; os.replace is atomic on POSIX and
         # Windows, so a concurrent reader sees the old entry or the new
         # one -- never an interleaving of the two.
         tmp = path.parent / f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True, separators=(",", ":"))
-                handle.write("\n")
+                handle.write(entry)
             os.replace(tmp, path)
-        finally:
-            if tmp.exists():  # a failed write leaves no debris behind
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+        except BaseException:
+            try:  # a failed write leaves no debris behind
+                tmp.unlink(missing_ok=True)
+            except OSError:
+                pass
+            raise
         self.writes += 1
         return path
 

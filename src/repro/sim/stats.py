@@ -5,6 +5,12 @@ All recorders are passive: simulation components call ``record`` /
 Latency percentiles use numpy's linear interpolation; throughput is
 bytes-over-wallclock with an explicit observation window so partially
 warm runs do not skew rates.
+
+Statistics of an empty recorder are ``NaN``.  They stay ``NaN`` in
+Python; the reports map them to ``None`` (JSON ``null``) when they
+serialise (:func:`nan_to_none`, called from ``SwitchReport.to_dict``
+and ``RouterReport.to_dict``), because ``json.dumps`` would otherwise
+emit a bare ``NaN`` literal that no JSON parser accepts.
 """
 
 from __future__ import annotations
@@ -73,8 +79,8 @@ class ThroughputMeter:
 class LatencyRecorder:
     """Collects per-item latencies and reports distribution summaries.
 
-    An *empty* recorder reports ``NaN`` statistics (JSON-safe as
-    ``null`` through :func:`repro.reporting.report_to_dict`), never a
+    An *empty* recorder reports ``NaN`` statistics (``null`` in a
+    serialised report, see :func:`nan_to_none`), never a
     silent ``0.0``: "no samples" and "zero latency" are different
     claims, and a 0.0 percentile from a switch that delivered nothing
     used to read as an impossibly fast pipeline.
@@ -252,6 +258,17 @@ class LatencyRecorder:
             "p99_ns": self.percentile(99),
             "max_ns": self.maximum,
         }
+
+
+def nan_to_none(stats: Dict[str, float]) -> Dict[str, Optional[float]]:
+    """A copy of a statistics dict with each ``NaN`` value as ``None``.
+
+    The one place a report's NaN becomes JSON ``null``: the latency
+    summaries of :meth:`LatencyRecorder.summary` and the per-stage
+    breakdowns are the only report fields that can hold NaN.
+    """
+    # NaN is the only value that differs from itself.
+    return {key: None if value != value else value for key, value in stats.items()}
 
 
 class OccupancyTracker:

@@ -7,19 +7,39 @@ import pytest
 from repro.cli import main
 
 
-def test_contiguous_exposure_exceeds_pseudo_random(tmp_path, capsys):
-    out = tmp_path / "attack_seq.json"
-    code = main([
-        "attack", "--strategy", "known-assignment",
-        "--trials", "2", "--seed", "7", "--json", "--out", str(out),
-    ])
-    capsys.readouterr()
-    assert code == 0
+@pytest.fixture(scope="module")
+def attack_runs(tmp_path_factory):
+    """The known-assignment attack campaign run sequentially and on two
+    workers: ``{workers: (json_path, prom_path)}``."""
+    root = tmp_path_factory.mktemp("attack")
+    runs = {}
+    for workers in (1, 2):
+        out = root / f"attack_{workers}.json"
+        prom = root / f"attack_{workers}.prom"
+        code = main([
+            "attack", "--strategy", "known-assignment",
+            "--trials", "2", "--seed", "7", "--workers", str(workers),
+            "--json", "--out", str(out), "--metrics-out", str(prom),
+        ])
+        assert code == 0
+        runs[workers] = (out, prom)
+    return runs
+
+
+def test_contiguous_exposure_exceeds_pseudo_random(attack_runs):
+    out, _ = attack_runs[1]
     doc = json.loads(out.read_text())
     contiguous = doc["contiguous"]["summary"]["victim_gain"]["mean"]
     random = doc["pseudo-random"]["summary"]["victim_gain"]["mean"]
     assert contiguous > random, (contiguous, random)
     assert doc["exposure_ratio"] > 1.5, doc["exposure_ratio"]
+
+
+def test_attack_campaign_is_byte_identical_on_two_workers(attack_runs):
+    (seq_json, seq_prom), (par_json, par_prom) = attack_runs[1], attack_runs[2]
+    assert seq_json.read_bytes() == par_json.read_bytes()
+    assert seq_prom.read_bytes() == par_prom.read_bytes()
+    assert seq_prom.stat().st_size > 0
 
 
 def _metrics_jsonl(capsys, *extra):
@@ -149,28 +169,36 @@ def _sweep(capsys, *extra):
     return out
 
 
-@pytest.mark.parametrize("fidelity", ["packet", "flow"])
-def test_cached_sweep_warm_rerun_is_byte_identical(tmp_path, capsys, fidelity):
+@pytest.mark.parametrize("case", ["packet", "flow", "pareto"])
+def test_cached_sweep_warm_rerun_is_byte_identical(tmp_path, capsys, case):
+    """A warm rerun over the sweep's cache prints the cold run's bytes.
+    ``pareto`` streams the heavy-tailed workload through the cache."""
     from repro.config import scaled_router
     from repro.runtime import Runtime, switch_scenario
 
+    if case == "pareto":
+        loads, seed, fields = (0.4, 0.7), 0, {"workload": "pareto"}
+    else:
+        loads, seed, fields = (0.3, 0.5, 0.7), 3, {"fidelity": case}
     cache = str(tmp_path / "cache")
-    argv = ["--loads", "0.3,0.5,0.7", "--seed", "3", "--fidelity", fidelity,
+    argv = ["--loads", ",".join(map(str, loads)), "--seed", str(seed),
             "--cache-dir", cache]
+    for name, value in fields.items():
+        argv += [f"--{name}", value]
     assert _sweep(capsys, *argv) == _sweep(capsys, *argv)
     # The CLI's cells are the API's cells: a grid built directly from
     # scenarios resolves entirely from the sweep's cache.
     grid = [
         switch_scenario(
-            scaled_router().switch, load=load, duration_ns=10_000.0, seed=3,
-            fidelity=fidelity,
+            scaled_router().switch, load=load, duration_ns=10_000.0, seed=seed,
+            **fields,
         )
-        for load in (0.3, 0.5, 0.7)
+        for load in loads
     ]
     runtime = Runtime(cache_dir=cache)
     runtime.map(grid)
     stats = runtime.cache.stats()
-    assert stats["hits"] == 3 and stats["misses"] == 0, stats
+    assert stats["hits"] == len(loads) and stats["misses"] == 0, stats
 
 
 def test_sharded_sweep_merges_to_the_single_shot_document(tmp_path, capsys):

@@ -234,6 +234,56 @@ class TestResultCache:
     def test_checksum_canonical(self):
         assert payload_checksum({"b": 1, "a": 2}) == payload_checksum({"a": 2, "b": 1})
 
+    def test_entry_bytes_are_pinned(self, tmp_path):
+        import hashlib
+
+        payload = {
+            "report": {
+                "delivery_fraction": 0.9712345678901234,
+                "latency": {
+                    "count": 3.0, "mean_ns": 1e-7, "p50_ns": None,
+                    "max_ns": 12345.678,
+                },
+                "per_switch": [1, 2.5, -0.0, 1e300, [True, False, None]],
+                "label": "\u00dcberlast \u2014 \u5f39\u6027 \u2713",
+            },
+            "telemetry": None,
+            "z": {"nested": {"deeper": [{"k": "v"}, {}]}, "": 0},
+        }
+        digest, seed, version = "ab" + "c" * 62, 11, "1.2.3"
+        path = ResultCache(tmp_path).store(digest, seed, version, payload)
+        entry = {
+            "schema": "repro-cache-v1",
+            "digest": digest,
+            "seed": seed,
+            "code_version": version,
+            "checksum": payload_checksum(payload),
+            "payload": payload,
+        }
+        data = path.read_bytes()
+        assert data == (
+            json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
+        ).encode("utf-8")
+        # Caches already on disk hold entries in these bytes; changing
+        # them is a cache format change.
+        assert hashlib.sha256(data).hexdigest() == (
+            "5af0d824fa04b16d7df05b0d028e2a22d5b4d119c0ca4d222d789782f66e7b9a"
+        )
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "ab", path.name
+        ]
+
+    def test_failed_write_leaves_no_debris(self, tmp_path, monkeypatch):
+        import repro.runtime.cache as cache_module
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cache_module.os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            ResultCache(tmp_path).store("ab" + "c" * 62, 0, "v", {"a": 1})
+        assert [p.name for p in tmp_path.rglob("*")] == ["ab"]
+
 
 class TestRuntimeCaching:
     def test_cacheless_runtime_executes(self):
