@@ -5,7 +5,7 @@ Layout mirrors Fig. 1 (package level) and Fig. 3 (switch level):
 - :mod:`fiber_split` / :mod:`sps` -- the top-level Split-Parallel Switch:
   passive fiber splitting across H independent HBM switches.
 - :mod:`frames` -- batches (4 KB) and frames (512 KB): PFI's aggregation
-  units.
+  units, held by a switch as rows of a batch table and a frame table.
 - :mod:`crossbar` -- the N x N cyclical crossbar (and the SDM-mesh
   alternative) that stripes batch slices across SRAM modules with no
   scheduling.
@@ -28,7 +28,7 @@ from .fiber_split import (
     per_switch_loads,
     split_imbalance,
 )
-from .frames import Batch, BatchAssembler, Frame, FrameAssembler
+from .frames import Batch, BatchAssembler, BatchTable, Frame, FrameAssembler, FrameTable
 from .hbm_switch import HBMSwitch, SwitchReport
 from .pfi import PFIEngine, PFIOptions
 from .sps import SplitParallelSwitch, RouterReport
@@ -36,8 +36,10 @@ from .sps import SplitParallelSwitch, RouterReport
 __all__ = [
     "Batch",
     "BatchAssembler",
+    "BatchTable",
     "Frame",
     "FrameAssembler",
+    "FrameTable",
     "FrameAddress",
     "OutputRegionFifo",
     "HBMAddressMap",

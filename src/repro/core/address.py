@@ -7,19 +7,24 @@ within the region -- so both sides only need *counters* (head, tail),
 never per-packet or per-frame pointers.  That is the paper's answer to
 the gigabytes of SRAM bookkeeping an ideal OQ emulation would need
 (Challenge 6 / Design 6 step 4).
+
+An address is a light value read off those counters: each region builds
+its ``L/gamma`` :class:`~repro.hbm.interleaving.BankGroup` values once,
+and a push or pop returns a :class:`FrameAddress` tuple naming one of
+them.  Static regions (:class:`OutputRegionFifo`) and dynamic pages
+(:class:`~repro.core.paging.OutputPageFifo`) return the same type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import List, NamedTuple
 
 from ..config import HBMSwitchConfig
 from ..errors import CapacityExceeded, ConfigError
-from ..hbm.interleaving import BankGroup, bank_group_for_frame
+from ..hbm.interleaving import BankGroup
 
 
-@dataclass(frozen=True)
-class FrameAddress:
+class FrameAddress(NamedTuple):
     """Where one frame lives: a bank group and a row, on every channel.
 
     ``sub_row`` is the segment-size slice within the row (SS 3.2's
@@ -33,6 +38,15 @@ class FrameAddress:
     group: BankGroup
     row: int
     sub_row: int = 0
+
+
+_tuple_new = tuple.__new__
+
+
+def bank_groups(n_groups: int, gamma: int) -> List[BankGroup]:
+    """The ``n_groups`` bank groups of ``gamma`` banks, built once per
+    region: frame ``n`` lands in ``groups[n % n_groups]``."""
+    return [BankGroup(index, gamma) for index in range(n_groups)]
 
 
 class OutputRegionFifo:
@@ -69,6 +83,7 @@ class OutputRegionFifo:
         self.rows_per_bank = rows_per_bank
         self.base_row = base_row
         self.segments_per_row = segments_per_row
+        self._groups = bank_groups(n_groups, gamma)
         self._head = 0  # next frame index to read
         self._tail = 0  # next frame index to write
 
@@ -94,17 +109,17 @@ class OutputRegionFifo:
     # -- address arithmetic -------------------------------------------------------
 
     def _address(self, frame_index: int) -> FrameAddress:
-        group_index = bank_group_for_frame(frame_index, self.n_groups)
-        row_ordinal = frame_index // self.n_groups
-        sub_row = row_ordinal % self.segments_per_row
-        row = self.base_row + (row_ordinal // self.segments_per_row) % self.rows_per_bank
-        return FrameAddress(
-            output=self.output,
-            frame_index=frame_index,
-            group=BankGroup(group_index, self.gamma),
-            row=row,
-            sub_row=sub_row,
-        )
+        row_ordinal, group_index = divmod(frame_index, self.n_groups)
+        row_ordinal, sub_row = divmod(row_ordinal, self.segments_per_row)
+        # tuple.__new__ skips the generated Python-level __new__: one
+        # address per PFI phase.
+        return _tuple_new(FrameAddress, (
+            self.output,
+            frame_index,
+            self._groups[group_index],
+            self.base_row + row_ordinal % self.rows_per_bank,
+            sub_row,
+        ))
 
     def push(self) -> FrameAddress:
         """Allocate the next write slot (the n-th frame's address)."""

@@ -20,7 +20,8 @@ difference under the fiber-load profiles of
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Sequence
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -104,9 +105,18 @@ class PseudoRandomSplitter(FiberSplitter):
         self.seed = seed
 
     def assignment(self, ribbon: int) -> List[int]:
-        rng = np.random.default_rng((self.seed, ribbon))
-        balanced = np.repeat(np.arange(self.n_switches), self.alpha)
-        return rng.permutation(balanced).tolist()
+        return list(_balanced_permutation(self.seed, ribbon, self.n_fibers, self.n_switches))
+
+
+@lru_cache(maxsize=4096)
+def _balanced_permutation(
+    seed: int, ribbon: int, n_fibers: int, n_switches: int
+) -> Tuple[int, ...]:
+    """The seeded permutation of the balanced multiset, drawn once per
+    ``(seed, ribbon, F, H)`` and shared by every splitter that asks."""
+    rng = np.random.default_rng((seed, ribbon))
+    balanced = np.repeat(np.arange(n_switches), n_fibers // n_switches)
+    return tuple(rng.permutation(balanced).tolist())
 
 
 def _checked_profile(

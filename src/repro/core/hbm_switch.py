@@ -7,12 +7,19 @@ Stages and their timing:
    (:mod:`repro.core.ingest`), never one event each.
 2. Each port sends one batch per batch-time over the cyclical crossbar;
    a batch lands in the tail SRAM one batch-time after it leaves, and
-   the port sends its next batch at that instant -- one engine event
-   per batch.
+   the port sends its next batch at that instant -- one heap entry per
+   batch, queuing the port's one crossing event again.
 3. The tail SRAM aggregates frames; the PFI engine alternates HBM write
    and read phases (one frame each way per cycle).
 4. Read frames land in the head SRAM and drain onto the output line at
    port rate, in FIFO order; padding is discarded before the wire.
+
+Batches and frames are columns, not objects: rows of the switch's
+:class:`~repro.core.frames.BatchTable` and
+:class:`~repro.core.frames.FrameTable`, named by integer ids that every
+stage queues and passes on, and freed when the frame is on the wire.  A
+port has at most one batch in flight, so the crossing event of each
+port is built once and the batch it carries waits in a per-port slot.
 
 The simulation conserves bytes exactly: offered = delivered + dropped +
 residual (still queued), which :meth:`HBMSwitch.audit` verifies and the
@@ -30,13 +37,13 @@ import numpy as np
 from ..config import HBMSwitchConfig
 from ..errors import ConfigError, SimulationError
 from ..hbm.timing import HBMTiming
-from ..sim.engine import Engine
+from ..sim.engine import Engine, Event
 from ..sim.stats import LatencyRecorder, nan_to_none
 from ..traffic.packet import Packet
 from ..traffic.stream import ArrivalBlock, arrival_order
 from ..units import bytes_per_ns_to_rate
 from .address import HBMAddressMap
-from .frames import Frame
+from .frames import BatchTable, FrameTable
 from .head_sram import HeadSRAM
 from .ingest import Ingest
 from .input_port import InputPort
@@ -139,16 +146,21 @@ class HBMSwitch:
         self.options = options
         self.timing = timing if timing is not None else HBMTiming()
         self.engine = Engine()
+        #: Every batch and frame in the switch, as columns (ids).
+        self.batches = BatchTable(config.batch_bytes)
+        self.frames = FrameTable(self.batches, config.frame_bytes)
         self.inputs = [
-            InputPort(config, i, input_sram_capacity) for i in range(config.n_ports)
+            InputPort(config, i, input_sram_capacity, self.batches)
+            for i in range(config.n_ports)
         ]
-        self.tail = TailSRAM(config, tail_sram_capacity)
-        self.head = HeadSRAM(config)
+        self.tail = TailSRAM(config, tail_sram_capacity, self.frames)
+        self.head = HeadSRAM(config, self.frames)
         #: Optional :class:`~repro.telemetry.SwitchTelemetry` -- every
         #: instrumented call site guards on ``self.telemetry is not
         #: None``, so a run without telemetry pays one pointer check.
         self.telemetry = telemetry
         self._batch_time_ns = config.batch_time_ns
+        self._batch_bytes = config.batch_bytes
         #: Bound on retained latency samples per output recorder
         #: (seeded reservoir; see :class:`~repro.sim.stats.LatencyRecorder`).
         #: ``None`` -- the default everywhere -- keeps every sample and
@@ -162,6 +174,7 @@ class HBMSwitch:
             OutputPort(
                 config, j, n_egress_fibers, n_egress_wavelengths, telemetry,
                 latency_sample_cap=latency_sample_cap, flows=self.flows,
+                frames=self.frames,
             )
             for j in range(config.n_ports)
         ]
@@ -193,6 +206,15 @@ class HBMSwitch:
             telemetry=telemetry,
         )
         self._draining = [False] * config.n_ports
+        # Per port: the batch (id) on the crossbar, and the events that
+        # start its drain and land its crossing, built once.
+        self._inflight = [-1] * config.n_ports
+        self._drain_events = [
+            Event(0.0, -1, partial(self._drain, p)) for p in range(config.n_ports)
+        ]
+        self._cross_events = [
+            Event(0.0, -1, partial(self._cross, p)) for p in range(config.n_ports)
+        ]
         #: The arrival cursor the engine reads (no heap event per arrival).
         self._ingest = Ingest(self)
         self.engine.attach_arrivals(self._ingest)
@@ -220,18 +242,19 @@ class HBMSwitch:
             )
 
     def _emit(self, port_index: int, batches, now: float) -> bool:
-        """Queue batches an arrival completed; True when this starts the
-        port's crossbar drain (an internal event at ``now``)."""
+        """Queue batches (ids) an arrival completed; True when this
+        starts the port's crossbar drain (an internal event at ``now``)."""
         port = self.inputs[port_index]
         if self.telemetry is not None:
-            self.telemetry.batches_formed(batches)
+            self.telemetry.batches_formed(self.batches, batches)
         for batch in batches:
             port.enqueue(batch)
             if self.trace is not None:
                 self.trace.record(
                     now, "switch", "batch_formed",
-                    input=port_index, output=batch.output,
-                    payload=batch.payload_bytes, packets=batch.completing_count,
+                    input=port_index, output=self.batches.output[batch],
+                    payload=self.batches.payload[batch],
+                    packets=self.batches.count[batch],
                 )
         if self._draining[port_index]:
             return False
@@ -240,7 +263,7 @@ class HBMSwitch:
 
     def _schedule_drain(self, port_index: int, at: float) -> None:
         self._draining[port_index] = True
-        self.engine.schedule(at, lambda: self._drain(port_index))
+        self.engine.reschedule(at, self._drain_events[port_index])
 
     def _drain(self, port_index: int) -> None:
         """Send the port's next batch across the crossbar, or stop
@@ -250,15 +273,14 @@ class HBMSwitch:
         if batch is None:
             self._draining[port_index] = False
             return
-        self._ingest.moved(port_index, -batch.size_bytes)
-        self._inflight_batch_payload += batch.payload_bytes
-        self.engine.schedule(
-            now + self._batch_time_ns, partial(self._cross, port_index, batch)
-        )
+        self._ingest.moved(port_index, -self._batch_bytes)
+        self._inflight[port_index] = batch
+        self._inflight_batch_payload += self.batches.payload[batch]
+        self.engine.reschedule(now + self._batch_time_ns, self._cross_events[port_index])
 
-    def _cross(self, port_index: int, batch) -> None:
-        """One batch time after it left: ``batch`` lands in the tail
-        SRAM, then the port sends its next one.
+    def _cross(self, port_index: int) -> None:
+        """One batch time after it left, the port's batch lands in the
+        tail SRAM, then the port sends its next one.
 
         One event for both steps: they share a timestamp, and as two
         events they took adjacent sequence numbers, so nothing could
@@ -267,20 +289,18 @@ class HBMSwitch:
         """
         if self.telemetry is not None:
             self.telemetry.crossings += 1
-        self._batch_arrives(batch)
-        self._drain(port_index)
-
-    def _batch_arrives(self, batch) -> None:
-        self._inflight_batch_payload -= batch.payload_bytes
+        batch = self._inflight[port_index]
+        batches = self.batches
+        payload = batches.payload[batch]
+        output = batches.output[batch]
+        self._inflight_batch_payload -= payload
         now = self.engine.now
         if self.trace is not None:
-            self.trace.record(
-                now, "switch", "batch",
-                output=batch.output, payload=batch.payload_bytes,
-            )
-        dropped_before = self.tail.drops.dropped_bytes
-        frame = self.tail.on_batch(batch, now)
-        dropped = self.tail.drops.dropped_bytes - dropped_before
+            self.trace.record(now, "switch", "batch", output=output, payload=payload)
+        tail = self.tail
+        dropped_before = tail.drops.dropped_bytes
+        frame = tail.on_batch(batch, now)
+        dropped = tail.drops.dropped_bytes - dropped_before
         if dropped:
             self._residual_payload -= dropped
             if self.telemetry is not None:
@@ -288,33 +308,37 @@ class HBMSwitch:
             if self.trace is not None:
                 self.trace.record(
                     now, "switch", "drop",
-                    reason="tail-sram-overflow", output=batch.output,
+                    reason="tail-sram-overflow", output=output,
                     size=dropped,
                 )
         elif frame is not None and self.trace is not None:
             self.trace.record(
                 now, "switch", "frame_formed",
-                output=frame.output, frame=frame.index,
-                payload=frame.payload_bytes,
+                output=output, frame=self.frames.index[frame],
+                payload=self.frames.payload[frame],
             )
-        peak = self.pfi.hbm_occupancy_frames()
+        peak = self.pfi.hbm_frames
         if peak > self._hbm_peak_frames:
             self._hbm_peak_frames = peak
+        self._drain(port_index)
 
-    def _deliver_frame(self, frame: Frame, at: float) -> None:
+    def _deliver_frame(self, frame: int, at: float) -> None:
         """Read-phase (or bypass) completion: frame reaches the head SRAM."""
+        frames = self.frames
+        output = frames.output[frame]
         self.head.on_frame(frame, at)
-        queued = self.head.pop_frame(frame.output, at)
+        queued = self.head.pop_frame(output, at)
         if queued is None:
             raise SimulationError("head SRAM lost a frame it just accepted")
-        finish = self.outputs[frame.output].transmit_frame(queued, at)
-        self._residual_payload -= queued.payload_bytes
+        finish = self.outputs[output].transmit_frame(queued, at)
+        self._residual_payload -= frames.payload[queued]
         if self.trace is not None:
             self.trace.record(
                 at, "switch", "deliver",
-                output=frame.output, frame=frame.index,
-                bypassed=frame.bypassed, wire_done=finish,
+                output=output, frame=frames.index[frame],
+                bypassed=frames.bypassed[frame], wire_done=finish,
             )
+        frames.release(queued)
 
     # -- accounting --------------------------------------------------------------
 
@@ -332,15 +356,14 @@ class HBMSwitch:
         for port in self.inputs:
             port.position = self._ingest.position
         input_bytes = sum(p.partial_bytes for p in self.inputs)
-        input_fifo = sum(
-            batch.payload_bytes for p in self.inputs for batch in p.fifo
-        )
+        payload = self.batches.payload
+        input_fifo = sum(payload[batch] for p in self.inputs for batch in p.fifo)
         tail_pending = sum(
-            batch.payload_bytes
+            payload[batch]
             for assembler in self.tail._assemblers
-            for batch in assembler._pending
+            for batch in assembler.pending
         )
-        tail_fifo = sum(frame.payload_bytes for frame in self.tail.frame_fifo)
+        tail_fifo = sum(self.frames.payload[frame] for frame in self.tail.frame_fifo)
         hbm = self.pfi.hbm_payload_bytes()
         head = self.head.payload_backlog_bytes()
         return (
@@ -510,7 +533,10 @@ class HBMSwitch:
         if self.options.padding:
             for port in self.inputs:
                 batches = port.flush_partials(self.engine.now)
-                self._ingest.moved(port.port, sum(b.padding_bytes for b in batches))
+                self._ingest.moved(
+                    port.port,
+                    sum(self._batch_bytes - self.batches.payload[b] for b in batches),
+                )
                 if batches and not self._draining[port.port]:
                     self._schedule_drain(port.port, self.engine.now)
         deadline = duration_ns + max_drain_ns

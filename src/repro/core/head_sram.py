@@ -4,7 +4,8 @@ Symmetric to the tail: N SRAM modules each receive a frame slice from
 the HBM read, cut it into batch slices, queue them per output, and feed
 the output-side cyclical crossbar.  The simulator queues whole frames
 per output and lets the output port drain them at line rate; occupancy
-here is the "frames landed but not yet on the wire" backlog.
+here is the "frames landed but not yet on the wire" backlog.  Frames
+are ids into the switch's :class:`~repro.core.frames.FrameTable`.
 """
 
 from __future__ import annotations
@@ -15,15 +16,20 @@ from typing import Deque, List, Optional
 from ..config import HBMSwitchConfig
 from ..errors import ConfigError
 from ..sim.stats import OccupancyTracker
-from .frames import Frame
+from .frames import BatchTable, FrameTable
 
 
 class HeadSRAM:
     """Per-output frame staging between HBM reads and output ports."""
 
-    def __init__(self, config: HBMSwitchConfig):
+    def __init__(self, config: HBMSwitchConfig, frames: Optional[FrameTable] = None):
         self.config = config
-        self._queues: List[Deque[Frame]] = [deque() for _ in range(config.n_ports)]
+        self.frames = (
+            frames if frames is not None
+            else FrameTable(BatchTable(config.batch_bytes), config.frame_bytes)
+        )
+        self._frame_bytes = config.frame_bytes
+        self._queues: List[Deque[int]] = [deque() for _ in range(config.n_ports)]
         self._bytes = 0
         self.occupancy = OccupancyTracker()
 
@@ -35,28 +41,27 @@ class HeadSRAM:
         self._check(output)
         return len(self._queues[output])
 
-    def on_frame(self, frame: Frame, now: float) -> None:
-        """Accept one frame from an HBM read (or a bypass)."""
-        self._check(frame.output)
-        self._queues[frame.output].append(frame)
-        self._bytes += frame.size_bytes
+    def on_frame(self, frame: int, now: float) -> None:
+        """Accept one frame (its id) from an HBM read (or a bypass)."""
+        output = self.frames.output[frame]
+        self._check(output)
+        self._queues[output].append(frame)
+        self._bytes += self._frame_bytes
         self.occupancy.observe(self._bytes, now)
 
-    def pop_frame(self, output: int, now: float) -> Optional[Frame]:
-        """Next frame for ``output`` to transmit, FIFO order."""
+    def pop_frame(self, output: int, now: float) -> Optional[int]:
+        """Next frame (its id) for ``output`` to transmit, FIFO order."""
         self._check(output)
         if not self._queues[output]:
             return None
-        frame = self._queues[output].popleft()
-        self._bytes -= frame.size_bytes
+        self._bytes -= self._frame_bytes
         self.occupancy.observe(self._bytes, now)
-        return frame
+        return self._queues[output].popleft()
 
     def payload_backlog_bytes(self) -> int:
         """Real payload bytes still staged (excludes padding)."""
-        return sum(
-            frame.payload_bytes for queue in self._queues for frame in queue
-        )
+        payload = self.frames.payload
+        return sum(payload[frame] for queue in self._queues for frame in queue)
 
     def _check(self, output: int) -> None:
         if not 0 <= output < self.config.n_ports:

@@ -133,8 +133,8 @@ class Ingest:
         # (position, residual) at the start of each admitted span, flat.
         self._steps: List[int] = []
         laid_sizes = sizes[laid]
-        starts = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])[: laid.size]
-        ends = np.r_[starts[1:], laid.size]
+        starts = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))[: laid.size]
+        ends = np.append(starts[1:], laid.size)
         heap = []
         pairs = {}
         for lo, hi in zip(starts.tolist(), ends.tolist()):

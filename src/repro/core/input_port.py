@@ -14,7 +14,8 @@ Arrivals come a block at a time (:meth:`InputPort.load`): the port keeps
 its arrivals' block positions and a cumulative byte sum, so its
 occupancy at any point of the block is one binary search away and the
 per-output :class:`~repro.core.frames.BatchAssembler` queues cut batches
-without a per-packet step.  Occupancy only grows between crossbar pops,
+without a per-packet step.  Batches are ids into the switch's
+:class:`~repro.core.frames.BatchTable`; the FIFO is a queue of ids.  Occupancy only grows between crossbar pops,
 so the owning switch checks admission per batch (it walks packets only
 when the SRAM could actually overflow) and the occupancy tracker,
 sampled at every pop, flush and block end, sees the exact peak.
@@ -30,7 +31,7 @@ import numpy as np
 
 from ..config import HBMSwitchConfig
 from ..sim.stats import DropCounter, OccupancyTracker
-from .frames import _NO_BYTES, _NO_ROWS, Batch, BatchAssembler, int_array
+from .frames import _NO_BYTES, _NO_ROWS, BatchAssembler, BatchTable, int_array
 
 
 class InputPort:
@@ -41,6 +42,7 @@ class InputPort:
         config: HBMSwitchConfig,
         port: int,
         sram_capacity_bytes: Optional[int] = None,
+        batches: Optional[BatchTable] = None,
     ) -> None:
         self.config = config
         self.port = port
@@ -49,10 +51,17 @@ class InputPort:
         if sram_capacity_bytes is None:
             sram_capacity_bytes = 64 * config.n_ports * config.batch_bytes
         self.sram_capacity_bytes = sram_capacity_bytes
+        #: The table this port's batches are rows of (shared by a
+        #: switch's stages; a private one for a port on its own).
+        self.batches = batches if batches is not None else BatchTable(config.batch_bytes)
+        self._payload = self.batches.payload
+        self._batch_bytes = config.batch_bytes
         self.assemblers = [
-            BatchAssembler(output, config.batch_bytes) for output in range(config.n_ports)
+            BatchAssembler(output, config.batch_bytes, self.batches)
+            for output in range(config.n_ports)
         ]
-        self.fifo: Deque[Batch] = deque()
+        #: Ids of the batches awaiting the crossbar, oldest first.
+        self.fifo: Deque[int] = deque()
         self.drops = DropCounter()
         self.occupancy = OccupancyTracker()
         self._fifo_bytes = 0
@@ -81,7 +90,14 @@ class InputPort:
 
     def occupancy_at(self, position: int) -> int:
         """SRAM occupancy once arrivals before ``position`` are in."""
-        return self.admitted_bytes(position) - self._batched + self._fifo_bytes
+        # admitted_bytes(position), inline: the crossbar asks per batch.
+        return (
+            self._admitted
+            + self._cum[bisect_left(self._rows, position)]
+            - self._dropped
+            - self._batched
+            + self._fifo_bytes
+        )
 
     @property
     def partial_bytes(self) -> int:
@@ -111,11 +127,11 @@ class InputPort:
         (the owner decides and records it)."""
         self._dropped += size
 
-    def enqueue(self, batch: Batch) -> None:
-        """Queue a completed batch for the crossbar."""
+    def enqueue(self, batch: int) -> None:
+        """Queue a completed batch (its id) for the crossbar."""
         self.fifo.append(batch)
-        self._fifo_bytes += batch.size_bytes
-        self._batched += batch.payload_bytes
+        self._fifo_bytes += self._batch_bytes
+        self._batched += self._payload[batch]
 
     def close_block(self, now: Optional[float]) -> None:
         """Every arrival of the loaded block is in (the last at ``now``;
@@ -130,8 +146,8 @@ class InputPort:
         if now is not None:
             self.occupancy.observe(self.occupancy_bytes, now)
 
-    def pop_batch(self, now: float, occupancy: Optional[int] = None) -> Optional[Batch]:
-        """Remove the head-of-line batch for transmission.
+    def pop_batch(self, now: float, occupancy: Optional[int] = None) -> Optional[int]:
+        """Remove the head-of-line batch for transmission; returns its id.
 
         ``occupancy`` is the current occupancy when the caller already
         knows it.
@@ -141,14 +157,13 @@ class InputPort:
         if occupancy is None:
             occupancy = self.occupancy_bytes
         # The peak is reached just before a pop (arrivals only add).
-        self.occupancy.observe(occupancy, now)
-        batch = self.fifo.popleft()
-        self._fifo_bytes -= batch.size_bytes
-        self.occupancy.observe(occupancy - batch.size_bytes, now)
-        return batch
+        self.occupancy.observe_fall(occupancy, occupancy - self._batch_bytes, now)
+        self._fifo_bytes -= self._batch_bytes
+        return self.fifo.popleft()
 
-    def flush_partials(self, now: float) -> List[Batch]:
-        """Pad out all partial batches (used at drain time with padding on)."""
+    def flush_partials(self, now: float) -> List[int]:
+        """Pad out all partial batches (used at drain time with padding
+        on); returns their ids."""
         flushed = []
         for assembler in self.assemblers:
             batch = assembler.flush(now)

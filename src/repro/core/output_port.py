@@ -7,8 +7,10 @@ wavelengths by flow 5-tuple, as in ECMP/LAG (SS 3.2 step 6).
 Transmission is modelled analytically: the port is a single server at
 the line rate; a frame's packets depart back-to-back in batch order
 (padding is discarded in the cut-back step and consumes no wire time).
-Packets are recorded as arrays: a port buffers its transmitted frames
-and settles them in one numpy pass -- departures, latencies and their
+Frames are ids into the switch's :class:`~repro.core.frames.FrameTable`.
+Packets are recorded as arrays: a port buffers the row ranges and batch
+finish times of its transmitted frames as flat columns and settles them
+in one numpy pass -- departures, latencies and their
 stage breakdown, lane bytes, the flow-order check -- every
 :data:`SETTLE_PACKETS` packets and whenever a statistic is read, in
 transmission order, so the figures are those of a per-packet loop.
@@ -16,7 +18,7 @@ transmission order, so the figures are those of a per-packet loop.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from ..errors import OrderingViolation
 from ..sim.stats import LatencyRecorder, ThroughputMeter
 from ..traffic.ecmp import EcmpSelector
 from ..units import rate_to_bytes_per_ns
-from .frames import Frame, segment_rows
+from .frames import BatchTable, FrameTable, gather_rows
 
 #: Transmitted packets an output port buffers before recording them in
 #: one pass (see :meth:`OutputPort.settle`).
@@ -39,13 +41,17 @@ class FlowIndex:
     distinct :class:`~repro.traffic.flows.FiveTuple` to a switch-wide
     id once, hashes its egress lane once, and gives every (flow,
     output) pair an order key whose last delivered pid
-    (:attr:`last_pid`, -1 before any) the output ports check.
+    (:attr:`last_pid`, -1 before any) the output ports check.  A flow
+    is known by its packed header (:meth:`FiveTuple.packed`, equal
+    exactly when the tuples are), not by the tuple: a streamed run
+    meets a new flow every few packets and keeps them all, so the
+    13-byte key is most of what its memory grows by.
     """
 
     def __init__(self, n_ports: int, n_fibers: int = 4, n_wavelengths: int = 16):
         self.n_ports = n_ports
         self.ecmp = EcmpSelector(n_fibers, n_wavelengths)
-        self._ids: Dict[object, int] = {}
+        self._ids: Dict[bytes, int] = {}
         self._lanes = np.empty(64, dtype=np.int64)
         self._keys: Dict[int, int] = {}
         self.last_pid = np.full(64, -1, dtype=np.int64)
@@ -55,16 +61,18 @@ class FlowIndex:
         ``flows[flow_ids]`` and whose outputs are ``outputs``."""
         used, inverse = np.unique(flow_ids, return_inverse=True)
         ids = self._ids
+        used_flows = [flows[k] for k in used.tolist()]
+        headers = [flow.packed() for flow in used_flows]
         fresh = []
-        for flow in (flows[k] for k in used.tolist()):
-            if flow not in ids:
-                ids[flow] = len(ids)
-                fresh.append(flow)
+        for flow, header in zip(used_flows, headers):
+            if header not in ids:
+                ids[header] = len(ids)
+                fresh.append((flow, header))
         if len(ids) > self._lanes.size:
             self._lanes = np.resize(self._lanes, 2 * len(ids))
-        for flow in fresh:
-            self._lanes[ids[flow]] = self.ecmp.lane_index(flow)
-        gids = np.fromiter((ids[flows[k]] for k in used.tolist()), np.int64, used.size)
+        for flow, header in fresh:
+            self._lanes[ids[header]] = self.ecmp.lane_index(flow)
+        gids = np.fromiter(map(ids.__getitem__, headers), np.int64, used.size)
         flow_gids = gids[inverse]
         keys = flow_gids * self.n_ports + outputs
         unique_keys, key_inverse = np.unique(keys, return_inverse=True)
@@ -93,9 +101,15 @@ class OutputPort:
         telemetry=None,
         latency_sample_cap=None,
         flows: FlowIndex = None,
+        frames: Optional[FrameTable] = None,
     ):
         self.config = config
         self.port = port
+        #: The frame table (and batch table) the transmitted ids index.
+        self.frames = (
+            frames if frames is not None
+            else FrameTable(BatchTable(config.batch_bytes), config.frame_bytes)
+        )
         #: Optional :class:`~repro.telemetry.SwitchTelemetry`; each
         #: transmitted frame's batch finish times and sizes are handed
         #: to it when attached (drain spans, egress bytes and windows).
@@ -140,9 +154,20 @@ class OutputPort:
         self.padding_discarded_bytes = 0
         self._violations = 0
         self._lane_bytes = np.zeros(self.ecmp.n_lanes, dtype=np.int64)
-        # Transmitted frames whose packets are not yet recorded, and
-        # how many packets they complete.
-        self._pending: List[tuple] = []
+        # Transmitted frames whose packets are not yet recorded, as flat
+        # columns: per frame with packets, its creation and head-SRAM
+        # times and packet count; per batch with packets, its finish on
+        # the wire, cut time and packet count; per row range, its block
+        # and bounds.  And how many packets they complete.
+        self._frame_created: List[float] = []
+        self._frame_ready: List[float] = []
+        self._frame_packets: List[int] = []
+        self._finishes: List[float] = []
+        self._created: List[float] = []
+        self._counts: List[int] = []
+        self._blocks: List = []
+        self._los: List[int] = []
+        self._his: List[int] = []
         self._pending_packets = 0
 
     @property
@@ -181,27 +206,35 @@ class OutputPort:
         """When the port finishes everything handed to it so far."""
         return self._busy_until
 
-    def transmit_frame(self, frame: Frame, ready_ns: float) -> float:
+    def transmit_frame(self, frame: int, ready_ns: float) -> float:
         """Send a frame's payload onto the wire; returns its finish time.
 
         Packets depart at the instant their batch's last byte leaves.
         Padding (batch filler and missing batches of padded frames) is
         dropped at the cut-back step and takes no wire time.
         """
+        frames = self.frames
+        table = frames.batches
+        payloads = table.payload
+        columns = table.columns
+        earlier = table.earlier
         start = cursor = max(ready_ns, self._busy_until)
         rate = self._rate
         factor = self.rate_factor_fn
-        finishes = []
-        created = []
-        counts = []
-        segments = []
+        finishes = self._finishes
+        created = self._created
+        counts = self._counts
+        blocks = self._blocks
+        los = self._los
+        his = self._his
+        members = frames.members[frame]
+        with_packets = len(finishes)
         # Finish time and payload of every batch that carries payload.
         sent = []
         sizes = []
-        batch_bytes = 0
-        for batch in frame.batches:
-            payload = batch.payload_bytes
-            batch_bytes += batch.size_bytes
+        packets = 0
+        for batch in members:
+            payload = payloads[batch]
             if payload > 0:
                 if factor is not None:
                     # Degraded OEO: the factor is sampled at batch start
@@ -211,26 +244,38 @@ class OutputPort:
                 cursor = cursor + payload / rate
                 sent.append(cursor)
                 sizes.append(payload)
-                if batch.completing:
+                block = columns[batch]
+                before = earlier[batch]
+                if block is not None or before is not None:
                     finishes.append(cursor)
-                    created.append(batch.created_ns)
-                    counts.append(batch.completing_count)
-                    segments.extend(batch.completing)
+                    created.append(table.created[batch])
+                    count = table.count[batch]
+                    counts.append(count)
+                    packets += count
+                    if before is not None:
+                        for segment in before:
+                            blocks.append(segment[0])
+                            los.append(segment[1])
+                            his.append(segment[2])
+                    if block is not None:
+                        blocks.append(block)
+                        los.append(table.lo[batch])
+                        his.append(table.hi[batch])
         # Batch filler, and whole missing batches of a padded frame.
         payload = sum(sizes)
+        batch_bytes = len(members) * table.batch_bytes
         self.padding_discarded_bytes += batch_bytes - payload + max(
-            0, frame.size_bytes - batch_bytes
+            0, frames.frame_bytes - batch_bytes
         )
         self._busy_until = cursor
         if sent:
             self.throughput.record_many(payload, len(sent), sent[0], cursor)
             if self.telemetry is not None:
                 self.telemetry.transmitted(start, sent, sizes)
-        if segments:
-            packets = sum(counts)
-            self._pending.append(
-                (frame.created_ns, ready_ns, packets, segments, finishes, created, counts)
-            )
+        if len(finishes) > with_packets:
+            self._frame_created.append(frames.created[frame])
+            self._frame_ready.append(ready_ns)
+            self._frame_packets.append(packets)
             self._pending_packets += packets
             if self._pending_packets >= SETTLE_PACKETS:
                 self.settle()
@@ -243,29 +288,40 @@ class OutputPort:
         Reading any per-packet statistic settles first, so the figures
         are those of recording each frame as it leaves.
         """
-        if not self._pending:
+        if not self._frame_packets:
             return
-        pending = self._pending
-        self._pending = []
+        per_frame = self._frame_packets
+        frame_created = self._frame_created
+        frame_ready = self._frame_ready
+        finishes = self._finishes
+        created = self._created
+        counts = self._counts
+        blocks = self._blocks
+        los = self._los
+        his = self._his
+        self._frame_packets = []
+        self._frame_created = []
+        self._frame_ready = []
+        self._finishes = []
+        self._created = []
+        self._counts = []
+        self._blocks = []
+        self._los = []
+        self._his = []
         self._pending_packets = 0
-        segments = [segment for frame in pending for segment in frame[3]]
-        counts = [count for frame in pending for count in frame[6]]
         fields = ("times", "sizes", "lanes", "okeys", "pids")
         if self.record is not None:
             fields += ("rows",)
-        arrivals, sizes, lanes, keys, pids, *rows = segment_rows(segments, *fields)
-        departures = np.repeat([f for frame in pending for f in frame[4]], counts)
-        per_frame = [frame[2] for frame in pending]
-        # Stage boundaries are the timestamps the objects carry: batch
+        arrivals, sizes, lanes, keys, pids, *rows = gather_rows(blocks, los, his, *fields)
+        departures = np.repeat(finishes, counts)
+        # Stage boundaries are the timestamps the ids carry: batch
         # completion, frame completion, arrival at the head SRAM
         # (``ready_ns``) and wire departure -- clamped at zero for the
         # bypass/padding paths where a later stage's timestamp precedes
         # an earlier one's bookkeeping time.
-        t_batch = np.maximum(
-            np.repeat([c for frame in pending for c in frame[5]], counts), arrivals
-        )
-        t_frame = np.maximum(np.repeat([frame[0] for frame in pending], per_frame), t_batch)
-        t_ready = np.maximum(np.repeat([frame[1] for frame in pending], per_frame), t_frame)
+        t_batch = np.maximum(np.repeat(created, counts), arrivals)
+        t_frame = np.maximum(np.repeat(frame_created, per_frame), t_batch)
+        t_ready = np.maximum(np.repeat(frame_ready, per_frame), t_frame)
         self._latency.record_many(departures - arrivals)
         self._breakdown["batch_fill"].record_many(t_batch - arrivals)
         self._breakdown["frame_fill"].record_many(t_frame - t_batch)
@@ -283,6 +339,7 @@ class OutputPort:
             record_departures, record_lanes = self.record
             record_departures[rows[0]] = departures
             record_lanes[rows[0]] = lanes
+
 
     def _check_order(self, keys: np.ndarray, pids: np.ndarray) -> None:
         """Flows must not reorder: pids within a flow are monotonic.

@@ -29,8 +29,7 @@ from typing import Deque, Dict, List
 
 from ..config import HBMSwitchConfig
 from ..errors import CapacityExceeded, ConfigError
-from ..hbm.interleaving import BankGroup, bank_group_for_frame
-from .address import FrameAddress
+from .address import FrameAddress, bank_groups
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,7 @@ class OutputPageFifo:
         self.n_groups = n_groups
         self.gamma = gamma
         self._allocator = allocator
+        self._groups = bank_groups(n_groups, gamma)
         self._pages: Deque[Page] = deque()
         self._head = 0
         self._tail = 0
@@ -77,8 +77,7 @@ class OutputPageFifo:
 
     def _address_for(self, frame_index: int) -> FrameAddress:
         """Translate a frame counter to (group, row) via the page table."""
-        group_index = bank_group_for_frame(frame_index, self.n_groups)
-        row_ordinal = frame_index // self.n_groups
+        row_ordinal, group_index = divmod(frame_index, self.n_groups)
         # Walk the page list to find the page holding this row ordinal.
         # Head-relative: pages are released from the front as the head
         # advances past them, so the base ordinal is tracked explicitly.
@@ -86,10 +85,8 @@ class OutputPageFifo:
         for page in self._pages:
             if ordinal < page.rows:
                 return FrameAddress(
-                    output=self.output,
-                    frame_index=frame_index,
-                    group=BankGroup(group_index, self.gamma),
-                    row=page.base_row + ordinal,
+                    self.output, frame_index, self._groups[group_index],
+                    page.base_row + ordinal,
                 )
             ordinal -= page.rows
         raise CapacityExceeded(

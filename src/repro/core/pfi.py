@@ -19,6 +19,12 @@ Optional behaviours (the SS 4 latency optimisations and ablation knobs):
 - ``validate_hbm_timing``: check the real command schedule of every
   phase on the timing-checked controller -- any violation raises, at
   the latest when the engine stops.
+
+Frames are ids into the switch's :class:`~repro.core.frames.FrameTable`.
+The write phase, the read phase, a frame landing in the HBM and a
+frame's delivery to the head SRAM are each one :class:`Event` built
+once and queued again (:meth:`~repro.sim.engine.Engine.reschedule`);
+the frames landing and being delivered wait in FIFOs of ids.
 """
 
 from __future__ import annotations
@@ -34,9 +40,8 @@ from ..hbm.controller import HBMController
 from ..hbm.interleaving import first_legal_start
 from ..hbm.commands import Op
 from ..hbm.timing import HBMTiming
-from ..sim.engine import Engine
+from ..sim.engine import Engine, Event
 from .address import HBMAddressMap
-from .frames import Frame
 from .tail_sram import TailSRAM
 
 
@@ -91,7 +96,7 @@ class PFIEngine:
         config: HBMSwitchConfig,
         engine: Engine,
         tail: TailSRAM,
-        deliver: Callable[[Frame, float], None],
+        deliver: Callable[[int, float], None],
         address_map: Optional[HBMAddressMap] = None,
         options: PFIOptions = PFIOptions(),
         timing: Optional[HBMTiming] = None,
@@ -103,6 +108,7 @@ class PFIEngine:
         self.config = config
         self.engine = engine
         self.tail = tail
+        self.frames = tail.frames
         self.deliver = deliver
         self.options = options
         #: Optional :class:`~repro.faults.schedule.SwitchFaultView`.  Lost
@@ -114,6 +120,8 @@ class PFIEngine:
         self.address_map = (
             address_map if address_map is not None else HBMAddressMap(config)
         )
+        # Each output's region FIFO, looked up once.
+        self._regions = [self.address_map.region(j) for j in range(config.n_ports)]
         if options.validate_hbm_timing:
             if config.speedup != 1.0:
                 raise ConfigError(
@@ -134,13 +142,23 @@ class PFIEngine:
         #: byte counters (buffered, folded in bulk); ``None`` costs one
         #: pointer check per phase.
         self.telemetry = telemetry
-        self._hbm_content: List[Deque[Frame]] = [
+        #: Ids of the frames readable in the HBM, per output.
+        self._hbm_content: List[Deque[int]] = [
             deque() for _ in range(config.n_ports)
         ]
+        # The recurring events, and the frames (ids) the land and
+        # deliver events act on, in the order they were queued.
+        self._write_event = Event(0.0, -1, self._write_phase)
+        self._read_event = Event(0.0, -1, self._read_phase)
+        self._land_event = Event(0.0, -1, self._land_frame)
+        self._deliver_event = Event(0.0, -1, self._deliver_frame)
+        self._landing: Deque[int] = deque()
+        self._delivering: Deque[int] = deque()
         # Incremental occupancy: the switch polls these per batch/frame,
         # so they are maintained at enqueue/dequeue time rather than
         # recomputed by scanning every per-output queue.
-        self._hbm_frames = 0
+        #: Frames readable in the HBM (the switch samples it per batch).
+        self.hbm_frames = 0
         self._hbm_payload = 0
         self._read_ptr = 0
         self._stopped = False
@@ -169,7 +187,7 @@ class PFIEngine:
     def start(self, at: float = 0.0) -> None:
         """Schedule the first write phase."""
         start = max(at, first_legal_start(self.timing))
-        self.engine.schedule(start, self._write_phase)
+        self.engine.reschedule(start, self._write_event)
 
     def stop(self) -> None:
         """Stop scheduling further phases (end of simulation).
@@ -184,9 +202,6 @@ class PFIEngine:
     def cycle_duration(self) -> float:
         """One full write+read cycle including transitions."""
         return 2.0 * (self.phase_duration + self.transition)
-
-    def hbm_occupancy_frames(self) -> int:
-        return self._hbm_frames
 
     def hbm_frames_for(self, output: int) -> int:
         return len(self._hbm_content[output])
@@ -237,25 +252,17 @@ class PFIEngine:
             if self.trace is not None:
                 self.trace.record(now, "pfi", "idle_write")
         pace = stretch if stretch is not None else 1.0
-        self.engine.schedule(
+        self.engine.reschedule(
             now + self.phase_duration * pace + self.transition * pace,
-            self._read_phase,
+            self._read_event,
         )
 
-    def _pad_oldest_output(self, now: float) -> Optional[Frame]:
+    def _pad_oldest_output(self, now: float) -> Optional[int]:
         """Padding policy: flush the output whose pending batch is oldest."""
-        oldest_output = None
-        oldest_time = float("inf")
-        for output in range(self.config.n_ports):
-            pending = self.tail.pending_batches(output)
-            if pending == 0:
-                continue
-            first = self.tail._assemblers[output]._pending[0].created_ns
-            if first < oldest_time:
-                oldest_time = first
-                oldest_output = output
-        if oldest_output is None:
+        oldest = self.tail.oldest_pending()
+        if oldest is None:
             return None
+        oldest_output, oldest_time = oldest
         if now - oldest_time < self.padding_wait_ns:
             return None
         frame = self.tail.padded_frame_for(oldest_output, now)
@@ -263,35 +270,45 @@ class PFIEngine:
             self.counters.padded_frames += 1
         return frame
 
-    def _write_frame(self, frame: Frame, now: float, stretch: float = 1.0) -> None:
-        address = self.address_map.region(frame.output).push()
+    def _write_frame(self, frame: int, now: float, stretch: float = 1.0) -> None:
+        frames = self.frames
+        output = frames.output[frame]
+        payload = frames.payload[frame]
+        address = self._regions[output].push()
         if self.options.validate_hbm_timing:
             self._execute_schedule(Op.WR, address, now)
-        self.counters.frames_written += 1
-        self.counters.payload_written_bytes += frame.payload_bytes
-        self.counters.padding_written_bytes += frame.padding_bytes
+        counters = self.counters
+        counters.frames_written += 1
+        counters.payload_written_bytes += payload
+        counters.padding_written_bytes += frames.frame_bytes - payload
         if self.telemetry is not None:
             self.telemetry.hbm_phase(
                 True, self.phase_duration * stretch, address.group.index,
-                frame.size_bytes, self._striped_channels(now),
+                frames.frame_bytes, self._striped_channels(now),
             )
         if self.trace is not None:
             self.trace.record(
                 now, "pfi", "write",
-                output=frame.output, frame=frame.index,
+                output=output, frame=frames.index[frame],
                 group=address.group.index, row=address.row,
-                payload=frame.payload_bytes,
+                payload=payload,
             )
         # Content becomes readable when the write phase completes.
-        self.engine.schedule(
-            now + self.phase_duration * stretch, lambda: self._land_frame(frame)
-        )
+        self._landing.append(frame)
+        self.engine.reschedule(now + self.phase_duration * stretch, self._land_event)
 
-    def _land_frame(self, frame: Frame) -> None:
-        """Write phase completed: the frame is now readable in the HBM."""
-        self._hbm_content[frame.output].append(frame)
-        self._hbm_frames += 1
-        self._hbm_payload += frame.payload_bytes
+    def _land_frame(self) -> None:
+        """Write phase completed: the oldest frame written is now
+        readable in the HBM."""
+        frame = self._landing.popleft()
+        self._hbm_content[self.frames.output[frame]].append(frame)
+        self.hbm_frames += 1
+        self._hbm_payload += self.frames.payload[frame]
+
+    def _deliver_frame(self) -> None:
+        """Read phase (or bypass) completed: the oldest frame read
+        reaches the head SRAM."""
+        self.deliver(self._delivering.popleft(), self.engine.now)
 
     # -- read phase --------------------------------------------------------------
 
@@ -310,9 +327,9 @@ class PFIEngine:
             if self.trace is not None:
                 self.trace.record(now, "pfi", "wasted_read", output=output)
         pace = stretch if stretch is not None else 1.0
-        self.engine.schedule(
+        self.engine.reschedule(
             now + self.phase_duration * pace + self.transition * pace,
-            self._write_phase,
+            self._write_event,
         )
 
     def _select_read_output(self) -> Optional[int]:
@@ -339,27 +356,28 @@ class PFIEngine:
         # bypass path (tail -> head, no memory round-trip) still can.
         if stretch is not None and self._hbm_content[output]:
             frame = self._hbm_content[output].popleft()
-            self._hbm_frames -= 1
-            self._hbm_payload -= frame.payload_bytes
+            frames = self.frames
+            self.hbm_frames -= 1
+            self._hbm_payload -= frames.payload[frame]
             # Writes push and reads pop the region FIFO exactly once per
             # frame, so the popped address is this frame's by induction.
-            address = self.address_map.region(output).pop()
+            address = self._regions[output].pop()
             if self.options.validate_hbm_timing:
                 self._execute_schedule(Op.RD, address, now)
             self.counters.frames_read += 1
             if self.telemetry is not None:
                 self.telemetry.hbm_phase(
                     False, self.phase_duration * stretch, address.group.index,
-                    frame.size_bytes, self._striped_channels(now),
+                    frames.frame_bytes, self._striped_channels(now),
                 )
             if self.trace is not None:
                 self.trace.record(
                     now, "pfi", "read",
-                    output=output, frame=frame.index,
+                    output=output, frame=frames.index[frame],
                     group=address.group.index, row=address.row,
                 )
-            done = now + self.phase_duration * stretch
-            self.engine.schedule(done, lambda: self.deliver(frame, done))
+            self._delivering.append(frame)
+            self.engine.reschedule(now + self.phase_duration * stretch, self._deliver_event)
             return True
         if self.options.bypass:
             return self._bypass(output, now)
@@ -374,17 +392,18 @@ class PFIEngine:
                 self.counters.padded_frames += 1
         if frame is None:
             return False
-        frame.bypassed = True
+        frames = self.frames
+        frames.bypassed[frame] = True
         self.counters.bypassed_frames += 1
         if self.telemetry is not None:
             self.telemetry.bypassed(self.phase_duration)
         if self.trace is not None:
             self.trace.record(
-                now, "pfi", "bypass", output=output, frame=frame.index,
-                payload=frame.payload_bytes,
+                now, "pfi", "bypass", output=output, frame=frames.index[frame],
+                payload=frames.payload[frame],
             )
-        done = now + self.phase_duration
-        self.engine.schedule(done, lambda: self.deliver(frame, done))
+        self._delivering.append(frame)
+        self.engine.reschedule(now + self.phase_duration, self._deliver_event)
         return True
 
     # -- command-level validation ---------------------------------------------------

@@ -126,11 +126,25 @@ class Param:
             )
 
 
+#: Digest content per config or strategy object, by identity: the
+#: object (held, so its id is not reused) and its content.  Bounded;
+#: the oldest entry goes first.
+_CONTENT: Dict[int, Tuple[object, Dict[str, Any]]] = {}
+_CONTENT_ENTRIES = 256
+
+
 def _typed_content(obj) -> Dict[str, Any]:
-    """A config or strategy dataclass as digest content."""
-    data = dataclasses.asdict(obj)
-    data["_type"] = type(obj).__name__
-    return data
+    """A config or strategy dataclass as digest content, built once per
+    object (they are frozen).  Every scenario built on the object shares
+    the one dict: read it, never change it."""
+    entry = _CONTENT.get(id(obj))
+    if entry is None or entry[0] is not obj:
+        data = dataclasses.asdict(obj)
+        data["_type"] = type(obj).__name__
+        if len(_CONTENT) >= _CONTENT_ENTRIES:
+            del _CONTENT[next(iter(_CONTENT))]
+        entry = _CONTENT[id(obj)] = (obj, data)
+    return entry[1]
 
 
 def _field(default, *kinds: str, **rule) -> Any:
@@ -287,7 +301,9 @@ class Scenario:
 
     def describe(self) -> Dict[str, Any]:
         """The canonical JSON-safe content the digest hashes: every
-        field whose :class:`Param` puts it in the digest."""
+        field whose :class:`Param` puts it in the digest.  The config
+        and strategy entries are shared with every scenario built on
+        the same object; the dict is for reading."""
         data = {}
         for name, _, param in _DIGESTED:
             value = getattr(self, name)

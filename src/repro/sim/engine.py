@@ -13,11 +13,15 @@ matters here because the OQ-mimicry experiment (E5) compares two
 switches fed the *same* arrival sequence.
 
 The engine is the innermost loop of every simulation -- a loaded switch
-run fires one event per batch, frame and phase -- so the hot path is
-written for CPython speed: heap entries are plain tuples (compared at
-C speed, never reaching the payload), :class:`Event` uses ``__slots__``,
-and :meth:`Engine.run` binds its loop state to locals instead of going
-through attribute lookups on every event.  Cancellation stays lazy
+run fires one event per batch crossing, phase and frame landing -- so
+the hot path is written for CPython speed: heap entries are plain tuples
+(compared at C speed, never reaching the payload), :class:`Event` uses
+``__slots__``, and :meth:`Engine.run` binds its loop state to locals
+instead of going through attribute lookups on every event.  A recurring
+action carries no payload and is built once: the switch queues each
+port's crossing and each PFI phase as the same :class:`Event` again
+(:meth:`Engine.reschedule`), with the state it acts on held by its
+owner, so a crossing or a phase allocates nothing but its heap entry.  Cancellation stays lazy
 (cancelled events are skipped when popped), with a cheap counter that
 compacts the heap when cancelled entries dominate it.
 """
@@ -80,7 +84,9 @@ class Engine:
     def __init__(self) -> None:
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current simulation time in nanoseconds (read it; the run
+        #: loop moves it).  A plain attribute: every event reads it.
+        self.now = 0.0
         self._cancelled = 0
         self._fired = 0
         #: Optional external-arrival cursor (see :meth:`attach_arrivals`).
@@ -101,11 +107,6 @@ class Engine:
         self.arrivals = arrivals
 
     @property
-    def now(self) -> float:
-        """Current simulation time in nanoseconds."""
-        return self._now
-
-    @property
     def events_fired(self) -> int:
         """Total events fired over the engine's lifetime (perf metric)."""
         return self._fired
@@ -116,9 +117,9 @@ class Engine:
         Scheduling in the past is an error: it would silently reorder
         causality, which is exactly the class of bug a DES must surface.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time:.3f} ns, now is {self._now:.3f} ns"
+                f"cannot schedule at t={time:.3f} ns, now is {self.now:.3f} ns"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -126,11 +127,27 @@ class Engine:
         heapq.heappush(self._queue, (time, seq, event))
         return event
 
+    def reschedule(self, time: float, event: Event) -> None:
+        """Queue an existing ``event`` to fire (again) at ``time``.
+
+        For an action that recurs -- a port's crossing, a PFI phase --
+        the event is built once and queued each time with a fresh
+        sequence number, so ties order exactly as a new event's would.
+        Its own ``time`` and ``seq`` stay those it was built with.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time:.3f} ns, now is {self.now:.3f} ns"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, event))
+
     def schedule_after(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` to fire ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay:.3f} ns")
-        return self.schedule(self._now + delay, action)
+        return self.schedule(self.now + delay, action)
 
     def cancel(self, event: Event) -> None:
         """Cancel through the engine so dead entries are tallied for
@@ -167,7 +184,7 @@ class Engine:
         if arrivals is not None:
             top = self.peek_time()
             while arrivals.next_time <= (top if top is not None else _INF):
-                self._now = arrivals.ingest(
+                self.now = arrivals.ingest(
                     top if top is not None else _INF, True
                 )
                 top = self.peek_time()
@@ -175,7 +192,7 @@ class Engine:
             time, _seq, event = pop(queue)
             if event.cancelled:
                 continue
-            self._now = time
+            self.now = time
             self._fired += 1
             event.action()
             return True
@@ -214,9 +231,9 @@ class Engine:
                     ):
                         break
                     if until is None or top < until:
-                        self._now = arrivals.ingest(top, True)
+                        self.now = arrivals.ingest(top, True)
                     else:
-                        self._now = arrivals.ingest(until, inclusive)
+                        self.now = arrivals.ingest(until, inclusive)
                     continue
             if not queue:
                 break
@@ -231,10 +248,10 @@ class Engine:
             ):
                 break
             pop(queue)
-            self._now = time
+            self.now = time
             event.action()
             fired += 1
         self._fired += fired
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until
         return fired

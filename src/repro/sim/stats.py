@@ -296,6 +296,21 @@ class OccupancyTracker:
             self._peak = occupancy
         self._last_time = time_ns
 
+    def observe_fall(self, before: float, after: float, time_ns: float) -> None:
+        """Record that occupancy reached ``before`` and fell to ``after``
+        at ``time_ns``: the two observations at one instant (``before``
+        holds for no time, so it only reaches the peak)."""
+        if self._first_time is not None and time_ns >= self._last_time:
+            self._weighted_sum += self._current * (time_ns - self._last_time)
+        elif self._first_time is None:
+            self._first_time = time_ns
+        if before > self._peak:
+            self._peak = before
+        if after > self._peak:
+            self._peak = after
+        self._current = after
+        self._last_time = time_ns
+
     @property
     def peak(self) -> float:
         return self._peak

@@ -33,7 +33,6 @@ so the simulation hot path appends to a list; the disabled path
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Dict, List
 
 import numpy as np
@@ -261,11 +260,34 @@ class SwitchTelemetry:
         if self._pending >= FOLD_EVERY:
             self.settle()
 
-    def batches_formed(self, batches) -> None:
-        """Batches queued at an input at their ``created_ns``: batch
-        aggregation wait, first completing packet's arrival to batch
-        emission (0 for pure-straddle batches that complete no packet)."""
-        self._buffer.formed.extend(batches)
+    def batches_formed(self, table, batches) -> None:
+        """Batches (ids into ``table``) queued at an input when they
+        were cut: batch aggregation wait, first completing packet's
+        arrival to batch emission (0 for pure-straddle batches that
+        complete no packet).  Their cut times and row ranges are copied
+        out, as the ids are reused once the batches leave."""
+        buffer = self._buffer
+        created = buffer.formed_created
+        owners = buffer.formed_owners
+        blocks = buffer.formed_blocks
+        los = buffer.formed_los
+        his = buffer.formed_his
+        for batch in batches:
+            owner = len(created)
+            created.append(table.created[batch])
+            earlier = table.earlier[batch]
+            if earlier is not None:
+                for block, lo, hi in earlier:
+                    owners.append(owner)
+                    blocks.append(block)
+                    los.append(lo)
+                    his.append(hi)
+            block = table.columns[batch]
+            if block is not None:
+                owners.append(owner)
+                blocks.append(block)
+                los.append(table.lo[batch])
+                his.append(table.hi[batch])
         self._pending += len(batches)
         if self._pending >= FOLD_EVERY:
             self.settle()
@@ -352,12 +374,12 @@ class SwitchTelemetry:
             self.oeo.observe_many(sizes * self._oeo_ns_per_byte)
             self.win_bytes_in.observe_many(times, sizes)
             self.win_occupancy.observe_many(times, residual)
-        if buffer.formed:
-            formed = buffer.formed
-            created = np.fromiter(
-                map(attrgetter("created_ns"), formed), np.float64, len(formed)
+        if buffer.formed_created:
+            created = np.array(buffer.formed_created, dtype=np.float64)
+            firsts = first_arrivals(
+                created.size, buffer.formed_owners, buffer.formed_blocks,
+                buffer.formed_los, buffer.formed_his,
             )
-            firsts = first_arrivals(formed)
             waits = np.where(np.isnan(firsts), 0.0, created - firsts)
             self.batch.observe_many(np.maximum(0.0, waits))
         if buffer.finishes:
@@ -413,14 +435,21 @@ class _Buffer:
     lists of scalars in the order they were made."""
 
     __slots__ = (
-        "arrivals", "formed", "frame_starts", "frame_batches", "finishes", "sizes",
+        "arrivals", "formed_created", "formed_owners", "formed_blocks",
+        "formed_los", "formed_his", "frame_starts", "frame_batches", "finishes", "sizes",
         "writes", "reads", "bypasses", "drop_reasons", "drop_bytes",
         "drop_times", "striped",
     )
 
     def __init__(self) -> None:
         self.arrivals: List = []  # (times, sizes, residual) arrays per block
-        self.formed: List = []  # batches queued at an input
+        # Per batch queued at an input: its cut time; per row range it
+        # completes, the batch's position here, the block and bounds.
+        self.formed_created: List[float] = []
+        self.formed_owners: List[int] = []
+        self.formed_blocks: List = []
+        self.formed_los: List[int] = []
+        self.formed_his: List[int] = []
         self.frame_starts: List[float] = []  # per frame sent: wire start,
         self.frame_batches: List[int] = []  # and its payload batches
         self.finishes: List[float] = []  # per payload batch: finish time

@@ -1,10 +1,24 @@
-"""End-to-end contracts of CLI outputs, checked in-process."""
+"""End-to-end contracts of CLI outputs, checked in-process, and of the
+traffic substrate: the eager trace shim and streamed memory."""
 
+import io
 import json
+import warnings
 
 import pytest
 
 from repro.cli import main
+from repro.config import scaled_router
+from repro.traffic import (
+    FixedSize,
+    TrafficGenerator,
+    load_trace,
+    stream_trace,
+    trace_to_string,
+    uniform_matrix,
+)
+from repro.traffic.replay import _reset_load_trace_warning
+from tests.rss_probe import measure_rss
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +237,48 @@ def test_fabric_router_down_json_carries_digest_and_capacity(capsys):
     doc = json.loads(out)
     assert len(doc["scenario_digest"]) == 64
     assert abs(doc["delivered_fraction"] - 0.5) <= 0.02, doc["delivered_fraction"]
+
+
+def test_load_trace_shim_warns_and_matches_streaming():
+    """The deprecated eager ``load_trace()`` warns and reads the same
+    packets as ``stream_trace()``."""
+    config = scaled_router().switch
+    gen = TrafficGenerator(
+        n_ports=config.n_ports,
+        port_rate_bps=config.port_rate_bps,
+        matrix=uniform_matrix(config.n_ports, 0.5),
+        size_dist=FixedSize(1500),
+        seed=11,
+    )
+    text = trace_to_string(gen.materialize(10_000.0))
+    # The shim warns once per process; another test may have used it.
+    _reset_load_trace_warning()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eager = load_trace(io.StringIO(text))
+    assert any(
+        issubclass(w.category, DeprecationWarning) for w in caught
+    ), "load_trace() shim did not warn"
+    streamed = [
+        p
+        for block in stream_trace(io.StringIO(text))
+        for p in block.to_packets()
+    ]
+    assert [
+        (p.pid, p.size_bytes, p.arrival_ns) for p in eager
+    ] == [(p.pid, p.size_bytes, p.arrival_ns) for p in streamed]
+
+
+@pytest.mark.slow
+def test_ten_million_packet_stream_keeps_memory_flat():
+    """A 10^7-packet streamed run peaks at most 2x the resident set of
+    a 10^6-packet one, each in its own interpreter (minutes; selected
+    with ``-m slow``)."""
+    small = measure_rss(1_000_000)
+    big = measure_rss(10_000_000)
+    assert big["offered_packets"] >= 10_000_000, big["offered_packets"]
+    ratio = big["peak_rss_bytes"] / small["peak_rss_bytes"]
+    assert ratio <= 2.0, (
+        f"streamed memory not flat: 10^7-packet run peaked at "
+        f"{big['peak_rss_bytes']} bytes, {ratio:.2f}x the 10^6 run"
+    )

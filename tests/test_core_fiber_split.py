@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.fiber_split import (
+    _balanced_permutation,
     ContiguousSplitter,
     PseudoRandomSplitter,
     overload_loss_fraction,
@@ -251,3 +252,23 @@ class TestInputValidation:
     def test_zero_capacity_allowed(self):
         # Zero capacity is legal (a fully-failed port): everything is lost.
         assert overload_loss_fraction(np.array([1.0, 1.0]), 0.0) == 1.0
+
+
+class TestSharedDraw:
+    """Every pseudo-random splitter with the same (seed, F, H) shares
+    one draw per ribbon."""
+
+    def test_assignment_is_the_seeded_permutation(self):
+        for seed, ribbon in ((0xF1BE2, 0), (7, 3)):
+            rng = np.random.default_rng((seed, ribbon))
+            expected = rng.permutation(np.repeat(np.arange(4), 4)).tolist()
+            assert PseudoRandomSplitter(16, 4, seed=seed).assignment(ribbon) == expected
+
+    def test_splitters_share_the_draw_not_the_list(self):
+        first = PseudoRandomSplitter(16, 4, seed=11).assignment(2)
+        hits = _balanced_permutation.cache_info().hits
+        second = PseudoRandomSplitter(16, 4, seed=11).assignment(2)
+        assert _balanced_permutation.cache_info().hits == hits + 1
+        assert second == first and second is not first
+        first[0] = -1
+        assert PseudoRandomSplitter(16, 4, seed=11).assignment(2)[0] != -1

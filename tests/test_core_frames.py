@@ -7,10 +7,12 @@ from repro.core.frames import (
     ArrivalColumns,
     Batch,
     BatchAssembler,
+    BatchTable,
     Frame,
     FrameAssembler,
+    FrameTable,
     first_arrivals,
-    segment_rows,
+    gather_rows,
 )
 from repro.errors import ConfigError
 
@@ -23,12 +25,15 @@ def assembler(output=1):
 
 def completing_pids(batch):
     """Pids of the packets ``batch`` completes, in arrival order."""
-    return segment_rows(batch.completing, "pids")[0].tolist()
+    if not batch.completing:
+        return []
+    blocks, los, his = zip(*batch.completing)
+    return gather_rows(blocks, los, his, "pids")[0].tolist()
 
 
 def offer(asm, sizes, times=None, pids=None):
     """Feed one block of arrivals for the assembler's pair on its own;
-    returns the batches they complete, in order."""
+    returns the batches they complete, in order, as values."""
     sizes = np.asarray(sizes, dtype=np.int64)
     n = sizes.size
     times = np.zeros(n) if times is None else np.asarray(times, dtype=np.float64)
@@ -41,7 +46,7 @@ def offer(asm, sizes, times=None, pids=None):
         emitted += asm.complete(float(times[position]))
         position = asm.next_completion()
     asm.close_block()
-    return emitted
+    return [asm.batches.view(batch) for batch in emitted]
 
 
 class TestBatchAssembler:
@@ -85,8 +90,9 @@ class TestBatchAssembler:
     def test_flush_pads_partial(self):
         asm = assembler()
         offer(asm, [300])
-        batch = asm.flush(5.0)
-        assert batch is not None
+        flushed = asm.flush(5.0)
+        assert flushed is not None
+        batch = asm.batches.view(flushed)
         assert batch.payload_bytes == 300
         assert batch.padding_bytes == K - 300
         assert asm.fill_bytes == 0
@@ -154,36 +160,48 @@ class TestFirstArrivals:
                 segments.append((columns, lo, int(rng.integers(lo, 41))))
             batches.append(Batch(0, seq, K, K, segments, 2_000.0))
         expected = [first_arrival_loop(batch) for batch in batches]
-        got = first_arrivals(batches)
+        got = first_arrivals_of(batches)
         assert [None if np.isnan(t) else t for t in got.tolist()] == expected
         assert any(t is None for t in expected) and any(t is not None for t in expected)
 
     def test_no_batches_and_no_segments(self):
-        assert first_arrivals([]).size == 0
-        assert np.isnan(first_arrivals([Batch(0, 0, K, K, [], 0.0)])).all()
+        assert first_arrivals_of([]).size == 0
+        assert np.isnan(first_arrivals_of([Batch(0, 0, K, K, [], 0.0)])).all()
+
+
+def first_arrivals_of(batches):
+    """:func:`first_arrivals` over ``batches``' segments, flattened."""
+    segments = [(owner, *segment) for owner, batch in enumerate(batches) for segment in batch.completing]
+    owners, blocks, los, his = zip(*segments) if segments else ((), (), (), ())
+    return first_arrivals(len(batches), owners, blocks, los, his)
 
 
 class TestFrameAssembler:
     def make_batches(self, count, output=0):
-        asm = BatchAssembler(output, K)
-        return offer(asm, [K] * count, times=[float(pid) for pid in range(count)])
+        """``count`` full batches for ``output`` as ids of a fresh
+        frame table's batch table; returns ``(frames, ids)``."""
+        frames = FrameTable(BatchTable(K), 4 * K)
+        asm = BatchAssembler(output, K, frames.batches)
+        offer(asm, [K] * count, times=[float(pid) for pid in range(count)])
+        return frames, list(range(count))
 
     def test_frame_completes_at_exact_batch_count(self):
-        fasm = FrameAssembler(0, K, batches_per_frame=4)
-        batches = self.make_batches(4)
+        frames, batches = self.make_batches(4)
+        fasm = FrameAssembler(0, K, batches_per_frame=4, frames=frames)
         results = [fasm.add(b, float(i)) for i, b in enumerate(batches)]
         assert results[:3] == [None, None, None]
-        frame = results[3]
+        frame = frames.view(results[3])
         assert isinstance(frame, Frame)
         assert frame.size_bytes == 4 * K
         assert frame.payload_bytes == 4 * K
         assert frame.completing_count == 4
 
     def test_flush_builds_padded_frame(self):
-        fasm = FrameAssembler(0, K, 4)
-        for batch in self.make_batches(2):
+        frames, batches = self.make_batches(2)
+        fasm = FrameAssembler(0, K, 4, frames)
+        for batch in batches:
             fasm.add(batch, 0.0)
-        frame = fasm.flush(9.0)
+        frame = frames.view(fasm.flush(9.0))
         assert frame.size_bytes == 4 * K
         assert frame.payload_bytes == 2 * K
         assert frame.padding_bytes == 2 * K
@@ -192,17 +210,18 @@ class TestFrameAssembler:
         assert FrameAssembler(0, K, 4).flush(0.0) is None
 
     def test_indices_increment(self):
-        fasm = FrameAssembler(0, K, 2)
+        table, batches = self.make_batches(4)
+        fasm = FrameAssembler(0, K, 2, table)
         frames = []
-        for batch in self.make_batches(4):
+        for batch in batches:
             frame = fasm.add(batch, 0.0)
-            if frame:
-                frames.append(frame)
+            if frame is not None:
+                frames.append(table.view(frame))
         assert [f.index for f in frames] == [0, 1]
 
     def test_wrong_output_rejected(self):
         fasm = FrameAssembler(0, K, 4)
-        bad = Batch(3, 0, K, K, [], 0.0)
+        bad = fasm.frames.batches.add(3, 0, K, 0.0)
         with pytest.raises(ConfigError):
             fasm.add(bad, 0.0)
 
@@ -211,3 +230,30 @@ class TestFrameAssembler:
             FrameAssembler(0, K, 0)
         with pytest.raises(ConfigError):
             BatchAssembler(0, 0)
+
+
+class TestTables:
+    def test_lowest_free_id_is_reused_first(self):
+        table = BatchTable(K)
+        ids = [table.add(0, seq, K, 0.0) for seq in range(8)]
+        table.release([ids[5], ids[2]])
+        assert table.live == 6
+        assert [table.add(1, 8, K, 1.0), table.add(1, 9, K, 1.0)] == [2, 5]
+        assert table.view(2).seq == 8 and table.view(5).output == 1
+
+    def test_free_rows_at_the_end_are_trimmed(self):
+        """After a burst, the columns shrink back to the live rows."""
+        table = BatchTable(K)
+        ids = [table.add(0, seq, K, 0.0) for seq in range(3000)]
+        table.release(ids[1:])
+        assert table.live == 1
+        assert len(table.output) == 1 and len(table.earlier) == 1
+        assert table.add(0, 3000, K, 0.0) == 1
+
+    def test_frame_release_frees_its_batches(self):
+        frames = FrameTable(BatchTable(K), 4 * K)
+        batches = [frames.batches.add(0, seq, K, 0.0) for seq in range(4)]
+        frame = frames.add(0, 0, 0.0, batches)
+        assert frames.payload[frame] == 4 * K
+        frames.release(frame)
+        assert frames.live == 0 and frames.batches.live == 0

@@ -3,7 +3,6 @@ command-level legality."""
 
 import pytest
 
-from repro.core.frames import Batch
 from repro.core.pfi import PFIEngine, PFIOptions
 from repro.core.tail_sram import TailSRAM
 from repro.errors import ConfigError
@@ -24,13 +23,19 @@ class Harness:
             config=config,
             engine=self.engine,
             tail=self.tail,
-            deliver=lambda frame, at: self.delivered.append((frame, at)),
+            deliver=lambda frame, at: self.delivered.append(
+                (self.tail.frames.view(frame), at)
+            ),
             options=options,
         )
 
+    def batch(self, output, seq=0, now=0.0):
+        """A full batch (its id) for ``output`` into the tail SRAM."""
+        self.tail.on_batch(self.tail.frames.batches.add(output, seq, K, now), now)
+
     def feed_frame(self, output, now=0.0):
         for i in range(self.config.batches_per_frame):
-            self.tail.on_batch(Batch(output, i, K, K, [], now), now)
+            self.batch(output, i, now)
 
     def run_cycles(self, n):
         self.pfi.start()
@@ -102,7 +107,7 @@ class TestWriteRead:
 class TestPadding:
     def test_partial_flushes_as_padded_frame(self, small_switch):
         h = Harness(small_switch, PFIOptions(padding=True, padding_max_wait_ns=0.0))
-        h.tail.on_batch(Batch(2, 0, K, K, [], 0.0), 0.0)
+        h.batch(2)
         h.run_cycles(small_switch.n_ports + 2)
         assert h.pfi.counters.padded_frames >= 1
         assert any(f.output == 2 for f, _ in h.delivered)
@@ -115,7 +120,7 @@ class TestPadding:
     def test_padding_respects_wait_threshold(self, small_switch):
         options = PFIOptions(padding=True, padding_max_wait_ns=1e9)
         h = Harness(small_switch, options)
-        h.tail.on_batch(Batch(2, 0, K, K, [], 0.0), 0.0)
+        h.batch(2)
         h.run_cycles(4)
         # Batch is younger than the enormous threshold: never padded.
         assert h.pfi.counters.padded_frames == 0
@@ -133,14 +138,14 @@ class TestBypass:
 
     def test_bypass_pads_partial(self, small_switch):
         h = Harness(small_switch, PFIOptions(padding=True, bypass=True))
-        h.tail.on_batch(Batch(3, 0, K, K, [], 0.0), 0.0)
+        h.batch(3)
         h.run_cycles(small_switch.n_ports + 2)
         delivered_outputs = {f.output for f, _ in h.delivered}
         assert 3 in delivered_outputs
 
     def test_bypassed_frames_marked(self, small_switch):
         h = Harness(small_switch, PFIOptions(padding=True, bypass=True))
-        h.tail.on_batch(Batch(1, 0, K, K, [], 0.0), 0.0)
+        h.batch(1)
         h.run_cycles(small_switch.n_ports + 2)
         bypassed = [f for f, _ in h.delivered if f.bypassed]
         assert len(bypassed) == h.pfi.counters.bypassed_frames

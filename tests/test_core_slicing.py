@@ -15,6 +15,13 @@ def make_batch(output, seq=0, size=K):
     return Batch(output, seq, size, size, [], 0.0)
 
 
+def logical_batch(tail, output, seq):
+    """A full batch for ``output`` in ``tail``'s table: its id, and
+    its value for the physical model."""
+    batch = tail.frames.batches.add(output, seq, K, 0.0)
+    return batch, tail.frames.batches.view(batch)
+
+
 class TestSlicedModel:
     def test_batch_lands_in_every_module(self, small_switch):
         model = SlicedTailModel(small_switch)
@@ -66,12 +73,12 @@ class TestLockstepWithLogicalTail:
         for round_ in range(3):
             for output in range(small_switch.n_ports):
                 for _ in range(per_frame // 2 + (output % 2)):
-                    batch = make_batch(output, seq)
+                    batch, value = logical_batch(logical, output, seq)
                     seq += 1
                     frame = logical.on_batch(batch, 0.0)
-                    physical.on_batch(batch)
+                    physical.on_batch(value)
                     if frame is not None:
-                        physical.on_frame(frame)
+                        physical.on_frame(logical.frames.view(frame))
                 share = physical.per_module_share(logical.pending_bytes)
                 if logical.pending_bytes:
                     assert share == pytest.approx(1.0 / small_switch.n_ports)
@@ -82,11 +89,11 @@ class TestLockstepWithLogicalTail:
         logical = TailSRAM(small_switch)
         physical = SlicedTailModel(small_switch)
         for i in range(small_switch.batches_per_frame):
-            batch = make_batch(0, i)
+            batch, value = logical_batch(logical, 0, i)
             frame = logical.on_batch(batch, 0.0)
-            physical.on_batch(batch)
+            physical.on_batch(value)
             if frame is not None:
-                physical.on_frame(frame)
+                physical.on_frame(logical.frames.view(frame))
         assert logical.pop_frame(0.0) is not None
         physical.on_frame_written()
         assert all(m.frame_slices == 0 for m in physical.modules)

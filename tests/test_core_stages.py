@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.frames import ArrivalColumns, Batch, Frame
+from repro.core.frames import ArrivalColumns
 from repro.core.head_sram import HeadSRAM
 from repro.core.input_port import InputPort
 from repro.core.output_port import OutputPort
@@ -70,7 +70,7 @@ class TestInputPort:
         offer_one(port, pid=1, size=K, dst=1, t=1.0)
         first = port.pop_batch(2.0)
         second = port.pop_batch(2.0)
-        assert first.output == 0 and second.output == 1
+        assert port.batches.output[first] == 0 and port.batches.output[second] == 1
         assert port.pop_batch(2.0) is None
 
     def test_flush_partials_pads_everything(self, config):
@@ -80,7 +80,7 @@ class TestInputPort:
         flushed = port.flush_partials(5.0)
         assert len(flushed) == 2
         assert port.partial_bytes == 0
-        assert all(b.padding_bytes > 0 for b in flushed)
+        assert all(port.batches.view(b).padding_bytes > 0 for b in flushed)
 
     def test_occupancy_peak_recorded(self, config):
         port = InputPort(config, 0)
@@ -106,8 +106,14 @@ def completing(port, packets):
     return [(columns, 0, len(packets))]
 
 
-def make_batch(output, seq=0, payload=K, created=0.0):
-    return Batch(output, seq, K, payload, [], created)
+def make_batch(stage, output, seq=0, payload=K, created=0.0, completing=()):
+    """A batch (its id) in ``stage``'s batch table, completing the
+    packets of ``completing`` (one segment at most)."""
+    for columns, lo, hi in completing:
+        return stage.frames.batches.add(
+            output, seq, payload, created, hi - lo, columns, lo, hi
+        )
+    return stage.frames.batches.add(output, seq, payload, created)
 
 
 class TestTailSRAM:
@@ -115,36 +121,36 @@ class TestTailSRAM:
         tail = TailSRAM(config)
         per_frame = config.batches_per_frame
         for i in range(per_frame - 1):
-            assert tail.on_batch(make_batch(2, i), float(i)) is None
-        frame = tail.on_batch(make_batch(2, per_frame - 1), 99.0)
+            assert tail.on_batch(make_batch(tail, 2, i), float(i)) is None
+        frame = tail.on_batch(make_batch(tail, 2, per_frame - 1), 99.0)
         assert frame is not None
-        assert frame.output == 2
+        assert tail.frames.output[frame] == 2
         assert len(tail.frame_fifo) == 1
 
     def test_pop_frame_fifo(self, config):
         tail = TailSRAM(config)
         for output in (1, 3):
             for i in range(config.batches_per_frame):
-                tail.on_batch(make_batch(output, i), 0.0)
+                tail.on_batch(make_batch(tail, output, i), 0.0)
         first = tail.pop_frame(1.0)
         second = tail.pop_frame(1.0)
-        assert (first.output, second.output) == (1, 3)
+        assert (tail.frames.output[first], tail.frames.output[second]) == (1, 3)
         assert tail.pop_frame(1.0) is None
 
     def test_pop_frame_for_output_preserves_others(self, config):
         tail = TailSRAM(config)
         for output in (1, 3):
             for i in range(config.batches_per_frame):
-                tail.on_batch(make_batch(output, i), 0.0)
+                tail.on_batch(make_batch(tail, output, i), 0.0)
         frame = tail.pop_frame_for(3, 1.0)
-        assert frame.output == 3
+        assert tail.frames.output[frame] == 3
         assert tail.pop_frame_for(3, 1.0) is None
-        assert tail.frame_fifo[0].output == 1
+        assert tail.frames.output[tail.frame_fifo[0]] == 1
 
     def test_padded_frame_flushes_partial(self, config):
         tail = TailSRAM(config)
-        tail.on_batch(make_batch(0), 0.0)
-        frame = tail.padded_frame_for(0, 5.0)
+        tail.on_batch(make_batch(tail, 0), 0.0)
+        frame = tail.frames.view(tail.padded_frame_for(0, 5.0))
         assert frame.size_bytes == config.frame_bytes
         assert frame.payload_bytes == K
         assert tail.padded_frame_for(0, 6.0) is None
@@ -152,14 +158,14 @@ class TestTailSRAM:
     def test_has_data_for(self, config):
         tail = TailSRAM(config)
         assert not tail.has_data_for(0)
-        tail.on_batch(make_batch(0), 0.0)
+        tail.on_batch(make_batch(tail, 0), 0.0)
         assert tail.has_data_for(0)
         assert not tail.has_data_for(1)
 
     def test_overflow_drops_batch(self, config):
         tail = TailSRAM(config, capacity_bytes=K)
-        tail.on_batch(make_batch(0, 0), 0.0)
-        tail.on_batch(make_batch(0, 1), 0.0)
+        tail.on_batch(make_batch(tail, 0, 0), 0.0)
+        tail.on_batch(make_batch(tail, 0, 1), 0.0)
         assert tail.drops.dropped_items == 1
 
     def test_output_bounds(self, config):
@@ -167,20 +173,29 @@ class TestTailSRAM:
             TailSRAM(config).validate_output(config.n_ports)
 
 
-def make_frame(config, output, payload_batches=None):
+def make_frame(stage, config, output, payload_batches=None, payloads=None, created=0.0):
+    """A frame (its id) in ``stage``'s frame table, of full batches
+    (``payload_batches`` of them) or of batches carrying ``payloads``."""
     n = config.batches_per_frame if payload_batches is None else payload_batches
-    batches = [make_batch(output, i) for i in range(n)]
-    return Frame(output, 0, batches, config.frame_bytes, 0.0)
+    if payloads is None:
+        payloads = [K] * n
+    batches = [make_batch(stage, output, i, payload) for i, payload in enumerate(payloads)]
+    return stage.frames.add(output, 0, created, batches)
+
+
+def frame_of(stage, config, batches):
+    """A frame (its id) of ``batches`` (ids) for output 0."""
+    return stage.frames.add(0, 0, 0.0, batches[: config.batches_per_frame])
 
 
 class TestHeadSRAM:
     def test_frame_queue_fifo(self, config):
         head = HeadSRAM(config)
-        head.on_frame(make_frame(config, 1), 0.0)
-        head.on_frame(make_frame(config, 1), 1.0)
+        head.on_frame(make_frame(head, config, 1), 0.0)
+        head.on_frame(make_frame(head, config, 1, created=1.0), 1.0)
         assert head.queued_frames(1) == 2
         first = head.pop_frame(1, 2.0)
-        assert first.created_ns == 0.0
+        assert head.frames.created[first] == 0.0
         assert head.queued_frames(1) == 1
 
     def test_pop_empty_is_none(self, config):
@@ -188,7 +203,7 @@ class TestHeadSRAM:
 
     def test_backlog_counts_payload_only(self, config):
         head = HeadSRAM(config)
-        frame = make_frame(config, 0, payload_batches=2)
+        frame = make_frame(head, config, 0, payload_batches=2)
         head.on_frame(frame, 0.0)
         assert head.payload_backlog_bytes() == 2 * K
         assert head.occupancy_bytes == config.frame_bytes
@@ -201,7 +216,7 @@ class TestHeadSRAM:
 class TestOutputPort:
     def test_full_frame_transmits_at_line_rate(self, config):
         port = OutputPort(config, 0)
-        frame = make_frame(config, 0)
+        frame = make_frame(port, config, 0)
         finish = port.transmit_frame(frame, ready_ns=100.0)
         expected = 100.0 + config.frame_bytes / (config.port_rate_bps / 8e9)
         assert finish == pytest.approx(expected)
@@ -209,9 +224,9 @@ class TestOutputPort:
 
     def test_padding_takes_no_wire_time(self, config):
         port = OutputPort(config, 0)
-        frame = make_frame(config, 0)
-        for batch in frame.batches[2:]:
-            batch.payload_bytes = 0  # pure filler
+        # Two full batches, then pure filler.
+        payloads = [K, K] + [0] * (config.batches_per_frame - 2)
+        frame = make_frame(port, config, 0, payloads=payloads)
         finish = port.transmit_frame(frame, 0.0)
         expected = 2 * K / (config.port_rate_bps / 8e9)
         assert finish == pytest.approx(expected)
@@ -219,15 +234,15 @@ class TestOutputPort:
 
     def test_busy_port_queues_next_frame(self, config):
         port = OutputPort(config, 0)
-        end1 = port.transmit_frame(make_frame(config, 0), 0.0)
-        end2 = port.transmit_frame(make_frame(config, 0), 0.0)
+        end1 = port.transmit_frame(make_frame(port, config, 0), 0.0)
+        end2 = port.transmit_frame(make_frame(port, config, 0), 0.0)
         assert end2 == pytest.approx(2 * end1)
 
     def test_packets_get_departure_and_lane(self, config):
         port = OutputPort(config, 0, n_fibers=2, n_wavelengths=4)
         packet = make_packet(pid=0, size=K, dst=0)
-        batch = Batch(0, 0, K, K, completing(port, [packet]), 0.0)
-        frame = Frame(0, 0, [batch], config.frame_bytes, 0.0)
+        batch = make_batch(port, 0, completing=completing(port, [packet]))
+        frame = frame_of(port, config, [batch])
         departures, lanes = np.full(1, np.nan), np.full(1, -1)
         port.record = (departures, lanes)
         port.transmit_frame(frame, 10.0)
@@ -242,9 +257,9 @@ class TestOutputPort:
         port = OutputPort(config, 0)
         early = make_packet(pid=5, size=256, dst=0, t=0.0)
         late = make_packet(pid=3, size=256, dst=0, t=0.0)
-        batch1 = Batch(0, 0, K, K, completing(port, [early]), 0.0)
-        batch2 = Batch(0, 1, K, K, completing(port, [late]), 0.0)
-        frame = Frame(0, 0, [batch1, batch2], config.frame_bytes, 0.0)
+        batch1 = make_batch(port, 0, 0, completing=completing(port, [early]))
+        batch2 = make_batch(port, 0, 1, completing=completing(port, [late]))
+        frame = frame_of(port, config, [batch1, batch2])
         port.transmit_frame(frame, 0.0)
         assert port.ordering_violations == 1
         with pytest.raises(Exception):
@@ -255,8 +270,8 @@ class TestEgressLanes:
     def test_lane_bytes_recorded(self, config):
         port = OutputPort(config, 0, n_fibers=2, n_wavelengths=2)
         packet = make_packet(pid=0, size=K, dst=0)
-        batch = Batch(0, 0, K, K, completing(port, [packet]), 0.0)
-        frame = Frame(0, 0, [batch], config.frame_bytes, 0.0)
+        batch = make_batch(port, 0, completing=completing(port, [packet]))
+        frame = frame_of(port, config, [batch])
         port.transmit_frame(frame, 0.0)
         assert sum(port.lane_bytes.values()) == K
         assert set(port.lane_bytes) <= {(f, w) for f in range(2) for w in range(2)}
@@ -270,8 +285,11 @@ class TestEgressLanes:
         packets = [
             Packet(i, 256, 0, 0, flows.flow_for(0, 0, i), 0.0) for i in range(512)
         ]
-        batches = [Batch(0, i, K, K, completing(port, [p]), 0.0) for i, p in enumerate(packets)]
-        frame = Frame(0, 0, batches[: config.batches_per_frame], config.frame_bytes, 0.0)
+        batches = [
+            make_batch(port, 0, i, completing=completing(port, [p]))
+            for i, p in enumerate(packets)
+        ]
+        frame = frame_of(port, config, batches)
         port.transmit_frame(frame, 0.0)
         # Multiple lanes used even within one frame's worth of flows.
         assert len(port.lane_bytes) > 1

@@ -45,6 +45,17 @@ class TestAuditBalance:
         assert audit["balance"] == 0
         assert audit["residual"] == 0
 
+    def test_emptied_switch_frees_every_batch_and_frame_row(self, small_switch):
+        """Batch and frame ids are freed once their frame is on the wire
+        and reused, so the tables hold only what is in flight."""
+        switch = HBMSwitch(small_switch, PFIOptions(padding=True, bypass=True))
+        switch.run(make_traffic(small_switch, 0.6, 20_000.0), 20_000.0)
+        assert switch.audit()["residual"] == 0
+        assert switch.batches.live == 0
+        assert switch.frames.live == 0
+        cut = sum(a.batches_emitted for port in switch.inputs for a in port.assemblers)
+        assert len(switch.batches.output) < cut / 4
+
     def test_no_padding_subframe_residue_terminates_and_balances(self, small_switch):
         """Without padding, a partially-filled frame can never complete,
         so residue stays in the switch forever.  The run must still

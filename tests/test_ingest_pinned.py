@@ -15,8 +15,13 @@ instrumented runs recorded while every instrument was updated at the
 instant it observed: tail- and input-SRAM drops, a 2-channel HBM
 loss, OEO degradation, padding x bypass, a run longer than the
 512-window series ring, dumps read in the middle of a streamed run,
-and a faulted router cell sequentially and on the process pool.  A
-digest here changes only with a declared behaviour change.
+and a faulted router cell sequentially and on the process pool.
+``PATH_CELLS`` pin the batch and frame paths the grid misses, recorded
+before batches and frames became table rows: speedup 2 (phases shorter
+than a batch time), work-conserving reads, dynamic paging, command-level
+timing checks with telemetry, and a drain-time padded flush with a
+pipeline trace.  A digest here changes only with a declared behaviour
+change.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import pytest
 from repro import HBMSwitch, PFIOptions, SplitParallelSwitch, scaled_router
 from repro.adversary import BurstSynchronizedAttack, KnownAssignmentAttack
 from repro.control import ControlConfig
+from repro.core.paging import DynamicPageAllocator
 from repro.fabric import ClosTopology
 from repro.faults import (
     FaultSchedule,
@@ -548,6 +554,78 @@ PINNED_TELEMETRY = {
         '2f04711d1f9d6eef291118649a0b638b43f247d5f88efcc1f0bc4a0f75215e82',
     ),
 }
+
+
+def _path_cell(options, load, size_dist, process, seed, duration=6_000.0,
+               speedup=1.0, address_map=None, telemetry=False, trace=None,
+               **kwargs):
+    """One switch run through a path of the batch and frame dataplane
+    the grid above leaves out: its report, departures, and registry
+    dump or pipeline trace when either is attached."""
+    config = scaled_router(speedup=speedup).switch
+    parts = []
+    if telemetry:
+        registry, kwargs["telemetry"] = _instrumented(config)
+    if address_map is not None:
+        kwargs["address_map"] = address_map(config)
+    switch = HBMSwitch(config, options, trace=trace, **kwargs)
+    packets = _traffic(config, load, duration, size_dist, process, seed)
+    report = switch.run(packets, duration)
+    parts.append(_switch_payload(report, packets))
+    if telemetry:
+        parts.append(_sha(registry.dumps()))
+    if trace is not None:
+        parts.append(_sha(trace.to_jsonl()))
+    return _digest(parts)
+
+
+#: Cells for the dataplane paths the grid above does not reach, each
+#: recorded before switch internals were held as columns.
+PATH_CELLS = {
+    # A phase is shorter than a batch time: several phases fire
+    # between two crossings of a port.
+    "speedup_2": lambda: _path_cell(
+        PFIOptions(padding=True, bypass=False), 0.8, ImixSize(),
+        ArrivalProcess.POISSON, 21, speedup=2.0,
+    ),
+    # Reads skip to the next output with a frame (or a bypass frame).
+    "work_conserving_reads": lambda: _path_cell(
+        PFIOptions(padding=True, bypass=True, work_conserving_reads=True),
+        0.6, ImixSize(), ArrivalProcess.ONOFF, 22,
+    ),
+    # Frame rows come from a page table instead of fixed regions.
+    "dynamic_pages": lambda: _path_cell(
+        _BOTH, 0.9, FixedSize(1500), ArrivalProcess.ONOFF, 23,
+        address_map=lambda config: DynamicPageAllocator(config, rows_per_page=2),
+    ),
+    # Every phase's command schedule on the checked controller, with
+    # the controller's own telemetry.
+    "validated_timing": lambda: _path_cell(
+        PFIOptions(padding=True, bypass=False, validate_hbm_timing=True),
+        0.7, ImixSize(), ArrivalProcess.POISSON, 24, duration=4_000.0,
+        telemetry=True,
+    ),
+    # Light load leaves partial batches on every port at the end: the
+    # drain pads and flushes them all, and the trace records each step.
+    "drain_flush_trace": lambda: _path_cell(
+        PFIOptions(padding=True, bypass=False), 0.2, ImixSize(),
+        ArrivalProcess.POISSON, 25, duration=3_000.0, trace=TraceRecorder(),
+    ),
+}
+
+PINNED_PATHS = {
+    'drain_flush_trace': '792b20e938342aef32ab5e329a496cdde6e8f89f7d7d8d101ea42ecf0f5b99c2',
+    'dynamic_pages': 'd1c021583f17e503edac497f6774c5835d45333da764aed3329934fdc8b09a97',
+    'speedup_2': 'f5a1425ab65fd4e8eed6391f7a65765f378b9a06c9d4c6e35daf4ea33bacc1ca',
+    'validated_timing': '65355a73712372c04b0e2a0768bab5eb120172d2235950d8280fa2f2d4702b8b',
+    'work_conserving_reads': '42931cc951bbf7c828c84da2c859c7c5a48e4cf7477dc29f15bcf2f1dc3b221f',
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_CELLS))
+def test_pinned_path_digest(name):
+    assert PATH_CELLS[name]() == PINNED_PATHS[name]
+
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))

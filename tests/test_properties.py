@@ -37,7 +37,7 @@ class TestBatchAssemblerProperties:
             emitted += offer(asm, [size], pids=[i])
         final = asm.flush(0.0)
         if final is not None:
-            emitted.append(final)
+            emitted.append(asm.batches.view(final))
         completed = [pid for b in emitted for pid in completing_pids(b)]
         assert completed == sorted(completed)
         assert completed == list(range(len(packet_sizes)))
@@ -54,14 +54,13 @@ class TestFrameAssemblerProperties:
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=50))
     @settings(max_examples=40, deadline=None)
     def test_frames_hold_exact_batch_count(self, per_frame, n_batches):
-        from repro.core.frames import Batch
-
         fasm = FrameAssembler(0, 256, per_frame)
+        table = fasm.frames
         frames = []
         for i in range(n_batches):
-            frame = fasm.add(Batch(0, i, 256, 256, [], 0.0), 0.0)
-            if frame:
-                frames.append(frame)
+            frame = fasm.add(table.batches.add(0, i, 256, 0.0), 0.0)
+            if frame is not None:
+                frames.append(table.view(frame))
         assert len(frames) == n_batches // per_frame
         assert all(len(f.batches) == per_frame for f in frames)
         assert fasm.pending_batches == n_batches % per_frame

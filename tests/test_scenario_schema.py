@@ -98,6 +98,19 @@ def test_scenario_digest_pinned(name):
     assert _cells()[name].digest() == PINNED_DIGESTS[name]
 
 
+def test_config_content_is_built_once_per_object():
+    """Scenarios built on one config object share its digest content;
+    an equal config that is another object gets its own, and the same
+    digest."""
+    router = scaled_router()
+    first = Scenario(kind="router", config=router, seed=1)
+    second = Scenario(kind="router", config=router, seed=2, load=0.3)
+    assert first.describe()["config"] is second.describe()["config"]
+    other = Scenario(kind="router", config=scaled_router(), seed=1)
+    assert other.describe()["config"] is not first.describe()["config"]
+    assert other.digest() == first.digest()
+
+
 def test_kind_fields_derive_from_the_table():
     # The per-kind field lists as they were written out by hand before
     # the table existed.
