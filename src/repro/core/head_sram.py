@@ -47,7 +47,7 @@ class HeadSRAM:
         self._check(output)
         self._queues[output].append(frame)
         self._bytes += self._frame_bytes
-        self.occupancy.observe(self._bytes, now)
+        self.occupancy.observe(self._bytes)
 
     def pop_frame(self, output: int, now: float) -> Optional[int]:
         """Next frame (its id) for ``output`` to transmit, FIFO order."""
@@ -55,7 +55,7 @@ class HeadSRAM:
         if not self._queues[output]:
             return None
         self._bytes -= self._frame_bytes
-        self.occupancy.observe(self._bytes, now)
+        self.occupancy.observe(self._bytes)
         return self._queues[output].popleft()
 
     def payload_backlog_bytes(self) -> int:

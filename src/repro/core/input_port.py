@@ -144,7 +144,7 @@ class InputPort:
         for assembler in self.assemblers:
             assembler.close_block()
         if now is not None:
-            self.occupancy.observe(self.occupancy_bytes, now)
+            self.occupancy.observe(self.occupancy_bytes)
 
     def pop_batch(self, now: float, occupancy: Optional[int] = None) -> Optional[int]:
         """Remove the head-of-line batch for transmission; returns its id.
@@ -157,7 +157,7 @@ class InputPort:
         if occupancy is None:
             occupancy = self.occupancy_bytes
         # The peak is reached just before a pop (arrivals only add).
-        self.occupancy.observe_fall(occupancy, occupancy - self._batch_bytes, now)
+        self.occupancy.observe_fall(occupancy, occupancy - self._batch_bytes)
         self._fifo_bytes -= self._batch_bytes
         return self.fifo.popleft()
 
@@ -171,5 +171,5 @@ class InputPort:
                 self.enqueue(batch)
                 flushed.append(batch)
         if flushed:
-            self.occupancy.observe(self.occupancy_bytes, now)
+            self.occupancy.observe(self.occupancy_bytes)
         return flushed

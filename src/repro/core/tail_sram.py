@@ -105,7 +105,7 @@ class TailSRAM:
             self._pending_bytes -= self._frame_bytes - self._batch_bytes
             self.frame_fifo.append(frame)
             self._fifo_bytes += self._frame_bytes
-        self.occupancy.observe(self._pending_bytes + self._fifo_bytes, now)
+        self.occupancy.observe(self._pending_bytes + self._fifo_bytes)
         return frame
 
     def pop_frame(self, now: float) -> Optional[int]:
@@ -113,7 +113,7 @@ class TailSRAM:
         if not self.frame_fifo:
             return None
         self._fifo_bytes -= self._frame_bytes
-        self.occupancy.observe(self.occupancy_bytes, now)
+        self.occupancy.observe(self.occupancy_bytes)
         return self.frame_fifo.popleft()
 
     def pop_frame_for(self, output: int, now: float) -> Optional[int]:
@@ -128,7 +128,7 @@ class TailSRAM:
             if output_of[frame] == output:
                 del self.frame_fifo[position]
                 self._fifo_bytes -= self._frame_bytes
-                self.occupancy.observe(self.occupancy_bytes, now)
+                self.occupancy.observe(self.occupancy_bytes)
                 return frame
         return None
 
@@ -145,7 +145,7 @@ class TailSRAM:
         frame = assembler.flush(now)
         if frame is not None:
             self._pending_bytes -= pending_before
-            self.occupancy.observe(self.occupancy_bytes, now)
+            self.occupancy.observe(self.occupancy_bytes)
         return frame
 
     def has_data_for(self, output: int) -> bool:

@@ -16,10 +16,14 @@ tested against.  :meth:`HBMController.apply` is a one-command block, so
 it and :meth:`HBMController.execute` share that one state.
 
 PFI queues one row per phase (:meth:`HBMController.queue_frame`) instead
-of building its commands.  The queue is checked in blocks of
-:data:`FRAME_BLOCK` frames, and whenever controller state is read, so a
-violation surfaces at the next flush rather than in the phase that
-issued it.
+of building its commands.  The queue is checked once it holds about
+:data:`BLOCK_COMMANDS` commands per lane, and whenever controller state
+is read, so a violation surfaces at the next flush rather than in the
+phase that issued it.  A phase stripes the same schedule over channels
+``0 .. n - 1``, so a flush hands the verifier one row per command with
+the channels it spans, and the verifier checks each lane of identical
+channels once (:mod:`repro.hbm.verify`); every count and audit still
+covers every channel.
 
 Write/read phase turnarounds (bus direction reversal, DQS preambles) are
 not modelled per-command; they are the "about 2%" transition overhead of
@@ -30,7 +34,7 @@ gap and measured in E4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,13 +44,18 @@ from ..units import bytes_per_ns_to_rate
 from .commands import Command, Op
 from .interleaving import BankGroup, frame_schedule_block
 from .timing import HBMTiming
-from .verify import CODE, Checked, CommandBlock, TimingState, application_order
+from .verify import (
+    CODE, WR, Checked, CommandBlock, TimingState, application_order, spread,
+)
 
-#: Frames per checked block of a PFI run.  Small blocks keep the
-#: verifier's temporaries, and so peak RSS, flat; on the
-#: ``switch_hbm_checked`` bench op, 32 would save about a fifth of the
-#: verifier's time for 1.6 % more peak RSS.
-FRAME_BLOCK = 16
+#: Checked rows per lane in one block of a PFI run: a frame adds
+#: ``3 * gamma``, so 128 frames at gamma 4.  The budget bounds the
+#: verifier's temporaries, and so peak RSS, at the 16 frames x 96
+#: commands the per-channel check took on the 8-channel
+#: ``switch_hbm_checked`` bench switch.  A block whose frames stripe
+#: over different channel counts, or whose channels carry different
+#: state, has more than one lane and checks that many rows per lane.
+BLOCK_COMMANDS = 1536
 
 
 @dataclass(frozen=True)
@@ -116,11 +125,15 @@ class HBMController:
             bytes_per_ns=stack_config.channel_bytes_per_ns,
             width_bits=stack_config.channel_width_bits,
         )
-        # PFI phases not yet checked, one row each (``queue_frame``).
+        # PFI phases not yet checked, one row each (``queue_frame``),
+        # and the rows per lane they expand to.
         self._queued: List[Tuple[int, int, int, int, float, int, int]] = []
-        # Open-bank intervals ``(channel, open, close)`` closed so far,
-        # one array triple per block: the reference sweep's input.
-        self._intervals: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._queued_rows = 0
+        # Open-bank intervals ``(channel, span, open, close)`` closed so
+        # far, one array tuple per block: each interval holds on
+        # channels ``channel .. channel + span - 1``.  The reference
+        # sweep's input.
+        self._intervals: List[Tuple[np.ndarray, ...]] = []
         # Incremental form of the same audit (see ``_track``): the close
         # times ``(channel, close)`` later than their channel's latest
         # ACT, plus the running peak.  ``_incremental`` drops to False
@@ -203,14 +216,15 @@ class HBMController:
 
         The frame is :func:`~repro.hbm.interleaving.generate_frame_schedule`'s
         over channels ``0 .. n_channels - 1`` at this controller's
-        timing and channel rate.  A full block of :data:`FRAME_BLOCK`
-        frames is checked at once.
+        timing and channel rate.  The queue is checked once its frames
+        expand to :data:`BLOCK_COMMANDS` rows per lane.
         """
         self._queued.append(
             (CODE[op], n_channels, group.first_bank, row, data_start,
              group.gamma, segment_bytes)
         )
-        if len(self._queued) >= FRAME_BLOCK:
+        self._queued_rows += 3 * group.gamma
+        if self._queued_rows >= BLOCK_COMMANDS:
             self.flush()
 
     def flush(self) -> None:
@@ -221,7 +235,7 @@ class HBMController:
         """
         if not self._queued:
             return
-        rows, self._queued = self._queued, []
+        rows, self._queued, self._queued_rows = self._queued, [], 0
         block = frame_schedule_block(
             *zip(*rows), self.timing, self.stack_config.channel_bytes_per_ns
         )
@@ -230,11 +244,12 @@ class HBMController:
     def execute(self, commands: Union[CommandBlock, Iterable[Command]]) -> ScheduleResult:
         """Execute a whole schedule in time order and audit it.
 
-        ``commands`` is a :class:`~repro.hbm.verify.CommandBlock` or any
-        iterable of :class:`Command`.  They are sorted by ``(time,
-        op-priority, channel, bank)`` -- at equal timestamps PRE applies
-        before ACT before column commands, which matches how a real
-        controller pipelines same-cycle commands.  Raises
+        ``commands`` is a :class:`~repro.hbm.verify.CommandBlock` (whose
+        rows may span channels) or any iterable of :class:`Command`.
+        They are sorted by ``(time, op-priority, channel, bank)`` -- at
+        equal timestamps PRE applies before ACT before column commands,
+        which matches how a real controller pipelines same-cycle
+        commands.  Raises
         :class:`TimingViolation` on the first illegal command; the
         commands before it stay applied.
         """
@@ -246,12 +261,13 @@ class HBMController:
         if not len(block):
             return ScheduleResult(0, 0.0, 0.0, 0, self.peak_open_banks())
         block = block.take(application_order(block))
-        checked = self._run(block)
-        column = checked.is_col
-        payload = int(block.size[column].sum())
+        self._run(block)
+        column = block.op >= WR
+        payload = int((block.size * block.span)[column].sum())
         if payload:
-            data_start = float(block.time[column].min())
-            data_end = float((block.time[column] + checked.xfer[column]).max())
+            time, size = block.time[column], block.size[column]
+            data_start = float(time.min())
+            data_end = float((time + self._state.transfer_time(size)).max())
         else:
             data_start = float(block.time[0])
             data_end = float(block.time[-1])
@@ -259,19 +275,36 @@ class HBMController:
             payload_bytes=payload,
             start_ns=data_start,
             end_ns=data_end,
-            commands_executed=len(block),
+            commands_executed=block.n_commands,
             peak_open_banks_per_channel=self.peak_open_banks(),
         )
 
     def _run(self, block: CommandBlock) -> Checked:
         """Check and apply ``block`` in its given order, then audit it."""
         open_before = self._state.open_counts()
-        checked, error = self._state.apply(block)
-        self._executed += len(checked.block)
+        wide = (block.span != 1).any()
+        checked, error = self._state.apply(block, self._carried() if wide else None)
+        self._executed += checked.block.n_commands
         self._track(checked, open_before)
         if error is not None:
             raise error
         return checked
+
+    def _carried(self) -> Optional[np.ndarray]:
+        """The audit's pending closes per channel, sorted, padded with inf.
+
+        Two channels share a lane only if these rows agree too: the
+        incremental audit counts each lane once.
+        """
+        channel, close = self._pending
+        if not self._incremental or not len(channel):
+            return None
+        order = np.lexsort((close, channel))
+        channel, close = channel[order], close[order]
+        rank = np.arange(len(channel)) - np.searchsorted(channel, channel)
+        rows = np.full((self.n_channels, int(rank.max()) + 1), np.inf)
+        rows[channel, rank] = close
+        return rows
 
     def _timing_state(self) -> TimingState:
         """The state of record, after every queued frame is applied."""
@@ -293,6 +326,10 @@ class HBMController:
         at an ACT's own time first, as in the sweep), the count at each
         ACT is the channel's banks open before the block, plus its
         pending closes, plus the ACTs so far, minus the closes so far.
+
+        A row that stands for a lane counts for each of its channels:
+        they started with the same open banks and pending closes and
+        met the same commands, so each channel's count is its lane's.
         """
         # The PREs, in the per-bank order the bank state is kept in.
         by_bank = checked.by_bank
@@ -301,7 +338,7 @@ class HBMController:
         p_ch, p_close = checked.ch[pres], checked.block.time[pres] + self.timing.t_rp
         if len(p_ch):
             opened = checked.bank_state["last_act"][pre]
-            self._intervals.append((p_ch, opened, p_close))
+            self._intervals.append((p_ch, checked.block.span[pres], opened, p_close))
         if not self._incremental:
             return
         if np.any(checked.a_t < checked.a_prev) or np.any(
@@ -328,7 +365,15 @@ class HBMController:
         channel = np.concatenate((pend_ch, p_ch))
         close = np.concatenate((pend_close, p_close))
         keep = close > latest[channel]
-        self._pending = (channel[keep], close[keep])
+        channel, close = channel[keep], close[keep]
+        owner = checked.owner
+        if owner is not None:
+            # The rest of each lane now holds its owner's pending closes.
+            mine = owner[channel] == channel
+            width = np.bincount(owner, minlength=self.n_channels)
+            rows, channel = spread(channel[mine], width[channel[mine]])
+            close = close[mine][rows]
+        self._pending = (channel, close)
 
     def peak_open_banks(self) -> int:
         """Maximum simultaneously open banks seen on any channel.
@@ -351,14 +396,15 @@ class HBMController:
         """Reference audit: a sweep over every recorded open interval."""
         state = self._state
         open_banks = np.flatnonzero(state.is_open)
-        channels = [channel for channel, _, _ in self._intervals]
+        channels, starts, ends = [], [], []
+        for first, span, start, end in self._intervals:
+            rows, channel = spread(first, span)
+            channels.append(channel)
+            starts.append(start[rows])
+            ends.append(end[rows])
         n_closed = sum(len(c) for c in channels)
         channel = np.concatenate(channels * 2 + [open_banks // state.n_banks])
-        time = np.concatenate(
-            [start for _, start, _ in self._intervals]
-            + [end for _, _, end in self._intervals]
-            + [state.last_act[open_banks]]
-        )
+        time = np.concatenate(starts + ends + [state.last_act[open_banks]])
         delta = np.repeat([1, -1, 1], [n_closed, n_closed, len(open_banks)])
         if not len(delta):
             return 0

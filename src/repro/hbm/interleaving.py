@@ -169,9 +169,10 @@ def frame_schedule_block(
     Frame ``i`` moves data with op code ``ops[i]`` (``verify.WR`` or
     ``verify.RD``) over channels ``0 .. n_channels[i] - 1`` and banks
     ``first_banks[i] .. first_banks[i] + gammas[i] - 1``, starting its
-    data phase at ``data_starts[i]``.  Commands come frame by frame, then
-    bank position, then channel, then ACT, WR/RD, PRE -- the order
-    :func:`generate_frame_schedule` emits before it sorts.
+    data phase at ``data_starts[i]``.  Every channel gets the same
+    commands, so each command is one row spanning the frame's channels
+    (see :class:`~repro.hbm.verify.CommandBlock`).  Rows come frame by
+    frame, then bank position, then ACT, WR/RD, PRE.
 
     For the bank in position ``p``, the data slot starts at ``data_start
     + p * segment_time``, its ACT leads the slot by tRCD and its PRE
@@ -179,14 +180,12 @@ def frame_schedule_block(
     expressions, evaluated in the same float64 order, so times match
     :func:`generate_frame_schedule` bit for bit.
     """
-    n_channels = np.asarray(n_channels, dtype=np.int64)
-    per_frame = 3 * np.asarray(gammas, dtype=np.int64) * n_channels
+    per_frame = 3 * np.asarray(gammas, dtype=np.int64)
     frame = np.repeat(np.arange(len(per_frame)), per_frame)
     offset = np.repeat(np.cumsum(per_frame) - per_frame, per_frame)
     index = np.arange(len(frame)) - offset
     kind = index % 3  # 0 ACT, 1 WR/RD, 2 PRE
-    lanes = n_channels[frame]
-    position = index // (3 * lanes)
+    position = index // 3
     segment = np.asarray(segment_bytes, dtype=np.int64)[frame]
     segment_time = segment / channel_bytes_per_ns
     slot = np.asarray(data_starts, dtype=np.float64)[frame] + position * segment_time
@@ -195,13 +194,14 @@ def frame_schedule_block(
     data = kind == 1
     return CommandBlock(
         time=np.where(kind == 0, act, np.where(data, slot, pre)),
-        channel=index // 3 % lanes,
+        channel=np.zeros(len(frame), dtype=np.int64),
         bank=np.asarray(first_banks, dtype=np.int64)[frame] + position,
         row=np.asarray(rows, dtype=np.int64)[frame],
         op=np.where(
             kind == 0, ACT, np.where(data, np.asarray(ops, dtype=np.int64)[frame], PRE)
         ),
         size=np.where(data, segment, 0),
+        span=np.asarray(n_channels, dtype=np.int64)[frame],
     )
 
 
@@ -241,7 +241,7 @@ def generate_frame_schedule(
     block = frame_schedule_block(
         [CODE[op]], [len(channels)], [group.first_bank], [row], [data_start],
         [group.gamma], [segment_bytes], timing, channel_bytes_per_ns,
-    )
+    ).expand()
     block = replace(block, channel=np.asarray(channels, dtype=np.int64)[block.channel])
     order = np.lexsort((block.op != ACT, block.op != PRE, block.time))
     segment_time = segment_bytes / channel_bytes_per_ns

@@ -9,6 +9,14 @@ machines.  :class:`TimingState` holds every channel's and bank's state
 as arrays and carries it from one block to the next, so the seams
 between blocks are checked exactly like the inside of a block.
 
+A row may stand for one command on a run of channels (its ``span``):
+PFI stripes each frame over channels ``0 .. n - 1`` with the same
+schedule on every one.  Every rule is per channel or per ``(channel,
+bank)``, so channels that start a block in the same state and receive
+the same commands -- a *lane* -- end it in the same state.
+:meth:`TimingState.apply` cuts the block into lanes, checks each lane
+on its first channel, and writes the result to the rest of the lane.
+
 A block is checked in the order it is given (the controller sorts it
 first).  Each command meets the oracle's checks in the oracle's order:
 channel-dead, bank range, tFAW, tCCD and bus-busy, then the per-bank
@@ -25,7 +33,7 @@ same rule, command text, ``issued_at`` and ``legal_at``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -44,9 +52,24 @@ CODE = {op: code for code, op in enumerate(OPS)}
 _INF = float("inf")
 
 
+def spread(first: np.ndarray, span: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every value ``first[i] .. first[i] + span[i] - 1``, entry by entry.
+
+    Returns the entry each value belongs to and the value itself.
+    """
+    rows = np.repeat(np.arange(len(span)), span)
+    start = np.repeat(np.cumsum(span) - span, span)
+    return rows, first[rows] + (np.arange(len(rows)) - start)
+
+
 @dataclass(frozen=True)
 class CommandBlock:
-    """Commands as parallel arrays, one entry per command."""
+    """Commands as parallel arrays, one entry (row) per command.
+
+    A row with ``span`` s stands for the same command on channels
+    ``channel .. channel + s - 1``; rows are one channel wide unless a
+    ``span`` is given.
+    """
 
     time: np.ndarray  # float64, ns
     channel: np.ndarray  # int64, flat channel index
@@ -54,9 +77,19 @@ class CommandBlock:
     row: np.ndarray  # int64
     op: np.ndarray  # int64 op codes (PRE, REF, ACT, WR, RD)
     size: np.ndarray  # int64 payload bytes, 0 for ACT/PRE/REF
+    span: Optional[np.ndarray] = None  # int64 channels per row
+
+    def __post_init__(self) -> None:
+        if self.span is None:
+            object.__setattr__(self, "span", np.ones(len(self.time), dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.time)
+
+    @property
+    def n_commands(self) -> int:
+        """Commands the block stands for, one per channel of each row."""
+        return int(self.span.sum())
 
     @classmethod
     def from_commands(cls, commands: Iterable[Command]) -> "CommandBlock":
@@ -72,16 +105,24 @@ class CommandBlock:
         """The commands at ``index`` (an index array or a slice)."""
         return CommandBlock(
             self.time[index], self.channel[index], self.bank[index],
-            self.row[index], self.op[index], self.size[index],
+            self.row[index], self.op[index], self.size[index], self.span[index],
         )
 
+    def expand(self) -> "CommandBlock":
+        """One row per channel: each row repeated over its span, in place."""
+        if (self.span == 1).all():
+            return self
+        rows, channel = spread(self.channel, self.span)
+        return replace(self.take(rows), channel=channel, span=None)
+
     def commands(self) -> List[Command]:
-        """The block as :class:`Command` records, in block order."""
+        """The block as :class:`Command` records, one per channel, in block order."""
+        b = self.expand()
         return [
             Command(OPS[op], channel, bank, row, time, size)
             for time, channel, bank, row, op, size in zip(
-                self.time.tolist(), self.channel.tolist(), self.bank.tolist(),
-                self.row.tolist(), self.op.tolist(), self.size.tolist(),
+                b.time.tolist(), b.channel.tolist(), b.bank.tolist(),
+                b.row.tolist(), b.op.tolist(), b.size.tolist(),
             )
         ]
 
@@ -165,9 +206,13 @@ class Checked:
     #: open_row, last_act, precharged, data_end.
     bank_state: Dict[str, np.ndarray]
     first_bad: Optional[int]  # first illegal entry, if any
+    #: Per channel, the first channel of its lane when the block has
+    #: lanes wider than one channel, else ``None``.
+    owner: Optional[np.ndarray]
 
-    def __init__(self, block: CommandBlock) -> None:
+    def __init__(self, block: CommandBlock, owner: Optional[np.ndarray] = None) -> None:
         self.block = block
+        self.owner = owner
 
 
 class TimingState:
@@ -229,28 +274,103 @@ class TimingState:
 
     # -- checking ------------------------------------------------------------------
 
-    def apply(self, block: CommandBlock) -> Tuple[Checked, Optional[Exception]]:
+    def apply(
+        self, block: CommandBlock, carried: Optional[np.ndarray] = None
+    ) -> Tuple[Checked, Optional[Exception]]:
         """Check ``block`` in order and advance the state past it.
 
         Returns the applied commands and ``None``, or -- when a command
         is illegal -- the legal prefix before it (applied) and the
         exception that command raises.  A channel outside ``0..T-1``
         gives the controller's :class:`~repro.errors.ConfigError`.
+
+        Rows wider than one channel are cut into lanes (see
+        :meth:`_lanes`; ``carried`` is the caller's own per-channel
+        state, one row per channel) and checked once per lane.  If a
+        lane is illegal, the block is checked again one row per channel
+        in application order, so the legal prefix and the exception are
+        exactly a per-channel check's.
         """
-        checked = self._check(block)
+        wide = bool((block.span != 1).any())
+        lanes = self._lanes(block, carried) if wide else (block, None)
+        if lanes is not None:
+            checked = self._check(*lanes)
+            if checked.first_bad is None:
+                self._commit(checked)
+                return checked, None
+        if wide:
+            block = block.expand()
+            block = block.take(application_order(block))
+            checked = self._check(block)
         k = checked.first_bad
-        if k is None:
-            self._commit(checked)
-            return checked, None
         error = self._violation(checked, k)
         checked = self._check(block.take(slice(0, k)))
         self._commit(checked)
         return checked, error
 
-    def _check(self, b: CommandBlock) -> Checked:
-        """Every command's state and legality, assuming its predecessors legal."""
+    def _lanes(
+        self, block: CommandBlock, carried: Optional[np.ndarray]
+    ) -> Optional[Tuple[CommandBlock, Optional[np.ndarray]]]:
+        """``block`` with every row cut into lanes, and each channel's lane owner.
+
+        Lanes are cut wherever a row starts or ends, and between any two
+        adjacent channels whose carried state differs: rule state, dead
+        windows or ``carried``.  Each row becomes one row per lane it
+        covers, addressed to the lane's first channel (its owner) with
+        the lane's width as span.  ``None`` when a row reaches outside
+        ``0..T-1``: that block is checked channel by channel.
+        """
+        T = self.n_channels
+        start, stop = block.channel, block.channel + block.span
+        if start.min() < 0 or stop.max() > T:
+            return None
+        cut = self._state_cuts(carried)
+        cut[start[start < T]] = True
+        cut[stop[stop < T]] = True
+        bounds = np.append(np.flatnonzero(cut), T)
+        first = np.searchsorted(bounds, start)
+        rows, piece = spread(first, np.searchsorted(bounds, stop) - first)
+        lane, width = bounds[piece], bounds[piece + 1] - bounds[piece]
+        lanes = replace(block.take(rows), channel=lane, span=width)
+        if not (width > 1).any():
+            return lanes, None
+        owner = np.arange(T)
+        heads, index = np.unique(lane, return_index=True)
+        members, channel = spread(heads, width[index])
+        owner[channel] = heads[members]
+        return lanes, owner
+
+    def _state_cuts(self, carried: Optional[np.ndarray]) -> np.ndarray:
+        """Per channel, whether its carried state differs from the channel before."""
+        T = self.n_channels
+        windows = [[] for _ in range(T)]
+        for channel, start, end in self.dead:
+            if 0 <= channel < T:
+                windows[channel].append((start, end))
+        windows = [sorted(w) for w in windows]
+        cut = np.array([i == 0 or windows[i] != windows[i - 1] for i in range(T)])
+        state = self._rule_state()
+        if carried is not None:
+            state.append(carried)
+        for values in state:
+            values = values.reshape(T, -1)
+            cut[1:] |= (values[1:] != values[:-1]).any(axis=1)
+        return cut
+
+    def _rule_state(self) -> List[np.ndarray]:
+        """The state arrays the rules read, each per channel or per bank."""
+        return [
+            self.recent_acts, self.last_column, self.bus_free, self.is_open,
+            self.open_row, self.last_act, self.precharged_at, self.bank_data_end,
+        ]
+
+    def _check(self, b: CommandBlock, owner: Optional[np.ndarray] = None) -> Checked:
+        """Every command's state and legality, assuming its predecessors legal.
+
+        A row wider than one channel is checked on its first channel.
+        """
         T, L = self.n_channels, self.n_banks
-        ck = Checked(b)
+        ck = Checked(b, owner)
         ck.ch = np.clip(b.channel, 0, T - 1)
         ck.is_act = b.op == ACT
         ck.is_pre = b.op == PRE
@@ -431,9 +551,15 @@ class TimingState:
             self.last_column[channels] = t[last_cols]
             self.bus_free[channels] = t[last_cols] + ck.xfer[last_cols]
             heads = np.flatnonzero(np.diff(ck.c_ch, prepend=-1))
-            self.bytes_moved[channels] += np.add.reduceat(b.size[ck.cols], heads)
-            ends = np.maximum.reduceat(t[ck.cols] + ck.xfer[ck.cols], heads)
-            self.data_end[channels] = np.maximum(self.data_end[channels], ends)
+            moved = np.zeros(T, dtype=np.int64)
+            moved[channels] = np.add.reduceat(b.size[ck.cols], heads)
+            ends = np.full(T, -_INF)
+            ends[channels] = np.maximum.reduceat(t[ck.cols] + ck.xfer[ck.cols], heads)
+            if ck.owner is not None:
+                # Every channel of a lane moves its owner's bytes.
+                moved, ends = moved[ck.owner], ends[ck.owner]
+            self.bytes_moved += moved
+            np.maximum(self.data_end, ends, out=self.data_end)
         # Each bank group's last entry holds its running results.
         last = np.flatnonzero(np.diff(ck.bank_key, append=-1))
         keys = ck.bank_key[last]
@@ -455,3 +581,11 @@ class TimingState:
         self.bank_data_end[keys] = np.maximum(
             self.bank_data_end[keys], ck.end_max[last]
         )
+        if ck.owner is not None:
+            # The rest of each lane started in its owner's state and met
+            # the same commands, so it ends in its owner's state.
+            members = np.flatnonzero(ck.owner != np.arange(T))
+            owners = ck.owner[members]
+            for values in self._rule_state():
+                per_channel = values.reshape(T, -1)
+                per_channel[members] = per_channel[owners]

@@ -272,67 +272,28 @@ def nan_to_none(stats: Dict[str, float]) -> Dict[str, Optional[float]]:
 
 
 class OccupancyTracker:
-    """Tracks a queue's occupancy over time (time-weighted average + peak)."""
+    """A queue's current occupancy and its peak."""
+
+    __slots__ = ("current", "peak")
 
     def __init__(self) -> None:
-        self._current = 0.0
-        self._peak = 0.0
-        self._weighted_sum = 0.0
-        self._last_time = 0.0
-        #: Time of the first observation; ``None`` before any.  Explicit
-        #: state (rather than an implicit started flag) so the
-        #: pre-observation value of :meth:`time_average` is a documented
-        #: contract: exactly 0.0, deterministically, whatever ``until_ns``.
-        self._first_time: Optional[float] = None
+        self.current = 0.0
+        self.peak = 0.0
 
-    def observe(self, occupancy: float, time_ns: float) -> None:
-        """Record that occupancy became ``occupancy`` at ``time_ns``."""
-        if self._first_time is not None and time_ns >= self._last_time:
-            self._weighted_sum += self._current * (time_ns - self._last_time)
-        elif self._first_time is None:
-            self._first_time = time_ns
-        self._current = occupancy
-        if occupancy > self._peak:
-            self._peak = occupancy
-        self._last_time = time_ns
+    def observe(self, occupancy: float) -> None:
+        """Record that occupancy became ``occupancy``."""
+        self.current = occupancy
+        if occupancy > self.peak:
+            self.peak = occupancy
 
-    def observe_fall(self, before: float, after: float, time_ns: float) -> None:
+    def observe_fall(self, before: float, after: float) -> None:
         """Record that occupancy reached ``before`` and fell to ``after``
-        at ``time_ns``: the two observations at one instant (``before``
-        holds for no time, so it only reaches the peak)."""
-        if self._first_time is not None and time_ns >= self._last_time:
-            self._weighted_sum += self._current * (time_ns - self._last_time)
-        elif self._first_time is None:
-            self._first_time = time_ns
-        if before > self._peak:
-            self._peak = before
-        if after > self._peak:
-            self._peak = after
-        self._current = after
-        self._last_time = time_ns
-
-    @property
-    def peak(self) -> float:
-        return self._peak
-
-    @property
-    def current(self) -> float:
-        return self._current
-
-    def time_average(self, until_ns: Optional[float] = None) -> float:
-        """Time-weighted average occupancy up to ``until_ns`` (or last obs).
-
-        Deterministically 0.0 before the first observation -- an empty
-        tracker has observed no occupancy, whatever window it is asked
-        about.
-        """
-        if self._first_time is None:
-            return 0.0
-        end = self._last_time if until_ns is None else until_ns
-        if end <= 0:
-            return 0.0
-        tail = self._current * max(0.0, end - self._last_time)
-        return (self._weighted_sum + tail) / end
+        at one instant (``before`` only reaches the peak)."""
+        if before > self.peak:
+            self.peak = before
+        if after > self.peak:
+            self.peak = after
+        self.current = after
 
 
 @dataclass

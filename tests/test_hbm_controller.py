@@ -302,3 +302,33 @@ class TestValidatedRunsStayIncremental:
             small_switch, monkeypatch, faults=faults, padding=True, bypass=False
         )
         assert report.delivered_bytes > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=TimingViolation,
+    reason="a phase still in flight when a channel loss begins uses a dying "
+    "channel; passes once PFI paces its phases around the loss",
+)
+def test_validated_run_honours_channel_loss_windows(small_switch):
+    faults = SwitchFaultView(
+        switch=0,
+        total_channels=small_switch.total_channels,
+        channel_losses=[
+            HBMChannelLoss(switch=0, n_channels=2, start_ns=5_000.0, end_ns=12_000.0)
+        ],
+    )
+    switch = HBMSwitch(
+        small_switch,
+        PFIOptions(validate_hbm_timing=True, padding=True),
+        faults=faults,
+    )
+    switch.pfi.controller.apply_channel_loss(2, 5_000.0, 12_000.0)
+    try:
+        switch.run(make_traffic(small_switch, 0.8, 20_000.0), 20_000.0)
+    except TimingViolation as violation:
+        # Pin the known failure, so any other violation fails the test.
+        assert violation.rule == "channel-dead"
+        assert violation.command == "RD ch6 bank6 row24578 256B"
+        assert violation.issued_at == pytest.approx(5001.88)
+        raise

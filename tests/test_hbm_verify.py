@@ -3,6 +3,7 @@ legality across the design space."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,9 +22,9 @@ from repro.hbm import (
     generate_frame_schedule,
     plan_refreshes,
 )
-from repro.hbm.controller import FRAME_BLOCK
+from repro.hbm.controller import BLOCK_COMMANDS
 from repro.hbm.interleaving import open_span
-from repro.hbm.verify import CommandBlock
+from repro.hbm.verify import CommandBlock, TimingState
 
 #: Refresh due every 400 ns, 30 ns each, so short trains need it.
 TIMING = HBMTiming(refresh_interval_ns=400.0, refresh_duration_ns=30.0)
@@ -290,7 +291,7 @@ class TestQueuedFrames:
     def test_blocks_match_per_frame_execution(self):
         """Queued frames, checked a block at a time, leave the state that
         executing every frame's schedule on its own did."""
-        n_frames = 2 * FRAME_BLOCK + 3
+        n_frames = 2 * BLOCK_COMMANDS // (3 * GAMMA) + 3
         queued = HBMController(small_stack(), 1, TIMING)
         direct = HBMController(small_stack(), 1, TIMING)
         for op, group, row, start in pfi_frames(n_frames):
@@ -410,3 +411,136 @@ def test_derived_gamma_is_the_smallest_legal_one(segment_time, gamma):
     same_group_train(gamma, segment_bytes, 2, timing)
     with pytest.raises(TimingViolation):
         same_group_train(gamma - 1, segment_bytes, 2, timing)
+
+
+# -- lanes: one check per run of identical channels ------------------------------
+
+
+class PerChannel(HBMController):
+    """The reference: every queued frame checked one row per channel."""
+
+    def execute(self, commands):
+        if isinstance(commands, CommandBlock):
+            commands = commands.expand()
+        return super().execute(commands)
+
+
+STATE = (
+    "recent_acts", "last_column", "bus_free", "bytes_moved", "data_end",
+    "is_open", "open_row", "last_act", "precharged_at", "bank_data_end",
+)
+
+
+@st.composite
+def lane_scripts(draw):
+    """Steps on a controller: PFI frames over mixed channel counts, some
+    early enough to be illegal, plus flushes, generic ``execute`` calls on
+    a few channels, and channel-loss windows."""
+    n_stacks = draw(st.integers(1, 2))
+    channels = CHANNELS * n_stacks
+    segment_time = 256 / RATE
+    start = first_legal_start(TIMING)
+    group = 0
+    steps = []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["frame"] * 8 + ["bad", "flush", "execute", "loss"]))
+        op = draw(st.sampled_from([Op.WR, Op.RD]))
+        row = draw(st.integers(0, 3))
+        if kind in ("frame", "bad", "execute"):
+            # The next group in turn; a bad frame may reuse the last one.
+            if kind != "bad" or draw(st.booleans()):
+                group = (group + 1) % (BANKS // GAMMA)
+            at = start - (draw(st.sampled_from([1.0, 12.8, 30.0])) if kind == "bad" else 0.0)
+            if kind == "execute":
+                where = sorted(draw(st.sets(st.integers(0, channels - 1), min_size=1)))
+            else:
+                where = draw(st.sampled_from([channels, channels, channels - 1, 2, 1]))
+            steps.append((kind, op, where, BankGroup(group, GAMMA), row, at))
+            start += GAMMA * segment_time + draw(st.sampled_from([0.0, 0.0, 0.3, 45.0]))
+        elif kind == "loss":
+            # Often over earlier frames only: a past window still cuts lanes.
+            lo = start + draw(st.floats(-600.0, 200.0))
+            hi = lo + draw(st.floats(0.0, 400.0))
+            steps.append(("loss", draw(st.integers(1, channels)), lo, hi))
+        else:
+            steps.append(("flush",))
+    return n_stacks, steps
+
+
+def run_script(ctrl, steps):
+    """Run ``steps``; the index of the step that raised and its violation."""
+    for index, step in enumerate(steps + [("flush",)]):
+        kind = step[0]
+        try:
+            if kind in ("frame", "bad"):
+                _, op, n_channels, group, row, at = step
+                ctrl.queue_frame(op, n_channels, group, row, at, 256)
+            elif kind == "execute":
+                _, op, channels, group, row, at = step
+                ctrl.execute(generate_frame_schedule(
+                    op, channels, group, 256, row, at, TIMING, RATE
+                ).commands)
+            elif kind == "loss":
+                ctrl.apply_channel_loss(*step[1:])
+            else:
+                ctrl.flush()
+        except TimingViolation as violation:
+            return index, violation
+    return None, None
+
+
+class TestLanes:
+    @settings(max_examples=300, deadline=None)
+    @given(lane_scripts(), st.booleans())
+    def test_lanes_match_per_channel_check(self, script, sweep):
+        """Checking each lane once leaves exactly the state, counts, audit
+        and first violation of checking every channel."""
+        n_stacks, steps = script
+        lanes = HBMController(small_stack(), n_stacks, TIMING)
+        reference = PerChannel(small_stack(), n_stacks, TIMING)
+        if sweep:
+            lanes._incremental = reference._incremental = False
+        at, got = run_script(lanes, steps)
+        expected_at, expected = run_script(reference, steps)
+        assert at == expected_at
+        if expected is None:
+            assert got is None
+        else:
+            assert (got.rule, got.command, got.issued_at, got.legal_at) == (
+                expected.rule, expected.command, expected.issued_at, expected.legal_at
+            )
+        for name in STATE:
+            assert np.array_equal(
+                getattr(lanes._state, name), getattr(reference._state, name)
+            ), name
+        for index in range(lanes.n_channels):
+            assert lanes.channel(index).bytes_moved == reference.channel(index).bytes_moved
+            assert lanes.channel(index).data_end_time == reference.channel(index).data_end_time
+        assert lanes._executed == reference._executed
+        assert lanes._incremental == reference._incremental == (not sweep)
+        assert lanes.peak_open_banks() == reference.peak_open_banks()
+        assert lanes._sweep_peak() == reference._sweep_peak() == reference.peak_open_banks()
+        if not sweep:
+            assert sorted(zip(*map(list, lanes._pending))) == sorted(
+                zip(*map(list, reference._pending))
+            )
+
+    def test_one_lane_is_checked_once(self, monkeypatch):
+        """Frames striped over every channel are checked on one channel,
+        and counted on all of them."""
+        checked_rows = []
+        check = TimingState._check
+
+        def counting_check(self, block, owner=None):
+            checked_rows.append(len(block))
+            return check(self, block, owner)
+
+        monkeypatch.setattr(TimingState, "_check", counting_check)
+        ctrl = HBMController(small_stack(), 1, TIMING)
+        n_frames = 10
+        for op, group, row, start in pfi_frames(n_frames):
+            ctrl.queue_frame(op, CHANNELS, group, row, start, 256)
+        ctrl.flush()
+        assert checked_rows == [n_frames * 3 * GAMMA]
+        assert ctrl._executed == n_frames * 3 * GAMMA * CHANNELS
+        assert ctrl.bytes_moved == n_frames * GAMMA * 256 * CHANNELS

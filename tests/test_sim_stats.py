@@ -83,25 +83,13 @@ class TestLatencyRecorder:
 class TestOccupancyTracker:
     def test_peak(self):
         tracker = OccupancyTracker()
-        tracker.observe(5, 0.0)
-        tracker.observe(12, 10.0)
-        tracker.observe(3, 20.0)
+        tracker.observe(5)
+        tracker.observe(12)
+        tracker.observe(3)
         assert tracker.peak == 12
         assert tracker.current == 3
 
-    def test_time_average(self):
-        tracker = OccupancyTracker()
-        tracker.observe(10, 0.0)
-        tracker.observe(0, 50.0)  # held 10 for the first 50 ns
-        assert tracker.time_average(until_ns=100.0) == pytest.approx(5.0)
-
-    def test_average_extends_current_value(self):
-        tracker = OccupancyTracker()
-        tracker.observe(4, 0.0)
-        assert tracker.time_average(until_ns=10.0) == pytest.approx(4.0)
-
     def test_empty_tracker(self):
-        assert OccupancyTracker().time_average() == 0.0
         assert OccupancyTracker().peak == 0.0
 
 
