@@ -35,7 +35,15 @@ from .config import (
     ControlConfig,
     ControllerParams,
 )
-from .controller import GREEN, RED, SOFT_RED, STATES, YELLOW, Controller
+from .controller import (
+    GREEN,
+    RED,
+    SOFT_RED,
+    STATES,
+    YELLOW,
+    Controller,
+    ControllerBank,
+)
 from .loop import CONTROL_STATE, CONTROL_THROTTLE, ControlLoop
 from .packet import packet_control_prepass
 
@@ -49,6 +57,7 @@ __all__ = [
     "ControlConfig",
     "ControlLoop",
     "Controller",
+    "ControllerBank",
     "ControllerParams",
     "DEFAULT_ADMISSION",
     "DEFAULT_MITIGATION",

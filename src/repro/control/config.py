@@ -17,7 +17,8 @@ Each of the three controllers shares one parameter shape
   step back down (no GREEN<->RED flapping on a boundary-hovering
   signal);
 - the actuated value (admit fraction or split-weight multiplier) lives
-  in ``[floor, ceiling]``: GREEN recovers additively by ``step_up``,
+  in ``[floor, ceiling]``, and :class:`ControlConfig` holds every
+  ceiling to at most 1: GREEN recovers additively by ``step_up``,
   SOFT_RED decreases multiplicatively by ``(1+factor_down)/2``, RED by
   ``factor_down``, YELLOW holds.
 
@@ -141,10 +142,19 @@ class ControlConfig:
             )
         for name in ("admission", "reweight", "mitigation"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, ControllerParams):
+            if value is None:
+                continue
+            if not isinstance(value, ControllerParams):
                 raise ConfigError(
                     f"{name} must be ControllerParams or None, got "
                     f"{type(value).__name__}"
+                )
+            # The actuators are fractions: an admit or weight above 1
+            # would admit more than is offered (a negative throttle).
+            if value.ceiling > 1.0:
+                raise ConfigError(
+                    f"{name} ceiling must be <= 1 (admit and weight are "
+                    f"fractions), got {value.ceiling}"
                 )
 
     # -- digest / serialisation ----------------------------------------------

@@ -29,17 +29,20 @@ series, windowed at the control period.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from .actions import ActionLog
 from .config import ControlConfig
-from .controller import STATES, Controller
+from .controller import STATES, ControllerBank
 
 #: Control-plane time-series names.
 CONTROL_STATE = "repro_control_state"
 CONTROL_THROTTLE = "repro_control_throttle_fraction"
+
+#: Controller bank names, in log order per switch.
+_BANK_NAMES = ("admission", "reweight", "mitigation")
 
 #: Offered bytes below which a tick carries no reweight information
 #: (an idle switch is not a broken switch).
@@ -65,14 +68,20 @@ class ControlLoop:
         self.ticks = 0
         self.n_state_changes = 0
         self.throttled_bytes = 0.0
-        self._admission = _bank(config.admission, n_switches)
-        self._reweight = _bank(config.reweight, n_switches)
-        self._mitigation = _bank(config.mitigation, n_switches)
+        #: The admission, reweight and mitigation banks (``None`` when
+        #: disabled), in the order a switch's actions are logged.
+        self._banks = tuple(
+            None if params is None else ControllerBank(params, n_switches)
+            for params in (config.admission, config.reweight, config.mitigation)
+        )
         #: The actuators.  Each array is replaced, never written in
         #: place, and only on a tick that moves one of its values, so an
-        #: engine may cache what it derives from one by identity.
+        #: engine may cache what it derives from one by identity.  The
+        #: lists hold the same values for the tick's comparison.
         self.admit = np.ones(n_switches)
         self.weight = np.ones(n_switches)
+        self._admit = [1.0] * n_switches
+        self._weight = [1.0] * n_switches
         #: Telemetry series, looked up on first use and then held.
         self._series: Dict[tuple, Any] = {}
         self.log.emit(
@@ -81,12 +90,7 @@ class ControlLoop:
             tick_ns=config.tick_ns,
             n_switches=n_switches,
             controllers=[
-                name
-                for name, bank in (
-                    ("admission", self._admission),
-                    ("reweight", self._reweight),
-                    ("mitigation", self._mitigation),
-                )
+                name for name, bank in zip(_BANK_NAMES, self._banks)
                 if bank is not None
             ],
         )
@@ -105,86 +109,83 @@ class ControlLoop:
 
         ``offered``/``delivered``/``backlog`` are (H,) byte arrays for
         the window that just closed.  Decisions apply from ``t_ns`` on.
-        The tick is one pass over the switches, on Python floats; each
-        switch's controllers run in the order admission, reweight,
-        mitigation, which is the order of its actions in the log.
+        The tick folds each controller bank in one pass on Python
+        floats; the actions are then logged by switch, and per switch in
+        the order admission, reweight, mitigation.
         """
         index = self.ticks
         self.ticks += 1
-        n = self.n_switches
-        total = float(offered.sum())
-        offered = offered.tolist()
-        banks = []  # (name, controllers, signal per switch)
-        if self._admission is not None:
+        moves = []  # (switch, bank rank, state before, value before)
+        admission, reweight, mitigation = self._banks
+        if admission is not None:
             limit = self.occupancy_limit
-            banks.append(
-                ("admission", self._admission, [b / limit for b in backlog.tolist()])
-            )
-        if self._reweight is not None:
-            banks.append(
-                (
-                    "reweight",
-                    self._reweight,
-                    [
-                        max(0.0, 1.0 - d / o) if o > _SIGNAL_EPS else 0.0
-                        for o, d in zip(offered, delivered.tolist())
-                    ],
-                )
-            )
-        if self._mitigation is not None:
-            if attack_active and total > _SIGNAL_EPS:
-                gains = [o * n / total for o in offered]
+            signals = [b / limit for b in backlog.tolist()]
+            moves += [(h, 0, s, v) for h, s, v in admission.fold(signals)]
+        if reweight is not None or mitigation is not None:
+            offered_list = offered.tolist()
+        if reweight is not None:
+            deficits = []
+            for o, d in zip(offered_list, delivered.tolist()):
+                if o > _SIGNAL_EPS:
+                    x = 1.0 - d / o
+                    deficits.append(x if x > 0.0 else 0.0)
+                else:
+                    deficits.append(0.0)
+            moves += [(h, 1, s, v) for h, s, v in reweight.fold(deficits)]
+        if mitigation is not None:
+            total = float(offered.sum()) if attack_active else 0.0
+            if total > _SIGNAL_EPS:
+                n = self.n_switches
+                gains = [o * n / total for o in offered_list]
             else:
-                gains = [0.0] * n
-            banks.append(("mitigation", self._mitigation, gains))
-        values = {name: [1.0] * n for name in ("admission", "mitigation")}
-        values["reweight"] = self.weight.tolist()
-        telemetry = self.telemetry
-        for h in range(n):
-            for name, controllers, signals in banks:
-                controller = controllers[h]
-                before_state = controller.state
-                before_value = controller.value
-                state, value, changed = controller.update(signals[h])
-                if changed or value != before_value:
-                    self._log(
-                        name, controller, h, index, t_ns, before_state,
-                        changed, value != before_value,
-                    )
-                if telemetry is not None:
-                    self._timeseries(
-                        CONTROL_STATE,
-                        "controller state per control tick (0=GREEN..3=RED)",
-                        controller=name,
-                        switch=str(h),
-                    ).observe(t_ns, float(state))
-                values[name][h] = value
-        admit = [min(a, m) for a, m in zip(values["admission"], values["mitigation"])]
-        if admit != self.admit.tolist():
+                gains = [0.0] * self.n_switches
+            moves += [(h, 2, s, v) for h, s, v in mitigation.fold(gains)]
+        if moves:
+            # (switch, rank) is unique, so the sort never compares further.
+            moves.sort()
+            for h, rank, before_state, before_value in moves:
+                self._log(rank, h, index, t_ns, before_state, before_value)
+        if moves or index == 0:
+            # The first tick applies the banks' initial values, which a
+            # ceiling below 1 clamps.
+            self._actuate()
+        if self.telemetry is not None:
+            self._observe(t_ns)
+
+    def _actuate(self) -> None:
+        """Replace an actuator array whose values moved: the effective
+        admit is the min of admission and mitigation."""
+        admission, reweight, mitigation = self._banks
+        if admission is None or mitigation is None:
+            bank = admission if mitigation is None else mitigation
+            admit = [1.0] * self.n_switches if bank is None else bank.values
+        else:
+            admit = [
+                m if m < a else a
+                for a, m in zip(admission.values, mitigation.values)
+            ]
+        if admit != self._admit:
+            self._admit = list(admit)
             self.admit = np.array(admit)
-        if values["reweight"] != self.weight.tolist():
-            self.weight = np.array(values["reweight"])
-        if telemetry is not None:
-            for h in range(n):
-                self._timeseries(
-                    CONTROL_THROTTLE,
-                    "ingress throttle fraction per control tick",
-                    switch=str(h),
-                ).observe(t_ns, 1.0 - admit[h])
+        if reweight is not None and reweight.values != self._weight:
+            self._weight = list(reweight.values)
+            self.weight = np.array(self._weight)
 
     def _log(
         self,
-        name: str,
-        controller: Controller,
+        rank: int,
         switch: int,
         index: int,
         t_ns: float,
         before_state: int,
-        changed: bool,
-        actuated: bool,
+        before_value: float,
     ) -> None:
         """A controller's state change and/or actuation, in that order."""
-        if changed:
+        name = _BANK_NAMES[rank]
+        bank = self._banks[rank]
+        state = bank.states[switch]
+        value = bank.values[switch]
+        if state != before_state:
             self.n_state_changes += 1
             self.log.emit(
                 "state_change",
@@ -193,18 +194,40 @@ class ControlLoop:
                 switch=switch,
                 controller=name,
                 from_state=STATES[before_state],
-                to_state=STATES[controller.state],
-                signal=round(float(controller.smoothed), 9),
+                to_state=STATES[state],
+                signal=round(float(bank.smoothed[switch]), 9),
             )
-        if actuated:
+        if value != before_value:
             self.log.emit(
                 "actuation",
                 t_ns=t_ns,
                 tick=index,
                 switch=switch,
                 controller=name,
-                value=round(float(controller.value), 9),
+                value=round(float(value), 9),
             )
+
+    def _observe(self, t_ns: float) -> None:
+        """The tick's controller states and throttle fractions, one
+        sample per series."""
+        banks = [
+            (name, bank) for name, bank in zip(_BANK_NAMES, self._banks)
+            if bank is not None
+        ]
+        for h in range(self.n_switches):
+            for name, bank in banks:
+                self._timeseries(
+                    CONTROL_STATE,
+                    "controller state per control tick (0=GREEN..3=RED)",
+                    controller=name,
+                    switch=str(h),
+                ).observe(t_ns, float(bank.states[h]))
+        for h, admit in enumerate(self._admit):
+            self._timeseries(
+                CONTROL_THROTTLE,
+                "ingress throttle fraction per control tick",
+                switch=str(h),
+            ).observe(t_ns, 1.0 - admit)
 
     def _timeseries(self, name: str, help: str, **labels: str):
         key = (name, *labels.values())
@@ -238,9 +261,3 @@ class ControlLoop:
             "final_admit": [round(float(v), 9) for v in self.admit],
             "final_weight": [round(float(v), 9) for v in self.weight],
         }
-
-
-def _bank(params, n_switches: int) -> Optional[List[Controller]]:
-    if params is None:
-        return None
-    return [Controller(params) for _ in range(n_switches)]

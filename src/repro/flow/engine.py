@@ -204,6 +204,9 @@ class _FluidTandem:
         #: re-deriving them from the queues.
         self.last_delivered = np.zeros(n_tandems)
         self.last_backlog = self._no_backlog
+        #: ``(dt, arrivals, service, total delivered)`` of the last step
+        #: when it started and ended empty, else None.
+        self._steady: Optional[tuple] = None
 
     def step(self, dt: float, arrivals: np.ndarray, service: np.ndarray) -> float:
         """Advance every tandem by ``dt``.
@@ -220,8 +223,21 @@ class _FluidTandem:
         exactly 0.0; adding an all-zero queue is the identity; and with
         no queue over capacity the tail drop changes nothing.  A step
         that starts and ends with no backlog adds exactly 0.0 to the
-        queue integral, so that update is skipped too.
+        queue integral, so that update is skipped too.  Such a step's
+        result is a function of its inputs alone, so a step that follows
+        it with the same ``arrivals`` and ``service`` objects (cached
+        arrays are never written in place) and an equal ``dt`` repeats
+        its deliveries and leaves the queues empty.
         """
+        steady = self._steady
+        if (
+            steady is not None
+            and arrivals is steady[1]
+            and service is steady[2]
+            and dt == steady[0]
+        ):
+            self.delivered += self.last_delivered
+            return steady[3]
         pre = self.last_backlog  # the backlog this state was left with
         # Stage 1: input SRAM and the crossbar, P per input port.
         avail = arrivals * dt
@@ -279,9 +295,13 @@ class _FluidTandem:
         else:
             post = q1_total if q2_total is None else q1_total + q2_total
         self.last_backlog = post
-        if not (pre is self._no_backlog and post is self._no_backlog):
+        total = float(segment_delivered.sum())
+        if pre is self._no_backlog and post is self._no_backlog:
+            self._steady = (dt, arrivals, service, total)
+        else:
+            self._steady = None
             self.queue_integral += 0.5 * (pre + post) * dt
-        return float(segment_delivered.sum())
+        return total
 
 
 def _drain(
@@ -899,8 +919,11 @@ class _ControlWindow:
         self._live = np.asarray(live, dtype=np.int64)
         self._dead = list(dead)
         self._spans = tuple(attack_windows) if attack_windows else ()
+        #: The open window's sums and the dead-switch backlog buffer:
+        #: the loop reads them as lists, so they are reset in place.
         self.offered = np.zeros(n_switches)
         self.delivered = np.zeros(n_switches)
+        self._backlog = np.zeros(n_switches)
 
     def segment(
         self,
@@ -924,7 +947,7 @@ class _ControlWindow:
             start = t_ns - self.tick_ns
             backlog = tandem.last_backlog
             if dead:
-                backlog = np.zeros(self.n_switches)
+                backlog = self._backlog
                 backlog[self._live] = tandem.last_backlog
             self.loop.tick(
                 t_ns,
@@ -933,8 +956,8 @@ class _ControlWindow:
                 backlog,
                 attack_active=any(s < t_ns and e > start for s, e in self._spans),
             )
-            self.offered = np.zeros(self.n_switches)
-            self.delivered = np.zeros(self.n_switches)
+            self.offered.fill(0.0)
+            self.delivered.fill(0.0)
             self.next_tick += self.tick_ns
 
 

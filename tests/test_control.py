@@ -12,18 +12,26 @@ campaigns.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary import AttackCampaignParams, BurstSynchronizedAttack
 from repro.config import scaled_router
 from repro.control import (
+    CONTROL_STATE,
+    CONTROL_THROTTLE,
+    DEFAULT_ADMISSION,
+    DEFAULT_MITIGATION,
     DEFAULT_REWEIGHT,
     GREEN,
     RED,
     SOFT_RED,
+    STATES,
     YELLOW,
     ActionLog,
     ControlConfig,
@@ -46,8 +54,9 @@ from repro.runtime import (
     Scenario,
     degradation_scenario,
     execute_scenario,
+    router_scenario,
 )
-from repro.telemetry import ewma_step
+from repro.telemetry import MetricsRegistry, ewma_step
 from repro.traffic import ArrivalBlock, FixedSize, TrafficGenerator, uniform_matrix
 
 
@@ -294,6 +303,226 @@ class TestControlLoop:
                 replaced += 1
         assert replaced >= 2 and loop.weight[1] < 1.0
         assert loop.admit is admit
+
+
+class _ReferenceLoop:
+    """The control tick as one :meth:`Controller.update` per switch and
+    controller, switch by switch and per switch in the order admission,
+    reweight, mitigation: what :meth:`ControlLoop.tick` must equal."""
+
+    def __init__(self, config, n_switches, limit, telemetry=None):
+        self.n, self.limit, self.tick_ns = n_switches, limit, config.tick_ns
+        self.telemetry = telemetry
+        self.log = ActionLog()
+        self.ticks = self.n_state_changes = 0
+        self.banks = [
+            (name, [Controller(params) for _ in range(n_switches)])
+            for name, params in (
+                ("admission", config.admission),
+                ("reweight", config.reweight),
+                ("mitigation", config.mitigation),
+            )
+            if params is not None
+        ]
+        self.admit = np.ones(n_switches)
+        self.weight = np.ones(n_switches)
+        self.log.emit(
+            "control_start", t_ns=0.0, tick_ns=config.tick_ns,
+            n_switches=n_switches, controllers=[name for name, _ in self.banks],
+        )
+
+    def series(self, name, help, **labels):
+        return self.telemetry.timeseries(
+            name, help, window_ns=self.tick_ns, agg="max", **labels
+        )
+
+    def tick(self, t_ns, offered, delivered, backlog, attack_active=False):
+        index = self.ticks
+        self.ticks += 1
+        n = self.n
+        total = float(offered.sum())
+        signals = {
+            "admission": [b / self.limit for b in backlog.tolist()],
+            "reweight": [
+                max(0.0, 1.0 - d / o) if o > 1.0 else 0.0
+                for o, d in zip(offered.tolist(), delivered.tolist())
+            ],
+            "mitigation": (
+                [o * n / total for o in offered.tolist()]
+                if attack_active and total > 1.0
+                else [0.0] * n
+            ),
+        }
+        values = {
+            "admission": [1.0] * n,
+            "reweight": self.weight.tolist(),
+            "mitigation": [1.0] * n,
+        }
+        for h in range(n):
+            for name, controllers in self.banks:
+                c = controllers[h]
+                before_state, before_value = c.state, c.value
+                state, value, changed = c.update(signals[name][h])
+                where = dict(t_ns=t_ns, tick=index, switch=h, controller=name)
+                if changed:
+                    self.n_state_changes += 1
+                    self.log.emit(
+                        "state_change", **where, from_state=STATES[before_state],
+                        to_state=STATES[state], signal=round(float(c.smoothed), 9),
+                    )
+                if value != before_value:
+                    self.log.emit("actuation", **where, value=round(float(value), 9))
+                if self.telemetry is not None:
+                    self.series(
+                        CONTROL_STATE,
+                        "controller state per control tick (0=GREEN..3=RED)",
+                        controller=name, switch=str(h),
+                    ).observe(t_ns, float(state))
+                values[name][h] = value
+        admit = [min(a, m) for a, m in zip(values["admission"], values["mitigation"])]
+        if admit != self.admit.tolist():
+            self.admit = np.array(admit)
+        if values["reweight"] != self.weight.tolist():
+            self.weight = np.array(values["reweight"])
+        if self.telemetry is not None:
+            for h in range(n):
+                self.series(
+                    CONTROL_THROTTLE, "ingress throttle fraction per control tick",
+                    switch=str(h),
+                ).observe(t_ns, 1.0 - admit[h])
+
+
+#: Values on a coarse grid, so thresholds and their hysteresis margins
+#: are hit exactly (with ``ewma_alpha`` 1 the smoothed signal is the raw
+#: one).
+_GRID = [i / 20 for i in range(21)]
+
+
+@st.composite
+def _controller_params(draw, default):
+    if draw(st.booleans()):
+        return default
+    yellow, soft_red, red = sorted(draw(st.lists(
+        st.sampled_from(_GRID + [1.5, 2.0, 3.0]), min_size=3, max_size=3
+    )))
+    floor = draw(st.sampled_from(_GRID[1:]))
+    return ControllerParams(
+        ewma_alpha=draw(st.sampled_from([1.0, 0.5, 0.3])),
+        yellow=yellow, soft_red=soft_red, red=red,
+        hysteresis=draw(st.sampled_from([0.0, 0.05, 0.1])),
+        floor=floor,
+        ceiling=draw(st.sampled_from([c for c in _GRID if c >= floor])),
+        step_up=draw(st.sampled_from([0.05, 0.1, 0.2])),
+        factor_down=draw(st.sampled_from([0.25, 0.5, 0.75])),
+    )
+
+
+@st.composite
+def _tick_runs(draw):
+    """A config with a non-empty subset of the controllers, and a run of
+    per-switch signals that hover on and around the thresholds."""
+    enabled = draw(st.integers(1, 7))  # a bit per controller
+    config = ControlConfig(
+        tick_ns=500.0,
+        admission=draw(_controller_params(DEFAULT_ADMISSION)) if enabled & 1 else None,
+        reweight=draw(_controller_params(DEFAULT_REWEIGHT)) if enabled & 2 else None,
+        mitigation=draw(_controller_params(DEFAULT_MITIGATION)) if enabled & 4 else None,
+    )
+    n = draw(st.integers(1, 4))
+    thresholds = sorted({
+        value
+        for params in (config.admission, config.reweight, config.mitigation)
+        if params is not None
+        for threshold in (params.yellow, params.soft_red, params.red)
+        for value in (threshold, threshold - params.hysteresis,
+                      threshold - params.hysteresis / 2.0)
+    })
+    fraction = st.one_of(
+        st.sampled_from(thresholds + _GRID),
+        st.floats(0.0, 1.5, allow_nan=False),
+    )
+    switch = st.tuples(
+        st.sampled_from([0.0, 0.5, 1.0, 1e3, 4e3, 1e5]),  # offered
+        # Goodput deficit; negative when a backlog drains in the window.
+        st.one_of(fraction, st.floats(-0.5, 0.0)),
+        fraction,  # backlog over the limit
+    )
+    ticks = draw(st.lists(
+        st.tuples(st.lists(switch, min_size=n, max_size=n), st.booleans()),
+        min_size=1, max_size=30,
+    ))
+    return config, n, ticks, draw(st.booleans())
+
+
+class TestBankTick:
+    LIMIT = 1e4
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tick_runs())
+    def test_tick_matches_one_update_per_controller(self, run):
+        config, n, ticks, telemetry = run
+        loop = ControlLoop(
+            config, n, self.LIMIT, telemetry=MetricsRegistry() if telemetry else None
+        )
+        reference = _ReferenceLoop(
+            config, n, self.LIMIT, MetricsRegistry() if telemetry else None
+        )
+        for i, (switches, attack) in enumerate(ticks):
+            offered = np.array([o for o, _, _ in switches])
+            delivered = np.array([o * (1.0 - d) for o, d, _ in switches])
+            backlog = np.array([b * self.LIMIT for _, _, b in switches])
+            t_ns = (i + 1) * config.tick_ns
+            arrays = (loop.admit, loop.weight)
+            values = (loop.admit.tolist(), loop.weight.tolist())
+            loop.tick(t_ns, offered, delivered, backlog, attack_active=attack)
+            reference.tick(t_ns, offered, delivered, backlog, attack_active=attack)
+            assert loop.admit.tolist() == reference.admit.tolist()
+            assert loop.weight.tolist() == reference.weight.tolist()
+            # An actuator array is replaced only when one of its values
+            # moved, and the replaced one is left as it was.
+            for before, before_values, now in zip(arrays, values, (loop.admit, loop.weight)):
+                assert before.tolist() == before_values
+                assert (now is before) == (now.tolist() == before_values)
+        assert loop.log.dumps() == reference.log.dumps()
+        assert loop.n_state_changes == reference.n_state_changes
+        if telemetry:
+            assert loop.telemetry.to_dict() == reference.telemetry.to_dict()
+
+
+class TestActuatorCeiling:
+    """Admit and weight are fractions: a ceiling above 1 is rejected,
+    one below 1 bounds the actuators at either fidelity."""
+
+    @staticmethod
+    def ceilings(admission, reweight, mitigation):
+        return ControlConfig(
+            admission=dataclasses.replace(DEFAULT_ADMISSION, ceiling=admission),
+            reweight=dataclasses.replace(DEFAULT_REWEIGHT, ceiling=reweight),
+            mitigation=dataclasses.replace(DEFAULT_MITIGATION, ceiling=mitigation),
+        )
+
+    @pytest.mark.parametrize("fidelity", ["flow", "packet"])
+    def test_ceiling_above_one_rejected(self, fidelity):
+        with pytest.raises(ConfigError, match="ceiling must be <= 1"):
+            router_scenario(
+                small_router(), load=0.5, duration_ns=20_000.0, fidelity=fidelity,
+                control=self.ceilings(2.0, 3.0, 2.0),
+            )
+        data = ControlConfig().to_dict()
+        data["reweight"]["ceiling"] = 1.5
+        with pytest.raises(ConfigError, match="reweight ceiling"):
+            ControlConfig.from_dict(data)
+
+    @pytest.mark.parametrize("fidelity", ["flow", "packet"])
+    def test_ceiling_below_one_bounds_the_actuators(self, fidelity):
+        payload = execute_scenario(router_scenario(
+            small_router(), load=0.5, duration_ns=20_000.0, fidelity=fidelity,
+            control=self.ceilings(0.9, 0.8, 0.95),
+        ))
+        control = payload["control"]
+        assert control["final_admit"] == [0.9] * 4
+        assert control["final_weight"] == [0.8] * 4
+        assert control["throttled_bytes"] > 0
 
 
 class TestClosedLoopRuns:

@@ -354,10 +354,54 @@ def _reference_step(q1, q2, dt, arrivals, service, port_rate, in_cap, out_cap):
     return q1, q2, served2.sum(axis=1), excess.sum(axis=1), over.sum(axis=1), occupancy
 
 
+class _ReferenceTandem:
+    """Every field of a :class:`_FluidTandem`, advanced by the general
+    update with no shortcut taken."""
+
+    def __init__(self, n_tandems, n_ports, port_rate, in_cap, out_cap):
+        self.caps = (port_rate, in_cap, out_cap)
+        self.q1 = np.zeros((n_tandems, n_ports, n_ports))
+        self.q2 = np.zeros((n_tandems, n_ports))
+        self.delivered = np.zeros(n_tandems)
+        self.last_delivered = np.zeros(n_tandems)
+        self.dropped_sram = np.zeros(n_tandems)
+        self.dropped_hbm = np.zeros(n_tandems)
+        self.last_backlog = np.zeros(n_tandems)
+        self.queue_integral = np.zeros(n_tandems)
+        self.peak_q1 = np.zeros(n_tandems)
+        self.peak_q2 = np.zeros(n_tandems)
+
+    def step(self, dt, arrivals, service):
+        self.q1, self.q2, delivered, excess, over, occupancy = _reference_step(
+            self.q1, self.q2, dt, arrivals, service, *self.caps
+        )
+        self.delivered = self.delivered + delivered
+        self.last_delivered = delivered
+        self.dropped_sram = self.dropped_sram + excess
+        self.dropped_hbm = self.dropped_hbm + over
+        pre = self.last_backlog
+        self.last_backlog = self.q1.sum(axis=(1, 2)) + self.q2.sum(axis=1)
+        self.queue_integral = self.queue_integral + 0.5 * (pre + self.last_backlog) * dt
+        self.peak_q1 = np.maximum(self.peak_q1, occupancy.max(axis=1, initial=0.0))
+        self.peak_q2 = np.maximum(self.peak_q2, self.q2.sum(axis=1))
+        return float(delivered.sum())
+
+    def is_empty(self):
+        return not (self.q1.any() or self.q2.any())
+
+    def assert_matches(self, tandem):
+        for field in (
+            "q1", "q2", "delivered", "last_delivered", "dropped_sram",
+            "dropped_hbm", "last_backlog", "queue_integral", "peak_q1", "peak_q2",
+        ):
+            assert np.array_equal(getattr(tandem, field), getattr(self, field)), field
+
+
 class TestExactShortcuts:
     """The engine's shortcuts reproduce the general computation bit for
-    bit: the tandem step's empty-queue and no-overflow paths, and the
-    fault state looked up per interval instead of queried per time."""
+    bit: the tandem step's empty-queue, no-overflow and repeated-input
+    paths, and the fault state looked up per interval instead of
+    queried per time."""
 
     @pytest.mark.parametrize("n_tandems, n_ports", [(3, 4), (1, 2)])
     def test_tandem_step_matches_general_update(self, n_tandems, n_ports):
@@ -367,14 +411,7 @@ class TestExactShortcuts:
         port_rate = 2.0
         in_cap, out_cap = 4.0 * n_ports, 3.0 * n_ports
         tandem = _FluidTandem(n_tandems, n_ports, port_rate, in_cap, out_cap)
-        q1 = np.zeros((n_tandems, n_ports, n_ports))
-        q2 = np.zeros((n_tandems, n_ports))
-        dropped_sram = np.zeros(n_tandems)
-        dropped_hbm = np.zeros(n_tandems)
-        backlog = np.zeros(n_tandems)
-        queue_integral = np.zeros(n_tandems)
-        peak_q1 = np.zeros(n_tandems)
-        peak_q2 = np.zeros(n_tandems)
+        reference = _ReferenceTandem(n_tandems, n_ports, port_rate, in_cap, out_cap)
         paths = set()
         for i in range(1_000):
             # Rates and lengths on a coarse dyadic grid, so rows and
@@ -385,28 +422,66 @@ class TestExactShortcuts:
             scale = (0.05, 1.0, 1.5, 0.0, 0.4)[(i // 25) % 5]
             arrivals = rng.integers(0, 9, (n_tandems, n_ports, n_ports)) * scale / 8
             service = rng.integers(0, 33, n_tandems) / 4 * (i % 7 != 0)
-            q1, q2, delivered, excess, over, occupancy = _reference_step(
-                q1, q2, dt, arrivals, service, port_rate, in_cap, out_cap
+            assert tandem.step(dt, arrivals, service) == reference.step(
+                dt, arrivals, service
             )
-            dropped_sram = dropped_sram + excess
-            dropped_hbm = dropped_hbm + over
-            pre, backlog = backlog, q1.sum(axis=(1, 2)) + q2.sum(axis=1)
-            queue_integral = queue_integral + 0.5 * (pre + backlog) * dt
-            peak_q1 = np.maximum(peak_q1, occupancy.max(axis=1, initial=0.0))
-            peak_q2 = np.maximum(peak_q2, q2.sum(axis=1))
-            tandem.step(dt, arrivals, service)
             paths.add((tandem.q1 is tandem._empty_q1, tandem.q2 is tandem._empty_q2))
-            assert np.array_equal(tandem.q1, q1)
-            assert np.array_equal(tandem.q2, q2)
-            assert np.array_equal(tandem.last_delivered, delivered)
-            assert np.array_equal(tandem.last_backlog, backlog)
-            assert np.array_equal(tandem.dropped_sram, dropped_sram)
-            assert np.array_equal(tandem.dropped_hbm, dropped_hbm)
-            assert np.array_equal(tandem.queue_integral, queue_integral)
-            assert np.array_equal(tandem.peak_q1, peak_q1)
-            assert np.array_equal(tandem.peak_q2, peak_q2)
+            reference.assert_matches(tandem)
         assert paths == {(True, True), (True, False), (False, False), (False, True)}
-        assert dropped_sram.sum() > 0 and dropped_hbm.sum() > 0
+        assert reference.dropped_sram.sum() > 0 and reference.dropped_hbm.sum() > 0
+
+    def test_repeated_inputs_reuse_only_a_steady_step(self):
+        """A step that starts and ends empty is repeated, not recomputed,
+        by a step with the same ``arrivals`` and ``service`` objects and
+        an equal ``dt``; a changed ``dt``, new arrays or a step that
+        started with a backlog make the next step compute afresh.  Both
+        paths match the general update field for field."""
+        from repro.flow.engine import _FluidTandem
+
+        n_tandems, n_ports, port_rate = 3, 4, 2.0
+        in_cap, out_cap = 4.0 * n_ports, 3.0 * n_ports
+        tandem = _FluidTandem(n_tandems, n_ports, port_rate, in_cap, out_cap)
+        reference = _ReferenceTandem(n_tandems, n_ports, port_rate, in_cap, out_cap)
+        rng = np.random.default_rng(5)
+        light = rng.integers(0, 9, (n_tandems, n_ports, n_ports)) / 64
+        other = rng.integers(0, 9, (n_tandems, n_ports, n_ports)) / 64
+        heavy = light * 40.0
+        idle = np.zeros_like(light)
+        fast = np.full(n_tandems, 8.0)
+        slow = np.full(n_tandems, 0.25)
+        phases = [
+            (4.0, light, fast, 4),
+            (3.0, light, fast, 3),  # changed dt
+            (3.0, light.copy(), fast, 2),  # new, equal arrays
+            (3.0, other, fast.copy(), 2),  # new, different arrays
+            (3.0, heavy, slow, 3),  # overload: a backlog left behind
+            (3.0, other, fast, 4),  # drains, then empty steps
+            (3.0, idle, fast, 3),
+            (2.0, idle, slow, 2),
+        ]
+        steady = None  # (dt, arrivals, service) of a step that began and ended empty
+        reused = 0
+        for dt, arrivals, service, repeats in phases:
+            for _ in range(repeats):
+                expect_reuse = steady is not None and (
+                    steady[0] == dt and steady[1] is arrivals and steady[2] is service
+                )
+                started_empty = reference.is_empty()
+                before = tandem.last_delivered
+                assert tandem.step(dt, arrivals, service) == reference.step(
+                    dt, arrivals, service
+                )
+                reference.assert_matches(tandem)
+                # Only the repeat path keeps the last step's deliveries.
+                assert (tandem.last_delivered is before) == expect_reuse
+                reused += expect_reuse
+                steady = (
+                    (dt, arrivals, service)
+                    if started_empty and reference.is_empty()
+                    else None
+                )
+        assert reused >= 10
+        assert reference.dropped_sram.sum() > 0 or reference.queue_integral.sum() > 0
 
     def test_fault_table_matches_direct_queries(self):
         from repro.faults.model import OEODegradation
