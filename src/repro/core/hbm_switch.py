@@ -37,7 +37,7 @@ import numpy as np
 from ..config import HBMSwitchConfig
 from ..errors import ConfigError, SimulationError
 from ..hbm.timing import HBMTiming
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from ..sim.stats import LatencyRecorder, nan_to_none
 from ..traffic.packet import Packet
 from ..traffic.stream import ArrivalBlock, arrival_order
@@ -206,15 +206,11 @@ class HBMSwitch:
             telemetry=telemetry,
         )
         self._draining = [False] * config.n_ports
-        # Per port: the batch (id) on the crossbar, and the events that
+        # Per port: the batch (id) on the crossbar, and the actions that
         # start its drain and land its crossing, built once.
         self._inflight = [-1] * config.n_ports
-        self._drain_events = [
-            Event(0.0, -1, partial(self._drain, p)) for p in range(config.n_ports)
-        ]
-        self._cross_events = [
-            Event(0.0, -1, partial(self._cross, p)) for p in range(config.n_ports)
-        ]
+        self._drain_actions = [partial(self._drain, p) for p in range(config.n_ports)]
+        self._cross_actions = [partial(self._cross, p) for p in range(config.n_ports)]
         #: The arrival cursor the engine reads (no heap event per arrival).
         self._ingest = Ingest(self)
         self.engine.attach_arrivals(self._ingest)
@@ -263,7 +259,7 @@ class HBMSwitch:
 
     def _schedule_drain(self, port_index: int, at: float) -> None:
         self._draining[port_index] = True
-        self.engine.reschedule(at, self._drain_events[port_index])
+        self.engine.schedule(at, self._drain_actions[port_index])
 
     def _drain(self, port_index: int) -> None:
         """Send the port's next batch across the crossbar, or stop
@@ -276,7 +272,7 @@ class HBMSwitch:
         self._ingest.moved(port_index, -self._batch_bytes)
         self._inflight[port_index] = batch
         self._inflight_batch_payload += self.batches.payload[batch]
-        self.engine.reschedule(now + self._batch_time_ns, self._cross_events[port_index])
+        self.engine.schedule(now + self._batch_time_ns, self._cross_actions[port_index])
 
     def _cross(self, port_index: int) -> None:
         """One batch time after it left, the port's batch lands in the

@@ -22,8 +22,8 @@ Optional behaviours (the SS 4 latency optimisations and ablation knobs):
 
 Frames are ids into the switch's :class:`~repro.core.frames.FrameTable`.
 The write phase, the read phase, a frame landing in the HBM and a
-frame's delivery to the head SRAM are each one :class:`Event` built
-once and queued again (:meth:`~repro.sim.engine.Engine.reschedule`);
+frame's delivery to the head SRAM are each one bound method taken
+once and queued again (:meth:`~repro.sim.engine.Engine.schedule`);
 the frames landing and being delivered wait in FIFOs of ids.
 """
 
@@ -40,7 +40,7 @@ from ..hbm.controller import HBMController
 from ..hbm.interleaving import first_legal_start
 from ..hbm.commands import Op
 from ..hbm.timing import HBMTiming
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from .address import HBMAddressMap
 from .tail_sram import TailSRAM
 
@@ -146,12 +146,13 @@ class PFIEngine:
         self._hbm_content: List[Deque[int]] = [
             deque() for _ in range(config.n_ports)
         ]
-        # The recurring events, and the frames (ids) the land and
-        # deliver events act on, in the order they were queued.
-        self._write_event = Event(0.0, -1, self._write_phase)
-        self._read_event = Event(0.0, -1, self._read_phase)
-        self._land_event = Event(0.0, -1, self._land_frame)
-        self._deliver_event = Event(0.0, -1, self._deliver_frame)
+        # The recurring actions (bound once, so queueing one allocates
+        # only its heap entry), and the frames (ids) the land and
+        # deliver actions act on, in the order they were queued.
+        self._write_action = self._write_phase
+        self._read_action = self._read_phase
+        self._land_action = self._land_frame
+        self._deliver_action = self._deliver_frame
         self._landing: Deque[int] = deque()
         self._delivering: Deque[int] = deque()
         # Incremental occupancy: the switch polls these per batch/frame,
@@ -187,7 +188,7 @@ class PFIEngine:
     def start(self, at: float = 0.0) -> None:
         """Schedule the first write phase."""
         start = max(at, first_legal_start(self.timing))
-        self.engine.reschedule(start, self._write_event)
+        self.engine.schedule(start, self._write_action)
 
     def stop(self) -> None:
         """Stop scheduling further phases (end of simulation).
@@ -252,9 +253,9 @@ class PFIEngine:
             if self.trace is not None:
                 self.trace.record(now, "pfi", "idle_write")
         pace = stretch if stretch is not None else 1.0
-        self.engine.reschedule(
+        self.engine.schedule(
             now + self.phase_duration * pace + self.transition * pace,
-            self._read_event,
+            self._read_action,
         )
 
     def _pad_oldest_output(self, now: float) -> Optional[int]:
@@ -295,7 +296,7 @@ class PFIEngine:
             )
         # Content becomes readable when the write phase completes.
         self._landing.append(frame)
-        self.engine.reschedule(now + self.phase_duration * stretch, self._land_event)
+        self.engine.schedule(now + self.phase_duration * stretch, self._land_action)
 
     def _land_frame(self) -> None:
         """Write phase completed: the oldest frame written is now
@@ -327,9 +328,9 @@ class PFIEngine:
             if self.trace is not None:
                 self.trace.record(now, "pfi", "wasted_read", output=output)
         pace = stretch if stretch is not None else 1.0
-        self.engine.reschedule(
+        self.engine.schedule(
             now + self.phase_duration * pace + self.transition * pace,
-            self._write_event,
+            self._write_action,
         )
 
     def _select_read_output(self) -> Optional[int]:
@@ -377,7 +378,7 @@ class PFIEngine:
                     group=address.group.index, row=address.row,
                 )
             self._delivering.append(frame)
-            self.engine.reschedule(now + self.phase_duration * stretch, self._deliver_event)
+            self.engine.schedule(now + self.phase_duration * stretch, self._deliver_action)
             return True
         if self.options.bypass:
             return self._bypass(output, now)
@@ -403,7 +404,7 @@ class PFIEngine:
                 payload=frames.payload[frame],
             )
         self._delivering.append(frame)
-        self.engine.reschedule(now + self.phase_duration, self._deliver_event)
+        self.engine.schedule(now + self.phase_duration, self._deliver_action)
         return True
 
     # -- command-level validation ---------------------------------------------------

@@ -25,7 +25,13 @@ from ..config import RouterConfig
 from ..errors import ConfigError, SimulationError
 from ..hbm.timing import HBMTiming
 from ..photonics.oeo import OEOConverter
-from ..sim.parallel import SwitchWorkUnit, finish_switch, open_switch, run_work_units
+from ..sim.parallel import (
+    SwitchWorkUnit,
+    execute_work_unit,
+    finish_switch,
+    open_switch,
+    run_parallel_tasks,
+)
 from ..sim.stats import nan_to_none
 from ..traffic.ecmp import hash_to_choice
 from ..traffic.packet import Packet
@@ -575,7 +581,10 @@ class SplitParallelSwitch:
                     reports[h] = finish_switch(unit, *opened)
         else:
             live = [unit for unit in units if unit is not None]
-            for unit, report in zip(live, run_work_units(live, n_workers=n_workers)):
+            pooled_reports = run_parallel_tasks(
+                execute_work_unit, live, n_workers=n_workers
+            )
+            for unit, report in zip(live, pooled_reports):
                 reports[unit.index] = report
         if telemetry is not None:
             from ..telemetry import record_fault_loss

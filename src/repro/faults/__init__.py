@@ -31,7 +31,6 @@ from .report import (
     AVAILABILITY_THRESHOLD,
     DegradationReport,
     IntervalSample,
-    bin_packets,
     deterministic_fibers,
     measure_degradation,
     router_fault_traffic,
@@ -60,7 +59,6 @@ __all__ = [
     "RouterDown",
     "SwitchFailure",
     "SwitchFaultView",
-    "bin_packets",
     "deterministic_fibers",
     "draw_fault_schedule",
     "event_from_dict",

@@ -245,39 +245,6 @@ class DegradationReport:
         )
 
 
-def bin_packets(
-    packets: Sequence,
-    duration_ns: float,
-    n_intervals: int,
-) -> List[IntervalSample]:
-    """Attribute offered/delivered bytes to equal time intervals.
-
-    Late departures (the drain tail) land in the last interval; packets
-    with ``departure_ns`` unset were lost and contribute offer only.
-    """
-    if n_intervals <= 0:
-        raise ConfigError(f"n_intervals must be positive, got {n_intervals}")
-    if duration_ns <= 0:
-        raise ConfigError(f"duration_ns must be positive, got {duration_ns}")
-    width = duration_ns / n_intervals
-    offered = [0] * n_intervals
-    delivered = [0] * n_intervals
-    last = n_intervals - 1
-    for packet in packets:
-        offered[min(last, int(packet.arrival_ns / width))] += packet.size_bytes
-        if packet.departure_ns is not None:
-            delivered[min(last, int(packet.departure_ns / width))] += packet.size_bytes
-    return [
-        IntervalSample(
-            start_ns=i * width,
-            end_ns=(i + 1) * width,
-            offered_bytes=offered[i],
-            delivered_bytes=delivered[i],
-        )
-        for i in range(n_intervals)
-    ]
-
-
 def measure_degradation(
     config: RouterConfig,
     schedule: Optional[FaultSchedule] = None,
@@ -301,8 +268,8 @@ def measure_degradation(
     The run consumes arrival blocks incrementally: offered bytes are
     binned per block as it is offered (arrival interval) and delivered
     bytes per packet via the output ports' departure sink (departure
-    interval, drain tail into the last bin) -- the attribution rules of
-    :func:`bin_packets`, without keeping packets around.  The blocks
+    interval, drain tail into the last bin; a lost packet counts as
+    offered only), without keeping packets around.  The blocks
     come from the default smooth fixed-size traffic, or from
     ``workload`` (a :func:`~repro.traffic.stream.workload_source` spec,
     e.g. ``"pareto"`` or ``"trace:capture.csv"``).

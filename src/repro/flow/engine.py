@@ -1108,7 +1108,7 @@ def simulate_flow_router(
 
     With ``n_intervals`` the run also bins offered/delivered bytes per
     interval (delivered during the drain tail lands in the last
-    interval, as in :func:`repro.faults.report.bin_packets`).
+    interval, as in :func:`repro.faults.report.measure_degradation`).
 
     ``telemetry`` (a :class:`~repro.telemetry.MetricsRegistry`) closes
     the flow-fidelity observability gap: per-switch offered/delivered

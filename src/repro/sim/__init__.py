@@ -3,21 +3,22 @@
 A minimal, deterministic event engine shared by the HBM switch, the
 baselines and the benches:
 
-- :class:`~repro.sim.engine.Engine` -- an event queue with a monotonic
-  clock; events at equal times fire in scheduling order, which keeps runs
-  reproducible.
+- :class:`~repro.sim.engine.Engine` -- a queue of plain actions with a
+  monotonic clock; actions at equal times fire in the order they were
+  queued, which keeps runs reproducible.
 - :mod:`~repro.sim.stats` -- throughput meters, latency recorders with
   percentiles, queue-occupancy trackers and drop counters.
-- :mod:`~repro.sim.parallel` -- process-pool fan-out of independent
-  switch simulations with a deterministic, bit-identical merge.
+- :mod:`~repro.sim.parallel` -- one order-preserving process-pool map
+  for independent switch simulations and scenarios, with a
+  deterministic, bit-identical merge.
 """
 
-from .engine import Engine, Event
+from .engine import Engine
 from .parallel import (
     SwitchWorkUnit,
     execute_work_unit,
     resolve_worker_count,
-    run_work_units,
+    run_parallel_tasks,
 )
 from .stats import (
     DropCounter,
@@ -29,11 +30,10 @@ from .trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "Engine",
-    "Event",
     "SwitchWorkUnit",
     "execute_work_unit",
     "resolve_worker_count",
-    "run_work_units",
+    "run_parallel_tasks",
     "ThroughputMeter",
     "LatencyRecorder",
     "OccupancyTracker",

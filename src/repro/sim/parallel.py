@@ -14,7 +14,7 @@ Design constraints:
   on the unit (each worker builds its own engine, RNG-free pipeline and
   report), so executing units in any process, in any order, yields
   bit-identical :class:`~repro.core.hbm_switch.SwitchReport`s.  The
-  merge step reassembles results by unit index, so the aggregate
+  pool returns results in unit order, so the aggregate
   :class:`~repro.core.sps.RouterReport` is byte-identical to a
   sequential run.
 - **Graceful degradation.**  With one worker (or one unit) the pool is
@@ -111,7 +111,7 @@ def finish_switch(unit: SwitchWorkUnit, switch, registry):
 
 
 def execute_work_unit(unit: SwitchWorkUnit):
-    """Run one unit to completion; returns ``(index, SwitchReport)``.
+    """Run one unit to completion; returns its ``SwitchReport``.
 
     Module-level (not a closure or method) so it pickles for worker
     processes regardless of the multiprocessing start method.
@@ -120,7 +120,7 @@ def execute_work_unit(unit: SwitchWorkUnit):
     for block in unit.blocks:
         switch.stream_offer(block, unit.duration_ns)
         switch.stream_advance(min(block.end_ns, unit.duration_ns))
-    return unit.index, finish_switch(unit, switch, registry)
+    return finish_switch(unit, switch, registry)
 
 
 def resolve_worker_count(n_workers: Optional[int], n_units: int) -> int:
@@ -135,27 +135,6 @@ def resolve_worker_count(n_workers: Optional[int], n_units: int) -> int:
     return min(n_workers, n_units)
 
 
-def run_work_units(
-    units: Sequence[SwitchWorkUnit],
-    n_workers: Optional[int] = None,
-    executor_factory: Callable[..., ProcessPoolExecutor] = ProcessPoolExecutor,
-) -> List:
-    """Execute every unit and return reports ordered by position in
-    ``units`` (NOT by completion time -- the merge is deterministic).
-
-    Fans out over a process pool when it can help; runs inline when a
-    pool cannot beat sequential execution (one unit or one worker).
-    """
-    workers = resolve_worker_count(n_workers, len(units))
-    if workers <= 1:
-        return [execute_work_unit(unit)[1] for unit in units]
-    by_index = {}
-    with executor_factory(max_workers=workers) as pool:
-        for index, report in pool.map(execute_work_unit, units):
-            by_index[index] = report
-    return [by_index[unit.index] for unit in units]
-
-
 def run_parallel_tasks(
     fn: Callable,
     items: Sequence,
@@ -163,13 +142,14 @@ def run_parallel_tasks(
     executor_factory: Callable[..., ProcessPoolExecutor] = ProcessPoolExecutor,
     on_result: Optional[Callable[[int, object], None]] = None,
 ) -> List:
-    """Order-preserving parallel map with the same worker policy as
-    :func:`run_work_units`.
+    """Order-preserving parallel map: results come back in input order
+    (NOT by completion time), so every merge over them is deterministic.
 
     ``fn`` must be a module-level callable and every item picklable --
     the contract worker processes impose.  With one worker (or one item)
     everything runs inline, which is also the fallback on platforms
-    without working multiprocessing.  Fault-injection campaigns
+    without working multiprocessing.  A router's pooled switches
+    (:func:`execute_work_unit` per unit) and fault-injection campaigns
     (:mod:`repro.faults.campaign`) fan whole faulted router runs out
     through this: the parallelism is *between* independent scenarios,
     so each worker still simulates its scenario sequentially and

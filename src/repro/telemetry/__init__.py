@@ -2,11 +2,12 @@
 
 The observability substrate of the repro (docs/observability.md):
 
-- :class:`MetricsRegistry` -- labeled counters/gauges/histograms with
-  fixed ns-scale buckets, deterministic serialisation and merging.
-- :class:`TimeSeriesRecorder` / :class:`TimeSeries` -- fixed-width-ns
-  windowed series (ring-buffer bounded, EWMA views) riding inside the
-  registry's dumps; :func:`sparkline` renders them in a terminal.
+- :class:`MetricsRegistry` -- one table of labeled counters, gauges,
+  histograms (fixed ns-scale buckets) and time series, with
+  deterministic serialisation and merging.
+- :class:`TimeSeries` -- the registry's fixed-width-ns windowed series
+  (ring-buffer bounded, EWMA views), dumped after the other kinds;
+  :func:`sparkline` renders them in a terminal.
 - :class:`SwitchTelemetry` -- pre-bound instruments for every pipeline
   stage one HBM switch drives (:data:`STAGES`).
 - :func:`to_prometheus` / :func:`to_jsonl` / :func:`write_metrics` --
@@ -33,9 +34,7 @@ from .export import (
 from .timeseries import (
     DEFAULT_EWMA_ALPHA,
     DEFAULT_WINDOW_NS,
-    TS_SCHEMA,
     TimeSeries,
-    TimeSeriesRecorder,
     ewma_series,
     ewma_step,
     sparkline,
@@ -64,9 +63,7 @@ __all__ = [
     "SCHEMA",
     "STAGES",
     "SwitchTelemetry",
-    "TS_SCHEMA",
     "TimeSeries",
-    "TimeSeriesRecorder",
     "ewma_series",
     "ewma_step",
     "parse_prometheus",

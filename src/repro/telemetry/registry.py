@@ -1,4 +1,5 @@
-"""The central metrics registry: labeled counters, gauges and histograms.
+"""The central metrics registry: labeled counters, gauges, histograms
+and windowed time series, in one table.
 
 Design constraints (docs/observability.md):
 
@@ -15,7 +16,8 @@ Design constraints (docs/observability.md):
   order serialise to byte-identical dumps regardless of creation order.
 - **Mergeable.**  Registries from independent switch simulations (one
   per process-pool worker) merge by summing counters and histogram
-  buckets and taking the max of gauges.  The merge is performed in
+  buckets, taking the max of gauges, and combining time series window
+  by window (:mod:`repro.telemetry.timeseries`).  The merge is performed in
   switch-index order by the caller, which makes parallel and sequential
   runs of the same workload produce identical dumps: float addition is
   carried out in the same order either way.
@@ -43,6 +45,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigError
+from .timeseries import DEFAULT_CAPACITY, DEFAULT_WINDOW_NS, TimeSeries
 
 #: Schema tag stamped on every registry dump.
 SCHEMA = "repro-telemetry-v1"
@@ -96,6 +99,11 @@ class Counter:
     def _load(self, data: Mapping[str, Any]) -> None:
         self._value = float(data["value"])
 
+    @staticmethod
+    def _options(data: Mapping[str, Any]) -> Dict[str, Any]:
+        """Constructor options from a dump entry (none for this kind)."""
+        return {}
+
 
 class Gauge:
     """A point-in-time value (peak occupancy, energy, window edges).
@@ -128,6 +136,8 @@ class Gauge:
 
     def _load(self, data: Mapping[str, Any]) -> None:
         self.value = float(data["value"])
+
+    _options = staticmethod(Counter._options)
 
 
 class Histogram:
@@ -267,22 +277,33 @@ class Histogram:
         self._count = int(data["count"])
         self._sum = float(data["sum"])
 
+    @staticmethod
+    def _options(data: Mapping[str, Any]) -> Dict[str, Any]:
+        return {"bounds": tuple(float(b) for b in data["bounds"])}
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+_KINDS = {
+    "counter": Counter,
+    "gauge": Gauge,
+    "histogram": Histogram,
+    "timeseries": TimeSeries,
+}
 
 
 class MetricsRegistry:
     """Holds every instrument of one run (or one switch of one run).
 
-    Instruments are get-or-create by ``(name, labels)``; re-requesting
-    an existing series returns the same object, so setup code can bind
-    instruments to attributes once and hot paths never touch the
-    registry again.
+    Instruments of all four kinds live in one table, get-or-create by
+    ``(name, labels)``; re-requesting an existing series returns the
+    same object, so setup code can bind instruments to attributes once
+    and hot paths never touch the registry again.  Iteration, ``len``
+    and :meth:`series` cover the counters, gauges and histograms;
+    :meth:`iter_timeseries` covers the windowed series, which dumps
+    carry under their own ``"timeseries"`` key.
     """
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Any] = {}
-        self._timeseries: Optional[Any] = None  # lazy TimeSeriesRecorder
         self._settlers: List[Callable[[], None]] = []
 
     # -- buffered observations -------------------------------------------------
@@ -331,43 +352,46 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get_or_create(Histogram, name, help, labels, bounds=buckets)
 
-    def timeseries(self, name: str, help: str = "", **kwargs):
-        """Get-or-create a windowed :class:`~repro.telemetry.timeseries.TimeSeries`.
-
-        Keyword options (``window_ns``, ``agg``, ``capacity``) and labels
-        pass through to :meth:`TimeSeriesRecorder.series`.  The recorder
-        is created lazily so registries without series dump unchanged.
-        """
-        from .timeseries import TimeSeriesRecorder
-
-        if self._timeseries is None:
-            self._timeseries = TimeSeriesRecorder()
-        return self._timeseries.series(name, help, **kwargs)
-
-    def iter_timeseries(self):
-        """Every windowed series, in deterministic order (may be empty)."""
-        self.settle()
-        if self._timeseries is None:
-            return iter(())
-        return iter(self._timeseries)
-
-    def get_timeseries(self, name: str, **labels: str):
-        self.settle()
-        if self._timeseries is None:
-            return None
-        return self._timeseries.get(name, **labels)
+    def timeseries(
+        self,
+        name: str,
+        help: str = "",
+        window_ns: float = DEFAULT_WINDOW_NS,
+        agg: str = "sum",
+        capacity: int = DEFAULT_CAPACITY,
+        **labels: str,
+    ) -> TimeSeries:
+        """Get-or-create a windowed series; a repeat request must ask
+        for the same window width and aggregation."""
+        series = self._get_or_create(
+            TimeSeries, name, help, labels,
+            window_ns=window_ns, agg=agg, capacity=capacity,
+        )
+        series._check_compatible(window_ns, agg)
+        return series
 
     # -- introspection ---------------------------------------------------------
 
-    def __len__(self) -> int:
+    def _sorted(self, timeseries: bool):
+        """Instruments of one half of the table, in (name, labels) order."""
         self.settle()
-        return len(self._metrics)
+        metrics = self._metrics
+        for key in sorted(metrics):
+            metric = metrics[key]
+            if (metric.kind == "timeseries") is timeseries:
+                yield metric
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
     def __iter__(self):
-        """Series in deterministic (name, labels) order."""
-        self.settle()
-        for key in sorted(self._metrics):
-            yield self._metrics[key]
+        """Counters, gauges and histograms in deterministic (name,
+        labels) order."""
+        return self._sorted(False)
+
+    def iter_timeseries(self):
+        """Every windowed series, in deterministic order (may be empty)."""
+        return self._sorted(True)
 
     def series(self, name: str) -> List:
         """Every series of ``name``, in label order."""
@@ -377,35 +401,31 @@ class MetricsRegistry:
         self.settle()
         return self._metrics.get((name, _label_key(labels)))
 
+    def get_timeseries(self, name: str, **labels: str) -> Optional[TimeSeries]:
+        series = self.get(name, **labels)
+        return series if isinstance(series, TimeSeries) else None
+
     # -- merging ---------------------------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (sum / sum / max by kind).
+        """Fold another registry in (sum / sum / max / per window, by kind).
 
         Series are visited in the deterministic sorted order, so a
         sequence of merges is reproducible whatever order the source
         registries were *built* in.
         """
         self.settle()
-        for metric in other:
-            key = (metric.name, metric.labels)
+        other.settle()
+        for key in sorted(other._metrics):
+            metric = other._metrics[key]
             mine = self._metrics.get(key)
             if mine is None:
                 # Adopt a copy so later merges cannot alias the source.
-                mine = _copy_metric(metric)
-                self._metrics[key] = mine
+                self._metrics[key] = _copy_metric(metric)
+            elif type(mine) is not type(metric):
+                raise ConfigError(f"metric {metric.name} kind mismatch on merge")
             else:
-                if type(mine) is not type(metric):
-                    raise ConfigError(
-                        f"metric {metric.name} kind mismatch on merge"
-                    )
                 mine._merge(metric)
-        if other._timeseries is not None and len(other._timeseries):
-            from .timeseries import TimeSeriesRecorder
-
-            if self._timeseries is None:
-                self._timeseries = TimeSeriesRecorder()
-            self._timeseries.merge(other._timeseries)
 
     def merge_dict(self, dump: Mapping[str, Any]) -> None:
         """Merge a serialised registry (a worker's report payload)."""
@@ -414,28 +434,19 @@ class MetricsRegistry:
     # -- serialisation ---------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe, deterministically ordered dump of every series.
+        """JSON-safe, deterministically ordered dump of every instrument.
 
         Windowed time series ride along under a ``"timeseries"`` key
-        (present only when at least one series exists, so pre-series
-        dumps are byte-unchanged).
+        after the ``"metrics"`` (present only when at least one series
+        exists, so series-free dumps carry no such key).
         """
-        self.settle()
         dump: Dict[str, Any] = {
             "schema": SCHEMA,
-            "metrics": [
-                {
-                    "name": m.name,
-                    "kind": m.kind,
-                    "help": m.help,
-                    "labels": {k: v for k, v in m.labels},
-                    **m._values(),
-                }
-                for m in self
-            ],
+            "metrics": [_entry(m) for m in self],
         }
-        if self._timeseries is not None and len(self._timeseries):
-            dump["timeseries"] = self._timeseries.to_list()
+        series = [_entry(s) for s in self.iter_timeseries()]
+        if series:
+            dump["timeseries"] = series
         return dump
 
     @classmethod
@@ -443,22 +454,18 @@ class MetricsRegistry:
         if dump.get("schema") != SCHEMA:
             raise ConfigError(f"unknown telemetry schema {dump.get('schema')!r}")
         registry = cls()
-        for entry in dump["metrics"]:
-            kind = _KINDS.get(entry["kind"])
-            if kind is None:
-                raise ConfigError(f"unknown metric kind {entry['kind']!r}")
-            kwargs = {}
-            if kind is Histogram:
-                kwargs["bounds"] = tuple(float(b) for b in entry["bounds"])
-            metric = registry._get_or_create(
-                kind, entry["name"], entry.get("help", ""), entry.get("labels", {}), **kwargs
-            )
-            metric._load(entry)
-        entries = dump.get("timeseries")
-        if entries:
-            from .timeseries import TimeSeriesRecorder
-
-            registry._timeseries = TimeSeriesRecorder.from_list(entries)
+        for noun, entries in (
+            ("metric", dump["metrics"]), ("series", dump.get("timeseries", ()))
+        ):
+            for entry in entries:
+                kind = _KINDS.get(entry.get("kind"))
+                if kind is None or (kind is TimeSeries) != (noun == "series"):
+                    raise ConfigError(f"unknown {noun} kind {entry.get('kind')!r}")
+                metric = registry._get_or_create(
+                    kind, entry["name"], entry.get("help", ""), entry.get("labels", {}),
+                    **kind._options(entry),
+                )
+                metric._load(entry)
         return registry
 
     def dumps(self) -> str:
@@ -466,8 +473,24 @@ class MetricsRegistry:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def _entry(metric) -> Dict[str, Any]:
+    return {
+        "name": metric.name,
+        "kind": metric.kind,
+        "help": metric.help,
+        "labels": {k: v for k, v in metric.labels},
+        **metric._values(),
+    }
+
+
 def _copy_metric(metric):
-    kwargs = {"bounds": metric.bounds} if isinstance(metric, Histogram) else {}
-    clone = type(metric)(metric.name, metric.help, metric.labels, **kwargs)
-    clone._load(metric._values())
+    clone = type(metric)(
+        metric.name, metric.help, metric.labels, **metric._options(metric._values())
+    )
+    if isinstance(metric, TimeSeries):
+        # Keep each window's value as recorded (a max window may hold an
+        # int), where a load would make it a float.
+        clone._merge(metric)
+    else:
+        clone._load(metric._values())
     return clone

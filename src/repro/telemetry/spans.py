@@ -94,8 +94,8 @@ class SwitchTelemetry:
     records what it sees into buffers -- each block's admitted arrivals
     (:meth:`arrived`), and per batch, frame, phase and drop
     (:meth:`batches_formed`, :attr:`crossings`, :meth:`transmitted`,
-    :meth:`hbm_phase`, :meth:`bypassed`, :meth:`dropped`,
-    :meth:`stripe_frame_bytes`) -- and :meth:`settle` folds them in
+    :meth:`hbm_phase`, :meth:`bypassed`, :meth:`dropped`) -- and
+    :meth:`settle` folds them in
     bulk, in the order they were made: histogram sums add sequentially
     and byte counters and windows add integers, so every dump is the
     one per-observation updates would give.  Any read of the registry
@@ -309,8 +309,13 @@ class SwitchTelemetry:
         self, write: bool, span_ns: float, group: int, frame_bytes: int, channels_used: int
     ) -> None:
         """One frame written to (or read from) the HBM in ``span_ns``,
-        on bank group ``group``, striped over ``channels_used`` channels
-        (see :meth:`stripe_frame_bytes`)."""
+        on bank group ``group``, striped over ``channels_used`` channels.
+
+        PFI stripes every frame evenly over the (surviving) channels, so
+        each of the first ``channels_used`` channels moves an equal
+        share.  Integer division keeps the channel byte counters exact
+        in aggregate: the remainder goes to channel 0.
+        """
         buffer = self._buffer
         spans, groups = buffer.writes if write else buffer.reads
         spans.append(span_ns)
@@ -334,21 +339,6 @@ class SwitchTelemetry:
         buffer.drop_reasons.append(reason)
         buffer.drop_bytes.append(n_bytes)
         buffer.drop_times.append(t_ns)
-        self._pending += 1
-        if self._pending >= FOLD_EVERY:
-            self.settle()
-
-    def stripe_frame_bytes(self, frame_bytes: int, channels_used: int) -> None:
-        """Attribute one frame's bytes across the channels it striped over.
-
-        PFI stripes every frame evenly over the (surviving) channels, so
-        each of the first ``channels_used`` channels moves an equal
-        share.  Integer division keeps the counters exact in aggregate:
-        the remainder goes to channel 0.
-        """
-        striped = self._buffer.striped
-        key = (frame_bytes, channels_used)
-        striped[key] = striped.get(key, 0) + 1
         self._pending += 1
         if self._pending >= FOLD_EVERY:
             self.settle()

@@ -22,10 +22,11 @@ The same guarantees the registry holds carry over:
   ``capacity * O(1)`` per series regardless of run length.
 - **Deterministic, mergeable.**  Windows are keyed by absolute index,
   so series from independent workers are element-wise combinable (sum
-  or max per window) exactly like fixed-bound histogram buckets;
-  :meth:`TimeSeriesRecorder.to_dict` sorts series and windows, so
-  sequential and parallel runs of the same workload dump
-  byte-identically.
+  or max per window) exactly like fixed-bound histogram buckets.  A
+  series is the fourth instrument kind of
+  :class:`~repro.telemetry.registry.MetricsRegistry`, which creates,
+  merges, sorts and dumps it as it does the other three, so sequential
+  and parallel runs of the same workload dump byte-identically.
 - **JSON-null empty stats.**  An empty series reports ``mean``/``peak``
   as NaN in Python and ``null`` in dumps, matching the latency-summary
   semantics elsewhere in the reporting layer.
@@ -38,17 +39,12 @@ PR 9+ control plane consumes these smoothed signals.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError
-from .registry import _label_key
-
-#: Schema tag stamped on every recorder dump.
-TS_SCHEMA = "repro-timeseries-v1"
 
 #: Default window width.  Pipeline durations are O(10-100 us), batch
 #: times O(10 ns); 1 us windows give tens of points per run at
@@ -318,122 +314,14 @@ class TimeSeries:
         self._evicted = int(data.get("evicted", 0))
         self._trim()
 
-
-class TimeSeriesRecorder:
-    """Holds every windowed series of one run (or one worker's share).
-
-    Mirrors :class:`~repro.telemetry.registry.MetricsRegistry`: series
-    are get-or-create by ``(name, labels)``, iteration and dumps are
-    deterministically sorted, and recorders merge element-wise so
-    worker shards fold together byte-identically with a sequential run.
-    """
-
-    def __init__(self) -> None:
-        self._series: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], TimeSeries] = {}
-
-    def series(
-        self,
-        name: str,
-        help: str = "",
-        window_ns: float = DEFAULT_WINDOW_NS,
-        agg: str = "sum",
-        capacity: int = DEFAULT_CAPACITY,
-        **labels: str,
-    ) -> TimeSeries:
-        key = (name, _label_key(labels))
-        existing = self._series.get(key)
-        if existing is not None:
-            existing._check_compatible(window_ns, agg)
-            return existing
-        series = TimeSeries(name, help, key[1], window_ns, agg, capacity)
-        self._series[key] = series
-        return series
-
-    # -- introspection ---------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._series)
-
-    def __iter__(self):
-        """Series in deterministic (name, labels) order."""
-        for key in sorted(self._series):
-            yield self._series[key]
-
-    def all(self, name: str) -> List[TimeSeries]:
-        """Every series of ``name``, in label order."""
-        return [s for s in self if s.name == name]
-
-    def get(self, name: str, **labels: str) -> Optional[TimeSeries]:
-        return self._series.get((name, _label_key(labels)))
-
-    # -- merging ---------------------------------------------------------------
-
-    def merge(self, other: "TimeSeriesRecorder") -> None:
-        for series in other:
-            key = (series.name, series.labels)
-            mine = self._series.get(key)
-            if mine is None:
-                self._series[key] = _copy_series(series)
-            else:
-                mine._merge(series)
-
-    def merge_dict(self, dump: Mapping[str, Any]) -> None:
-        self.merge(TimeSeriesRecorder.from_dict(dump))
-
-    # -- serialisation ---------------------------------------------------------
-
-    def to_list(self) -> List[Dict[str, Any]]:
-        """The per-series entries (embedded in registry dumps)."""
-        return [
-            {
-                "name": s.name,
-                "kind": s.kind,
-                "help": s.help,
-                "labels": {k: v for k, v in s.labels},
-                **s._values(),
-            }
-            for s in self
-        ]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"schema": TS_SCHEMA, "series": self.to_list()}
-
-    @classmethod
-    def from_list(cls, entries: List[Mapping[str, Any]]) -> "TimeSeriesRecorder":
-        recorder = cls()
-        for entry in entries:
-            if entry.get("kind") != TimeSeries.kind:
-                raise ConfigError(f"unknown series kind {entry.get('kind')!r}")
-            series = recorder.series(
-                entry["name"],
-                entry.get("help", ""),
-                window_ns=float(entry["window_ns"]),
-                agg=entry["agg"],
-                capacity=int(entry.get("capacity", DEFAULT_CAPACITY)),
-                **entry.get("labels", {}),
-            )
-            series._load(entry)
-        return recorder
-
-    @classmethod
-    def from_dict(cls, dump: Mapping[str, Any]) -> "TimeSeriesRecorder":
-        if dump.get("schema") != TS_SCHEMA:
-            raise ConfigError(f"unknown timeseries schema {dump.get('schema')!r}")
-        return cls.from_list(dump["series"])
-
-    def dumps(self) -> str:
-        """Canonical JSON text -- byte-identical for equal recorders."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def _copy_series(series: TimeSeries) -> TimeSeries:
-    clone = TimeSeries(
-        series.name, series.help, series.labels,
-        series.window_ns, series.agg, series.capacity,
-    )
-    clone._windows = dict(series.windows())
-    clone._evicted = series.evicted
-    return clone
+    @staticmethod
+    def _options(data: Mapping[str, Any]) -> Dict[str, Any]:
+        """Constructor options from a dump entry."""
+        return {
+            "window_ns": float(data["window_ns"]),
+            "agg": data["agg"],
+            "capacity": int(data.get("capacity", DEFAULT_CAPACITY)),
+        }
 
 
 def sparkline(values: List[float], lo: Optional[float] = None, hi: Optional[float] = None) -> str:

@@ -15,15 +15,15 @@ a bounded-memory block iterator (one
 :class:`~repro.traffic.stream.ArrivalBlock` in memory at a time) and
 :class:`TraceSource` wraps a trace file as a
 :class:`~repro.traffic.stream.TrafficSource` any engine can consume.
-The eager :func:`load_trace` remains as a deprecated materializing shim
-(byte-identical packets).
+Both readers parse rows through one row reader; the eager
+:func:`load_trace` is the one that can sort an interleaved capture.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import warnings
+from contextlib import closing
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, TextIO, Union
 
@@ -73,54 +73,15 @@ def save_trace(packets: Sequence[Packet], destination: Union[str, Path, TextIO])
             handle.close()
 
 
-_load_trace_warned = False
+def _read_rows(source: Union[str, Path, TextIO]):
+    """Parse a CSV trace row by row.
 
-
-def _warn_load_trace_deprecated() -> None:
-    """One-shot deprecation notice for the eager trace reader -- it
-    fires on the first materializing load of the process, not on every
-    file of a batch."""
-    global _load_trace_warned
-    if _load_trace_warned:
-        return
-    _load_trace_warned = True
-    warnings.warn(
-        "load_trace() materializes the whole capture; iterate "
-        "stream_trace(path, duration_ns) (or wrap the file in "
-        "TraceSource) for bounded-memory replay (byte-identical "
-        "packets)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_load_trace_warning() -> None:
-    """Re-arm the one-shot warning (test hook)."""
-    global _load_trace_warned
-    _load_trace_warned = False
-
-
-def load_trace(source: Union[str, Path, TextIO], sort: bool = False) -> List[Packet]:
-    """Read a CSV trace eagerly; returns packets with fresh sequential
-    pids.  Deprecated: prefer :func:`stream_trace` / :class:`TraceSource`
-    for anything larger than a test fixture (byte-identical packets at
-    bounded memory).
-
-    Rows must be sorted by arrival time: the simulators' drain
-    invariant (offered = delivered + dropped + residual, and shared
-    arrival-time tie-breaking by pid) assumes pids follow arrival
-    order, so an unsorted trace fed to the SPS would silently reorder
-    flows.  Violations therefore raise :class:`ConfigError` with the
-    offending line.  ``sort=True`` instead accepts out-of-order rows
-    and stably sorts them by arrival (re-assigning pids in the sorted
-    order) -- for archived captures whose writers interleaved several
-    sources.
+    Yields ``(line_no, arrival_ns, size_bytes, input_port, output_port,
+    flow)`` per row; a missing column, or a row whose fields do not
+    parse, raises :class:`ConfigError` (naming the line).  A path is
+    opened here and closed when the rows run out or the reader is
+    closed (both readers close it with :func:`contextlib.closing`).
     """
-    _warn_load_trace_deprecated()
-    return _load_trace_eager(source, sort)
-
-
-def _load_trace_eager(source: Union[str, Path, TextIO], sort: bool = False) -> List[Packet]:
     own = isinstance(source, (str, Path))
     handle: TextIO = open(source, "r", newline="") if own else source
     try:
@@ -128,8 +89,6 @@ def _load_trace_eager(source: Union[str, Path, TextIO], sort: bool = False) -> L
         missing = set(_COLUMNS) - set(reader.fieldnames or [])
         if missing:
             raise ConfigError(f"trace is missing columns: {sorted(missing)}")
-        packets: List[Packet] = []
-        last_time = -float("inf")
         for line_no, row in enumerate(reader, start=2):
             try:
                 arrival = float(row["arrival_ns"])
@@ -141,15 +100,46 @@ def _load_trace_eager(source: Union[str, Path, TextIO], sort: bool = False) -> L
                     dst_port=int(row["dst_port"]),
                     protocol=int(row["protocol"]),
                 )
+                input_port = int(row["input_port"])
+                output_port = int(row["output_port"])
+            except (KeyError, ValueError) as error:
+                raise ConfigError(f"trace line {line_no}: {error}") from error
+            yield line_no, arrival, size, input_port, output_port, flow
+    finally:
+        if own:
+            handle.close()
+
+
+def load_trace(source: Union[str, Path, TextIO], sort: bool = False) -> List[Packet]:
+    """Read a CSV trace eagerly; returns packets with fresh sequential
+    pids.  For anything larger than a test fixture, prefer
+    :func:`stream_trace` / :class:`TraceSource` (byte-identical packets
+    at bounded memory).
+
+    Rows must be sorted by arrival time: the simulators' drain
+    invariant (offered = delivered + dropped + residual, and shared
+    arrival-time tie-breaking by pid) assumes pids follow arrival
+    order, so an unsorted trace fed to the SPS would silently reorder
+    flows.  Violations therefore raise :class:`ConfigError` with the
+    offending line.  ``sort=True`` instead accepts out-of-order rows
+    and stably sorts them by arrival (re-assigning pids in the sorted
+    order) -- for archived captures whose writers interleaved several
+    sources, which :func:`stream_trace` rejects.
+    """
+    packets: List[Packet] = []
+    last_time = -float("inf")
+    with closing(_read_rows(source)) as rows:
+        for line_no, arrival, size, input_port, output_port, flow in rows:
+            try:
                 packet = Packet(
                     pid=len(packets),
                     size_bytes=size,
-                    input_port=int(row["input_port"]),
-                    output_port=int(row["output_port"]),
+                    input_port=input_port,
+                    output_port=output_port,
                     flow=flow,
                     arrival_ns=arrival,
                 )
-            except (KeyError, ValueError) as error:
+            except ValueError as error:
                 raise ConfigError(f"trace line {line_no}: {error}") from error
             if arrival < last_time and not sort:
                 raise ConfigError(
@@ -158,14 +148,11 @@ def _load_trace_eager(source: Union[str, Path, TextIO], sort: bool = False) -> L
                 )
             last_time = max(last_time, arrival)
             packets.append(packet)
-        if sort:
-            packets.sort(key=lambda p: p.arrival_ns)
-            for pid, packet in enumerate(packets):
-                packet.pid = pid
-        return packets
-    finally:
-        if own:
-            handle.close()
+    if sort:
+        packets.sort(key=lambda p: p.arrival_ns)
+        for pid, packet in enumerate(packets):
+            packet.pid = pid
+    return packets
 
 
 def stream_trace(
@@ -198,13 +185,7 @@ def stream_trace(
         raise ConfigError(f"block_ns must be positive, got {block_ns}")
     if duration_ns is not None and duration_ns <= 0:
         raise ConfigError(f"duration must be positive, got {duration_ns}")
-    own = isinstance(source, (str, Path))
-    handle: TextIO = open(source, "r", newline="") if own else source
-    try:
-        reader = csv.DictReader(handle)
-        missing = set(_COLUMNS) - set(reader.fieldnames or [])
-        if missing:
-            raise ConfigError(f"trace is missing columns: {sorted(missing)}")
+    with closing(_read_rows(source)) as rows:
         start = 0.0
         pid_offset = 0
         times: List[float] = []
@@ -231,21 +212,7 @@ def stream_trace(
             times, sizes, inputs, outputs, flows = [], [], [], [], []
             return block
 
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                arrival = float(row["arrival_ns"])
-                size = int(row["size_bytes"])
-                flow = FiveTuple(
-                    src_ip=int(row["src_ip"]),
-                    dst_ip=int(row["dst_ip"]),
-                    src_port=int(row["src_port"]),
-                    dst_port=int(row["dst_port"]),
-                    protocol=int(row["protocol"]),
-                )
-                input_port = int(row["input_port"])
-                output_port = int(row["output_port"])
-            except (KeyError, ValueError) as error:
-                raise ConfigError(f"trace line {line_no}: {error}") from error
+        for line_no, arrival, size, input_port, output_port, flow in rows:
             if arrival < 0:
                 raise ConfigError(
                     f"trace line {line_no}: negative arrival {arrival}"
@@ -278,9 +245,6 @@ def stream_trace(
             while start < duration_ns:
                 yield flush(min(start + block_ns, duration_ns))
                 start += block_ns
-    finally:
-        if own:
-            handle.close()
 
 
 class TraceSource(TrafficSource):

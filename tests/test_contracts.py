@@ -3,7 +3,6 @@ traffic substrate: the eager trace shim and streamed memory."""
 
 import io
 import json
-import warnings
 
 import pytest
 
@@ -17,7 +16,6 @@ from repro.traffic import (
     trace_to_string,
     uniform_matrix,
 )
-from repro.traffic.replay import _reset_load_trace_warning
 from tests.rss_probe import measure_rss
 
 
@@ -239,9 +237,9 @@ def test_fabric_router_down_json_carries_digest_and_capacity(capsys):
     assert abs(doc["delivered_fraction"] - 0.5) <= 0.02, doc["delivered_fraction"]
 
 
-def test_load_trace_shim_warns_and_matches_streaming():
-    """The deprecated eager ``load_trace()`` warns and reads the same
-    packets as ``stream_trace()``."""
+def test_load_trace_matches_streaming():
+    """The eager ``load_trace()`` reads the same packets as
+    ``stream_trace()``."""
     config = scaled_router().switch
     gen = TrafficGenerator(
         n_ports=config.n_ports,
@@ -251,14 +249,7 @@ def test_load_trace_shim_warns_and_matches_streaming():
         seed=11,
     )
     text = trace_to_string(gen.materialize(10_000.0))
-    # The shim warns once per process; another test may have used it.
-    _reset_load_trace_warning()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        eager = load_trace(io.StringIO(text))
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    ), "load_trace() shim did not warn"
+    eager = load_trace(io.StringIO(text))
     streamed = [
         p
         for block in stream_trace(io.StringIO(text))

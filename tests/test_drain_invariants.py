@@ -92,13 +92,14 @@ class TestDrainGuard:
         switch = HBMSwitch(small_switch, PFIOptions(padding=True, bypass=True))
         packet = make_traffic(small_switch, 0.9, 4_000.0, size=1500)[0]
         switch.stream_offer(ArrivalBlock.from_packets([packet], 4_000.0), 4_000.0)
-        # The step ingests the arrival (a full batch, which schedules
-        # _drain at its instant) and fires _drain: it pops the batch.
-        assert switch.engine.step()
+        # The first event ingests the arrival (a full batch, which
+        # schedules _drain at its instant) and fires _drain: it pops the
+        # batch.
+        assert switch.engine.run(max_events=1) == 1
         times = [entry[0] for entry in switch.engine._queue]
         assert times == [packet.arrival_ns + small_switch.batch_time_ns]
         fired = switch.engine.events_fired
-        assert switch.engine.step()
+        assert switch.engine.run(max_events=1) == 1
         assert switch.engine.events_fired == fired + 1
         assert switch.tail.pending_bytes == small_switch.batch_bytes
         assert not switch._draining[packet.input_port]

@@ -11,7 +11,7 @@ from repro.sim import (
     SwitchWorkUnit,
     execute_work_unit,
     resolve_worker_count,
-    run_work_units,
+    run_parallel_tasks,
 )
 from repro.traffic import FixedSize, TrafficGenerator, uniform_matrix
 from repro.traffic.stream import ArrivalBlock
@@ -74,15 +74,14 @@ class TestWorkUnits:
             for k in range(min(n, small_router.n_switches))
         ]
 
-    def test_execute_returns_index_and_report(self, small_router):
+    def test_execute_returns_report(self, small_router):
         units = self._units(small_router, n=1)
-        index, report = execute_work_unit(units[0])
-        assert index == 0
+        report = execute_work_unit(units[0])
         assert report.offered_packets == len(units[0].blocks[0])
 
-    def test_run_work_units_preserves_order(self, small_router):
+    def test_run_parallel_tasks_preserves_order(self, small_router):
         units = self._units(small_router, n=2)
-        reports = run_work_units(units, n_workers=2)
+        reports = run_parallel_tasks(execute_work_unit, units, n_workers=2)
         assert len(reports) == 2
         for unit, report in zip(units, reports):
             assert report.offered_packets == len(unit.blocks[0])
@@ -93,8 +92,8 @@ class TestWorkUnits:
         def exploding_factory(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("pool must not be created for one worker")
 
-        reports = run_work_units(
-            units, n_workers=1, executor_factory=exploding_factory
+        reports = run_parallel_tasks(
+            execute_work_unit, units, n_workers=1, executor_factory=exploding_factory
         )
         assert len(reports) == 2
 

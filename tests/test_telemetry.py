@@ -241,9 +241,12 @@ class TestSwitchTelemetry:
     def test_stripe_frame_bytes_is_exact_in_aggregate(self, small_switch):
         registry = MetricsRegistry()
         telemetry = SwitchTelemetry(registry, small_switch, switch=0)
-        telemetry.stripe_frame_bytes(1001, 8)
-        total = sum(c.value for c in telemetry.channel_bytes)
-        assert total == 1001
+        telemetry.hbm_phase(True, 500.0, 0, 1001, 8)
+        telemetry.settle()
+        values = [c.value for c in telemetry.channel_bytes]
+        assert sum(values) == 1001
+        # 1001 = 8 * 125 + 1: the remainder byte goes to channel 0.
+        assert values[:8] == [126.0] + [125.0] * 7
 
     def test_drop_counter_is_lazily_labeled(self, small_switch):
         registry = MetricsRegistry()

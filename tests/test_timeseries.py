@@ -21,7 +21,6 @@ from repro.errors import ConfigError
 from repro.telemetry import (
     MetricsRegistry,
     TimeSeries,
-    TimeSeriesRecorder,
     read_jsonl,
     sparkline,
     to_jsonl,
@@ -154,13 +153,13 @@ class TestEmptySeries:
         assert series.total == 0.0
 
     def test_dump_stats_are_null(self):
-        recorder = TimeSeriesRecorder()
-        recorder.series("repro_test_series", window_ns=100.0, switch="0")
-        entry = recorder.to_list()[0]
+        registry = MetricsRegistry()
+        registry.timeseries("repro_test_series", window_ns=100.0, switch="0")
+        entry = registry.to_dict()["timeseries"][0]
         assert entry["mean"] is None
         assert entry["peak"] is None
         assert entry["windows"] == []
-        assert json.loads(recorder.dumps())["series"][0]["mean"] is None
+        assert json.loads(registry.dumps())["timeseries"][0]["mean"] is None
 
 
 class TestMerge:
@@ -198,36 +197,41 @@ class TestMerge:
             a._merge(make_series(agg="max"))
 
     def test_recorder_merge_doubles(self):
-        a, b = TimeSeriesRecorder(), TimeSeriesRecorder()
-        for recorder in (a, b):
-            recorder.series("s", window_ns=100.0, switch="0").observe(0.0, 2.0)
+        a, b = MetricsRegistry(), MetricsRegistry()
+        for registry in (a, b):
+            registry.timeseries("s", window_ns=100.0, switch="0").observe(0.0, 2.0)
         a.merge(b)
-        assert a.get("s", switch="0").windows() == [(0, 4.0)]
+        assert a.get_timeseries("s", switch="0").windows() == [(0, 4.0)]
 
 
 class TestRecorderDumps:
-    def fill(self, recorder):
-        recorder.series("b_series", window_ns=100.0, switch="1").observe(0.0, 1.0)
-        recorder.series("a_series", window_ns=100.0, switch="0").observe(50.0, 2.0)
+    """Series dumps of a :class:`MetricsRegistry` (the registry is the
+    one recorder of windowed series)."""
+
+    def fill(self, registry):
+        registry.timeseries("b_series", window_ns=100.0, switch="1").observe(0.0, 1.0)
+        registry.timeseries("a_series", window_ns=100.0, switch="0").observe(50.0, 2.0)
 
     def test_round_trip_byte_identical(self):
-        recorder = TimeSeriesRecorder()
-        self.fill(recorder)
-        clone = TimeSeriesRecorder.from_dict(json.loads(json.dumps(recorder.to_dict())))
-        assert clone.dumps() == recorder.dumps()
+        registry = MetricsRegistry()
+        self.fill(registry)
+        clone = MetricsRegistry.from_dict(json.loads(json.dumps(registry.to_dict())))
+        assert clone.dumps() == registry.dumps()
 
     def test_dump_order_independent_of_creation_order(self):
-        forward, backward = TimeSeriesRecorder(), TimeSeriesRecorder()
+        forward, backward = MetricsRegistry(), MetricsRegistry()
         self.fill(forward)
-        backward.series("a_series", window_ns=100.0, switch="0").observe(50.0, 2.0)
-        backward.series("b_series", window_ns=100.0, switch="1").observe(0.0, 1.0)
+        backward.timeseries("a_series", window_ns=100.0, switch="0").observe(50.0, 2.0)
+        backward.timeseries("b_series", window_ns=100.0, switch="1").observe(0.0, 1.0)
         assert forward.dumps() == backward.dumps()
 
     def test_get_or_create_checks_compatibility(self):
-        recorder = TimeSeriesRecorder()
-        recorder.series("s", window_ns=100.0, switch="0")
+        registry = MetricsRegistry()
+        registry.timeseries("s", window_ns=100.0, switch="0")
         with pytest.raises(ConfigError):
-            recorder.series("s", window_ns=200.0, switch="0")
+            registry.timeseries("s", window_ns=200.0, switch="0")
+        with pytest.raises(ConfigError):
+            registry.timeseries("s", window_ns=100.0, agg="max", switch="0")
 
 
 class TestRegistryIntegration:

@@ -1,5 +1,5 @@
 """The streaming traffic substrate: block protocol, workload families,
-deprecation shims, and streaming==eager equivalence at every layer.
+trace readers, and streaming==eager equivalence at every layer.
 
 The block protocol's invariants (half-open spans, boundary arrivals in
 the later block, pid continuity, chunk invariance) are what let every
@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +46,6 @@ from repro.traffic import (
     uniform_matrix,
     workload_source,
 )
-from repro.traffic.replay import _reset_load_trace_warning
 from tests.rss_probe import measure_rss
 
 
@@ -346,9 +344,7 @@ class TestTraceStreaming:
     def test_stream_trace_matches_eager_load_trace(self):
         packets = self._trace_packets()
         text = trace_to_string(packets)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            eager = load_trace(io.StringIO(text))
+        eager = load_trace(io.StringIO(text))
         streamed = [
             p
             for block in stream_trace(io.StringIO(text), block_ns=5_000.0)
@@ -390,19 +386,6 @@ class TestTraceStreaming:
         text = self._scrambled([5_000.0, 100.0])
         with pytest.raises(ConfigError, match="sort"):
             list(stream_trace(io.StringIO(text), block_ns=1_000.0))
-
-    def test_load_trace_shim_warns_once(self):
-        _reset_load_trace_warning()
-        text = trace_to_string(self._trace_packets(duration=5_000.0))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            load_trace(io.StringIO(text))
-            load_trace(io.StringIO(text))
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "stream_trace" in str(deprecations[0].message)
 
     def test_trace_source_is_reusable(self, tmp_path):
         packets = self._trace_packets(duration=10_000.0)
