@@ -49,10 +49,6 @@ class PowerBreakdown:
         """SS 5 quotes ~40% for HBM."""
         return self.hbm_w / self.total_w if self.total_w else 0.0
 
-    @property
-    def oeo_share(self) -> float:
-        return self.oeo_w / self.total_w if self.total_w else 0.0
-
     def scaled(self, factor: float) -> "PowerBreakdown":
         return PowerBreakdown(
             self.processing_w * factor, self.hbm_w * factor, self.oeo_w * factor

@@ -1315,8 +1315,13 @@ def cmd_control(args: argparse.Namespace) -> int:
 
     # Single-run demo: switch 0 fails for the middle third of the run;
     # the reweight controller sheds its load onto the healthy siblings.
+    if args.fidelity != "flow":
+        raise ConfigError(
+            "the single-run control demo runs at flow fidelity; "
+            "--fidelity packet needs --compare-open-loop"
+        )
     from .faults import FaultSchedule, SwitchFailure
-    from .flow import flow_degradation
+    from .flow.engine import _uniform_components, simulate_flow_router
 
     schedule = FaultSchedule(
         [
@@ -1327,34 +1332,16 @@ def cmd_control(args: argparse.Namespace) -> int:
             )
         ]
     )
-    report = flow_degradation(
+    result = simulate_flow_router(
         config,
-        schedule=schedule,
-        load=args.load,
+        _uniform_components(config, args.load, duration_ns),
         duration_ns=duration_ns,
+        schedule=schedule,
+        n_intervals=8,
         control=control,
     )
+    report = result.degradation()
     if args.actions_out:
-        from .flow import RateComponent, simulate_flow_router, uniform_rate_matrix
-
-        components = [
-            RateComponent(
-                uniform_rate_matrix(
-                    config.n_ribbons,
-                    args.load,
-                    config.fibers_per_ribbon * config.per_fiber_rate_bps,
-                ),
-                ((0.0, duration_ns),),
-            )
-        ]
-        result = simulate_flow_router(
-            config,
-            components,
-            duration_ns=duration_ns,
-            drain=True,
-            schedule=schedule,
-            control=control,
-        )
         result.control_actions.write(args.actions_out)
         print(f"wrote {args.actions_out}")
     summary = {

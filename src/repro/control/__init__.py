@@ -45,7 +45,7 @@ from .controller import (
     ControllerBank,
 )
 from .loop import CONTROL_STATE, CONTROL_THROTTLE, ControlLoop
-from .packet import packet_control_prepass
+from .packet import PacketControl
 
 __all__ = [
     "ACTION_FIELDS",
@@ -63,12 +63,12 @@ __all__ = [
     "DEFAULT_MITIGATION",
     "DEFAULT_REWEIGHT",
     "GREEN",
+    "PacketControl",
     "RED",
     "SOFT_RED",
     "STATES",
     "YELLOW",
     "compare_attack_loops",
     "compare_fault_loops",
-    "packet_control_prepass",
     "validate_control_actions",
 ]

@@ -1,13 +1,13 @@
 """The closed loop: per-switch controllers driven on window ticks.
 
 One :class:`ControlLoop` instance governs one router run.  The engine
-(fluid or packet pre-pass) calls :meth:`tick` at every control period
-boundary with the per-switch signals observed over the *previous* tick
-window -- offered bytes, delivered bytes and buffer backlog -- plus the
-attack-window flag.  The loop folds them through the three controller
-families (:mod:`repro.control.config`) and exposes two actuator arrays
-the engine applies to the *next* window (decisions are causal: the
-control plane only ever sees the past):
+(fluid, or the packet control split) calls :meth:`tick` at every
+control period boundary with the per-switch signals observed over the
+*previous* tick window -- offered bytes, delivered bytes and buffer
+backlog -- plus the attack-window flag.  The loop folds them through
+the three controller families (:mod:`repro.control.config`) and
+exposes two actuator arrays the engine applies to the *next* window
+(decisions are causal: the control plane only ever sees the past):
 
 - ``admit``  -- per-switch ingress admission fraction in
   ``[floor, 1]``: the fraction of traffic addressed to switch ``h``

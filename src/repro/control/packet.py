@@ -1,30 +1,34 @@
-"""Packet-fidelity control: a causal split-level pre-pass.
+"""Packet-fidelity control: the causal control split.
 
-The packet engine (:class:`~repro.core.sps.SplitParallelSwitch`)
-consumes a complete workload up front, so the control plane acts where
-a real SPS control plane would: at the split, before packets commit to
-a fiber.  :func:`packet_control_prepass` walks the run's arrival block
-in arrival order through the same tick cadence as the fluid loop --
-tick ``k``'s actuation is computed purely from tick ``k-1``'s signals
--- and produces a *modified* workload:
+The packet engine (:class:`~repro.core.sps.SplitParallelSwitch`) lets
+the control plane act where a real SPS control plane would: at the
+split, before packets commit to a fiber.  :class:`PacketControl` is a
+stage of :meth:`~repro.core.sps.SplitParallelSwitch.run_stream`
+(``control=``): each arrival block and its fibers pass through it in
+arrival order, on the same tick cadence as the fluid loop -- tick
+``k``'s actuation is computed purely from tick ``k-1``'s signals:
 
 - **reweight** -- a packet bound for a down-weighted switch is
   deterministically redirected (error diffusion per switch, smooth
   weighted round-robin over the healthier switches, round-robin over
   the ribbon's fibers feeding the new switch via
   :meth:`~repro.core.fiber_split.FiberSplitter.fibers_to`);
-- **admission / mitigation** -- a throttled packet is excluded from
-  the simulation; its bytes stay in the offered accounting through
-  the loop's ``throttled_bytes`` (a throttled byte is an explicit
-  backpressure loss, never a vanished offer).
+- **admission / mitigation** -- a throttled packet never reaches its
+  switch.  ``run_stream`` charges it to that switch's report as a
+  ``backpressure-throttled`` drop, the flow engine's convention (a
+  throttled byte is an explicit backpressure loss, never a vanished
+  offer).
 
 Signals are what switch hardware can actually report per tick: offered
 bytes at the split, a leaky-bucket occupancy estimate drained at the
 switch's aggregate egress rate, and the loss-of-light indication of a
 dead switch (``delivered = 0`` while its fault window covers the tick).
-The pre-pass is pure and deterministic -- no RNG, no clock -- and runs
-before the (sequential or parallel) engine pass, so the repo-wide
-sequential == parallel byte-identity is untouched.
+The stage carries its buckets, credits, fiber cursors, round-robin and
+current tick across blocks and closes every tick, empty ones included,
+so the loop sees the same ticks however the run is chunked.  It is pure
+and deterministic -- no RNG, no clock -- and runs in the parent before
+the per-switch partition, so the repo-wide sequential == parallel byte
+identity is untouched.
 """
 
 from __future__ import annotations
@@ -35,10 +39,8 @@ import numpy as np
 
 from ..config import RouterConfig
 from ..core.sps import check_split_range
-from ..errors import ConfigError
 from ..traffic.stream import ArrivalBlock
 from ..units import rate_to_bytes_per_ns
-from .actions import ActionLog
 from .config import ControlConfig
 from .loop import ControlLoop
 
@@ -81,158 +83,165 @@ class _SmoothWRR:
         return choice
 
 
-def packet_control_prepass(
-    config: RouterConfig,
-    control: ControlConfig,
-    block: ArrivalBlock,
-    fibers: np.ndarray,
-    splitter,
-    duration_ns: float,
-    schedule=None,
-    attack_windows: Optional[Sequence[Tuple[float, float]]] = None,
-    telemetry=None,
-    log: Optional[ActionLog] = None,
-) -> Tuple[ArrivalBlock, np.ndarray, ControlLoop]:
-    """Run the control loop over a whole-run arrival block before the
-    engine.
+class PacketControl:
+    """The closed-loop stage of one packet-fidelity router run.
 
-    ``block`` is the run's time-sorted arrivals and ``fibers`` their
-    arrival fibers within each ribbon.  Returns ``(block, fibers,
-    loop)``: the admitted rows of ``block``, their (possibly
-    reassigned) fibers -- the workload the engine runs -- and the
-    finished :class:`ControlLoop` (its action log carries the
-    ``repro-control-v1`` stream, its ``throttled_bytes`` the
-    backpressured total).  A fiber array of the wrong length, a ribbon
-    beyond the router's or a fiber outside ``[0, fibers_per_ribbon)``
-    raises :class:`~repro.errors.ConfigError`.
+    ``control`` configures the loop; ``attack_windows`` are the spans
+    in which the mitigation controller sees an attack
+    (:func:`attack_windows_for`).  ``run_stream`` calls :meth:`start`,
+    then :meth:`apply` on every block, then :meth:`finish`.  Afterwards
+    :attr:`loop` is the finished :class:`ControlLoop` (its action log
+    carries the ``repro-control-v1`` stream, its ``throttled_bytes``
+    the backpressured total) and :attr:`throttled_bytes` /
+    :attr:`throttled_packets` hold what each switch was denied.
     """
-    from ..flow.engine import buffer_limit_bytes
 
-    n_switches = config.n_switches
-    n_ribbons = config.n_ribbons
-    switch = config.switch
-    fibers = np.asarray(fibers, dtype=np.int64)
-    if fibers.shape != (len(block),):
-        raise ConfigError(
-            f"fibers must align with the block: {fibers.size} fibers for "
-            f"{len(block)} arrivals"
+    def __init__(
+        self,
+        control: ControlConfig,
+        attack_windows: Optional[Sequence[Tuple[float, float]]] = None,
+    ) -> None:
+        self.control = control
+        self.attack_windows = tuple(attack_windows) if attack_windows else ()
+        self.loop: Optional[ControlLoop] = None
+
+    def start(
+        self,
+        config: RouterConfig,
+        splitter,
+        duration_ns: float,
+        schedule=None,
+        telemetry=None,
+    ) -> None:
+        """Bind the stage to one run: fresh loop, buckets and cursors."""
+        from ..flow.engine import buffer_limit_bytes
+
+        n_switches = config.n_switches
+        n_ribbons = config.n_ribbons
+        switch = config.switch
+        tick_ns = self.control.tick_ns
+        self._config = config
+        self._duration_ns = duration_ns
+        self._n_ticks = max(int(np.ceil(duration_ns / tick_ns - 1e-9)), 1)
+        self._capacity_per_tick = (
+            rate_to_bytes_per_ns(switch.port_rate_bps) * switch.n_ports * tick_ns
         )
-    check_split_range(config, block.inputs, fibers)
-    tick_ns = control.tick_ns
-    n_ticks = max(int(np.ceil(duration_ns / tick_ns - 1e-9)), 1)
-    capacity_per_tick = (
-        rate_to_bytes_per_ns(switch.port_rate_bps) * switch.n_ports * tick_ns
-    )
+        self.loop = ControlLoop(
+            self.control, n_switches, buffer_limit_bytes(switch), telemetry=telemetry
+        )
+        self._assignments = [splitter.assignment_array(r) for r in range(n_ribbons)]
+        self._fibers_by_switch = [
+            [splitter.fibers_to(r, h) for h in range(n_switches)]
+            for r in range(n_ribbons)
+        ]
+        self._fiber_cursor = np.zeros((n_ribbons, n_switches), dtype=np.int64)
+        self._dead_always = (
+            set(schedule.whole_run_dead_switches()) if schedule is not None else set()
+        )
+        self._views = (
+            {
+                h: schedule.switch_view(h, switch.total_channels)
+                for h in range(n_switches)
+                if h not in self._dead_always
+            }
+            if schedule is not None
+            else {}
+        )
+        self._tick = 0  # the open tick
+        self._bucket = np.zeros(n_switches)  # leaky-bucket occupancy estimate
+        self._offered = np.zeros(n_switches)  # the open tick's offer
+        self._keep_credit = np.zeros(n_switches)  # reweight error diffusion
+        self._admit_credit = np.zeros(n_switches)  # admission error diffusion
+        self._wrr = _SmoothWRR(n_switches)
+        self.throttled_bytes = [0] * n_switches
+        self.throttled_packets = [0] * n_switches
 
-    loop = ControlLoop(
-        control,
-        n_switches,
-        buffer_limit_bytes(switch),
-        log=log,
-        telemetry=telemetry,
-    )
-
-    assignments = [splitter.assignment_array(r) for r in range(n_ribbons)]
-    fibers_by_switch = [
-        [splitter.fibers_to(r, h) for h in range(n_switches)]
-        for r in range(n_ribbons)
-    ]
-    fiber_cursor = np.zeros((n_ribbons, n_switches), dtype=np.int64)
-
-    dead_always = (
-        set(schedule.whole_run_dead_switches()) if schedule is not None else set()
-    )
-    views = (
-        {
-            h: schedule.switch_view(h, switch.total_channels)
-            for h in range(n_switches)
-            if h not in dead_always
-        }
-        if schedule is not None
-        else {}
-    )
-
-    def dead_in_tick(h: int, tick: int) -> bool:
-        if h in dead_always:
+    def _dead_in_tick(self, h: int, tick: int) -> bool:
+        if h in self._dead_always:
             return True
-        view = views.get(h)
-        if view is None:
-            return False
-        return view.dead_at((tick + 0.5) * tick_ns)
+        view = self._views.get(h)
+        return view is not None and view.dead_at((tick + 0.5) * self.control.tick_ns)
 
-    spans = tuple(attack_windows) if attack_windows else ()
-
-    def attack_active_in(start: float, end: float) -> bool:
-        return any(s < end and e > start for s, e in spans)
-
-    # The walk is sequential (its error-diffusion credits are
-    # order-dependent floats); it reads plain lists taken from the
-    # block's time-sorted arrays.
-    ticks_of = np.minimum(
-        (block.times / tick_ns).astype(np.int64), n_ticks - 1
-    ).tolist()
-    ribbons = block.inputs.tolist()
-    sizes = block.sizes.tolist()
-    new_fibers = fibers.tolist()
-    throttled = np.zeros(len(block), dtype=bool)
-    throttled_bytes = 0
-    bucket = np.zeros(n_switches)  # leaky-bucket occupancy estimate
-    offered_now = np.zeros(n_switches)
-    keep_credit = np.zeros(n_switches)  # reweight error diffusion
-    admit_credit = np.zeros(n_switches)  # admission error diffusion
-    wrr = _SmoothWRR(n_switches)
-
-    i = 0
-    for tick in range(n_ticks):
-        if tick > 0:
-            # Close tick-1's window: served bytes per switch (zero while
-            # its loss-of-light indication is up), then actuate tick.
-            served = np.minimum(bucket, capacity_per_tick)
-            for h in range(n_switches):
-                if dead_in_tick(h, tick - 1):
+    def _advance(self, tick: int) -> None:
+        """Close every tick before ``tick``: served bytes per switch
+        (zero while its loss-of-light indication is up), then actuate
+        the next."""
+        tick_ns = self.control.tick_ns
+        while self._tick < tick:
+            closing = self._tick
+            self._tick += 1
+            served = np.minimum(self._bucket, self._capacity_per_tick)
+            for h in range(len(served)):
+                if self._dead_in_tick(h, closing):
                     served[h] = 0.0
-            bucket -= served
-            loop.tick(
-                tick * tick_ns,
-                offered_now,
+            self._bucket -= served
+            start, end = closing * tick_ns, self._tick * tick_ns
+            self.loop.tick(
+                end,
+                self._offered,
                 served,
-                bucket.copy(),
-                attack_active=attack_active_in(
-                    (tick - 1) * tick_ns, tick * tick_ns
+                self._bucket.copy(),
+                attack_active=any(
+                    s < end and e > start for s, e in self.attack_windows
                 ),
             )
-            offered_now = np.zeros(n_switches)
-        while i < len(ticks_of) and ticks_of[i] == tick:
-            ribbon = ribbons[i]
-            size = sizes[i]
-            target = int(assignments[ribbon][new_fibers[i]])
+            self._offered = np.zeros(len(served))
+
+    def apply(
+        self, block: ArrivalBlock, fibers: np.ndarray
+    ) -> Tuple[ArrivalBlock, np.ndarray]:
+        """The admitted rows of ``block`` and their (possibly
+        reassigned) fibers -- what the switches run.
+
+        ``fibers`` are the arrivals' fibers within each ribbon, aligned
+        with ``block``; a ribbon beyond the router's or a fiber outside
+        ``[0, fibers_per_ribbon)`` raises
+        :class:`~repro.errors.ConfigError`.
+        """
+        check_split_range(self._config, block.inputs, fibers)
+        tick_ns = self.control.tick_ns
+        loop = self.loop
+        keep_credit = self._keep_credit
+        admit_credit = self._admit_credit
+        # The walk is sequential (its error-diffusion credits are
+        # order-dependent floats); it reads plain lists taken from the
+        # block's time-sorted arrays.
+        ticks_of = np.minimum(
+            (block.times / tick_ns).astype(np.int64), self._n_ticks - 1
+        ).tolist()
+        new_fibers = fibers.tolist()
+        throttled = np.zeros(len(block), dtype=bool)
+        for i, (tick, ribbon, size) in enumerate(
+            zip(ticks_of, block.inputs.tolist(), block.sizes.tolist())
+        ):
+            if tick > self._tick:
+                self._advance(tick)
+            target = int(self._assignments[ribbon][new_fibers[i]])
             if loop.weight[target] < 1.0 - _WEIGHT_EPS:
                 keep_credit[target] += loop.weight[target]
                 if keep_credit[target] >= 1.0:
                     keep_credit[target] -= 1.0
                 else:
-                    target = wrr.pick(loop.weight)
-                    lanes = fibers_by_switch[ribbon][target]
-                    cursor = fiber_cursor[ribbon, target]
+                    target = self._wrr.pick(loop.weight)
+                    lanes = self._fibers_by_switch[ribbon][target]
+                    cursor = self._fiber_cursor[ribbon, target]
                     new_fibers[i] = lanes[cursor % len(lanes)]
-                    fiber_cursor[ribbon, target] = cursor + 1
-            offered_now[target] += size
-            admit = float(loop.admit[target])
-            admit_credit[target] += admit
+                    self._fiber_cursor[ribbon, target] = cursor + 1
+            self._offered[target] += size
+            admit_credit[target] += float(loop.admit[target])
             if admit_credit[target] >= 1.0:
                 admit_credit[target] -= 1.0
-                if not dead_in_tick(target, tick):
-                    bucket[target] += size
+                if not self._dead_in_tick(target, tick):
+                    self._bucket[target] += size
             else:
                 throttled[i] = True
-                throttled_bytes += size
-            i += 1
+                self.throttled_bytes[target] += size
+                self.throttled_packets[target] += 1
+        kept = ~throttled
+        return block.select(kept), np.asarray(new_fibers, dtype=np.int64)[kept]
 
-    loop.throttled_bytes = float(throttled_bytes)
-    loop.finish(duration_ns)
-    kept = ~throttled
-    return (
-        block.select(kept),
-        np.asarray(new_fibers, dtype=np.int64)[kept],
-        loop,
-    )
+    def finish(self) -> None:
+        """Close the run's remaining ticks and the action log."""
+        self._advance(self._n_ticks - 1)
+        self.loop.throttled_bytes = float(sum(self.throttled_bytes))
+        self.loop.finish(self._duration_ns)

@@ -102,12 +102,6 @@ class SharingResult:
             return 0.0
         return self.dropped_bytes / self.offered_bytes
 
-    def output_loss_fraction(self, output: int, per_output_offered: Sequence[int]) -> float:
-        offered = per_output_offered[output]
-        if offered == 0:
-            return 0.0
-        return self.per_output_dropped[output] / offered
-
 
 class SharedBufferSim:
     """N output queues draining a shared buffer at the line rate."""

@@ -399,12 +399,11 @@ class HBMSwitch:
         packets: Sequence[Packet],
         duration_ns: float,
         drain: bool = True,
-        max_drain_ns: Optional[float] = None,
     ) -> SwitchReport:
         """Simulate ``packets`` over ``[0, duration_ns)`` and report.
 
         With ``drain=True`` the simulation keeps running (no new
-        arrivals) until the switch empties or ``max_drain_ns`` passes,
+        arrivals) until the switch empties or the drain deadline passes,
         so latency statistics cover every delivered packet.
 
         The Packet-list entry point: the list becomes one
@@ -420,7 +419,7 @@ class HBMSwitch:
             output.record = (departures, lanes)
         self.stream_begin()
         self.stream_offer(ArrivalBlock.from_packets(ordered, duration_ns), duration_ns)
-        report = self.stream_finish(duration_ns, drain, max_drain_ns)
+        report = self.stream_finish(duration_ns, drain)
         for output in self.outputs:
             output.record = None
         wavelengths = self.flows.ecmp.n_wavelengths
@@ -484,27 +483,18 @@ class HBMSwitch:
         """
         self.engine.run(until=until, inclusive=False)
 
-    def stream_finish(
-        self,
-        duration_ns: float,
-        drain: bool = True,
-        max_drain_ns: Optional[float] = None,
-    ) -> SwitchReport:
+    def stream_finish(self, duration_ns: float, drain: bool = True) -> SwitchReport:
         """Final boundary: fire events at ``duration_ns``, drain, report."""
         self.engine.run(until=duration_ns)
         if drain:
-            self._run_drain(duration_ns, max_drain_ns)
+            self._run_drain(duration_ns)
         self.pfi.stop()
         # Let already-scheduled deliveries and transfers land.
         self.engine.run()
         return self._report(duration_ns)
 
     def run_stream(
-        self,
-        blocks,
-        duration_ns: float,
-        drain: bool = True,
-        max_drain_ns: Optional[float] = None,
+        self, blocks, duration_ns: float, drain: bool = True
     ) -> SwitchReport:
         """Simulate a stream of arrival blocks; byte-identical to :meth:`run`.
 
@@ -519,13 +509,9 @@ class HBMSwitch:
         for block in blocks:
             self.stream_offer(block, duration_ns)
             self.stream_advance(min(block.end_ns, duration_ns))
-        return self.stream_finish(duration_ns, drain, max_drain_ns)
+        return self.stream_finish(duration_ns, drain)
 
-    def _run_drain(self, duration_ns: float, max_drain_ns: Optional[float]) -> None:
-        if max_drain_ns is None:
-            # Worst case the whole backlog drains at the slowest stage;
-            # a generous default that still terminates.
-            max_drain_ns = 50.0 * duration_ns + 1e6
+    def _run_drain(self, duration_ns: float) -> None:
         if self.options.padding:
             for port in self.inputs:
                 batches = port.flush_partials(self.engine.now)
@@ -535,7 +521,9 @@ class HBMSwitch:
                 )
                 if batches and not self._draining[port.port]:
                     self._schedule_drain(port.port, self.engine.now)
-        deadline = duration_ns + max_drain_ns
+        # Worst case the whole backlog drains at the slowest stage; a
+        # generous deadline that still terminates.
+        deadline = duration_ns + (50.0 * duration_ns + 1e6)
         check_every = self._drain_check_interval()
         while self.engine.now < deadline and self._residual_payload > 0:
             before = self._residual_payload

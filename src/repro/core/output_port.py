@@ -201,11 +201,6 @@ class OutputPort:
             for lane in np.flatnonzero(self._lane_bytes).tolist()
         }
 
-    @property
-    def busy_until(self) -> float:
-        """When the port finishes everything handed to it so far."""
-        return self._busy_until
-
     def transmit_frame(self, frame: int, ready_ns: float) -> float:
         """Send a frame's payload onto the wire; returns its finish time.
 

@@ -72,9 +72,6 @@ class OutputPageFifo:
     def _slots_per_page(self, page: Page) -> int:
         return page.rows * self.n_groups
 
-    def _capacity_slots(self) -> int:
-        return sum(self._slots_per_page(p) for p in self._pages)
-
     def _address_for(self, frame_index: int) -> FrameAddress:
         """Translate a frame counter to (group, row) via the page table."""
         row_ordinal, group_index = divmod(frame_index, self.n_groups)

@@ -204,9 +204,6 @@ class PFIEngine:
         """One full write+read cycle including transitions."""
         return 2.0 * (self.phase_duration + self.transition)
 
-    def hbm_frames_for(self, output: int) -> int:
-        return len(self._hbm_content[output])
-
     def hbm_payload_bytes(self) -> int:
         return self._hbm_payload
 

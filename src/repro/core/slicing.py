@@ -116,11 +116,6 @@ class SlicedTailModel:
                     f"module {module.index} diverged: {module.queues} != {reference}"
                 )
 
-    def pending_slices(self, output: int) -> int:
-        """Slices queued for ``output`` in module 0 (= every module)."""
-        self.assert_lockstep()
-        return self.modules[0].slices_for(output)
-
     def per_module_share(self, logical_pending_bytes: int) -> float:
         """Each module's pending bytes over the logical total (should be 1/N)."""
         self.assert_lockstep()

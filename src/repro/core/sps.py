@@ -360,20 +360,21 @@ class SplitParallelSwitch:
         duration_ns: float,
         fibers_fn=None,
         drain: bool = True,
-        max_drain_ns: Optional[float] = None,
         mode: str = "sequential",
         n_workers: Optional[int] = None,
         fault_schedule=None,
         telemetry=None,
         departure_sink=None,
         latency_sample_cap: Optional[int] = None,
+        control=None,
     ) -> RouterReport:
         """Simulate the router from a stream of arrival blocks.
 
         The one router entry point: ``blocks`` is any iterable of
         time-ordered :class:`~repro.traffic.stream.ArrivalBlock`
         (typically ``source.blocks(duration_ns)``, or one whole-run
-        block).  Per block, as array operations: arrivals at or after
+        block).  Per block, as array operations (after the control
+        stage, if any): arrivals at or after
         ``duration_ns`` are dropped (they never enter the simulated
         window), cut fibers' traffic dies at the passive split (a
         mask), and the rest is split across the switches by a
@@ -391,6 +392,16 @@ class SplitParallelSwitch:
         fibers as an array (default: the upstream ECMP hash of
         :func:`assign_fibers` -- stateless, so chunking cannot change
         it; stateful policies carry their cursors in a closure).
+
+        ``control`` (a :class:`~repro.control.packet.PacketControl`)
+        closes the loop: each block and its fibers pass through the
+        stage right after fiber assignment, which reweights and
+        throttles them tick by tick.  A throttled packet is offered to
+        its target switch but never enters it: its report counts it as
+        a ``backpressure-throttled`` drop (a whole-run-dead target's in
+        ``failed_offered_bytes``), while ``per_switch_offered_bytes``
+        keeps what passed the throttle.  The caller reads the loop from
+        the stage afterwards.
 
         ``fault_schedule`` (a :class:`~repro.faults.FaultSchedule`)
         injects timed faults: whole-run switch deaths lose their traffic
@@ -474,7 +485,6 @@ class SplitParallelSwitch:
                 blocks=(),
                 duration_ns=duration_ns,
                 drain=drain,
-                max_drain_ns=max_drain_ns,
                 faults=(
                     schedule.switch_view(h, self.config.switch.total_channels)
                     if schedule is not None
@@ -495,6 +505,8 @@ class SplitParallelSwitch:
         cut_lost: Dict[tuple, int] = {}
         cuts = schedule is not None and schedule.has_fiber_cuts
         finished = False
+        if control is not None:
+            control.start(self.config, self.splitter, duration_ns, schedule, telemetry)
         for block in blocks:
             fibers = np.asarray(
                 fibers_fn(block)
@@ -504,6 +516,8 @@ class SplitParallelSwitch:
             )
             if fibers.size != len(block):
                 raise ConfigError("packets and fibers must align")
+            if control is not None:
+                block, fibers = control.apply(block, fibers)
             keep = block.times < duration_ns
             if cuts:
                 cut = keep & schedule.fiber_cut_mask(block.inputs, fibers, block.times)
@@ -571,6 +585,8 @@ class SplitParallelSwitch:
                         running[h] = switch = registry = None
                     else:
                         switch.stream_advance(block.end_ns)
+        if control is not None:
+            control.finish()
         if not pooled:
             # A stream that stopped short of duration_ns still finishes.
             for h, unit in enumerate(units):
@@ -593,10 +609,19 @@ class SplitParallelSwitch:
                 record_fault_loss(telemetry, "fiber", f"{ribbon}/{fiber}", n_bytes)
             for h in sorted(dead):
                 record_fault_loss(telemetry, "switch", str(h), offered[h])
+        for report in reports:
+            if report is not None:
+                # One O/E + one E/O per bit through a switch (the SPS
+                # property); a throttled bit never went through.
+                self.oeo.convert(8.0 * (report.offered_bytes + report.delivered_bytes))
+        if control is not None:
+            for h, n_packets in enumerate(control.throttled_packets):
+                n_bytes = control.throttled_bytes[h]
+                if reports[h] is None:
+                    failed_bytes += n_bytes
+                elif n_packets:
+                    reports[h] = _with_throttled(reports[h], n_bytes, n_packets)
         switch_reports = [report for report in reports if report is not None]
-        for report in switch_reports:
-            # One O/E + one E/O per bit through a switch (the SPS property).
-            self.oeo.convert(8.0 * (report.offered_bytes + report.delivered_bytes))
         telemetry_dump = None
         if telemetry is not None:
             # Per-switch registries merge in switch-index order whichever
@@ -616,6 +641,18 @@ class SplitParallelSwitch:
             fault_events=schedule.describe() if schedule is not None else [],
             telemetry=telemetry_dump,
         )
+
+
+def _with_throttled(report: SwitchReport, n_bytes: int, n_packets: int) -> SwitchReport:
+    """``report`` with ``n_packets`` throttled packets (``n_bytes``)
+    added to its offer as ``backpressure-throttled`` drops."""
+    return replace(
+        report,
+        offered_bytes=report.offered_bytes + n_bytes,
+        offered_packets=report.offered_packets + n_packets,
+        dropped_bytes=report.dropped_bytes + n_bytes,
+        drops_by_reason={**report.drops_by_reason, "backpressure-throttled": n_packets},
+    )
 
 
 def _use_pool(mode: str, n_workers: Optional[int], n_live: int) -> bool:

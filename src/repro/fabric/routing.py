@@ -41,11 +41,6 @@ class FlowPath:
     routers: Tuple[int, ...]
     weight: float
 
-    @property
-    def n_hops(self) -> int:
-        """Inter-router link traversals (router visits minus one)."""
-        return len(self.routers) - 1
-
 
 def shortest_paths(
     topology: FabricTopology, src: int, dst: int

@@ -275,13 +275,12 @@ def measure_degradation(
     e.g. ``"pareto"`` or ``"trace:capture.csv"``).
 
     ``control`` (a :class:`~repro.control.ControlConfig`) closes the
-    loop, with either traffic: the run's arrivals are taken as one
-    whole-run block and its fibers go through the control pre-pass
-    (:func:`~repro.control.packet.packet_control_prepass`) before the
-    engine pass.  Offered bytes count *all* generated packets --
-    throttled ones bin as offered-but-undelivered and are added back to
-    the byte totals as losses -- so the delivered fraction is measured
-    against the original offer, never against a throttle-shrunk one.
+    loop, with either traffic, through the control stage of
+    ``run_stream`` (:class:`~repro.control.packet.PacketControl`).
+    Offered bytes count *all* generated packets -- a throttled one bins
+    as offered-but-undelivered and its switch's report holds it as a
+    drop -- so the delivered fraction is measured against the original
+    offer, never against a throttle-shrunk one.
 
     ``telemetry`` (a :class:`~repro.telemetry.MetricsRegistry`)
     instruments the run; the fault schedule's windows are tagged onto
@@ -293,7 +292,6 @@ def measure_degradation(
     if n_intervals <= 0:
         raise ConfigError(f"n_intervals must be positive, got {n_intervals}")
     router = SplitParallelSwitch(config, options=options)
-    fibers_fn = _fiber_cursor(config.fibers_per_ribbon)
     width = duration_ns / n_intervals
     last = n_intervals - 1
     offered = np.zeros(n_intervals, dtype=np.int64)
@@ -325,36 +323,19 @@ def measure_degradation(
             np.add.at(offered, interval_of(block.times), block.sizes)
             yield block
 
-    throttled_bytes = 0
-    control_summary = None
-    if control is None:
-        blocks = binned(source.blocks(duration_ns))
-    else:
-        from ..control.packet import packet_control_prepass
+    stage = None
+    if control is not None:
+        from ..control.packet import PacketControl
 
-        # The pre-pass walks the whole run: one block.
-        (block,) = binned(source.blocks(duration_ns, block_ns=duration_ns))
-        block, fibers, loop = packet_control_prepass(
-            config,
-            control,
-            block,
-            fibers_fn(block),
-            router.splitter,
-            duration_ns,
-            schedule=schedule,
-            telemetry=telemetry,
-        )
-        blocks = [block]
-        fibers_fn = lambda _: fibers  # noqa: E731
-        throttled_bytes = int(round(loop.throttled_bytes))
-        control_summary = loop.summary()
+        stage = PacketControl(control)
     report = router.run_stream(
-        blocks,
+        binned(source.blocks(duration_ns)),
         duration_ns,
-        fibers_fn=fibers_fn,
+        fibers_fn=_fiber_cursor(config.fibers_per_ribbon),
         fault_schedule=schedule,
         telemetry=telemetry,
         departure_sink=departure_sink,
+        control=stage,
     )
     intervals = [
         IntervalSample(
@@ -368,11 +349,11 @@ def measure_degradation(
     return DegradationReport(
         duration_ns=duration_ns,
         intervals=intervals,
-        offered_bytes=report.offered_bytes + throttled_bytes,
+        offered_bytes=report.offered_bytes,
         delivered_bytes=report.delivered_bytes,
-        lost_bytes=report.lost_bytes + throttled_bytes,
+        lost_bytes=report.lost_bytes,
         residual_bytes=report.residual_bytes,
         failed_switches=list(report.failed_switches),
         fault_events=list(report.fault_events),
-        control=control_summary,
+        control=None if stage is None else stage.loop.summary(),
     )

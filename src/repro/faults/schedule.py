@@ -87,12 +87,6 @@ class SwitchFaultView:
     def has_oeo_faults(self) -> bool:
         return bool(self.oeo_events)
 
-    @property
-    def dead_whole_run(self) -> bool:
-        """Dead from t = 0 with no recovery: the degenerate schedule
-        :meth:`FaultSchedule.from_failed_switches` builds."""
-        return any(f.whole_run for f in self.failures)
-
     def dead_at(self, t_ns: float) -> bool:
         """Whether the switch is down at ``t_ns``."""
         for failure in self.failures:
@@ -198,15 +192,6 @@ class FaultSchedule:
                     & (times_ns < event.end_ns)
                 )
         return cut
-
-    def switch_events(self, switch: int) -> List:
-        """Every switch-scoped event targeting ``switch``."""
-        return [
-            e
-            for e in self.events
-            if isinstance(e, (SwitchFailure, HBMChannelLoss, OEODegradation))
-            and e.switch == switch
-        ]
 
     def switch_view(
         self, switch: int, total_channels: int

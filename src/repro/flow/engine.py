@@ -669,6 +669,21 @@ class FlowRouterResult:
     control: Optional[dict] = None
     control_actions: Optional[object] = None
 
+    def degradation(self) -> DegradationReport:
+        """The run as a capacity-over-time report (binned runs only)."""
+        report = self.report
+        return DegradationReport(
+            duration_ns=report.duration_ns,
+            intervals=self.intervals,
+            offered_bytes=report.offered_bytes,
+            delivered_bytes=report.delivered_bytes,
+            lost_bytes=report.lost_bytes,
+            residual_bytes=report.residual_bytes,
+            failed_switches=list(report.failed_switches),
+            fault_events=list(report.fault_events),
+            control=self.control,
+        )
+
 
 def buffer_limit_bytes(switch_config: HBMSwitchConfig) -> float:
     """The per-switch buffer ceiling the admission controller guards:
@@ -1287,7 +1302,7 @@ def flow_degradation(
     control=None,
 ) -> DegradationReport:
     """Fluid twin of :func:`repro.faults.report.measure_degradation`."""
-    result = simulate_flow_router(
+    return simulate_flow_router(
         config,
         _uniform_components(config, load, duration_ns),
         duration_ns=duration_ns,
@@ -1297,16 +1312,4 @@ def flow_degradation(
         mean_packet_bytes=mean_packet_bytes,
         telemetry=telemetry,
         control=control,
-    )
-    report = result.report
-    return DegradationReport(
-        duration_ns=duration_ns,
-        intervals=result.intervals,
-        offered_bytes=report.offered_bytes,
-        delivered_bytes=report.delivered_bytes,
-        lost_bytes=report.lost_bytes,
-        residual_bytes=report.residual_bytes,
-        failed_switches=list(report.failed_switches),
-        fault_events=list(report.fault_events),
-        control=result.control,
-    )
+    ).degradation()

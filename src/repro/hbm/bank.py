@@ -51,10 +51,6 @@ class Bank:
     def open_row(self) -> Optional[int]:
         return self._open_row
 
-    @property
-    def last_activate_time(self) -> float:
-        return self._last_act
-
     def earliest_activate(self) -> float:
         """Earliest time the next ACT on this bank is legal (tRC, tRP)."""
         return max(self._last_act + self._timing.t_rc, self._precharged_at)
@@ -129,11 +125,3 @@ class Bank:
         # A refresh occupies the bank like a row cycle; model it as a
         # precharge completing after the refresh duration.
         self._precharged_at = cmd.time + self._timing.refresh_duration_ns
-
-    def is_open_at(self, time_ns: float) -> bool:
-        """Whether the bank holds an open row at ``time_ns``.
-
-        Used by the controller's concurrent-activation audit (the
-        four-activation current-draw limit the paper uses to bound gamma).
-        """
-        return self._state is BankState.OPEN and self._last_act <= time_ns

@@ -11,7 +11,7 @@ once, alpha waveguides per (ribbon, switch) pair).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..errors import ConfigError
 from .waveguide import Waveguide
@@ -83,14 +83,3 @@ def validate_split(coupler: OpticalCoupler, n_switches: int, alpha: int) -> None
             raise ConfigError(
                 f"ribbon feeds {got} waveguides to switch {switch}, expected {alpha}"
             )
-
-
-def split_pairs(
-    couplers: Sequence[OpticalCoupler], n_switches: int
-) -> Dict[Tuple[int, int], int]:
-    """(ribbon, switch) -> waveguide count across a set of couplers."""
-    out: Dict[Tuple[int, int], int] = {}
-    for coupler in couplers:
-        for switch, count in coupler.lanes_per_switch().items():
-            out[(coupler.waveguides[0].ribbon if coupler.waveguides else 0, switch)] = count
-    return out

@@ -49,10 +49,6 @@ class OEOConverter:
     def total_bits(self) -> float:
         return self._bits
 
-    @property
-    def total_energy_joules(self) -> float:
-        return self._bits * self.energy_pj_per_bit * 1e-12
-
 
 def oeo_power_watts(
     io_rate_bps: float,

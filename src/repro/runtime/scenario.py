@@ -192,9 +192,9 @@ class Scenario:
     At packet fidelity every kind runs on
     :class:`~repro.traffic.stream.ArrivalBlock` arrays from its traffic
     source to the engine's ``run_stream``; no executor builds
-    :class:`~repro.traffic.Packet` objects.  ``control`` thins the
-    arrivals in the split-level pre-pass
-    (:func:`~repro.control.packet.packet_control_prepass`) first.
+    :class:`~repro.traffic.Packet` objects.  ``control`` closes the
+    loop at the split, as a stage of ``run_stream``
+    (:class:`~repro.control.packet.PacketControl`).
     """
 
     kind: str = _field(dataclasses.MISSING, values=SCENARIO_KINDS)
@@ -452,48 +452,29 @@ def _router_report(scenario: Scenario, registry):
             control=scenario.control,
         )
         return result.report, result.control
-    from ..core.sps import SplitParallelSwitch, assign_fibers
+    from ..core.sps import SplitParallelSwitch
 
-    router = SplitParallelSwitch(config, options=_options(scenario))
     source = _source(
         scenario,
         config.n_ribbons,
         config.fibers_per_ribbon * config.per_fiber_rate_bps,
     )
-    if scenario.control is None:
-        blocks = source.blocks(scenario.duration_ns)
-        fibers_fn = control_summary = None
-    else:
-        from ..control.packet import packet_control_prepass
+    stage = None
+    if scenario.control is not None:
+        from ..control.packet import PacketControl
 
-        # The pre-pass walks the whole run: one block.
-        (block,) = source.blocks(
-            scenario.duration_ns, block_ns=scenario.duration_ns
-        )
-        block, fibers, loop = packet_control_prepass(
-            config,
-            scenario.control,
-            block,
-            assign_fibers(block, config.fibers_per_ribbon),
-            router.splitter,
-            scenario.duration_ns,
-            schedule=scenario.schedule,
-            telemetry=registry,
-        )
-        blocks = [block]
-        fibers_fn = lambda _: fibers  # noqa: E731
-        control_summary = loop.summary()
-    report = router.run_stream(
-        blocks,
+        stage = PacketControl(scenario.control)
+    report = SplitParallelSwitch(config, options=_options(scenario)).run_stream(
+        source.blocks(scenario.duration_ns),
         scenario.duration_ns,
-        fibers_fn=fibers_fn,
         drain=scenario.drain,
         mode=scenario.mode,
         n_workers=scenario.workers,
         fault_schedule=scenario.schedule,
         telemetry=registry,
+        control=stage,
     )
-    return report, control_summary
+    return report, None if stage is None else stage.loop.summary()
 
 
 def _degradation_report(scenario: Scenario, registry):
@@ -570,12 +551,11 @@ def _fault_cell_summary(scenario: Scenario, registry) -> dict:
 
 def _attack_run(scenario: Scenario, splitter, weights, registry):
     """The simulated half of an attack trial, the one step that depends
-    on fidelity: ``(RouterReport, throttled_bytes, control summary)``.
+    on fidelity: ``(RouterReport, control summary)``.
 
     Both fidelities run ``drain=False``: a victim switch with deep HBM
     does not drop, it falls behind, so the overload shows up as
-    residual.  Flow throttling is already a drop inside the report, so
-    flow returns zero throttled bytes.
+    residual.  At both, a throttled byte is a drop inside the report.
     """
     config = scenario.config
     strategy = scenario.strategy
@@ -603,9 +583,10 @@ def _attack_run(scenario: Scenario, splitter, weights, registry):
             control=control,
             attack_windows=windows,
         )
-        return result.report, 0, result.control
+        return result.report, result.control
     from ..core.sps import SplitParallelSwitch
 
+    # One whole-run block: the strategy weights the whole run.
     block, fibers = strategy.build_workload(
         config,
         splitter,
@@ -614,24 +595,11 @@ def _attack_run(scenario: Scenario, splitter, weights, registry):
         _traffic_seed(scenario),
         workload=scenario.workload,
     )
-    throttled_bytes = 0
-    control_summary = None
+    stage = None
     if control is not None:
-        from ..control.packet import packet_control_prepass
+        from ..control.packet import PacketControl
 
-        block, fibers, loop = packet_control_prepass(
-            config,
-            control,
-            block,
-            fibers,
-            splitter,
-            scenario.duration_ns,
-            schedule=scenario.schedule,
-            attack_windows=windows,
-            telemetry=registry,
-        )
-        throttled_bytes = int(round(loop.throttled_bytes))
-        control_summary = loop.summary()
+        stage = PacketControl(control, windows)
     report = SplitParallelSwitch(config, splitter=splitter).run_stream(
         [block],
         scenario.duration_ns,
@@ -639,8 +607,9 @@ def _attack_run(scenario: Scenario, splitter, weights, registry):
         drain=False,
         fault_schedule=scenario.schedule,
         telemetry=registry,
+        control=stage,
     )
-    return report, throttled_bytes, control_summary
+    return report, None if stage is None else stage.loop.summary()
 
 
 def _traffic_seed(scenario: Scenario) -> int:
@@ -699,7 +668,7 @@ def _attack_summary(scenario: Scenario, registry) -> dict:
             start_ns=0.0,
             end_ns=scenario.duration_ns,
         )
-    report, throttled_bytes, control_summary = _attack_run(
+    report, control_summary = _attack_run(
         scenario, splitter, weights, registry
     )
     offered = report.per_switch_offered_bytes
@@ -715,9 +684,9 @@ def _attack_summary(scenario: Scenario, registry) -> dict:
     if registry is not None:
         record_victim_series(registry, offered, victim)
 
-    # Offered bytes always count the throttled (backpressured) traffic:
-    # the control plane may convert losses, never shrink the offer.
-    offered_total = int(report.offered_bytes) + throttled_bytes
+    # Offered bytes count the throttled (backpressured) traffic: the
+    # control plane may convert losses, never shrink the offer.
+    offered_total = int(report.offered_bytes)
     summary = {
         "trial": scenario.tag if scenario.tag is not None else 0,
         "splitter": scenario.splitter_kind,
@@ -735,7 +704,7 @@ def _attack_summary(scenario: Scenario, registry) -> dict:
             report.delivered_bytes / offered_total if offered_total > 0 else 1.0
         ),
         "sim_loss_fraction": (
-            (report.lost_bytes + throttled_bytes) / offered_total
+            report.lost_bytes / offered_total
             if offered_total > 0
             else 0.0
         ),

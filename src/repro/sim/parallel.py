@@ -55,7 +55,6 @@ class SwitchWorkUnit:
     blocks: Tuple = field(repr=False)
     duration_ns: float = 0.0
     drain: bool = True
-    max_drain_ns: Optional[float] = None
     #: Optional per-switch fault projection
     #: (:class:`~repro.faults.schedule.SwitchFaultView`); ``None`` keeps
     #: the exact unfaulted simulation path.
@@ -104,7 +103,7 @@ def open_switch(unit: SwitchWorkUnit, departure_sink=None, latency_sample_cap=No
 def finish_switch(unit: SwitchWorkUnit, switch, registry):
     """Finish an opened switch at the unit's horizon; returns its report
     with the per-switch telemetry dump attached."""
-    report = switch.stream_finish(unit.duration_ns, unit.drain, unit.max_drain_ns)
+    report = switch.stream_finish(unit.duration_ns, unit.drain)
     if registry is not None:
         report.telemetry = registry.to_dict()
     return report

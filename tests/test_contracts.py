@@ -174,6 +174,34 @@ def test_control_action_stream_validates(tmp_path, capsys):
     assert "state_change" in kinds, kinds
 
 
+def test_control_demo_summary_is_its_action_log(tmp_path, capsys):
+    # One run supplies both: the summary's control block totals are the
+    # action stream's control_finish record.
+    from repro.control import validate_control_actions
+
+    actions = tmp_path / "control_actions.jsonl"
+    summary = tmp_path / "summary.json"
+    code = main([
+        "control", "--duration-us", "20", "--json",
+        "--actions-out", str(actions), "--out", str(summary),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    control = json.loads(summary.read_text())["control"]
+    records = validate_control_actions(actions.read_text())
+    finish = records[-1]
+    assert finish["kind"] == "control_finish"
+    for key in ("ticks", "n_state_changes", "throttled_bytes"):
+        assert control[key] == finish[key], key
+    assert control["n_actions"] == len(records)
+
+
+def test_control_demo_rejects_packet_fidelity(capsys):
+    code = main(["control", "--duration-us", "5", "--fidelity", "packet"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _sweep(capsys, *extra):
     code = main(["sweep", "--duration-us", "10", *extra])
     out = capsys.readouterr().out

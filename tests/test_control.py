@@ -45,9 +45,10 @@ from repro.control import (
 from repro.errors import ConfigError
 from repro.faults import CampaignParams, FaultSchedule, SwitchFailure
 from repro.flow import flow_degradation, flow_router_result
-from repro.control.packet import attack_windows_for, packet_control_prepass
+from repro.control.packet import PacketControl, attack_windows_for
 from repro.core.fiber_split import ContiguousSplitter, PseudoRandomSplitter
-from repro.core.sps import assign_fibers
+from repro.core.sps import SplitParallelSwitch, assign_fibers
+from repro.faults.report import _fiber_cursor
 from repro.runtime import (
     FaultCampaign,
     Runtime,
@@ -57,7 +58,13 @@ from repro.runtime import (
     router_scenario,
 )
 from repro.telemetry import MetricsRegistry, ewma_step
-from repro.traffic import ArrivalBlock, FixedSize, TrafficGenerator, uniform_matrix
+from repro.traffic import (
+    ArrivalBlock,
+    FixedSize,
+    ImixSize,
+    TrafficGenerator,
+    uniform_matrix,
+)
 
 
 def small_router(n_switches: int = 4):
@@ -525,6 +532,117 @@ class TestActuatorCeiling:
         assert control["throttled_bytes"] > 0
 
 
+class TestPacketThrottleAccounting:
+    """At packet fidelity, as at flow fidelity, a throttled byte is a
+    ``backpressure-throttled`` drop of its target switch: closing the
+    loop never shrinks the offered denominator."""
+
+    @pytest.mark.parametrize(
+        "fibers, generated, throttled, fraction",
+        [(8, 1_612_332, 137_764, 0.91456), (16, 3_260_964, 342_148, 0.8951)],
+    )
+    def test_throttled_bytes_stay_offered(self, fibers, generated, throttled, fraction):
+        def cell(control):
+            return execute_scenario(router_scenario(
+                scaled_router(n_switches=4, fibers_per_ribbon=fibers),
+                load=0.5, duration_ns=20_000.0, fidelity="packet", control=control,
+            ))
+
+        payload = cell(TestActuatorCeiling.ceilings(0.9, 0.8, 0.95))
+        report = payload["report"]
+        assert payload["control"]["throttled_bytes"] == throttled
+        # The offer is everything the source generated: the open-loop
+        # twin's offer.
+        assert report["offered_bytes"] == generated == cell(None)["report"]["offered_bytes"]
+        assert report["offered_bytes"] == (
+            report["delivered_bytes"] + report["lost_bytes"] + report["residual_bytes"]
+        )
+        assert report["delivered_fraction"] == pytest.approx(fraction, abs=5e-5)
+        switches = report["switches"]
+        # Load 0.5 drops nothing inside the switches: every drop is a
+        # throttled packet.
+        assert all(set(s["drops_by_reason"]) == {"backpressure-throttled"} for s in switches)
+        assert sum(s["dropped_bytes"] for s in switches) == throttled
+        assert sum(s["drops_by_reason"]["backpressure-throttled"] for s in switches) == sum(
+            s["offered_packets"] - s["delivered_packets"] for s in switches
+        )
+        # The split's per-switch offer counts what passed the throttle.
+        assert sum(report["per_switch_offered_bytes"]) == generated - throttled
+
+
+class TestControlStageChunking:
+    """The control stage streams: closed-loop runs give the same
+    report, action log and registry dump however the arrivals are
+    chunked."""
+
+    DURATION = 16_000.0
+
+    @staticmethod
+    def source(config, degradation):
+        return TrafficGenerator(
+            n_ports=config.n_ribbons,
+            port_rate_bps=config.fibers_per_ribbon * config.per_fiber_rate_bps,
+            matrix=uniform_matrix(config.n_ribbons, 0.6 if degradation else 0.9),
+            size_dist=FixedSize(1500) if degradation else ImixSize(),
+            seed=4,
+            flows_per_pair=256,
+        )
+
+    def run(self, block_ns, degradation):
+        config = scaled_router()
+        source = self.source(config, degradation)
+        if degradation:
+            control = ControlConfig(tick_ns=1_000.0)
+            fibers_fn = _fiber_cursor(config.fibers_per_ribbon)
+        else:
+            control = TestActuatorCeiling.ceilings(0.9, 0.8, 0.95)
+            fibers_fn = None
+        bins = np.zeros(8, dtype=np.int64)
+
+        def departure_sink(departures, sizes):
+            np.add.at(bins, np.minimum(7, (departures / 2_000.0).astype(np.int64)), sizes)
+
+        registry = MetricsRegistry()
+        stage = PacketControl(control)
+        report = SplitParallelSwitch(config).run_stream(
+            source.blocks(self.DURATION)
+            if block_ns is None
+            else source.blocks(self.DURATION, block_ns),
+            self.DURATION,
+            fibers_fn=fibers_fn,
+            fault_schedule=FaultSchedule(
+                [SwitchFailure(switch=0, start_ns=4_000.0, end_ns=8_000.0)]
+            ),
+            telemetry=registry,
+            departure_sink=departure_sink if degradation else None,
+            control=stage,
+        )
+        assert stage.loop.ticks > 0
+        return (
+            json.dumps(report.to_dict()),
+            bins.tolist(),
+            stage.loop.log.dumps(),
+            json.dumps(registry.to_dict()),
+        )
+
+    @pytest.mark.parametrize("degradation", [False, True], ids=["router", "degradation"])
+    def test_chunking_is_invisible(self, degradation):
+        whole_run = self.run(self.DURATION, degradation)
+        assert self.run(None, degradation) == whole_run
+        assert self.run(1_000.0, degradation) == whole_run
+
+    def test_ticks_after_the_last_arrival_still_close(self):
+        # Arrivals stop at half the run; the loop still ticks to the end.
+        config = scaled_router()
+        stage = PacketControl(ControlConfig(tick_ns=1_000.0))
+        SplitParallelSwitch(config).run_stream(
+            self.source(config, True).blocks(self.DURATION / 2),
+            self.DURATION,
+            control=stage,
+        )
+        assert stage.loop.ticks == 15
+
+
 class TestClosedLoopRuns:
     def test_action_stream_byte_identical_across_runs(self):
         config = small_router()
@@ -591,7 +709,7 @@ class TestClosedLoopRuns:
 
 
 class TestPacketPrepass:
-    """The split-level pre-pass over one whole-run arrival block."""
+    """The split-level control stage of ``run_stream``."""
 
     DURATION = 4_000.0
 
@@ -608,30 +726,33 @@ class TestPacketPrepass:
         splitter = PseudoRandomSplitter(config.fibers_per_ribbon, config.n_switches)
         return config, block, assign_fibers(block, config.fibers_per_ribbon), splitter
 
-    def prepass(self, config, block, fibers, splitter, control=None):
-        return packet_control_prepass(
-            config, control or ControlConfig(), block, fibers, splitter,
-            self.DURATION,
-        )
+    def apply(self, config, block, fibers, splitter):
+        stage = PacketControl(ControlConfig())
+        stage.start(config, splitter, self.DURATION)
+        return stage.apply(block, fibers)
 
     def test_negative_fiber_rejected(self):
         config, block, fibers, splitter = self.workload()
         fibers = fibers.copy()
         fibers[0] = -1
         with pytest.raises(ConfigError, match="fiber out of range"):
-            self.prepass(config, block, fibers, splitter)
+            self.apply(config, block, fibers, splitter)
 
     def test_fiber_beyond_the_ribbon_rejected(self):
         config, block, fibers, splitter = self.workload()
         fibers = fibers.copy()
         fibers[-1] = config.fibers_per_ribbon
         with pytest.raises(ConfigError, match="fiber out of range"):
-            self.prepass(config, block, fibers, splitter)
+            self.apply(config, block, fibers, splitter)
 
     def test_short_fiber_array_rejected(self):
         config, block, fibers, splitter = self.workload()
+        router = SplitParallelSwitch(config, splitter=splitter)
         with pytest.raises(ConfigError, match="fibers must align"):
-            self.prepass(config, block, fibers[:-1], splitter)
+            router.run_stream(
+                [block], self.DURATION, fibers_fn=lambda _: fibers[:-1],
+                control=PacketControl(ControlConfig()),
+            )
 
     def test_ribbon_beyond_the_router_rejected(self):
         config, block, fibers, splitter = self.workload()
@@ -641,7 +762,7 @@ class TestPacketPrepass:
             flow_ids=block.flow_ids,
         )
         with pytest.raises(ConfigError, match="ribbon .* out of range"):
-            self.prepass(config, wide, fibers, splitter)
+            self.apply(config, wide, fibers, splitter)
 
     def test_admitted_rows_and_throttled_bytes_cover_the_block(self):
         # A synchronized burst on one switch makes mitigation throttle.
@@ -652,12 +773,14 @@ class TestPacketPrepass:
         )
         duration = 12_000.0
         block, fibers = attack.build_workload(config, splitter, 0.5, duration, seed=5)
-        kept, kept_fibers, loop = packet_control_prepass(
-            config, ControlConfig(), block, fibers, splitter, duration,
-            attack_windows=attack_windows_for(attack, duration),
-        )
+        stage = PacketControl(ControlConfig(), attack_windows_for(attack, duration))
+        stage.start(config, splitter, duration)
+        kept, kept_fibers = stage.apply(block, fibers)
+        stage.finish()
         assert len(kept) == kept_fibers.size < len(block)
-        assert kept.total_bytes + loop.throttled_bytes == block.total_bytes
+        assert kept.total_bytes + stage.loop.throttled_bytes == block.total_bytes
+        assert sum(stage.throttled_bytes) == stage.loop.throttled_bytes
+        assert len(kept) + sum(stage.throttled_packets) == len(block)
         assert np.isin(kept.pids, block.pids).all()
         assert 0 <= kept_fibers.min() <= kept_fibers.max() < 16
 

@@ -8,7 +8,7 @@ padding x bypass combinations, FIB no-route drops, switch-dead windows,
 fiber cuts and an HBM channel loss, telemetry on, three block sizes,
 and the Packet-list entry point's departure write-back.  Later cells
 pin whole scenario payloads: closed-loop router and attack cells (the
-control pre-pass), a parallel router cell, an attack on a streamed
+control split), a parallel router cell, an attack on a streamed
 workload, a packet-fidelity fabric cell and a switch cell's pipeline
 trace.  ``TELEMETRY_CELLS`` pin report and registry-dump digests of
 instrumented runs recorded while every instrument was updated at the
