@@ -43,6 +43,7 @@ from ..errors import ConfigError
 from ..units import bytes_per_ns_to_rate
 from .commands import Command, Op
 from .interleaving import BankGroup, frame_schedule_block
+from .bank import TIMING_EPSILON_NS as EPS
 from .timing import HBMTiming
 from .verify import (
     CODE, WR, Checked, CommandBlock, TimingState, application_order, spread,
@@ -341,7 +342,14 @@ class HBMController:
             self._intervals.append((p_ch, checked.block.span[pres], opened, p_close))
         if not self._incremental:
             return
-        if np.any(checked.a_t < checked.a_prev) or np.any(
+        # An ACT within the timing rules' tolerance of its channel's
+        # previous one counts as simultaneous: trains laid out with
+        # accumulated float times land an ulp either side.  Only a
+        # channel's first ACT in a block can be early (blocks apply in
+        # time order), and every close is later than that previous ACT
+        # (pending ones by ``keep``, earlier PREs by the check below,
+        # later ones by tRP), so its count is the sweep's at that ACT.
+        if np.any(checked.a_t < checked.a_prev - EPS) or np.any(
             p_close <= checked.channel_last_act[pres]
         ):
             self._incremental = False
